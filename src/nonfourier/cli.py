@@ -34,13 +34,14 @@ from .consistency import (
     check_jeffreys,
     check_quintanilla,
 )
-from .energetics import dissipation_residual, dissipation_terms, entropy_production, free_energy, sample_state
-from .modal import mode_reports
+from .energetics import SingularParameterError, dissipation_terms, entropy_production, free_energy, sample_state
+from .modal import InvalidKindError, mode_reports
 from .models import (
     MCV,
     GN2,
     GN3,
     Burgers,
+    DegenerateModelError,
     Fourier,
     GKLinear,
     GKNonlinear,
@@ -49,8 +50,12 @@ from .models import (
     Quintanilla,
     gn2_consistent,
 )
-from .pde1d import DivergenceError, PositivityError, simulate, simulate_coupled_gk
-from .tensors import is_psd, psd_margin
+from .pde1d import ConfigurationError, DivergenceError, PositivityError, simulate, simulate_coupled_gk
+from .tensors import InvalidInputError, is_pd, is_psd, psd_margin
+
+# what a malformed config raises; main maps these to exit code 2
+INPUT_ERRORS = (ConfigError, ConfigurationError, InvalidInputError, InvalidKindError,
+                DegenerateModelError, SingularParameterError)
 
 
 def _fmt(v) -> str:
@@ -76,46 +81,34 @@ def _write(path: Path, lines: List[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _verdict(ok: bool, margin: float, condition: str, mode: str) -> ConsistencyVerdict:
+    # a pass within tolerance of the boundary may carry a margin just below 0
+    return ConsistencyVerdict(
+        ok, margin,
+        failed_condition="" if ok else condition, failure_mode="" if ok else mode,
+        marginal=ok and margin < 0,
+    )
+
+
+CHECKS = {
+    Fourier: lambda m: _verdict(is_psd(m.kappa), psd_margin(m.kappa), "kappa not positive semidefinite", "sign"),
+    GN2: lambda m: _verdict(gn2_consistent(m.K), abs(m.K.det()), "K singular", "structural"),
+    MCV: lambda m: _verdict(is_pd(m.kappa), psd_margin(m.kappa), "kappa not positive definite", "sign"),
+    Jeffreys: lambda m: check_jeffreys(m.xi, m.kappa),
+    GN3: lambda m: check_gn3(m.xi, m.kappa),
+    Quintanilla: lambda m: check_quintanilla(m.tau, m.xi, m.kappa),
+    Burgers: lambda m: check_burgers(m.lambda_b, m.tau, m.mu, m.nu),
+    GKLinear: check_gk_params,
+    GKNonlinear: lambda m: check_gk_nonlinear(m.ell, m.varkappa, m.kappa, m.lambda2, m.mu, m.nu, m.delta),
+}
+
+
 def run_check(model: ModelParams) -> Dict[str, str]:
     """Dispatch the model to its consistency proposition."""
-    if isinstance(m := model, Fourier):
-        ok = is_psd(m.kappa)
-        v = ConsistencyVerdict(
-            ok, psd_margin(m.kappa),
-            failed_condition="" if ok else "kappa not positive semidefinite",
-            failure_mode="" if ok else "sign",
-        )
-    elif isinstance(m, GN2):
-        ok = gn2_consistent(m.K)
-        v = ConsistencyVerdict(
-            ok, abs(m.K.det()),
-            failed_condition="" if ok else "K singular", failure_mode="" if ok else "structural",
-        )
-    elif isinstance(m, MCV):
-        from .tensors import is_pd
-
-        ok = is_pd(m.kappa)
-        v = ConsistencyVerdict(
-            ok, psd_margin(m.kappa),
-            failed_condition="" if ok else "kappa not positive definite",
-            failure_mode="" if ok else "sign",
-        )
-    elif isinstance(m, Jeffreys):
-        v = check_jeffreys(m.xi, m.kappa)
-    elif isinstance(m, GN3):
-        v = check_gn3(m.xi, m.kappa)
-    elif isinstance(m, Quintanilla):
-        v = check_quintanilla(m.tau, m.xi, m.kappa)
-    elif isinstance(m, Burgers):
-        v = check_burgers(m.lambda_b, m.tau, m.mu, m.nu)
-    elif isinstance(m, GKNonlinear):
-        v = check_gk_nonlinear(
-            m.ell, m.varkappa, m.kappa, m.lambda2, m.mu, m.nu, m.delta
-        )
-    elif isinstance(m, GKLinear):
-        v = check_gk_params(m)
-    else:
-        raise ConfigError(f"no consistency check for {type(m).__name__}")
+    check = CHECKS.get(type(model))
+    if check is None:
+        raise ConfigError(f"no consistency check for {type(model).__name__}")
+    v = check(model)
     record = {
         "pass": _fmt(v.passed),
         "case": v.case_tag,
@@ -301,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -117,62 +117,28 @@ def _tensor(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> Sym
     return parse_tensor(_get(cfg, key, default), key)
 
 
-MODEL_KINDS = (
-    "fourier",
-    "gn2",
-    "mcv",
-    "jeffreys",
-    "gn3",
-    "quintanilla",
-    "burgers",
-    "gk",
-    "gk_nonlinear",
-)
+_GK = {"tau": _float, "ell": _float, "varkappa": lambda cfg, key: parse_coefficient(_get(cfg, key), key)}
+
+# kind -> (parameter set, {parameter: reader of model.<parameter>})
+MODEL_KINDS = {
+    "fourier": (Fourier, {"kappa": _tensor}),
+    "gn2": (GN2, {"K": _tensor}),
+    "mcv": (MCV, {"tau": _float, "kappa": _tensor}),
+    "jeffreys": (Jeffreys, {"tau": _float, "xi": _tensor, "kappa": _tensor}),
+    "gn3": (GN3, {"xi": _tensor, "kappa": _tensor}),
+    "quintanilla": (Quintanilla, {"tau": _float, "xi": _tensor, "kappa": _tensor}),
+    "burgers": (Burgers, {"lambda_b": _float, "tau": _float, "mu": _float, "nu": _float}),
+    "gk": (GKLinear, _GK),
+    "gk_nonlinear": (GKNonlinear, {**_GK, "delta": lambda cfg, key: _float(cfg, key, "0.0")}),
+}
 
 
 def build_model(cfg: Dict[str, str]) -> ModelParams:
     kind = _get(cfg, "model.kind").lower()
-    if kind == "fourier":
-        return Fourier(kappa=_tensor(cfg, "model.kappa"))
-    if kind == "gn2":
-        return GN2(K=_tensor(cfg, "model.K"))
-    if kind == "mcv":
-        return MCV(tau=_float(cfg, "model.tau"), kappa=_tensor(cfg, "model.kappa"))
-    if kind == "jeffreys":
-        return Jeffreys(
-            tau=_float(cfg, "model.tau"),
-            xi=_tensor(cfg, "model.xi"),
-            kappa=_tensor(cfg, "model.kappa"),
-        )
-    if kind == "gn3":
-        return GN3(xi=_tensor(cfg, "model.xi"), kappa=_tensor(cfg, "model.kappa"))
-    if kind == "quintanilla":
-        return Quintanilla(
-            tau=_float(cfg, "model.tau"),
-            xi=_tensor(cfg, "model.xi"),
-            kappa=_tensor(cfg, "model.kappa"),
-        )
-    if kind == "burgers":
-        return Burgers(
-            lambda_b=_float(cfg, "model.lambda_b"),
-            tau=_float(cfg, "model.tau"),
-            mu=_float(cfg, "model.mu"),
-            nu=_float(cfg, "model.nu"),
-        )
-    if kind == "gk":
-        return GKLinear(
-            tau=_float(cfg, "model.tau"),
-            ell=_float(cfg, "model.ell"),
-            varkappa=parse_coefficient(_get(cfg, "model.varkappa"), "model.varkappa"),
-        )
-    if kind == "gk_nonlinear":
-        return GKNonlinear(
-            tau=_float(cfg, "model.tau"),
-            ell=_float(cfg, "model.ell"),
-            varkappa=parse_coefficient(_get(cfg, "model.varkappa"), "model.varkappa"),
-            delta=_float(cfg, "model.delta", "0.0"),
-        )
-    raise ConfigError(f"key 'model.kind': unknown kind {kind!r} (one of {MODEL_KINDS})")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"key 'model.kind': unknown kind {kind!r} (one of {tuple(MODEL_KINDS)})")
+    cls, params = MODEL_KINDS[kind]
+    return cls(**{name: read(cfg, f"model.{name}") for name, read in params.items()})
 
 
 def build_material(cfg: Dict[str, str]) -> MaterialConstants:

@@ -142,25 +142,19 @@ def check_quintanilla(tau: float, xi, kappa, tol: float = DEFAULT_TOL) -> Consis
     gap = kappa - tau * xi
     m = psd_margin(gap)
     if not is_psd(gap, tol):
-        try:
-            a = quintanilla_A_matrix(
-                tau, _iso_or_none(xi), _iso_or_none(kappa), 1.0
-            ).matrix() if _iso_or_none(xi) is not None and _iso_or_none(kappa) is not None else None
-        except SingularParameterError:
-            a = None
-        w = _witness(a) if a is not None else None
+        w = None
+        xs, ks = xi.isotropic_value(), kappa.isotropic_value()
+        if xs is not None and ks is not None:
+            try:
+                w = _witness(quintanilla_A_matrix(tau, xs, ks, 1.0).matrix())
+            except SingularParameterError:
+                pass
         return ConsistencyVerdict(
             False, m, failed_condition="kappa - tau*xi not positive semidefinite",
             failure_mode="sign", witness=w,
         )
-    return ConsistencyVerdict(True, m)
-
-
-def _iso_or_none(t: SymTensor3) -> Optional[float]:
-    m = t.as_matrix()
-    if np.allclose(m, m[0, 0] * np.eye(3)):
-        return float(m[0, 0])
-    return None
+    # within tol of the boundary the smallest eigenvalue may round below 0
+    return ConsistencyVerdict(True, m, marginal=m < 0)
 
 
 # --- Burgers regimes ---------------------------------------------------------
@@ -205,7 +199,7 @@ def check_burgers(
     slack = nu * tau**2 - lambda_b * mu
     margin = min(mu, slack)
     if mu > tol * scale and slack >= -tol * scale**3:
-        return ConsistencyVerdict(True, margin, case_tag="iii", marginal=near_band)
+        return ConsistencyVerdict(True, margin, case_tag="iii", marginal=near_band or margin < 0)
     w = None
     try:
         w = _witness(burgers_sigma_matrix(Burgers(lambda_b, tau, mu, nu), 1.0, "iii"))

@@ -22,11 +22,11 @@ from .models import (
     GN2,
     GN3,
     Burgers,
-    ContractError,
     Fourier,
     GKLinear,
     GKNonlinear,
     Jeffreys,
+    LocalModel,
     ModelParams,
     Quintanilla,
     ThermalState,
@@ -45,11 +45,11 @@ def _inv(t: SymTensor3, label: str) -> np.ndarray:
     return np.linalg.inv(t.as_matrix())
 
 
-def _iso(t: SymTensor3, label: str) -> float:
-    m = t.as_matrix()
-    if not np.allclose(m, m[0, 0] * np.eye(3)):
-        raise InvalidInputError(f"{label}: this formula is implemented for isotropic tensors")
-    return float(m[0, 0])
+def _quintanilla_scalars(m: Quintanilla) -> Tuple[float, float, float]:
+    xi, kappa = m.xi.isotropic_value(), m.kappa.isotropic_value()
+    if xi is None or kappa is None:
+        raise InvalidInputError("xi, kappa: this formula is implemented for isotropic tensors")
+    return m.tau, xi, kappa
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
         return 0.5 / th * float(v @ _inv(m.xi, "xi") @ v)
     if isinstance(m, Quintanilla):
         s.require("qdot")
-        tau, xi, kappa = m.tau, _iso(m.xi, "xi"), _iso(m.kappa, "kappa")
+        tau, xi, kappa = _quintanilla_scalars(m)
         den = kappa - tau * xi
         if xi == 0 or den == 0:
             raise SingularParameterError("xi = 0 or kappa = tau*xi")
@@ -248,7 +248,7 @@ def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -
         return float(g @ m.kappa.as_matrix() @ g) / th**2
     if isinstance(m, Quintanilla):
         s.require("qdot")
-        tau, xi, kappa = m.tau, _iso(m.xi, "xi"), _iso(m.kappa, "kappa")
+        tau, xi, kappa = _quintanilla_scalars(m)
         den = kappa - tau * xi
         if den == 0:
             raise SingularParameterError("kappa = tau*xi")
@@ -330,7 +330,7 @@ def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> Psi
         return PsiGradients(xi_inv @ v / th, z, km @ xi_inv @ v / th)
     if isinstance(m, Quintanilla):
         s.require("qdot")
-        tau, xi, kappa = m.tau, _iso(m.xi, "xi"), _iso(m.kappa, "kappa")
+        tau, xi, kappa = _quintanilla_scalars(m)
         den = kappa - tau * xi
         if xi == 0 or den == 0:
             raise SingularParameterError("xi = 0 or kappa = tau*xi")
@@ -379,17 +379,15 @@ def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") ->
                 entropy_production(m, s),
             ]
         )
-    terms = []
-    if isinstance(m, (Fourier, GN2, MCV, Jeffreys, GN3)):
-        qdot = s.q if isinstance(m, Fourier) else s.qdot
-        if qdot is None:
-            raise ContractError("state field 'qdot' required by this model")
-        terms.append(float(g.q @ qdot))
-    else:
+    law = m.law
+    if law.order == 2:
         s.require("qdot", "qddot")
-        terms.append(float(g.q @ s.qdot))
-        terms.append(float(g.qdot @ s.qddot))
-    if isinstance(m, (Jeffreys, GN3, Quintanilla, Burgers)):
+        terms = [float(g.q @ s.qdot), float(g.qdot @ s.qddot)]
+    else:
+        if law.order == 1:
+            s.require("qdot")
+        terms = [float(g.q @ (s.qdot if law.order else s.q))]
+    if law.b1 is not None:
         s.require("grad_theta_dot")
         terms.append(float(g.grad_theta @ s.grad_theta_dot))
     terms.append(float(s.q @ s.grad_theta) / th)
@@ -445,54 +443,23 @@ def sample_state(
     theta = float(rng.uniform(theta_low, theta_high))
     vec = lambda: amplitude * rng.standard_normal(3)
     grad = vec()
-    if isinstance(m, Fourier):
-        base = ThermalState(theta=theta, grad_theta=grad)
-        return ThermalState(theta=theta, q=flux_rate(m, base), grad_theta=grad)
-    if isinstance(m, (GN2, MCV)):
-        base = ThermalState(theta=theta, q=vec(), grad_theta=grad)
-        return ThermalState(
-            theta=theta, q=base.q, grad_theta=grad, qdot=flux_rate(m, base)
-        )
-    if isinstance(m, (Jeffreys, GN3)):
-        base = ThermalState(
-            theta=theta, q=vec(), grad_theta=grad, grad_theta_dot=vec()
-        )
-        return ThermalState(
-            theta=theta,
-            q=base.q,
-            grad_theta=grad,
-            grad_theta_dot=base.grad_theta_dot,
-            qdot=flux_rate(m, base),
-        )
-    if isinstance(m, (Quintanilla, Burgers)):
-        base = ThermalState(
-            theta=theta, q=vec(), grad_theta=grad, qdot=vec(), grad_theta_dot=vec()
-        )
-        return ThermalState(
-            theta=theta,
-            q=base.q,
-            grad_theta=grad,
-            qdot=base.qdot,
-            grad_theta_dot=base.grad_theta_dot,
-            qddot=flux_rate(m, base),
-        )
-    if isinstance(m, GKLinear):
-        base = ThermalState(
-            theta=theta,
-            q=vec(),
-            grad_theta=grad,
-            grad_q=amplitude * rng.standard_normal((3, 3)),
-            nonlocal_q=vec(),
-        )
-        return ThermalState(
-            theta=theta,
-            q=base.q,
-            grad_theta=grad,
-            grad_q=base.grad_q,
-            nonlocal_q=base.nonlocal_q,
-            qdot=flux_rate(m, base),
-        )
-    raise InvalidInputError(f"no state sampler for {type(m).__name__}")
+    if isinstance(m, LocalModel):
+        # draw q and its derivatives below the law's top one, then
+        # grad(theta_dot) if the law reads it; seeded audit output depends
+        # on this order. The top derivative comes from the law.
+        law, names = m.law, ("q", "qdot", "qddot")
+        fields = {name: vec() for name in names[: law.order]}
+        if law.b1 is not None:
+            fields["grad_theta_dot"] = vec()
+        rate = names[law.order]
+    elif isinstance(m, GKLinear):
+        fields = {"q": vec(), "grad_q": amplitude * rng.standard_normal((3, 3)), "nonlocal_q": vec()}
+        rate = "qdot"
+    else:
+        raise InvalidInputError(f"no state sampler for {type(m).__name__}")
+    base = ThermalState(theta=theta, grad_theta=grad, **fields)
+    fields[rate] = flux_rate(m, base)
+    return ThermalState(theta=theta, grad_theta=grad, **fields)
 
 
 def energy_audit(

@@ -13,16 +13,8 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import (
-    MCV,
-    GN3,
-    Burgers,
-    Fourier,
-    Jeffreys,
-    ModelParams,
-    Quintanilla,
-)
-from .tensors import InvalidInputError, Poly, RootSet, SymTensor3, solve_poly
+from .models import ModelParams, temperature_law
+from .tensors import InvalidInputError, Poly, RootSet, solve_poly
 
 
 class InvalidKindError(ValueError):
@@ -69,46 +61,23 @@ def laplacian_eigenvalues(p: SpectralProblem) -> List[float]:
     return [(n * np.pi / p.L) ** 2 for n in range(start, start + p.n_max)]
 
 
-def _iso(t: SymTensor3, label: str) -> float:
-    m = t.as_matrix()
-    if not np.allclose(m, m[0, 0] * np.eye(3)):
-        raise InvalidKindError(f"{label}: modal analysis is isotropic-only")
-    return float(m[0, 0])
-
-
 def characteristic_poly(m: ModelParams, lam_tilde: float) -> Poly:
     """Characteristic polynomial of the separated temperature equation.
 
-    First-order flux laws give degree 1 or 2; the second-flux-rate models
-    give the two cubics (Moore-Gibson-Thompson type and its two-relaxation
-    generalization).
+    With rho_c theta_dot = -div q, the rate-law row gives
+    a2 s^3 + a1 s^2 + a0 s + Lambda_tilde (b1 s + b0), truncated at the
+    kind's order: degree 1 or 2 for the first-flux-rate laws and the two
+    cubics (Moore-Gibson-Thompson type and its two-relaxation
+    generalization) for the second-flux-rate ones.
     """
     if lam_tilde < 0:
         raise InvalidInputError("Lambda_tilde must be nonnegative")
-    if isinstance(m, Fourier):
-        return Poly((1.0, lam_tilde * _iso(m.kappa, "kappa")))
-    if isinstance(m, MCV):
-        return Poly((m.tau, 1.0, lam_tilde * _iso(m.kappa, "kappa")))
-    if isinstance(m, Jeffreys):
-        kappa = _iso(m.kappa, "kappa")
-        xi = _iso(m.xi, "xi")
-        return Poly((m.tau, 1.0 + lam_tilde * m.tau * kappa, lam_tilde * xi))
-    if isinstance(m, GN3):
-        return Poly((1.0, lam_tilde * _iso(m.kappa, "kappa"), lam_tilde * _iso(m.xi, "xi")))
-    if isinstance(m, Quintanilla):
-        kappa = _iso(m.kappa, "kappa")
-        xi = _iso(m.xi, "xi")
-        return Poly((m.tau, 1.0, lam_tilde * kappa, lam_tilde * xi))
-    if isinstance(m, Burgers):
-        return Poly(
-            (
-                m.lambda_b,
-                m.tau,
-                1.0 + lam_tilde * m.tau * m.nu,
-                lam_tilde * m.mu,
-            )
-        )
-    raise InvalidKindError(f"no separated temperature equation for {type(m).__name__}")
+    law = temperature_law(m, InvalidKindError)
+    coeffs = list(reversed(law.a)) + [lam_tilde * law.b0]
+    if law.b1 is not None:
+        lt_b1 = lam_tilde * law.b1
+        coeffs[-2] = coeffs[-2] + lt_b1 if coeffs[-2] != 0 else lt_b1
+    return Poly(tuple(coeffs))
 
 
 def routh_hurwitz_quadratic(a2: float, a1: float, a0: float) -> bool:

@@ -1,13 +1,17 @@
 """Parameter sets and constitutive rate laws for the heat-conduction models.
 
-Every rate law is stored solved for its highest time derivative; degenerate
-parameter values (tau = 0 in a law dividing by tau) are reached through
-``reduce_limit`` instead of division by zero.
+Every local kind is one ``RATE_LAWS`` row of
+a2 q'' + a1 q' + a0 q = -(b0 grad(theta) + b1 grad(theta_dot)); the flux
+law, the modal polynomial, the 1-D assembly and the state sampler are all
+derived from that row. Rate laws are solved for their highest time
+derivative; degenerate parameter values (tau = 0 in a law dividing by tau)
+are reached through ``reduce_limit`` instead of division by zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,8 +55,16 @@ class CoefficientFn:
 
 # --- parameter sets ----------------------------------------------------------
 
+class LocalModel:
+    """Parameter set of a local kind; its whole rate law is ``law``."""
+
+    @cached_property
+    def law(self) -> "RateLaw":
+        return RATE_LAWS[type(self)](self)
+
+
 @dataclass(frozen=True)
-class Fourier:
+class Fourier(LocalModel):
     kappa: SymTensor3
 
     def __init__(self, kappa: TensorLike):
@@ -60,7 +72,7 @@ class Fourier:
 
 
 @dataclass(frozen=True)
-class GN2:
+class GN2(LocalModel):
     """Rate law q_dot = -K grad(theta); no entropy production."""
 
     K: SymTensor3
@@ -70,7 +82,7 @@ class GN2:
 
 
 @dataclass(frozen=True)
-class MCV:
+class MCV(LocalModel):
     tau: float
     kappa: SymTensor3
 
@@ -80,7 +92,7 @@ class MCV:
 
 
 @dataclass(frozen=True)
-class Jeffreys:
+class Jeffreys(LocalModel):
     tau: float
     xi: SymTensor3
     kappa: SymTensor3
@@ -92,7 +104,7 @@ class Jeffreys:
 
 
 @dataclass(frozen=True)
-class GN3:
+class GN3(LocalModel):
     xi: SymTensor3
     kappa: SymTensor3
 
@@ -102,7 +114,7 @@ class GN3:
 
 
 @dataclass(frozen=True)
-class Quintanilla:
+class Quintanilla(LocalModel):
     tau: float
     xi: SymTensor3
     kappa: SymTensor3
@@ -114,7 +126,7 @@ class Quintanilla:
 
 
 @dataclass(frozen=True)
-class Burgers:
+class Burgers(LocalModel):
     """Isotropic two-relaxation-time conductor; lambda_b carries units s^2."""
 
     lambda_b: float
@@ -219,6 +231,87 @@ class ThermalState:
 
 # --- rate laws ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RateLaw:
+    """a2 q'' + a1 q' + a0 q = -(b0 grad(theta) + b1 grad(theta_dot)).
+
+    ``a`` runs from a0 up to the coefficient of the highest flux derivative
+    the law contains, so ``order`` is 0 for an algebraic law. b0 and b1 are
+    tensors, or floats in a ``scalar()`` row; b1 is None where the law has
+    no grad(theta_dot) term. ``limit`` names the reduction
+    to use when the top coefficient vanishes; ``closed`` is False for a kind
+    whose temperature equation the modal and 1-D layers do not solve.
+    """
+
+    a: Tuple[float, ...]
+    b0: Union[SymTensor3, float]
+    b1: Union[SymTensor3, float, None] = None
+    limit: str = ""
+    closed: bool = True
+
+    @property
+    def order(self) -> int:
+        return len(self.a) - 1
+
+    def scalar(self) -> Optional["RateLaw"]:
+        """The row with its tensors as scalars; None if one is anisotropic."""
+        b0 = self.b0.isotropic_value()
+        b1 = None if self.b1 is None else self.b1.isotropic_value()
+        if b0 is None or (b1 is None and self.b1 is not None):
+            return None
+        return replace(self, b0=b0, b1=b1)
+
+    def rate(self, s: ThermalState) -> np.ndarray:
+        """Highest flux derivative solved from the law (q itself at order 0).
+
+        Terms are summed in the order q, q_dot, grad(theta), grad(theta_dot).
+        Zero coefficients are skipped and unit ones not multiplied out: the
+        result is the same, at fewer array operations per call.
+        """
+        *lower, top = self.a
+        if top == 0:
+            raise DegenerateModelError(self.limit)
+        if len(lower) == 2:
+            s.require("qdot")
+        if self.b1 is not None:
+            s.require("grad_theta_dot")
+        terms = [x if c == 1 else c * x for c, x in zip(lower, (s.q, s.qdot)) if c != 0]
+        terms.append(self.b0.apply(s.grad_theta))
+        if self.b1 is not None:
+            terms.append(self.b1.apply(s.grad_theta_dot))
+        total = sum(terms[1:], terms[0])
+        return -total if top == 1 else -total / top
+
+
+_TAU_FOURIER = "tau = 0: reduce to the Fourier model"
+
+RATE_LAWS: Dict[type, Callable[..., RateLaw]] = {
+    Fourier: lambda m: RateLaw((1.0,), m.kappa),
+    GN2: lambda m: RateLaw((0.0, 1.0), m.K, closed=False),
+    MCV: lambda m: RateLaw((1.0, m.tau), m.kappa, limit=_TAU_FOURIER),
+    Jeffreys: lambda m: RateLaw((1.0, m.tau), m.xi, m.tau * m.kappa, limit=_TAU_FOURIER),
+    GN3: lambda m: RateLaw((0.0, 1.0), m.xi, m.kappa),
+    Quintanilla: lambda m: RateLaw(
+        (0.0, 1.0, m.tau), m.xi, m.kappa, limit="tau = 0: reduce to the GN III model"
+    ),
+    Burgers: lambda m: RateLaw(
+        (1.0, m.tau, m.lambda_b), SymTensor3.isotropic(m.mu), SymTensor3.isotropic(m.tau * m.nu),
+        limit="lambda_b = 0: reduce to the Jeffreys model",
+    ),
+}
+
+
+def temperature_law(m: ModelParams, error: type) -> RateLaw:
+    """Scalar row of a kind whose temperature equation the modal and 1-D
+    layers solve; other kinds and anisotropic tensors raise ``error``."""
+    if not isinstance(m, LocalModel) or not m.law.closed:
+        raise error(f"no closed temperature equation for {type(m).__name__}")
+    law = m.law.scalar()
+    if law is None:
+        raise error(f"{type(m).__name__}: the temperature equation is isotropic-only")
+    return law
+
+
 def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
     """Highest time derivative of q solved explicitly from the rate law.
 
@@ -226,41 +319,8 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
     second-order laws return q_ddot given (q, q_dot, grad_theta,
     grad_theta_dot).
     """
-    if isinstance(m, Fourier):
-        return -m.kappa.apply(s.grad_theta)
-    if isinstance(m, GN2):
-        return -m.K.apply(s.grad_theta)
-    if isinstance(m, MCV):
-        if m.tau == 0:
-            raise DegenerateModelError("tau = 0: reduce to the Fourier model")
-        return -(m.kappa.apply(s.grad_theta) + s.q) / m.tau
-    if isinstance(m, Jeffreys):
-        if m.tau == 0:
-            raise DegenerateModelError("tau = 0: reduce to the Fourier model")
-        s.require("grad_theta_dot")
-        return -(
-            s.q + m.xi.apply(s.grad_theta) + m.tau * m.kappa.apply(s.grad_theta_dot)
-        ) / m.tau
-    if isinstance(m, GN3):
-        s.require("grad_theta_dot")
-        return -(m.xi.apply(s.grad_theta) + m.kappa.apply(s.grad_theta_dot))
-    if isinstance(m, Quintanilla):
-        if m.tau == 0:
-            raise DegenerateModelError("tau = 0: reduce to the GN III model")
-        s.require("qdot", "grad_theta_dot")
-        return -(
-            s.qdot + m.xi.apply(s.grad_theta) + m.kappa.apply(s.grad_theta_dot)
-        ) / m.tau
-    if isinstance(m, Burgers):
-        if m.lambda_b == 0:
-            raise DegenerateModelError("lambda_b = 0: reduce to the Jeffreys model")
-        s.require("qdot", "grad_theta_dot")
-        return -(
-            s.q
-            + m.tau * s.qdot
-            + m.mu * s.grad_theta
-            + m.tau * m.nu * s.grad_theta_dot
-        ) / m.lambda_b
+    if isinstance(m, LocalModel):
+        return m.law.rate(s)
     if isinstance(m, GKNonlinear):
         if m.tau == 0:
             raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
@@ -283,10 +343,6 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
     raise InvalidInputError(f"unknown model kind {type(m).__name__}")
 
 
-def gn2_rate(K: TensorLike, grad_theta) -> np.ndarray:
-    return -coerce_tensor(K).apply(grad_theta)
-
-
 def gn2_consistent(K, symmetric: bool = True, constant: bool = True) -> bool:
     """The law q_dot = -K grad(theta) is dissipation-free only for constant,
     symmetric, nonsingular K."""
@@ -300,13 +356,6 @@ def gn2_consistent(K, symmetric: bool = True, constant: bool = True) -> bool:
 
 
 # --- limit reductions --------------------------------------------------------
-
-def _iso_scalar(t: SymTensor3) -> float:
-    m = t.as_matrix()
-    if not np.allclose(m, m[0, 0] * np.eye(3)):
-        raise InvalidLimitError("limit reduction defined for isotropic tensors only")
-    return float(m[0, 0])
-
 
 def reduce_limit(m: ModelParams, target: str, theta_ref: float = 1.0) -> ModelParams:
     """Degenerate-parameter reduction to a simpler model kind.

@@ -33,6 +33,8 @@ from .models import (
     MaterialConstants,
     ModelParams,
     Quintanilla,
+    RateLaw,
+    temperature_law,
 )
 from .tensors import InvalidInputError, solve_poly
 
@@ -156,26 +158,10 @@ def spatial_mean(ops: SpaceOperators, values: np.ndarray) -> float:
     return float(ops.weights @ values) / float(ops.weights.sum())
 
 
-# --- model scalarization -----------------------------------------------------
-
-def _iso(t, label: str) -> float:
-    m = t.as_matrix()
-    if not np.allclose(m, m[0, 0] * np.eye(3)):
-        raise ConfigurationError(f"{label}: 1-D simulation is isotropic-only")
-    return float(m[0, 0])
-
+# --- temperature equation from the rate-law row ------------------------------
 
 def time_order(m: ModelParams) -> int:
-    if isinstance(m, Fourier):
-        return 1
-    if isinstance(m, (MCV, Jeffreys, GN3)):
-        return 2
-    if isinstance(m, (Quintanilla, Burgers)):
-        return 3
-    raise ConfigurationError(
-        f"{type(m).__name__} has no closed temperature equation; "
-        "use the coupled theta-q solver"
-    )
+    return temperature_law(m, ConfigurationError).order + 1
 
 
 def assemble_rhs(
@@ -184,77 +170,42 @@ def assemble_rhs(
     ops: SpaceOperators,
     source: Optional[np.ndarray] = None,
 ) -> Tuple[sp.csr_matrix, np.ndarray, int]:
-    """First-order system u_dot = M u + f over the stacked fields.
+    """First-order system u_dot = M u + f over the stacked fields
+    u_k = d^k theta / dt^k, k < order, derived from the rate-law row:
+
+        a_top u_{order-1}' = (b0 lap u_0 + b1 lap u_1) / rho_c
+                             - sum_{j < top} a_j u_{j+1}
 
     The boundary closure of the Laplacian only forces the theta block; the
     boundary data are constant in time, so the derivative fields carry
     homogeneous versions of the same condition.
     """
-    order = time_order(m)
+    law = temperature_law(m, ConfigurationError)
+    order = law.order + 1
     n = ops.n
     rc = material.rho_cv
-    lap, lap_b = ops.lap, ops.lap_b
-    eye = sp.identity(n, format="csr")
-    zero = sp.csr_matrix((n, n))
-    f = np.zeros(order * n)
-    if source is not None and not isinstance(m, Fourier):
+    if source is not None and order > 1:
         raise ConfigurationError("a heat supply is only supported in the Fourier limit")
-    if isinstance(m, Fourier):
-        kt = _iso(m.kappa, "kappa") / rc
-        big = (kt * lap).tocsr()
-        f[:] = kt * lap_b
-        if source is not None:
-            f += np.asarray(source, dtype=float) / material.cv
-    elif isinstance(m, MCV):
-        if m.tau == 0:
-            raise ConfigurationError("tau = 0: use the Fourier model kind")
-        kt = _iso(m.kappa, "kappa") / rc
-        big = sp.bmat([[zero, eye], [kt / m.tau * lap, -1.0 / m.tau * eye]]).tocsr()
-        f[n:] = kt / m.tau * lap_b
-    elif isinstance(m, Jeffreys):
-        if m.tau == 0:
-            raise ConfigurationError("tau = 0: use the Fourier model kind")
-        xt = _iso(m.xi, "xi") / rc
-        kt = _iso(m.kappa, "kappa") / rc
-        big = sp.bmat(
-            [[zero, eye], [xt / m.tau * lap, kt * lap - 1.0 / m.tau * eye]]
-        ).tocsr()
-        f[n:] = xt / m.tau * lap_b
-    elif isinstance(m, GN3):
-        xt = _iso(m.xi, "xi") / rc
-        kt = _iso(m.kappa, "kappa") / rc
-        big = sp.bmat([[zero, eye], [xt * lap, kt * lap]]).tocsr()
-        f[n:] = xt * lap_b
-    elif isinstance(m, Quintanilla):
-        if m.tau == 0:
-            raise ConfigurationError("tau = 0: use the GN3 model kind")
-        xt = _iso(m.xi, "xi") / rc
-        kt = _iso(m.kappa, "kappa") / rc
-        big = sp.bmat(
-            [
-                [zero, eye, zero],
-                [zero, zero, eye],
-                [xt / m.tau * lap, kt / m.tau * lap, -1.0 / m.tau * eye],
-            ]
-        ).tocsr()
-        f[2 * n :] = xt / m.tau * lap_b
-    elif isinstance(m, Burgers):
-        if m.lambda_b == 0:
-            raise ConfigurationError("lambda_b = 0: use the Jeffreys model kind")
-        lam = m.lambda_b
-        mt = m.mu / rc
-        nt = m.nu / rc
-        big = sp.bmat(
-            [
-                [zero, eye, zero],
-                [zero, zero, eye],
-                [mt / lam * lap, (m.tau * nt * lap - eye) / lam, -m.tau / lam * eye],
-            ]
-        ).tocsr()
-        f[2 * n :] = mt / lam * lap_b
-    else:  # pragma: no cover - guarded by time_order
-        raise ConfigurationError(type(m).__name__)
-    return big, f, order
+    *lower, top = law.a
+    if top == 0:
+        raise ConfigurationError(law.limit)
+    eye = sp.identity(n, format="csr")
+    blocks = [[None] * order for _ in range(order)]
+    for k in range(order - 1):
+        blocks[k][k + 1] = eye
+    last = blocks[-1]
+    last[0] = law.b0 / rc / top * ops.lap
+    for j, c in enumerate(lower):
+        if c != 0:
+            last[j + 1] = -c / top * eye
+    if law.b1 is not None:
+        b1_lap = law.b1 / rc / top * ops.lap
+        last[1] = b1_lap if last[1] is None else b1_lap + last[1]
+    f = np.zeros(order * n)
+    f[-n:] = law.b0 / rc / top * ops.lap_b
+    if source is not None:
+        f += np.asarray(source, dtype=float) / material.cv
+    return sp.bmat(blocks).tocsr(), f, order
 
 
 def trapezoid_stepper(
@@ -280,55 +231,12 @@ def trapezoid_stepper(
 
 # --- heat-flux auxiliary field -----------------------------------------------
 
-def _flux_ode(m: ModelParams) -> Tuple[np.ndarray, Callable]:
-    """Pointwise flux ODE y_dot = A y + F(theta_x, theta_dot_x), with y the
-    per-node flux state: (q,) for the first-flux-rate models and (q, q_dot)
-    for the second-flux-rate ones."""
-    if isinstance(m, MCV):
-        kappa = _iso(m.kappa, "kappa")
-        A = np.array([[-1.0 / m.tau]])
-
-        def F(tx, tdx):
-            return (-kappa / m.tau * tx)[:, None]
-
-    elif isinstance(m, Jeffreys):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
-        A = np.array([[-1.0 / m.tau]])
-
-        def F(tx, tdx):
-            return (-(xi * tx + m.tau * kappa * tdx) / m.tau)[:, None]
-
-    elif isinstance(m, GN3):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
-        A = np.array([[0.0]])
-
-        def F(tx, tdx):
-            return (-(xi * tx + kappa * tdx))[:, None]
-
-    elif isinstance(m, Quintanilla):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
-        A = np.array([[0.0, 1.0], [0.0, -1.0 / m.tau]])
-
-        def F(tx, tdx):
-            out = np.zeros((tx.size, 2))
-            out[:, 1] = -(xi * tx + kappa * tdx) / m.tau
-            return out
-
-    elif isinstance(m, Burgers):
-        lam = m.lambda_b
-        A = np.array([[0.0, 1.0], [-1.0 / lam, -m.tau / lam]])
-
-        def F(tx, tdx):
-            out = np.zeros((tx.size, 2))
-            out[:, 1] = -(m.mu * tx + m.tau * m.nu * tdx) / lam
-            return out
-
-    else:
-        raise ConfigurationError(type(m).__name__)
-    return A, F
+def _drive(law: RateLaw, tx: np.ndarray, tdx: np.ndarray) -> np.ndarray:
+    """-(b0 theta_x + b1 theta_dot_x) / a_top: the flux itself for an
+    algebraic law, else the forcing of its highest flux derivative."""
+    if law.b1 is None:
+        return -(law.b0 * tx) / law.a[-1]
+    return -(law.b0 * tx + law.b1 * tdx) / law.a[-1]
 
 
 # --- per-node entropy audits -------------------------------------------------
@@ -338,10 +246,12 @@ def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
 
     Arguments: absolute temperature, theta_x, theta_dot_x and the flux-state
     columns. The residual evaluates the dissipation identity with rates
-    taken from the model's own law on the discrete fields.
+    taken from the model's own law on the discrete fields. Tensors enter
+    through their xx components: assemble_rhs has checked they are
+    isotropic.
     """
     if isinstance(m, Fourier):
-        kappa = _iso(m.kappa, "kappa")
+        kappa = m.kappa.xx
 
         def sigma(ta, tx, tdx, y):
             return kappa * tx**2 / ta**2
@@ -351,7 +261,7 @@ def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
             return q * tx / ta + ta * sigma(ta, tx, tdx, y)
 
     elif isinstance(m, MCV):
-        kappa = _iso(m.kappa, "kappa")
+        kappa = m.kappa.xx
 
         def sigma(ta, tx, tdx, y):
             return y[:, 0] ** 2 / (kappa * ta**2)
@@ -362,8 +272,8 @@ def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
             return m.tau / (ta * kappa) * q * qdot + q * tx / ta + ta * sigma(ta, tx, tdx, y)
 
     elif isinstance(m, Jeffreys):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
+        xi = m.xi.xx
+        kappa = m.kappa.xx
 
         def sigma(ta, tx, tdx, y):
             q = y[:, 0]
@@ -381,8 +291,8 @@ def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
             )
 
     elif isinstance(m, GN3):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
+        xi = m.xi.xx
+        kappa = m.kappa.xx
 
         def sigma(ta, tx, tdx, y):
             return kappa * tx**2 / ta**2
@@ -399,8 +309,8 @@ def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
             )
 
     elif isinstance(m, Quintanilla):
-        xi = _iso(m.xi, "xi")
-        kappa = _iso(m.kappa, "kappa")
+        xi = m.xi.xx
+        kappa = m.kappa.xx
         den = kappa - m.tau * xi
         if den == 0 or xi == 0:
             raise ConfigurationError("kappa = tau*xi or xi = 0: no entropy audit")
@@ -526,16 +436,18 @@ def simulate(cfg: SimConfig) -> Trajectory:
     if order >= 3:
         u[2 * n :] = _init_field(cfg.theta_ddot0, x)
 
-    has_flux_ode = not isinstance(cfg.model, Fourier)
-    if has_flux_ode:
-        A, F = _flux_ode(cfg.model)
-        k = A.shape[0]
+    # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
+    # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second
+    law = temperature_law(cfg.model, ConfigurationError)
+    k = law.order
+    if k:
+        A = np.eye(k, k, 1)
+        A[-1] -= np.divide(law.a[:-1], law.a[-1])
         y = np.zeros((n, k))
         y[:, 0] = _init_field(cfg.q0, x)
+        forc = np.zeros((n, k))
         lhs_inv = np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A)
         rhs_a = np.eye(k) + cfg.dt / 2.0 * A
-    else:
-        kappa0 = _iso(cfg.model.kappa, "kappa")
     sigma_fn, residual_fn = _audit_fns(cfg.model)
 
     def grads(uu):
@@ -543,10 +455,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
         tdx = ops.d1 @ uu[n : 2 * n] if order >= 2 else np.zeros(n)
         return tx, tdx
 
-    def flux_cols(tx):
-        if has_flux_ode:
-            return y
-        return (-kappa0 * tx)[:, None]
+    def flux_cols(tx, tdx):
+        return y if k else _drive(law, tx, tdx)[:, None]
 
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     every = cfg.snapshot_every or max(1, nsteps // 200)
@@ -554,7 +464,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     tx, tdx = grads(u)
     times = [0.0]
     thetas = [u[:n].copy()]
-    fluxes = [flux_cols(tx)[:, 0].copy()]
+    fluxes = [flux_cols(tx, tdx)[:, 0].copy()]
     audit = {
         key: np.empty(nsteps)
         for key in ("t", "min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
@@ -566,15 +476,15 @@ def simulate(cfg: SimConfig) -> Trajectory:
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(i + 1, t)
         tx_new, tdx_new = grads(u_new)
-        if has_flux_ode:
-            forc = cfg.dt / 2.0 * (F(tx, tdx) + F(tx_new, tdx_new))
+        if k:
+            forc[:, -1] = cfg.dt / 2.0 * (_drive(law, tx, tdx) + _drive(law, tx_new, tdx_new))
             y = (y @ rhs_a.T + forc) @ lhs_inv.T
         u, tx, tdx = u_new, tx_new, tdx_new
 
         ta = cfg.theta_ref + u[:n]
         if np.any(ta <= 0.0):
             raise PositivityError(i + 1, t)
-        ydata = flux_cols(tx)
+        ydata = flux_cols(tx, tdx)
         sig = sigma_fn(ta, tx, tdx, ydata)
         res = residual_fn(ta, tx, tdx, ydata)
         audit["t"][i] = t

@@ -6,6 +6,7 @@ safe to call from parallel parameter sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -68,6 +69,16 @@ class SymTensor3:
                 [self.xz, self.yz, self.zz],
             ]
         )
+
+    def isotropic_value(self) -> Optional[float]:
+        """c when the tensor is c*I within np.allclose tolerances (atol 1e-8,
+        plus rtol 1e-5 * |c| on the diagonal), else None."""
+        c = self.xx
+        tol = 1e-8 + 1e-5 * abs(c)
+        off = max(abs(self.yz), abs(self.xz), abs(self.xy))
+        if abs(self.yy - c) <= tol and abs(self.zz - c) <= tol and off <= 1e-8:
+            return float(c)
+        return None
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.as_matrix())

@@ -1,4 +1,6 @@
 """End-to-end exercises of the command-line front end via main(argv)."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -144,13 +146,16 @@ def test_audit_closes_dissipation_identity(tmp_path, capsys):
     assert "# seed=3" in (out / "residuals.csv").read_text()
 
 
-def test_outputs_are_deterministic(tmp_path):
-    cfg = write_cfg(tmp_path, QUINTANILLA_CFG)
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
-    for out in (out1, out2):
-        assert main(["audit", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-    assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
+@pytest.mark.parametrize("command", ["check", "modal", "simulate", "sweep", "audit"])
+def test_outputs_are_deterministic(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    runs = []
+    for out in (tmp_path / "o1", tmp_path / "o2"):
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert runs[0][0]
+    assert runs[0] == runs[1]
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -159,6 +164,20 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     cfg2 = write_cfg(tmp_path, "model.kind = warp_drive\n", "bad.cfg")
     assert main(["check", "--config", cfg2]) == 2
+    # errors raised past config parsing, by the modal, energetics and 1-D layers
+    gk_plug = str(Path(__file__).resolve().parent.parent / "configs" / "gk_plug.cfg")
+    anisotropic = write_cfg(
+        tmp_path, QUINTANILLA_CFG.replace("model.xi = 1.0", "model.xi = diag:1,2,3"), "aniso.cfg"
+    )
+    coarse = write_cfg(tmp_path, QUINTANILLA_CFG.replace("grid.N = 60", "grid.N = 4"), "coarse.cfg")
+    for command, path in (
+        ("modal", gk_plug),
+        ("audit", gk_plug),
+        ("simulate", anisotropic),
+        ("simulate", coarse),
+    ):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2, (command, path)
+        assert "config error: " in capsys.readouterr().err
 
 
 def test_missing_required_key_exits_2(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonfourier.cli import run_check
 from nonfourier.consistency import (
     ConsistencyVerdict,
     burgers_A_matrix,
@@ -18,10 +19,15 @@ from nonfourier.consistency import (
 )
 from nonfourier.energetics import SingularParameterError, entropy_production
 from nonfourier.models import (
+    GN2,
+    GN3,
+    MCV,
     Burgers,
     CoefficientFn,
+    Fourier,
     GKLinear,
     GKNonlinear,
+    Jeffreys,
     Quintanilla,
     ThermalState,
 )
@@ -258,3 +264,43 @@ def test_burgers_full_margin_improves_with_nu():
     m1 = check_burgers_full(1.0, 1.0, 1.0, 1.1).margin
     m2 = check_burgers_full(1.0, 1.0, 1.0, 2.0).margin
     assert m2 > m1
+
+
+# --- tolerance boundaries ------------------------------------------------------
+
+def test_boundary_rounding_passes_as_marginal():
+    """A pass whose margin rounds just below zero is tagged marginal."""
+    v = check_quintanilla(1.0, 1.0, 0.9999999999999999)
+    assert v.passed and v.marginal and v.margin < 0
+    record = run_check(Fourier(kappa=-1e-12))
+    assert record["pass"] == "true" and record["marginal"] == "true"
+
+
+_POS = st.floats(0.05, 5.0)
+_NEAR = st.floats(-1e-12, 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.tuples(_POS, _POS, _POS, _POS), e=st.tuples(_NEAR, _NEAR))
+def test_no_checker_raises_near_its_boundary(p, e):
+    """Every kind's check returns a verdict, never an exception, for finite
+    inputs within 1e-12 of one of its admissibility boundaries."""
+    a, b, c, d = p
+    e0, e1 = e
+    models = [
+        Fourier(kappa=e0),
+        GN2(K=e0),
+        MCV(tau=a, kappa=e0),
+        Jeffreys(tau=a, xi=b, kappa=e0),
+        Jeffreys(tau=a, xi=e0, kappa=e1),
+        GN3(xi=b, kappa=e0),
+        GN3(xi=e0, kappa=c),
+        Quintanilla(tau=a, xi=b, kappa=a * b + e0),
+        Burgers(lambda_b=a, tau=b, mu=c, nu=a * c / b**2 + e0),
+        Burgers(lambda_b=a, tau=b, mu=e0, nu=c),
+        Burgers(lambda_b=-a, tau=e0, mu=c, nu=d),
+        GKLinear(tau=a, ell=b, varkappa=CoefficientFn.power(e0, c)),
+        GKNonlinear(tau=a, ell=b, varkappa=CoefficientFn.power(e0, c), delta=d),
+    ]
+    for m in models:
+        assert run_check(m)["pass"] in ("true", "false")

@@ -272,6 +272,32 @@ def test_modal_comparison_second_flux_rate():
     assert cmp.l2_rel <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Fourier(kappa=1.5),
+        MCV(tau=0.5, kappa=1.5),
+        Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
+        GN3(xi=1.5, kappa=2.0),
+        Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
+        Burgers(lambda_b=0.5, tau=1.0, mu=2.0, nu=1.5),
+    ],
+    ids=lambda m: type(m).__name__.lower(),
+)
+def test_pde_matches_modal_solution_at_nonunit_rho_c(model):
+    """rho*cv = 6 scales every b-coefficient of the assembled system and the
+    modal eigenvalue alike; the two solutions then differ by O(dt^2) only."""
+    dt = 1e-3
+    cfg = SimConfig(
+        model=model,
+        material=MaterialConstants(rho=2.0, cv=3.0),
+        grid=Grid1D(L=np.pi, N=50),
+        dt=dt,
+        t_end=1.0,
+    )
+    assert compare_modal_vs_pde(cfg, 2).linf_rel <= dt**2
+
+
 def test_modal_comparison_requires_dirichlet():
     cfg = SimConfig(
         model=Fourier(kappa=1.0),

@@ -91,6 +91,21 @@ def test_psd_agrees_with_minors_oracle(seed):
     assert is_psd(s, tol) == is_psd_minors(s, tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_isotropic_value_matches_allclose(seed):
+    """Perturbations straddle the atol 1e-8 + rtol 1e-5 * |c| band."""
+    rng = np.random.default_rng(seed)
+    c = float(rng.choice([0.0, 1.0, -3.0, 1e-9, 1e4])) * rng.uniform(0.5, 2.0)
+    band = 1e-8 + 1e-5 * abs(c)
+    off = rng.uniform(-2.0, 2.0, 6) * np.where(rng.random(6) < 0.5, band, 1e-8)
+    off[0] = 0.0
+    t = SymTensor3(*(np.array([c, c, c, 0.0, 0.0, 0.0]) + off))
+    m = t.as_matrix()
+    expected = float(m[0, 0]) if np.allclose(m, m[0, 0] * np.eye(3)) else None
+    assert t.isotropic_value() == expected
+
+
 def test_representation_completion_axis_aligned():
     z = representation_completion([1.0, 0.0, 0.0], 5.0, [9.0, 2.0, 3.0])
     np.testing.assert_allclose(z, [5.0, 2.0, 3.0])
