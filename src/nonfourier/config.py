@@ -200,6 +200,8 @@ def build_gk_sim_config(cfg: Dict[str, str]) -> GKSimConfig:
     model = build_model(cfg)
     if not isinstance(model, GKLinear):
         raise ConfigError("key 'model.kind': coupled solver needs a gk model")
+    if isinstance(model, GKNonlinear) and model.delta != 0:
+        raise ConfigError("key 'model.delta': the coupled solver has no nonlinear term; it needs delta = 0")
     grid = build_grid(cfg)
     theta_ref = _float(cfg, "sim.theta_ref", "1.0")
     material = build_material(cfg)

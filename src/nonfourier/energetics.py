@@ -1,7 +1,8 @@
 """Free energies, entropy productions and dissipation-identity audits.
 
 Each model carries an explicit quadratic free energy (the q-dependent excess,
-the purely thermal part is fixed to zero) and a matching entropy production.
+the purely thermal part is fixed to zero) and a matching entropy production;
+for a local kind they are the two forms of its ``ENERGY_ROWS`` row.
 ``dissipation_residual`` evaluates the reduced entropy equality term by term;
 it vanishes identically when the supplied rates come from the model's own
 rate law, which is the machine-checkable form of thermodynamic consistency.
@@ -13,9 +14,11 @@ rho * zeta together with the extra entropy flux k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .models import (
     MCV,
@@ -43,13 +46,6 @@ def _inv(t: SymTensor3, label: str) -> np.ndarray:
     if not is_nonsingular(t):
         raise SingularParameterError(f"{label} is singular")
     return np.linalg.inv(t.as_matrix())
-
-
-def _quintanilla_scalars(m: Quintanilla) -> Tuple[float, float, float]:
-    xi, kappa = m.xi.isotropic_value(), m.kappa.isotropic_value()
-    if xi is None or kappa is None:
-        raise InvalidInputError("xi, kappa: this formula is implemented for isotropic tensors")
-    return m.tau, xi, kappa
 
 
 @dataclass(frozen=True)
@@ -159,6 +155,123 @@ def burgers_sigma_matrix(m: Burgers, theta: float, case: str | None = None) -> n
     return np.array([[b11, b12, b13], [b12, b22, b23], [b13, b23, b33]])
 
 
+# --- energy rows -------------------------------------------------------------
+
+class Form(NamedTuple):
+    """A quadratic form over the named state blocks it reads."""
+
+    fields: Tuple[str, ...]
+    matrix: np.ndarray
+
+    def stack(self, s: ThermalState) -> np.ndarray:
+        s.require(*self.fields)
+        if len(self.fields) == 1:
+            return getattr(s, self.fields[0])
+        return np.concatenate([getattr(s, name) for name in self.fields])
+
+
+@dataclass(frozen=True)
+class EnergyRow:
+    """rho*psi = x'Px / (2 theta) and rho*sigma = x'Sx / theta^2 over blocks
+    x of (q, qdot, grad_theta). P and S are built on first use, each on its
+    own, so a parameter only one needs (xi != 0 for psi) raises only there;
+    a zero form is None and costs no arithmetic."""
+
+    psi_form: Callable[[], Optional[Form]] = lambda: None
+    sigma_form: Callable[[], Optional[Form]] = lambda: None
+
+    @cached_property
+    def P(self) -> Optional[Form]:
+        return self.psi_form()
+
+    @cached_property
+    def S(self) -> Optional[Form]:
+        return self.sigma_form()
+
+
+_Q, _G, _QG, _QDG = ("q",), ("grad_theta",), ("q", "grad_theta"), ("q", "qdot", "grad_theta")
+
+
+def _through(w: np.ndarray, kappa: SymTensor3) -> np.ndarray:
+    """v'wv with v = q + kappa grad_theta, as a form over (q, grad_theta)."""
+    t = np.hstack([np.eye(3), kappa.as_matrix()])
+    return t.T @ w @ t
+
+
+def _iso(form) -> np.ndarray:
+    """A form over scalar blocks, applied to every direction alike."""
+    return np.kron(form, np.eye(3))
+
+
+def _jeffreys_rows(m: Jeffreys) -> Dict[str, EnergyRow]:
+    """"plus" weights by (xi + kappa)^-1, "star" by (xi - kappa)^-1.
+    Anisotropic inputs assume kappa and xi commute (they do in every
+    consistent parameter set, where kappa is proportional to xi)."""
+    km = m.kappa.as_matrix()
+
+    def row(w, sigma):
+        return EnergyRow(lambda: Form(_QG, m.tau * _through(w(), m.kappa)), lambda: Form(_QG, sigma(w())))
+
+    return {
+        "plus": row(lambda: _inv(m.xi + m.kappa, "xi + kappa"), lambda w: block_diag(w, km @ w @ m.xi.as_matrix())),
+        "star": row(lambda: _inv(m.xi - m.kappa, "xi - kappa"), lambda w: _through(w, m.kappa) + block_diag(0 * km, km)),
+    }
+
+
+def _quintanilla_row(m: Quintanilla) -> EnergyRow:
+    """With w = (0, tau, kappa) over (q, qdot, grad_theta): rho*psi =
+    (q.q + 2 q.(w x) + kappa/(kappa - tau xi) |w x|^2) / (2 xi theta) and
+    rho*sigma = |w x|^2 / ((kappa - tau xi) theta^2)."""
+    xi, kappa = m.xi.isotropic_value(), m.kappa.isotropic_value()
+    if xi is None or kappa is None:
+        raise InvalidInputError("xi, kappa: this formula is implemented for isotropic tensors")
+    e, w, d = np.eye(3)[0], np.array([0.0, m.tau, kappa]), kappa - m.tau * xi
+
+    def psi():
+        if xi == 0 or d == 0:
+            raise SingularParameterError("xi = 0 or kappa = tau*xi")
+        return Form(_QDG, _iso((np.outer(e, e + w) + np.outer(w, e) + kappa / d * np.outer(w, w)) / xi))
+
+    def sigma():
+        if d == 0:
+            raise SingularParameterError("kappa = tau*xi")
+        return Form(_QDG[1:], _iso(np.outer(w[1:], w[1:]) / d))
+
+    return EnergyRow(psi, sigma)
+
+
+def _burgers_psi(m: Burgers) -> Form:
+    c = burgers_psi_coefficients(m, 1.0)
+    return Form(_QDG, _iso([[c.a1, c.g1, c.g2], [c.g1, c.a2, c.g3], [c.g2, c.g3, c.a3]]))
+
+
+# kind -> energy rows by variant; every kind but Jeffreys has one, "plus"
+ENERGY_ROWS: Dict[type, Callable[..., Dict[str, EnergyRow]]] = {
+    Fourier: lambda m: {"plus": EnergyRow(sigma_form=lambda: Form(_G, m.kappa.as_matrix()))},
+    GN2: lambda m: {"plus": EnergyRow(lambda: Form(_Q, _inv(m.K, "K")))},
+    MCV: lambda m: {"plus": EnergyRow(
+        lambda: Form(_Q, m.tau * _inv(m.kappa, "kappa")), lambda: Form(_Q, _inv(m.kappa, "kappa"))
+    )},
+    Jeffreys: _jeffreys_rows,
+    GN3: lambda m: {"plus": EnergyRow(
+        lambda: Form(_QG, _through(_inv(m.xi, "xi"), m.kappa)), lambda: Form(_G, m.kappa.as_matrix())
+    )},
+    Quintanilla: lambda m: {"plus": _quintanilla_row(m)},
+    Burgers: lambda m: {"plus": EnergyRow(
+        lambda: _burgers_psi(m), lambda: Form(_QDG, _iso(burgers_sigma_matrix(m, 1.0)))
+    )},
+}
+
+
+def _row(m: ModelParams, variant: str) -> EnergyRow:
+    if not isinstance(m, LocalModel):
+        raise InvalidInputError(f"no energy row for {type(m).__name__}")
+    rows = m.energy
+    if len(rows) > 1 and variant not in rows:
+        raise InvalidInputError(f"unknown variant {variant!r}")
+    return rows.get(variant, rows["plus"])
+
+
 # --- free energy -------------------------------------------------------------
 
 def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
@@ -166,59 +279,18 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
 
     For the two-flux-rate Jeffreys family, variant "plus" selects the
     (xi + kappa)-weighted energy and "star" the (xi - kappa)-weighted one.
-    Anisotropic Jeffreys inputs assume kappa and xi commute (they do in every
-    consistent parameter set, where kappa is proportional to xi).
     """
     th = s.theta
-    if isinstance(m, Fourier):
-        return 0.0
-    if isinstance(m, GN2):
-        return 0.5 / th * float(s.q @ _inv(m.K, "K") @ s.q)
-    if isinstance(m, MCV):
-        return 0.5 * m.tau / th * float(s.q @ _inv(m.kappa, "kappa") @ s.q)
-    if isinstance(m, Jeffreys):
-        v = s.q + m.kappa.apply(s.grad_theta)
-        w = _jeffreys_weight(m, variant)
-        return 0.5 * m.tau / th * float(v @ w @ v)
-    if isinstance(m, GN3):
-        v = s.q + m.kappa.apply(s.grad_theta)
-        return 0.5 / th * float(v @ _inv(m.xi, "xi") @ v)
-    if isinstance(m, Quintanilla):
-        s.require("qdot")
-        tau, xi, kappa = _quintanilla_scalars(m)
-        den = kappa - tau * xi
-        if xi == 0 or den == 0:
-            raise SingularParameterError("xi = 0 or kappa = tau*xi")
-        v = tau * s.qdot + kappa * s.grad_theta
-        return 0.5 / th * (
-            kappa / (den * xi) * float(v @ v) + float((s.q + 2.0 * v) @ s.q) / xi
-        )
-    if isinstance(m, Burgers):
-        s.require("qdot")
-        c = burgers_psi_coefficients(m, th)
-        q, qd, g = s.q, s.qdot, s.grad_theta
-        return (
-            0.5 * c.a1 * float(q @ q)
-            + 0.5 * c.a2 * float(qd @ qd)
-            + 0.5 * c.a3 * float(g @ g)
-            + c.g1 * float(qd @ q)
-            + c.g2 * float(q @ g)
-            + c.g3 * float(qd @ g)
-        )
     if isinstance(m, GKLinear):
         vk = m.varkappa(th)
         if vk <= 0:
             raise SingularParameterError("varkappa(theta) must be positive")
         return 0.5 * m.tau * th / vk * float(s.q @ s.q)
-    raise InvalidInputError(f"no free energy for {type(m).__name__}")
-
-
-def _jeffreys_weight(m: Jeffreys, variant: str) -> np.ndarray:
-    if variant == "plus":
-        return _inv(m.xi + m.kappa, "xi + kappa")
-    if variant == "star":
-        return _inv(m.xi - m.kappa, "xi - kappa")
-    raise InvalidInputError(f"unknown variant {variant!r}")
+    P = _row(m, variant).P
+    if P is None:
+        return 0.0
+    x = P.stack(s)
+    return 0.5 * float(x @ P.matrix @ x) / th
 
 
 # --- entropy production ------------------------------------------------------
@@ -226,40 +298,6 @@ def _jeffreys_weight(m: Jeffreys, variant: str) -> np.ndarray:
 def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
     """rho*sigma; for the nonlocal model the internal supply rho*zeta."""
     th = s.theta
-    g = s.grad_theta
-    if isinstance(m, Fourier):
-        return float(g @ m.kappa.as_matrix() @ g) / th**2
-    if isinstance(m, GN2):
-        return 0.0
-    if isinstance(m, MCV):
-        return float(s.q @ _inv(m.kappa, "kappa") @ s.q) / th**2
-    if isinstance(m, Jeffreys):
-        km = m.kappa.as_matrix()
-        xm = m.xi.as_matrix()
-        if variant == "plus":
-            w = _inv(m.xi + m.kappa, "xi + kappa")
-            return (float(s.q @ w @ s.q) + float(g @ km @ w @ xm @ g)) / th**2
-        if variant == "star":
-            w = _inv(m.xi - m.kappa, "xi - kappa")
-            v = s.q + km @ g
-            return (float(v @ w @ v) + float(g @ km @ g)) / th**2
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    if isinstance(m, GN3):
-        return float(g @ m.kappa.as_matrix() @ g) / th**2
-    if isinstance(m, Quintanilla):
-        s.require("qdot")
-        tau, xi, kappa = _quintanilla_scalars(m)
-        den = kappa - tau * xi
-        if den == 0:
-            raise SingularParameterError("kappa = tau*xi")
-        v = tau * s.qdot + kappa * g
-        return float(v @ v) / (th**2 * den)
-    if isinstance(m, Burgers):
-        s.require("qdot")
-        b = burgers_sigma_matrix(m, th)
-        x = np.array([s.q, s.qdot, g])
-        gram = x @ x.T
-        return float(np.sum(b * gram)) / th
     if isinstance(m, GKLinear):
         s.require("grad_q")
         vk = m.varkappa(th)
@@ -272,7 +310,11 @@ def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -
             + ell2 * float(np.sum(s.grad_q**2))
             + 2.0 * ell2 * div_q**2
         )
-    raise InvalidInputError(f"no entropy production for {type(m).__name__}")
+    S = _row(m, variant).S
+    if S is None:
+        return 0.0
+    x = S.stack(s)
+    return float(x @ S.matrix @ x) / th**2
 
 
 def extra_entropy_flux(m: GKLinear, s: ThermalState) -> np.ndarray:
@@ -312,86 +354,52 @@ def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> Psi
     """(d rho*psi / dq, d rho*psi / dqdot, d rho*psi / dgrad_theta)."""
     th = s.theta
     z = np.zeros(3)
-    if isinstance(m, Fourier):
-        return PsiGradients(z, z, z)
-    if isinstance(m, GN2):
-        return PsiGradients(_inv(m.K, "K") @ s.q / th, z, z)
-    if isinstance(m, MCV):
-        return PsiGradients(m.tau / th * (_inv(m.kappa, "kappa") @ s.q), z, z)
-    if isinstance(m, Jeffreys):
-        km = m.kappa.as_matrix()
-        w = _jeffreys_weight(m, variant)
-        qv = w @ (s.q + km @ s.grad_theta)
-        return PsiGradients(m.tau / th * qv, z, m.tau / th * (km @ qv))
-    if isinstance(m, GN3):
-        km = m.kappa.as_matrix()
-        xi_inv = _inv(m.xi, "xi")
-        v = s.q + km @ s.grad_theta
-        return PsiGradients(xi_inv @ v / th, z, km @ xi_inv @ v / th)
-    if isinstance(m, Quintanilla):
-        s.require("qdot")
-        tau, xi, kappa = _quintanilla_scalars(m)
-        den = kappa - tau * xi
-        if xi == 0 or den == 0:
-            raise SingularParameterError("xi = 0 or kappa = tau*xi")
-        v = tau * s.qdot + kappa * s.grad_theta
-        common = kappa * v / (den * xi) + s.q / xi
-        return PsiGradients(
-            (s.q + v) / (xi * th), tau / th * common, kappa / th * common
-        )
-    if isinstance(m, Burgers):
-        s.require("qdot")
-        c = burgers_psi_coefficients(m, th)
-        q, qd, g = s.q, s.qdot, s.grad_theta
-        return PsiGradients(
-            c.a1 * q + c.g1 * qd + c.g2 * g,
-            c.a2 * qd + c.g1 * q + c.g3 * g,
-            c.a3 * g + c.g2 * q + c.g3 * qd,
-        )
     if isinstance(m, GKLinear):
         vk = m.varkappa(th)
         if vk <= 0:
             raise SingularParameterError("varkappa(theta) must be positive")
         return PsiGradients(m.tau * th / vk * s.q, z, z)
-    raise InvalidInputError(f"no free-energy gradients for {type(m).__name__}")
+    P = _row(m, variant).P
+    if P is None:
+        return PsiGradients(z, z, z)
+    g = dict(zip(P.fields, (P.matrix @ P.stack(s) / th).reshape(-1, 3)))
+    return PsiGradients(g.get("q", z), g.get("qdot", z), g.get("grad_theta", z))
 
 
 # --- dissipation identity ----------------------------------------------------
+
+# the rate paired with each free-energy block in the dissipation identity
+_RATES = {"q": "qdot", "qdot": "qddot", "grad_theta": "grad_theta_dot"}
+
 
 def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") -> np.ndarray:
     """Individual addends of the reduced entropy equality; their sum is the
     residual and the largest magnitude sets the natural relative scale.
 
-    Local models: [dpsi_q . qdot, dpsi_qdot . qddot, dpsi_grad . grad_thdot,
-    q.grad/theta, theta*sigma]. The nonlocal model divides the first two
-    groups by theta and adds div k and zeta instead, matching its split form
-    of the Second Law.
+    Local models: dpsi_x . x_dot for each block x in (q, qdot, grad_theta)
+    that the free energy reads, then q.grad/theta and theta*sigma. The
+    nonlocal model divides the first two groups by theta and adds div k and
+    zeta instead, matching its split form of the Second Law.
     """
     th = s.theta
-    g = psi_gradients(m, s, variant)
     if isinstance(m, GKLinear):
         s.require("qdot")
         return np.array(
             [
-                float(g.q @ s.qdot) / th,
+                float(psi_gradients(m, s).q @ s.qdot) / th,
                 float(s.q @ s.grad_theta) / th**2,
                 gk_flux_divergence(m, s),
                 entropy_production(m, s),
             ]
         )
-    law = m.law
-    if law.order == 2:
-        s.require("qdot", "qddot")
-        terms = [float(g.q @ s.qdot), float(g.qdot @ s.qddot)]
-    else:
-        if law.order == 1:
-            s.require("qdot")
-        terms = [float(g.q @ (s.qdot if law.order else s.q))]
-    if law.b1 is not None:
-        s.require("grad_theta_dot")
-        terms.append(float(g.grad_theta @ s.grad_theta_dot))
-    terms.append(float(s.q @ s.grad_theta) / th)
-    terms.append(th * entropy_production(m, s, variant))
+    P = _row(m, variant).P
+    terms = []
+    if P is not None:
+        rates = [_RATES[name] for name in P.fields]
+        s.require(*rates)
+        g = (P.matrix @ P.stack(s) / th).reshape(-1, 3)
+        terms = [float(gi @ getattr(s, rate)) for gi, rate in zip(g, rates)]
+    terms += [float(s.q @ s.grad_theta) / th, th * entropy_production(m, s, variant)]
     return np.array(terms)
 
 

@@ -56,11 +56,19 @@ class CoefficientFn:
 # --- parameter sets ----------------------------------------------------------
 
 class LocalModel:
-    """Parameter set of a local kind; its whole rate law is ``law``."""
+    """Parameter set of a local kind; its whole rate law is ``law``, its
+    free energy and entropy production are ``energy``."""
 
     @cached_property
     def law(self) -> "RateLaw":
         return RATE_LAWS[type(self)](self)
+
+    @cached_property
+    def energy(self) -> Dict[str, "EnergyRow"]:
+        """Energy rows by variant; only Jeffreys has a second one, "star"."""
+        from .energetics import ENERGY_ROWS  # energetics imports this module
+
+        return ENERGY_ROWS[type(self)](self)
 
 
 @dataclass(frozen=True)

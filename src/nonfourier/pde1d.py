@@ -11,7 +11,7 @@ denominators use the absolute temperature theta_ref + theta.
 Alongside the temperature stack, a pointwise heat-flux field is integrated
 from the model's own rate law (driven one-way by the discrete temperature
 gradients), so entropy production and the dissipation identity can be
-audited at every node and step.
+audited at every node and step from the model's energy row.
 """
 from __future__ import annotations
 
@@ -22,20 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energetics import burgers_psi_coefficients, burgers_sigma_matrix
+from .energetics import Form, SingularParameterError
 from .modal import characteristic_poly, modal_solution
-from .models import (
-    MCV,
-    GN3,
-    Burgers,
-    Fourier,
-    Jeffreys,
-    MaterialConstants,
-    ModelParams,
-    Quintanilla,
-    RateLaw,
-    temperature_law,
-)
+from .models import MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
 
 
@@ -239,127 +228,74 @@ def _drive(law: RateLaw, tx: np.ndarray, tdx: np.ndarray) -> np.ndarray:
     return -(law.b0 * tx + law.b1 * tdx) / law.a[-1]
 
 
-# --- per-node entropy audits -------------------------------------------------
+# --- per-node entropy audit -------------------------------------------------
 
-def _audit_fns(m: ModelParams) -> Tuple[Callable, Callable]:
-    """(sigma_fn, residual_fn) over vectorized node data.
+def _combine(terms):
+    """Sum of c * v over the (c, v) pairs, not multiplying out unit c."""
+    out = None
+    for c, v in terms:
+        t = v if c == 1 else c * v
+        out = t if out is None else out + t
+    return out
 
-    Arguments: absolute temperature, theta_x, theta_dot_x and the flux-state
-    columns. The residual evaluates the dissipation identity with rates
-    taken from the model's own law on the discrete fields. Tensors enter
-    through their xx components: assemble_rhs has checked they are
-    isotropic.
-    """
-    if isinstance(m, Fourier):
-        kappa = m.kappa.xx
 
-        def sigma(ta, tx, tdx, y):
-            return kappa * tx**2 / ta**2
+def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]]:
+    """The form's x-directed reduction (each 3x3 block's xx entry) as a sum
+    of d (sum_b l_b x_b)^2 over the pivots of a symmetric elimination,
+    largest diagonal first; b indexes (q, q_dot, theta_x). Unlike a sum over
+    the entries, squares keep the sign of a semidefinite form and do not
+    square a cancellation in l.x (as in tau q_dot + kappa theta_x -> 0).
+    What elimination leaves within 16 ulps of the largest entry is rounding
+    and is cleared, so a form of rank r gives r squares."""
+    if form is None:
+        return []
+    f, blocks = form.matrix[::3, ::3], [("q", "qdot", "grad_theta").index(name) for name in form.fields]
+    tol = 16 * np.finfo(float).eps * np.abs(f).max()
+    squares = []
+    while np.any(f):
+        k = int(np.argmax(np.abs(np.diag(f))))
+        if f[k, k] != 0:
+            pivots = [(f[k, k], f[k] / f[k, k])]
+        else:  # 2 f x_a x_b = f/2 ((x_a + x_b)^2 - (x_a - x_b)^2)
+            a, b = np.unravel_index(np.argmax(np.abs(f)), f.shape)
+            e = np.eye(len(f))
+            pivots = [(f[a, b] / 2, e[a] + e[b]), (-f[a, b] / 2, e[a] - e[b])]
+        for d, l in pivots:
+            squares.append((d, [(c, i) for c, i in zip(l, blocks) if c != 0]))
+            f = f - d * np.outer(l, l)
+        f[np.abs(f) <= tol] = 0.0
+    return squares
 
-        def residual(ta, tx, tdx, y):
-            q = y[:, 0]
-            return q * tx / ta + ta * sigma(ta, tx, tdx, y)
 
-    elif isinstance(m, MCV):
-        kappa = m.kappa.xx
+def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
+    """Per-node (sigma, residual) from the model's energy row over the
+    x-directed fields x = (q, q_dot, theta_x): rho*sigma = x'Sx / theta^2 and
+    the dissipation residual (x_dot'Px + q theta_x) / theta + theta sigma,
+    with the rates x_dot taken from the law on the discrete fields.
+    Arguments: absolute temperature, theta_x, theta_dot_x, the law's drive
+    and the flux-state columns."""
+    row = m.energy["plus"]
+    try:
+        P, S = _squares(row.P), _squares(row.S)
+    except SingularParameterError as e:
+        raise ConfigurationError(f"no entropy audit: {e}") from e
+    lower = [(-c / law.a[-1], j) for j, c in enumerate(law.a[:-1]) if c != 0]
 
-        def sigma(ta, tx, tdx, y):
-            return y[:, 0] ** 2 / (kappa * ta**2)
+    def audit(ta, tx, tdx, drive, y):
+        x = (y[:, 0], y[:, -1], tx)  # q, q_dot where the law has it, theta_x
+        quad = _combine((d, _combine((c, x[b]) for c, b in terms) ** 2) for d, terms in S)
+        if quad is None:  # no entropy production, as in GN3 with kappa = 0
+            quad = np.zeros_like(ta)
+        total = x[0] * tx + quad
+        if P:
+            # y_j' = y_{j+1}; the top rate comes from the law
+            top = _combine([(1, drive)] + [(c, y[:, j]) for c, j in lower])
+            rate = (y[:, 1], top, tdx) if law.order == 2 else (top, None, tdx)
+            for d, terms in P:
+                total += d * _combine((c, rate[b]) for c, b in terms) * _combine((c, x[b]) for c, b in terms)
+        return quad / (ta * ta), total / ta
 
-        def residual(ta, tx, tdx, y):
-            q = y[:, 0]
-            qdot = -(q + kappa * tx) / m.tau
-            return m.tau / (ta * kappa) * q * qdot + q * tx / ta + ta * sigma(ta, tx, tdx, y)
-
-    elif isinstance(m, Jeffreys):
-        xi = m.xi.xx
-        kappa = m.kappa.xx
-
-        def sigma(ta, tx, tdx, y):
-            q = y[:, 0]
-            return (q**2 + kappa * xi * tx**2) / ((xi + kappa) * ta**2)
-
-        def residual(ta, tx, tdx, y):
-            q = y[:, 0]
-            qq = (q + kappa * tx) / (xi + kappa)
-            qdot = -(q + xi * tx + m.tau * kappa * tdx) / m.tau
-            return (
-                m.tau / ta * qq * qdot
-                + m.tau * kappa / ta * qq * tdx
-                + q * tx / ta
-                + ta * sigma(ta, tx, tdx, y)
-            )
-
-    elif isinstance(m, GN3):
-        xi = m.xi.xx
-        kappa = m.kappa.xx
-
-        def sigma(ta, tx, tdx, y):
-            return kappa * tx**2 / ta**2
-
-        def residual(ta, tx, tdx, y):
-            q = y[:, 0]
-            v = q + kappa * tx
-            qdot = -(xi * tx + kappa * tdx)
-            return (
-                v * qdot / (xi * ta)
-                + kappa * v * tdx / (xi * ta)
-                + q * tx / ta
-                + ta * sigma(ta, tx, tdx, y)
-            )
-
-    elif isinstance(m, Quintanilla):
-        xi = m.xi.xx
-        kappa = m.kappa.xx
-        den = kappa - m.tau * xi
-        if den == 0 or xi == 0:
-            raise ConfigurationError("kappa = tau*xi or xi = 0: no entropy audit")
-
-        def sigma(ta, tx, tdx, y):
-            v = m.tau * y[:, 1] + kappa * tx
-            return v**2 / (den * ta**2)
-
-        def residual(ta, tx, tdx, y):
-            q, qd = y[:, 0], y[:, 1]
-            v = m.tau * qd + kappa * tx
-            qdd = -(qd + xi * tx + kappa * tdx) / m.tau
-            common = kappa * v / (den * xi) + q / xi
-            return (
-                (q + v) / (xi * ta) * qd
-                + m.tau / ta * common * qdd
-                + kappa / ta * common * tdx
-                + q * tx / ta
-                + ta * sigma(ta, tx, tdx, y)
-            )
-
-    elif isinstance(m, Burgers):
-        b1 = burgers_sigma_matrix(m, 1.0)
-        c1 = burgers_psi_coefficients(m, 1.0)
-        lam = m.lambda_b
-
-        def sigma(ta, tx, tdx, y):
-            q, qd = y[:, 0], y[:, 1]
-            quad = (
-                b1[0, 0] * q**2
-                + b1[1, 1] * qd**2
-                + b1[2, 2] * tx**2
-                + 2 * b1[0, 1] * q * qd
-                + 2 * b1[0, 2] * q * tx
-                + 2 * b1[1, 2] * qd * tx
-            )
-            return quad / ta**2
-
-        def residual(ta, tx, tdx, y):
-            q, qd = y[:, 0], y[:, 1]
-            qdd = -(q + m.tau * qd + m.mu * tx + m.tau * m.nu * tdx) / lam
-            dq = (c1.a1 * q + c1.g1 * qd + c1.g2 * tx) / ta
-            dqd = (c1.a2 * qd + c1.g1 * q + c1.g3 * tx) / ta
-            dg = (c1.a3 * tx + c1.g2 * q + c1.g3 * qd) / ta
-            return dq * qd + dqd * qdd + dg * tdx + q * tx / ta + ta * sigma(ta, tx, tdx, y)
-
-    else:
-        raise ConfigurationError(type(m).__name__)
-    return sigma, residual
+    return audit
 
 
 # --- simulation --------------------------------------------------------------
@@ -448,23 +384,20 @@ def simulate(cfg: SimConfig) -> Trajectory:
         forc = np.zeros((n, k))
         lhs_inv = np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A)
         rhs_a = np.eye(k) + cfg.dt / 2.0 * A
-    sigma_fn, residual_fn = _audit_fns(cfg.model)
+    audit_fn = _entropy_audit(cfg.model, law)
 
     def grads(uu):
         tx = ops.d1 @ uu[:n] + ops.d1_b
         tdx = ops.d1 @ uu[n : 2 * n] if order >= 2 else np.zeros(n)
-        return tx, tdx
-
-    def flux_cols(tx, tdx):
-        return y if k else _drive(law, tx, tdx)[:, None]
+        return tx, tdx, _drive(law, tx, tdx)
 
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     every = cfg.snapshot_every or max(1, nsteps // 200)
 
-    tx, tdx = grads(u)
+    tx, tdx, drive = grads(u)
     times = [0.0]
     thetas = [u[:n].copy()]
-    fluxes = [flux_cols(tx, tdx)[:, 0].copy()]
+    fluxes = [(y[:, 0] if k else drive).copy()]
     audit = {
         key: np.empty(nsteps)
         for key in ("t", "min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
@@ -475,18 +408,17 @@ def simulate(cfg: SimConfig) -> Trajectory:
         u_new = step(u)
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(i + 1, t)
-        tx_new, tdx_new = grads(u_new)
+        tx_new, tdx_new, drive_new = grads(u_new)
         if k:
-            forc[:, -1] = cfg.dt / 2.0 * (_drive(law, tx, tdx) + _drive(law, tx_new, tdx_new))
+            forc[:, -1] = cfg.dt / 2.0 * (drive + drive_new)
             y = (y @ rhs_a.T + forc) @ lhs_inv.T
-        u, tx, tdx = u_new, tx_new, tdx_new
+        u, tx, tdx, drive = u_new, tx_new, tdx_new, drive_new
 
         ta = cfg.theta_ref + u[:n]
         if np.any(ta <= 0.0):
             raise PositivityError(i + 1, t)
-        ydata = flux_cols(tx, tdx)
-        sig = sigma_fn(ta, tx, tdx, ydata)
-        res = residual_fn(ta, tx, tdx, ydata)
+        ydata = y if k else drive[:, None]
+        sig, res = audit_fn(ta, tx, tdx, drive, ydata)
         audit["t"][i] = t
         audit["min_sigma"][i] = sig.min()
         audit["max_sigma"][i] = sig.max()

@@ -39,6 +39,8 @@ gk.imposed_gradient = 1.0
 sim.theta_ref = 1.0
 """
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "simulate"
+
 SWEEP_CFG = QUINTANILLA_CFG + """
 sweep.param = model.kappa
 sweep.values = 0.5, 1.0, 2.0, 4.0
@@ -121,6 +123,16 @@ def test_simulate_gk_uses_coupled_solver(tmp_path):
     assert min(zetas) >= 0.0
 
 
+def test_simulate_gk_nonlinear_at_delta_zero_runs_as_gk(tmp_path):
+    """delta = 0 is the linear law, which the coupled solver simulates."""
+    outputs = []
+    for name, text in (("gk.cfg", GK_CFG), ("nl.cfg", GK_CFG.replace("model.kind = gk", "model.kind = gk_nonlinear"))):
+        out = tmp_path / f"out_{name}"
+        assert main(["simulate", "--config", write_cfg(tmp_path, text, name), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_text().splitlines()[3:] for f in ("snapshots.csv", "audit.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_orders_verdicts_by_value(tmp_path):
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     code, out = run(tmp_path, "sweep", "--config", cfg)
@@ -158,6 +170,24 @@ def test_outputs_are_deterministic(tmp_path, capsys, command):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk"])
+def test_simulate_matches_golden_output(tmp_path, kind):
+    """Output bodies, after the 3-line header, against stored files written
+    by an earlier version. max_residual is rounding noise of a sum that
+    cancels, so it is bounded instead of compared."""
+    code, out = run(tmp_path, "simulate", "--config", str(GOLDEN / f"{kind}.cfg"))
+    assert code == 0
+    snap = (out / "snapshots.csv").read_bytes().split(b"\n", 3)[3]
+    assert snap == (GOLDEN / f"{kind}.snapshots.csv").read_bytes()
+    got = [line.split(",") for line in (out / "audit.csv").read_text().splitlines()[3:]]
+    want = [line.split(",") for line in (GOLDEN / f"{kind}.audit.csv").read_text().splitlines()]
+    assert len(got) == len(want) and got[0] == want[0]
+    col = want[0].index("max_residual")
+    for g, w in zip(got[1:], want[1:]):
+        assert g[:col] + g[col + 1 :] == w[:col] + w[col + 1 :]
+        assert float(g[col]) <= 1e-12
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model.kind = quintanilla\nmodel.tau = not_a_number\n")
     assert main(["check", "--config", cfg]) == 2
@@ -170,11 +200,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         tmp_path, QUINTANILLA_CFG.replace("model.xi = 1.0", "model.xi = diag:1,2,3"), "aniso.cfg"
     )
     coarse = write_cfg(tmp_path, QUINTANILLA_CFG.replace("grid.N = 60", "grid.N = 4"), "coarse.cfg")
+    # kappa = tau*xi leaves the Quintanilla entropy audit without a free energy
+    no_audit = write_cfg(tmp_path, QUINTANILLA_CFG.replace("model.kappa = 2.0", "model.kappa = 1.0"), "no_audit.cfg")
+    nonlinear = write_cfg(
+        tmp_path, GK_CFG.replace("model.kind = gk", "model.kind = gk_nonlinear\nmodel.delta = 0.3"), "gk_nl.cfg"
+    )
     for command, path in (
         ("modal", gk_plug),
         ("audit", gk_plug),
         ("simulate", anisotropic),
         ("simulate", coarse),
+        ("simulate", no_audit),
+        ("simulate", nonlinear),
     ):
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2, (command, path)
         assert "config error: " in capsys.readouterr().err

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nonfourier import pde1d
+from nonfourier.energetics import dissipation_terms, entropy_production
 from nonfourier.models import (
     MCV,
     GN3,
@@ -10,6 +12,8 @@ from nonfourier.models import (
     Jeffreys,
     MaterialConstants,
     Quintanilla,
+    ThermalState,
+    flux_rate,
 )
 from nonfourier.pde1d import (
     ConfigurationError,
@@ -235,6 +239,64 @@ def test_audit_tracks_nonnegative_sigma_for_mcv():
     assert traj.audit["max_residual"].max() <= 1e-12
 
 
+TEMPERATURE_MODELS = [
+    Fourier(kappa=1.5),
+    MCV(tau=0.5, kappa=1.5),
+    Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
+    GN3(xi=1.5, kappa=2.0),
+    Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
+    Burgers(lambda_b=0.5, tau=1.0, mu=2.0, nu=1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "model",
+    # near nu tau^2 = lambda_b mu, Burgers' sigma form has a pivot 1e-6 of its largest
+    TEMPERATURE_MODELS + [pytest.param(Burgers(1.0, 1.0, 1.0, 1.0 + 1e-6), id="burgers_near_boundary")],
+    ids=lambda m: type(m).__name__.lower(),
+)
+def test_node_audit_matches_pointwise_energetics(monkeypatch, model):
+    """The simulator's per-node sigma and residual, on the node columns of a
+    short run embedded as x-components, equal entropy_production and the
+    dissipation residual of the same states with rates from flux_rate."""
+    calls = []
+    build = pde1d._entropy_audit
+
+    def spy(m, law):
+        audit = build(m, law)
+
+        def recorded(*columns):
+            out = audit(*columns)
+            calls.append((columns, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(pde1d, "_entropy_audit", spy)
+    simulate(
+        SimConfig(
+            model=model, material=MAT, grid=Grid1D(L=1.0, N=16), dt=2e-3, t_end=0.02,
+            bc_value=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x), theta_dot0=0.3,
+            q0=lambda x: 0.1 * np.cos(np.pi * x), theta_ref=1.0,
+        )
+    )
+    (ta, tx, tdx, _, y), (sig, res) = calls[-1]
+    e = np.array([1.0, 0.0, 0.0])
+    order = model.law.order
+    for i in range(ta.size):
+        fields = {"q": y[i, 0] * e, "grad_theta": tx[i] * e, "grad_theta_dot": tdx[i] * e}
+        if order == 2:
+            fields["qdot"] = y[i, 1] * e
+        s = ThermalState(theta=ta[i], **fields)
+        if order:
+            fields[("qdot", "qddot")[order - 1]] = flux_rate(model, s)
+            s = ThermalState(theta=ta[i], **fields)
+        terms = dissipation_terms(model, s)
+        scale = np.abs(terms).max()
+        assert abs(sig[i] - entropy_production(model, s)) <= 1e-12 * scale / ta[i]
+        assert abs(res[i] - terms.sum()) <= 1e-12 * scale
+
+
 def test_gn3_undamped_mode_oscillates_at_dispersion_frequency():
     """With kappa = 0 the GN III mode is an undamped oscillator at frequency
     sqrt(Lambda_tilde * xi); check the period over a few cycles."""
@@ -272,18 +334,7 @@ def test_modal_comparison_second_flux_rate():
     assert cmp.l2_rel <= 1e-5
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        Fourier(kappa=1.5),
-        MCV(tau=0.5, kappa=1.5),
-        Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
-        GN3(xi=1.5, kappa=2.0),
-        Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
-        Burgers(lambda_b=0.5, tau=1.0, mu=2.0, nu=1.5),
-    ],
-    ids=lambda m: type(m).__name__.lower(),
-)
+@pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__.lower())
 def test_pde_matches_modal_solution_at_nonunit_rho_c(model):
     """rho*cv = 6 scales every b-coefficient of the assembled system and the
     modal eigenvalue alike; the two solutions then differ by O(dt^2) only."""
