@@ -266,10 +266,9 @@ ENERGY_ROWS: Dict[type, Callable[..., Dict[str, EnergyRow]]] = {
 def _row(m: ModelParams, variant: str) -> EnergyRow:
     if not isinstance(m, LocalModel):
         raise InvalidInputError(f"no energy row for {type(m).__name__}")
-    rows = m.energy
-    if len(rows) > 1 and variant not in rows:
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    return rows.get(variant, rows["plus"])
+    if variant not in m.energy:
+        raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
+    return m.energy[variant]
 
 
 # --- free energy -------------------------------------------------------------

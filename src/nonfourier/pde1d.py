@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .energetics import Form, SingularParameterError
 from .modal import characteristic_poly, modal_solution
@@ -197,23 +197,81 @@ def assemble_rhs(
     return sp.bmat(blocks).tocsr(), f, order
 
 
+def _nilpotent_inverse(N: sp.csr_matrix) -> sp.csr_matrix:
+    """(I - N)^-1 = I + N + N^2 + ... for a nilpotent N. Raises unless each
+    power has fewer nonzero rows than the last until one vanishes, which
+    holds whenever the nonzero pattern of N has no cycle."""
+    total = sp.identity(N.shape[0], format="csr")
+    power, rows = N.copy(), N.shape[0] + 1
+    power.eliminate_zeros()
+    while power.nnz:
+        live = int(np.count_nonzero(np.diff(power.indptr)))
+        if live >= rows:
+            raise ConfigurationError("eliminated block of the implicit matrix is not nilpotent")
+        total, power, rows = total + power, power @ N, live
+        power.eliminate_zeros()
+    return total
+
+
+# band storage above this many entries (128 MB) is refused, not allocated
+_MAX_BAND_ENTRIES = 2**24
+
+
+def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """LAPACK band LU of S, its bandwidths read off its nonzeros; returns
+    b -> S^-1 b."""
+    S = S.tocoo()
+    S.eliminate_zeros()
+    kl = int((S.row - S.col).max(initial=0))
+    ku = int((S.col - S.row).max(initial=0))
+    if (2 * kl + ku + 1) * S.shape[0] > _MAX_BAND_ENTRIES:
+        raise ConfigurationError(f"implicit matrix too wide for band storage (bandwidths {kl}, {ku})")
+    ab = np.zeros((2 * kl + ku + 1, S.shape[0]))
+    ab[kl + ku + S.row - S.col, S.col] = S.data
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return dgbtrs(lu, kl, ku, b, piv)[0]
+
+    return solve
+
+
 def trapezoid_stepper(
-    M: sp.csr_matrix, f: np.ndarray, dt: float
+    M: sp.csr_matrix, f: np.ndarray, dt: float, keep: Optional[int] = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One fixed-step trapezoidal update u -> u_next; the implicit factor is
-    prepared once and reused across steps."""
+    """One fixed-step trapezoidal update u -> u' of u_dot = M u + f, that is
+    (I - hM) u' = (I + hM) u + dt f with h = dt/2, prepared once.
+
+    The system is Schur-reduced onto its last `keep` unknowns (all of them
+    by default). The eliminated block of M must be nilpotent (the companion
+    shifts of a temperature equation, or zero), so (I - hM11)^-1 is a finite
+    sum; the banded complement is LU-factored once. A step is one matvec
+    for the reduced right-hand side and the eliminated unknowns, one band
+    solve, and one matvec to back-substitute.
+    """
     n = M.shape[0]
-    eye = sp.identity(n, format="csc")
-    lhs = (eye - dt / 2.0 * M).tocsc()
-    try:
-        lu = spla.splu(lhs)
-    except RuntimeError as e:
-        raise ConfigurationError(f"singular implicit matrix: {e}") from e
-    rhs_mat = (eye + dt / 2.0 * M).tocsr()
-    fdt = dt * f
+    n1 = n - (n if keep is None else keep)
+    if not 0 <= n1 < n:
+        raise ConfigurationError(f"cannot keep {keep} of {n} unknowns")
+    hM = (dt / 2.0 * sp.csr_matrix(M)).tocsr()
+    eye = sp.identity(n, format="csr")
+    E = _nilpotent_inverse(hM[:n1, :n1])
+    hM12, A21E = hM[:n1, n1:], -hM[n1:, :n1] @ E
+    solve = _band_lu(eye[n1:, n1:] - hM[n1:, n1:] + A21E @ hM12)
+    # rows: E r1 for the eliminated unknowns, r2 - A21 E r1 for the kept ones
+    reduce = sp.bmat([[E, None], [-A21E, eye[n1:, n1:]]], format="csr")
+    rhs_mat = (reduce @ (eye + hM)).tocsr()
+    rhs_f = reduce @ (dt * np.asarray(f, dtype=float))
+    back = (E @ hM12).tocsr()
 
     def step(u: np.ndarray) -> np.ndarray:
-        return lu.solve(rhs_mat @ u + fdt)
+        r = rhs_mat @ u + rhs_f
+        r[n1:] = solve(r[n1:])
+        if n1:
+            r[:n1] += back @ r[n1:]
+        return r
 
     return step
 
@@ -363,7 +421,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     M, f, order = assemble_rhs(cfg.model, cfg.material, ops, cfg.source)
     n = ops.n
     x = ops.x
-    step = trapezoid_stepper(M, f, cfg.dt)
+    step = trapezoid_stepper(M, f, cfg.dt, keep=n)
 
     u = np.zeros(order * n)
     u[:n] = _init_field(cfg.theta0, x)
@@ -638,20 +696,18 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> GKTrajectory:
         theta_x = np.full(n, G)
         q = _init_field(cfg.q0, x)
         if cfg.tau == 0:
-            lhs = (sp.identity(n, format="csc") - 3.0 * cfg.lambda2 * d2q).tocsc()
-            lu = spla.splu(lhs)
+            # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
+            # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0
+            solve = trapezoid_stepper(3.0 * cfg.lambda2 * d2q, np.full(n, -cfg.kappa * G / 2.0), 2.0)
+            steady = solve(np.zeros(n))
+            step = lambda q: steady
         else:
             A = ((-sp.identity(n) + 3.0 * cfg.lambda2 * d2q) / cfg.tau).tocsr()
-            lu = spla.splu((sp.identity(n, format="csc") - cfg.dt / 2.0 * A).tocsc())
-            rhs_mat = (sp.identity(n) + cfg.dt / 2.0 * A).tocsr()
-            forcing = cfg.dt * (-cfg.kappa * G / cfg.tau) * np.ones(n)
+            step = trapezoid_stepper(A, np.full(n, -cfg.kappa * G / cfg.tau), cfg.dt)
         times, thetas, qs = [0.0], [theta.copy()], [q.copy()]
         for i in range(nsteps):
             t = (i + 1) * cfg.dt
-            if cfg.tau == 0:
-                q = lu.solve(-cfg.kappa * G * np.ones(n))
-            else:
-                q = lu.solve(rhs_mat @ q + forcing)
+            q = step(q)
             if not np.all(np.isfinite(q)):
                 raise DivergenceError(i + 1, t)
             record(i, t, q, theta_x)
@@ -678,7 +734,7 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> GKTrajectory:
     ).tocsr()
     f = np.zeros(2 * n)
     f[n:] = -cfg.kappa / tau * ops.d1_b
-    step = trapezoid_stepper(M, f, cfg.dt)
+    step = trapezoid_stepper(M, f, cfg.dt, keep=n)
     u = np.concatenate([theta, q])
     times, thetas, qs = [0.0], [theta.copy()], [q.copy()]
     for i in range(nsteps):

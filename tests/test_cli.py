@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonfourier.cli import main
+from nonfourier.cli import _float_rows, _fmt, main
 
 QUINTANILLA_CFG = """
 model.kind = quintanilla
@@ -168,6 +168,15 @@ def test_outputs_are_deterministic(tmp_path, capsys, command):
         runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
     assert runs[0][0]
     assert runs[0] == runs[1]
+
+
+def test_float_rows_format_cells_as_fmt():
+    tiny = np.nextafter(0.0, 1.0)
+    cells = [-0.0, 0.0, 1e-300, tiny, -5e-320, 1e16, 2.0, -3.0, 1e15 + 0.5, 1.0 / 3.0, np.pi * 1e-7, np.inf, np.nan]
+    # long enough to cross the formatter's row blocks
+    cols = [np.tile(cells, 700), np.tile(cells[::-1], 700) * np.repeat([1.0, -1.0], 350 * len(cells))]
+    want = [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(*cols)]
+    assert _float_rows(*cols) == want
 
 
 @pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk"])

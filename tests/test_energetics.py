@@ -34,6 +34,7 @@ from nonfourier.models import (
     Quintanilla,
     ThermalState,
 )
+from nonfourier.tensors import InvalidInputError
 
 EX = np.array([1.0, 0.0, 0.0])
 
@@ -239,6 +240,18 @@ def test_jeffreys_star_variant_closes_too():
         terms = dissipation_terms(m, s, "star")
         scale = max(1.0, float(np.abs(terms).max()))
         assert abs(dissipation_residual(m, s, "star")) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model", ALL_LOCAL_MODELS, ids=_id)
+def test_unknown_variant_raises(model):
+    """A misspelt variant is an error on every local kind, not the only row;
+    "star" exists only for Jeffreys."""
+    s = sample_state(model, np.random.default_rng(5))
+    variants = ("stra", "") if isinstance(model, Jeffreys) else ("stra", "star", "")
+    for variant in variants:
+        for fn in (free_energy, entropy_production, psi_gradients, dissipation_terms):
+            with pytest.raises(InvalidInputError, match="unknown variant"):
+                fn(model, s, variant)
 
 
 @settings(max_examples=50, deadline=None)

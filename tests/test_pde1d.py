@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nonfourier import pde1d
 from nonfourier.energetics import dissipation_terms, entropy_production
@@ -125,6 +126,97 @@ def test_trapezoid_is_second_order_in_dt():
         errs.append(abs(u[0] - np.cos(t_end)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
+
+
+def _splu_stepper(M, f, dt, keep=None):
+    """Oracle: the unreduced trapezoid step (I - dt/2 M) u' = (I + dt/2 M) u
+    + dt f through SuperLU on the whole system; `keep` is ignored."""
+    eye = sp.identity(M.shape[0], format="csc")
+    lu = spla.splu((eye - dt / 2.0 * M).tocsc())
+    rhs = (eye + dt / 2.0 * M).tocsr()
+    return lambda u: lu.solve(rhs @ u + dt * f)
+
+
+def _assert_close(got, want, blocks=1, rtol=1e-12):
+    """Relative to each block's largest oracle magnitude."""
+    for g, w in zip(np.split(np.asarray(got), blocks), np.split(np.asarray(want), blocks)):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+TEMPERATURE_MODELS = [
+    Fourier(kappa=2.0),
+    MCV(tau=0.7, kappa=2.0),
+    Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
+    GN3(xi=1.5, kappa=2.0),
+    Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
+    Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0),
+]
+
+
+@pytest.mark.parametrize("N", [10, 200])
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__)
+def test_banded_step_matches_superlu_oracle(model, bc_kind, N):
+    """20 Schur-reduced banded steps, kept on the top derivative as simulate
+    keeps them, against the whole-system SuperLU step, every field block."""
+    ops = space_operators(Grid1D(L=1.0, N=N), bc_kind, (0.3, -0.2))
+    M, f, order = assemble_rhs(model, MAT, ops)
+    banded, oracle = trapezoid_stepper(M, f, 1e-3, keep=ops.n), _splu_stepper(M, f, 1e-3)
+    u = v = np.random.default_rng(N).standard_normal(order * ops.n)
+    for _ in range(20):
+        u, v = banded(u), oracle(v)
+        _assert_close(u, v, order)
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        dict(tau=0.1, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_theta=(0.05, -0.02)),
+        dict(tau=0.05, imposed_gradient=1.0),
+        dict(tau=0.0, imposed_gradient=1.0),
+    ],
+    ids=["coupled", "imposed_relaxing", "imposed_steady"],
+)
+def test_gk_banded_steps_match_superlu_oracle(monkeypatch, setup):
+    cfg = GKSimConfig(kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=0.02,
+                      q0=lambda x: 0.3 * x * (1.0 - x), **setup)
+    got = simulate_coupled_gk(cfg)
+    monkeypatch.setattr(pde1d, "trapezoid_stepper", _splu_stepper)
+    want = simulate_coupled_gk(cfg)
+    assert len(got.qs) == len(want.qs) == 21
+    for gq, wq, gt, wt in zip(got.qs[1:], want.qs[1:], got.thetas[1:], want.thetas[1:]):
+        _assert_close(gq, wq)
+        _assert_close(gt, wt)
+
+
+def test_singular_implicit_matrix_raises():
+    dt = 0.1
+    with pytest.raises(ConfigurationError, match="singular"):
+        trapezoid_stepper(sp.identity(5, format="csr") * (2.0 / dt), np.zeros(5), dt)
+    # singular only after the reduction: the complement of a companion block
+    M = sp.csr_matrix(np.array([[0.0, 1.0], [(2.0 / dt) ** 2, 0.0]]))
+    with pytest.raises(ConfigurationError, match="singular"):
+        trapezoid_stepper(M, np.zeros(2), dt, keep=1)
+
+
+def test_non_nilpotent_eliminated_block_raises():
+    """Eliminating a block whose powers never vanish would need an infinite
+    series; the stepper refuses rather than truncate it."""
+    M = sp.csr_matrix(np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -1.0]]))
+    with pytest.raises(ConfigurationError, match="not nilpotent"):
+        trapezoid_stepper(M, np.zeros(3), 0.1, keep=1)
+    # the same system kept whole steps as the oracle does
+    u = np.array([1.0, -1.0, 0.5])
+    _assert_close(trapezoid_stepper(M, np.ones(3), 0.1)(u), _splu_stepper(M, np.ones(3), 0.1)(u))
+
+
+def test_band_storage_cap_raises(monkeypatch):
+    M = sp.csr_matrix(np.ones((6, 6)))
+    monkeypatch.setattr(pde1d, "_MAX_BAND_ENTRIES", 6 * 16 - 1)
+    with pytest.raises(ConfigurationError, match="too wide"):
+        trapezoid_stepper(M, np.zeros(6), 0.1)
+    monkeypatch.setattr(pde1d, "_MAX_BAND_ENTRIES", 6 * 16)
+    trapezoid_stepper(M, np.zeros(6), 0.1)
 
 
 def test_source_only_in_fourier_limit():
