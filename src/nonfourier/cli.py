@@ -153,17 +153,14 @@ def cmd_modal(args) -> int:
         "n,Lambda,Lambda_tilde,root1_re,root1_im,root2_re,root2_im,root3_re,root3_im,"
         "rh_pass,discriminant,class"
     ]
+    # one %-format per row; cells as _fmt writes them, absent roots as nan
+    degree = reports[0].poly.degree
+    row = ("%d,%.12g,%.12g" + ",%.12g,%.12g" * degree + ",nan,nan" * (3 - degree)
+           + ",%s" + (",%.12g" if degree == 3 else ",") + ",%s")
     for r in reports:
-        roots = list(r.roots.roots) + [complex(np.nan, np.nan)] * (3 - len(r.roots.roots))
-        cells = [str(r.n), _fmt(r.Lambda), _fmt(r.Lambda_tilde)]
-        for w in roots[:3]:
-            cells += [_fmt(w.real), _fmt(w.imag)]
-        cells += [
-            _fmt(r.rh_pass),
-            _fmt(r.discriminant) if r.discriminant is not None else "",
-            r.classification,
-        ]
-        lines.append(",".join(cells))
+        roots = [x for w in r.roots.roots for x in (w.real, w.imag)]
+        disc = [r.discriminant] if degree == 3 else []
+        lines.append(row % (r.n, r.Lambda, r.Lambda_tilde, *roots, _fmt(r.rh_pass), *disc, r.classification))
     _write(Path(args.out) / "modes.csv", lines)
     print(f"wrote {len(reports)} mode reports to {args.out}/modes.csv")
     return 0
@@ -261,9 +258,7 @@ def cmd_audit(args) -> int:
         sig = entropy_production(model, s)
         worst_rel = max(worst_rel, rel)
         min_sigma = min(min_sigma, sig)
-        lines.append(
-            f"{i},{_fmt(s.theta)},{_fmt(psi)},{_fmt(sig)},{_fmt(res)},{_fmt(rel)}"
-        )
+        lines.append("%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (i, s.theta, psi, sig, res, rel))
     _write(Path(args.out) / "residuals.csv", lines)
     print(
         f"audited {samples} random states: max relative residual {worst_rel:.3e}, "

@@ -271,6 +271,13 @@ def _row(m: ModelParams, variant: str) -> EnergyRow:
     return m.energy[variant]
 
 
+def _is_gk(m: ModelParams, variant: str) -> bool:
+    """True for the nonlocal kinds, whose one variant is "plus"."""
+    if isinstance(m, GKLinear) and variant != "plus":
+        raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
+    return isinstance(m, GKLinear)
+
+
 # --- free energy -------------------------------------------------------------
 
 def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
@@ -280,7 +287,7 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
     (xi + kappa)-weighted energy and "star" the (xi - kappa)-weighted one.
     """
     th = s.theta
-    if isinstance(m, GKLinear):
+    if _is_gk(m, variant):
         vk = m.varkappa(th)
         if vk <= 0:
             raise SingularParameterError("varkappa(theta) must be positive")
@@ -297,7 +304,7 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
 def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
     """rho*sigma; for the nonlocal model the internal supply rho*zeta."""
     th = s.theta
-    if isinstance(m, GKLinear):
+    if _is_gk(m, variant):
         s.require("grad_q")
         vk = m.varkappa(th)
         if vk <= 0:
@@ -353,7 +360,7 @@ def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> Psi
     """(d rho*psi / dq, d rho*psi / dqdot, d rho*psi / dgrad_theta)."""
     th = s.theta
     z = np.zeros(3)
-    if isinstance(m, GKLinear):
+    if _is_gk(m, variant):
         vk = m.varkappa(th)
         if vk <= 0:
             raise SingularParameterError("varkappa(theta) must be positive")
@@ -381,7 +388,7 @@ def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") ->
     zeta instead, matching its split form of the Second Law.
     """
     th = s.theta
-    if isinstance(m, GKLinear):
+    if _is_gk(m, variant):
         s.require("qdot")
         return np.array(
             [

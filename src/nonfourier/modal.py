@@ -9,12 +9,14 @@ modal solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .models import ModelParams, temperature_law
-from .tensors import InvalidInputError, Poly, RootSet, solve_poly
+# solve_poly is not called here but stays a modal attribute: perfbench's
+# traced run wraps modal.solve_poly
+from .tensors import InvalidInputError, Poly, RootSet, solve_poly, solve_polys  # noqa: F401
 
 
 class InvalidKindError(ValueError):
@@ -61,6 +63,20 @@ def laplacian_eigenvalues(p: SpectralProblem) -> List[float]:
     return [(n * np.pi / p.L) ** 2 for n in range(start, start + p.n_max)]
 
 
+def _char_coeffs(m: ModelParams, lam_tilde: np.ndarray) -> np.ndarray:
+    """Coefficient rows of characteristic_poly, one per Lambda_tilde."""
+    if np.any(lam_tilde < 0):
+        raise InvalidInputError("Lambda_tilde must be nonnegative")
+    law = temperature_law(m, InvalidKindError)
+    c = np.empty((lam_tilde.size, len(law.a) + 1))
+    c[:, :-1] = law.a[::-1]
+    c[:, -1] = lam_tilde * law.b0
+    if law.b1 is not None:
+        lt_b1 = lam_tilde * law.b1
+        c[:, -2] = lt_b1 if c[0, -2] == 0 else c[:, -2] + lt_b1
+    return c
+
+
 def characteristic_poly(m: ModelParams, lam_tilde: float) -> Poly:
     """Characteristic polynomial of the separated temperature equation.
 
@@ -70,42 +86,34 @@ def characteristic_poly(m: ModelParams, lam_tilde: float) -> Poly:
     cubics (Moore-Gibson-Thompson type and its two-relaxation
     generalization) for the second-flux-rate ones.
     """
-    if lam_tilde < 0:
-        raise InvalidInputError("Lambda_tilde must be nonnegative")
-    law = temperature_law(m, InvalidKindError)
-    coeffs = list(reversed(law.a)) + [lam_tilde * law.b0]
-    if law.b1 is not None:
-        lt_b1 = lam_tilde * law.b1
-        coeffs[-2] = coeffs[-2] + lt_b1 if coeffs[-2] != 0 else lt_b1
-    return Poly(tuple(coeffs))
+    return Poly(tuple(_char_coeffs(m, np.array([lam_tilde], dtype=float))[0].tolist()))
+
+
+def routh_hurwitz_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Routh-Hurwitz test of each row of degree <= 3 (highest first): all
+    roots strictly in the left half-plane iff every coefficient shares the
+    leading one's strict sign and, for a cubic, the bridge inequality
+    a2*a1 > a0*a3 holds."""
+    c = np.asarray(coeffs, dtype=float)
+    ok = np.all(np.sign(c[:, :1]) * c[:, 1:] > 0, axis=1)
+    if c.shape[1] == 4:
+        ok &= c[:, 1] * c[:, 2] > c[:, 3] * c[:, 0]
+    return ok
+
+
+def routh_hurwitz(p: Poly) -> bool:
+    return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
 
 
 def routh_hurwitz_quadratic(a2: float, a1: float, a0: float) -> bool:
     """All roots strictly in the left half-plane iff the three coefficients
     share one strict sign."""
-    if a2 == 0:
-        raise InvalidInputError("leading coefficient must be nonzero")
-    s = np.sign(a2)
-    return bool(s * a1 > 0 and s * a0 > 0)
+    return routh_hurwitz(Poly((a2, a1, a0)))
 
 
 def routh_hurwitz_cubic(a3: float, a2: float, a1: float, a0: float) -> bool:
     """Same-sign coefficients plus the bridge inequality a2*a1 > a0*a3."""
-    if a3 == 0:
-        raise InvalidInputError("leading coefficient must be nonzero")
-    s = np.sign(a3)
-    if not (s * a2 > 0 and s * a1 > 0 and s * a0 > 0):
-        return False
-    return bool(a2 * a1 > a0 * a3)
-
-
-def routh_hurwitz(p: Poly) -> bool:
-    c = p.coeffs
-    if p.degree == 1:
-        return bool(np.sign(c[0]) * c[1] > 0)
-    if p.degree == 2:
-        return routh_hurwitz_quadratic(*c)
-    return routh_hurwitz_cubic(*c)
+    return routh_hurwitz(Poly((a3, a2, a1, a0)))
 
 
 def cubic_discriminant(a3: float, a2: float, a1: float, a0: float) -> float:
@@ -136,20 +144,30 @@ def mgt_discriminant(tau: float, kappa: float, xi: float, lam_tilde: float) -> f
     )
 
 
-def classify_mode(roots: RootSet, tol: Optional[float] = None) -> str:
-    """Stability class from root locations with a relative tolerance band."""
-    rs = roots.roots
+_CLASSES = ["unstable", "neutral_oscillation", "decaying", "oscillatory_decaying"]
+
+
+def classify_modes(roots: np.ndarray, tol: Optional[float] = None) -> List[str]:
+    """Stability class of each row of an (n, d) root array, with a tolerance
+    band of 1e-9 of the row's largest root magnitude unless tol is given."""
+    re, im = roots.real, roots.imag
     if tol is None:
-        tol = 1e-9 * max(abs(r) for r in rs) if rs else 0.0
-    re = np.array([r.real for r in rs])
-    im = np.array([r.imag for r in rs])
-    if np.any(re > tol):
-        return "unstable"
-    if np.any((np.abs(re) <= tol) & (im != 0)):
-        return "neutral_oscillation"
-    if np.all(re < -tol):
-        return "decaying" if np.all(im == 0) else "oscillatory_decaying"
-    return "mixed"
+        tol = 1e-9 * np.hypot(re, im).max(axis=1, initial=0.0)[:, None]
+    left = np.all(re < -tol, axis=1)
+    return np.select(
+        [
+            np.any(re > tol, axis=1),
+            np.any((np.abs(re) <= tol) & (im != 0), axis=1),
+            left & np.all(im == 0, axis=1),
+            left,
+        ],
+        _CLASSES,
+        "mixed",
+    ).tolist()
+
+
+def classify_mode(roots: RootSet, tol: Optional[float] = None) -> str:
+    return classify_modes(np.array([roots.roots], dtype=complex).reshape(1, -1), tol)[0]
 
 
 def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], float]:
@@ -174,26 +192,36 @@ def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], f
     return T
 
 
+def _reports(m: ModelParams, ns: Sequence[int], lams: Sequence[float], rho_c: float) -> List[ModeReport]:
+    """Mode reports of one model over a list of eigenvalues, each stage one
+    array pass; only the discriminant is evaluated row by row, in Python
+    floats, so that it rounds as the scalar formula does."""
+    lts = np.asarray(lams, dtype=float) / rho_c
+    coeffs = _char_coeffs(m, lts)
+    roots = solve_polys(coeffs)
+    cubic = coeffs.shape[1] == 4
+    return [
+        ModeReport(
+            n=n,
+            Lambda=lam,
+            Lambda_tilde=lt,
+            poly=Poly(tuple(c)),
+            roots=RootSet(tuple(r)),
+            rh_pass=rh,
+            discriminant=cubic_discriminant(*c) if cubic else None,
+            classification=cls,
+        )
+        for n, lam, lt, c, r, rh, cls in zip(
+            ns, lams, lts.tolist(), coeffs.tolist(), roots.tolist(),
+            routh_hurwitz_rows(coeffs).tolist(), classify_modes(roots),
+        )
+    ]
+
+
 def mode_report(m: ModelParams, n: int, Lambda: float, rho_c: float) -> ModeReport:
-    lt = Lambda / rho_c
-    p = characteristic_poly(m, lt)
-    roots = solve_poly(p)
-    disc = cubic_discriminant(*p.coeffs) if p.degree == 3 else None
-    return ModeReport(
-        n=n,
-        Lambda=Lambda,
-        Lambda_tilde=lt,
-        poly=p,
-        roots=roots,
-        rh_pass=routh_hurwitz(p),
-        discriminant=disc,
-        classification=classify_mode(roots),
-    )
+    return _reports(m, [n], [Lambda], rho_c)[0]
 
 
 def mode_reports(p: SpectralProblem, m: ModelParams) -> List[ModeReport]:
     start = 1 if p.bc == "dirichlet" else 0
-    return [
-        mode_report(m, n, lam, p.rho_c)
-        for n, lam in zip(range(start, start + p.n_max), laplacian_eigenvalues(p))
-    ]
+    return _reports(m, range(start, start + p.n_max), laplacian_eigenvalues(p), p.rho_c)

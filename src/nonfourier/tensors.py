@@ -5,6 +5,7 @@ safe to call from parallel parameter sweeps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -198,7 +199,7 @@ class Poly:
             raise InvalidInputError("degree must be between 1 and 3")
         if c[0] == 0.0:
             raise InvalidInputError("leading coefficient must be nonzero")
-        if not all(np.isfinite(x) for x in c):
+        if not all(map(math.isfinite, c)):
             raise InvalidInputError("non-finite coefficient")
         object.__setattr__(self, "coeffs", c)
 
@@ -226,49 +227,123 @@ class RootSet:
         return [r.real for r in self.roots if abs(r.imag) <= tol]
 
 
-def _pair_conjugates(roots: np.ndarray) -> tuple[complex, ...]:
-    """Symmetrize numerically computed roots of a real polynomial."""
-    rs = sorted(roots, key=lambda z: (z.real, z.imag))
-    out: list[complex] = []
-    used = [False] * len(rs)
-    for i, r in enumerate(rs):
-        if used[i]:
-            continue
-        if abs(r.imag) <= 1e-12 * max(1.0, abs(r)):
-            out.append(complex(r.real, 0.0))
-            used[i] = True
-            continue
-        # find the closest conjugate partner
-        best, best_d = None, np.inf
-        for j in range(i + 1, len(rs)):
-            if used[j]:
-                continue
-            d = abs(rs[j] - r.conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best is None:
-            out.append(complex(r))
-            used[i] = True
-            continue
-        mean = 0.5 * (r + rs[best].conjugate())
-        out.append(complex(mean.real, abs(mean.imag)))
-        out.append(complex(mean.real, -abs(mean.imag)))
-        used[i] = used[best] = True
-    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+def _companions(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """numpy.roots' companion matrix of each row with its trailing zeros
+    stripped, in the top-left corner of a zero matrix of the full degree.
+
+    LAPACK's balancing isolates the zero rows and columns, so the corner
+    block's eigenvalues come out as they do from the stripped matrix alone.
+    """
+    n, d = c.shape[0], c.shape[1] - 1
+    col = np.arange(d)
+    a = np.zeros((n, d, d))
+    a[:, 0, :] = np.where(col < degree[:, None], -c[:, 1:] / c[:, :1], 0.0)
+    a[:, col[1:], col[:-1]] = col[1:] < degree[:, None]
+    return a
+
+
+def _pair_conjugates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Symmetrize numerically computed roots of real polynomials, row by row.
+
+    Each row is sorted by (real, imag). Walking it in order, a root within
+    1e-12 relative of the real axis becomes real; any other root is averaged
+    with its closest unused conjugate partner further on (the first of equal
+    distances) into an exact pair, or kept as it is when none is left. The
+    arithmetic is that of Python complex numbers written out in real parts
+    (np.hypot for abs), because numpy's complex-array abs and multiply round
+    differently in the last bit.
+    """
+    n, d = re.shape
+    order = np.lexsort((im, re), axis=-1)
+    re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
+    used = np.zeros((n, d), dtype=bool)
+    out_re, out_im = np.empty((n, d)), np.empty((n, d))
+    k = np.zeros(n, dtype=int)
+    rows = np.arange(n)
+
+    def put(mask, r, i):
+        out_re[rows[mask], k[mask]], out_im[rows[mask], k[mask]] = r, i
+        k[mask] += 1
+
+    for i in range(d):
+        free = ~used[:, i]
+        real = free & (np.abs(im[:, i]) <= 1e-12 * np.maximum(1.0, np.hypot(re[:, i], im[:, i])))
+        put(real, re[real, i], 0.0)
+        cplx = free & ~real
+        dist = np.full((n, d), np.inf)
+        later = ~used & (np.arange(d) > i) & cplx[:, None]
+        dist[later] = np.hypot(re - re[:, i : i + 1], im + im[:, i : i + 1])[later]
+        best = np.argmin(dist, axis=1)
+        paired = cplx & (dist[rows, best] < np.inf)
+        alone = cplx & ~paired
+        put(alone, re[alone, i], im[alone, i])
+        # mean = 0.5 * (r + conj(partner)) as complex arithmetic rounds it:
+        # 0.5 becomes 0.5 + 0j, whose 0.0 * b term signs a zero real part
+        b = im[paired, i] - im[paired, best[paired]]
+        mean_re = 0.5 * (re[paired, i] + re[paired, best[paired]]) - 0.0 * b
+        mean_im = np.abs(0.5 * b)
+        put(paired, mean_re, mean_im)
+        put(paired, mean_re, -mean_im)
+        used[:, i] |= free
+        used[rows[paired], best[paired]] = True
+    order = np.lexsort((out_im, out_re), axis=-1)
+    out = np.empty((n, d), dtype=complex)
+    out.real, out.imag = np.take_along_axis(out_re, order, -1), np.take_along_axis(out_im, order, -1)
+    return out
+
+
+def _polish(p: Poly, roots: tuple[complex, ...]) -> tuple[complex, ...]:
+    """One Newton step on each root whose residual exceeds 1e-8 of the
+    polynomial's scale; companion roots are rarely this bad."""
+    scale = max(abs(c) for c in p.coeffs)
+    out = roots
+    for r in roots:
+        if abs(p(r)) > 1e-8 * scale * max(1.0, abs(r)) ** p.degree:
+            r2 = r - p(r) / np.polyval(np.polyder(p.coeffs), r)
+            out = tuple(r2 if x == r else x for x in out)
+    return out
+
+
+def solve_polys(coeffs) -> np.ndarray:
+    """Roots of each row of an (n, d + 1) coefficient array, highest degree
+    first, as an (n, d) complex array of conjugate-paired roots sorted by
+    (real, imag).
+
+    Row for row the result is bit for bit that of numpy.roots on the one
+    polynomial, then the pairing and the Newton step: the companion matrices
+    go to one stacked eigvals call, and each row's trailing zero coefficients
+    give exact zero roots. The residual screen runs on the whole array; only
+    the rows it flags are tested exactly and polished, one root at a time.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    # Poly's checks, failing as Poly would on the first row that breaks one
+    lead = c[:, 0] == 0.0
+    bad = np.flatnonzero(lead | ~np.isfinite(c).all(axis=1))
+    if bad.size:
+        raise InvalidInputError("leading coefficient must be nonzero" if lead[bad[0]] else "non-finite coefficient")
+    d = c.shape[1] - 1
+    degree = d - np.argmax(c[:, ::-1] != 0.0, axis=1)
+    w = np.asarray(np.linalg.eigvals(_companions(c, degree)), dtype=complex)
+    re, im = w.real.copy(), w.imag.copy()
+    stripped = np.arange(d) >= degree[:, None]
+    re[stripped] = im[stripped] = 0.0
+    roots = _pair_conjugates(re, im)
+    # |p(r)| by Horner in the real arithmetic of Python complex numbers; the
+    # factor 1/2 leaves the exact test below to decide near its threshold
+    re, im = roots.real, roots.imag
+    pr, pi = np.zeros((len(c), d)), np.zeros((len(c), d))
+    for ck in c.T:
+        pr, pi = pr * re - pi * im + ck[:, None], pr * im + pi * re
+    scale = np.abs(c).max(axis=1, keepdims=True)
+    limit = 1e-8 * scale * np.maximum(1.0, np.hypot(re, im)) ** d
+    for i in np.flatnonzero((np.hypot(pr, pi) > 0.5 * limit).any(axis=1)):
+        roots[i] = _polish(Poly(tuple(c[i])), tuple(roots[i].tolist()))
+    return roots
 
 
 def solve_poly(p: Poly) -> RootSet:
-    """All complex roots via companion-matrix eigenvalues (numpy.roots)."""
-    roots = np.roots(p.coeffs)
-    paired = _pair_conjugates(roots)
-    scale = max(abs(c) for c in p.coeffs)
-    for r in paired:
-        if abs(p(r)) > 1e-8 * scale * max(1.0, abs(r)) ** p.degree:
-            # one Newton polish pass; companion roots are rarely this bad
-            dp = np.polyder(p.coeffs)
-            r2 = r - p(r) / np.polyval(dp, r)
-            paired = tuple(r2 if x == r else x for x in paired)
-    return RootSet(paired)
+    """All complex roots of one polynomial: the one-row case of solve_polys."""
+    return RootSet(tuple(solve_polys([p.coeffs])[0].tolist()))
 
 
 def cardano_cubic(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, complex, complex]:

@@ -40,6 +40,8 @@ sim.theta_ref = 1.0
 """
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "simulate"
+MODAL_GOLDEN = Path(__file__).resolve().parent / "data" / "modal"
+AUDIT_GOLDEN = Path(__file__).resolve().parent / "data" / "audit"
 
 SWEEP_CFG = QUINTANILLA_CFG + """
 sweep.param = model.kappa
@@ -195,6 +197,34 @@ def test_simulate_matches_golden_output(tmp_path, kind):
     for g, w in zip(got[1:], want[1:]):
         assert g[:col] + g[col + 1 :] == w[:col] + w[col + 1 :]
         assert float(g[col]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(p.stem for p in MODAL_GOLDEN.glob("*.cfg")))
+@pytest.mark.parametrize("command, name", [("modal", "modes.csv"), ("sweep", "sweep.csv")])
+def test_spectral_output_matches_golden(tmp_path, kind, command, name):
+    """modes.csv and sweep.csv bodies, after the 3-line header, against
+    stored files written by an earlier version: every temperature kind,
+    Dirichlet and Neumann (from n = 0), stable and unstable spectra with
+    rho*cv != 1, and Quintanilla within 1e-9 of kappa = tau*xi."""
+    code, out = run(tmp_path, command, "--config", str(MODAL_GOLDEN / f"{kind}.cfg"))
+    assert code == 0
+    body = (out / name).read_bytes().split(b"\n", 3)[3]
+    assert body == (MODAL_GOLDEN / f"{kind}.{name}").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["jeffreys", "burgers", "gk"])
+def test_audit_matches_golden_output(tmp_path, kind):
+    """residuals.csv body against a stored file written by an earlier version:
+    sample, theta, psi and sigma byte for byte; residual and rel_residual are
+    rounding noise of sums that cancel, so they are bounded instead."""
+    code, out = run(tmp_path, "audit", "--config", str(AUDIT_GOLDEN / f"{kind}.cfg"), "--seed", "3")
+    assert code == 0
+    got = [line.split(",") for line in (out / "residuals.csv").read_text().splitlines()[3:]]
+    want = [line.split(",") for line in (AUDIT_GOLDEN / f"{kind}.residuals.csv").read_text().splitlines()]
+    assert len(got) == len(want) and got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g[:4] == w[:4]
+        assert abs(float(g[4])) <= 1e-12 and float(g[5]) <= 1e-12
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

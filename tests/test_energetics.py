@@ -242,10 +242,10 @@ def test_jeffreys_star_variant_closes_too():
         assert abs(dissipation_residual(m, s, "star")) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("model", ALL_LOCAL_MODELS, ids=_id)
+@pytest.mark.parametrize("model", ALL_LOCAL_MODELS + GK_MODELS, ids=_id)
 def test_unknown_variant_raises(model):
-    """A misspelt variant is an error on every local kind, not the only row;
-    "star" exists only for Jeffreys."""
+    """A misspelt variant is an error on every kind, local or nonlocal, not
+    the only row; "star" exists only for Jeffreys."""
     s = sample_state(model, np.random.default_rng(5))
     variants = ("stra", "") if isinstance(model, Jeffreys) else ("stra", "star", "")
     for variant in variants:

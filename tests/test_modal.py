@@ -9,6 +9,7 @@ from nonfourier.modal import (
     SpectralProblem,
     characteristic_poly,
     classify_mode,
+    classify_modes,
     cubic_discriminant,
     laplacian_eigenvalues,
     mgt_discriminant,
@@ -28,7 +29,9 @@ from nonfourier.models import (
     Jeffreys,
     Quintanilla,
 )
-from nonfourier.tensors import InvalidInputError, Poly, RootSet, solve_poly
+from nonfourier.tensors import InvalidInputError, Poly, RootSet, solve_poly, solve_polys
+
+import modal_oracle as oracle
 
 
 def test_dirichlet_spectrum_on_pi_interval():
@@ -211,3 +214,151 @@ def test_full_burgers_admissibility_implies_modal_stability():
         found += 1
         m = Burgers(lambda_b=lam, tau=tau, mu=mu, nu=nu)
         assert all(r.rh_pass for r in mode_reports(p, m))
+
+
+def _bits(x):
+    """Exact identity of a report field: floats and complex parts by their
+    hex form, so that -0.0 and 0.0 differ."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return (float(x.real).hex(), float(x.imag).hex())
+    return float(x).hex()
+
+
+def _report_bits(r):
+    return (r.n, _bits(r.Lambda), _bits(r.Lambda_tilde), _bits(r.poly.coeffs), _bits(r.roots.roots),
+            r.rh_pass, _bits(r.discriminant), r.classification)
+
+
+# magnitudes below 1e-6 are left out: a root beyond ~1e154 made the per-mode
+# path's residual test raise OverflowError from float ** degree
+_param = st.one_of(
+    st.floats(0.05, 3.0), st.floats(-1.0, 3.0).filter(lambda x: abs(x) >= 1e-6), st.sampled_from([0.0, 1.0])
+)
+
+
+@st.composite
+def _spectral_cases(draw):
+    """A temperature kind over a Dirichlet or Neumann spectrum. Some draws put
+    a mode next to critical damping (a near-double root of the MCV or
+    Jeffreys quadratic) or Quintanilla within 1e-9 of kappa = tau*xi."""
+    p = SpectralProblem(
+        bc=draw(st.sampled_from(["dirichlet", "neumann"])),
+        L=draw(st.floats(0.3, 5.0)),
+        n_max=draw(st.integers(1, 60)),
+        rho_c=draw(st.floats(0.2, 3.0)),
+    )
+    kind = draw(st.sampled_from(["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers",
+                                 "mcv_critical", "jeffreys_critical", "quintanilla_boundary"]))
+    a, b, c, d = (draw(_param) for _ in range(4))
+    eps = draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, 1e-6]))
+    lts = [lam / p.rho_c for lam in laplacian_eigenvalues(p)]
+    lt = max(lts[draw(st.integers(0, len(lts) - 1))], 1e-3)
+    tau = abs(a) + 0.05
+    m = {
+        "fourier": lambda: Fourier(kappa=a),
+        "mcv": lambda: MCV(tau=a if a != 0 else 1.0, kappa=b),
+        "jeffreys": lambda: Jeffreys(tau=a if a != 0 else 1.0, xi=b, kappa=c),
+        "gn3": lambda: GN3(xi=a, kappa=b),
+        "quintanilla": lambda: Quintanilla(tau=a if a != 0 else 1.0, xi=b, kappa=c),
+        "burgers": lambda: Burgers(lambda_b=a if a != 0 else 1.0, tau=b, mu=c, nu=d),
+        # tau s^2 + s + lt*kappa has a double root at 4*tau*lt*kappa = 1
+        "mcv_critical": lambda: MCV(tau=tau, kappa=(1.0 + eps) / (4.0 * tau * lt)),
+        # tau s^2 + (1 + lt*tau*kappa) s + lt*xi: double root at xi = (1 + lt*tau*kappa)^2 / (4*tau*lt)
+        "jeffreys_critical": lambda: Jeffreys(
+            tau=tau, kappa=abs(b), xi=(1.0 + eps) * (1.0 + lt * tau * abs(b)) ** 2 / (4.0 * tau * lt)
+        ),
+        "quintanilla_boundary": lambda: Quintanilla(tau=tau, xi=abs(b) + 0.1, kappa=tau * (abs(b) + 0.1) * (1.0 + eps)),
+    }[kind]()
+    return p, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectral_cases())
+def test_mode_reports_match_per_mode_oracle(case):
+    """The batched spectral pass gives, field for field and bit for bit, the
+    reports of the per-mode numpy.roots path it replaced."""
+    p, m = case
+    start = 1 if p.bc == "dirichlet" else 0
+    pairs = list(zip(range(start, start + p.n_max), laplacian_eigenvalues(p)))
+    want = [oracle.mode_report(m, n, lam, p.rho_c) for n, lam in pairs]
+    got = mode_reports(p, m)
+    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in want]
+    assert _report_bits(mode_report(m, *pairs[-1], p.rho_c)) == _report_bits(want[-1])
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """Rows of one degree: random coefficients, rows with trailing zeros,
+    products of linear factors with a near-repeated root, and coefficients
+    spread over 24 decades, whose companion roots may need the Newton step."""
+    degree = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    c = rng.uniform(-2.0, 2.0, (n, degree + 1)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    roots = rng.uniform(-2.0, 2.0, (n, degree))
+    roots[:, -1] = roots[:, 0] * (1.0 + rng.choice([0.0, 1e-14, 1e-10, 1e-7], n))
+    products = np.array([np.poly(r) for r in roots]) * rng.uniform(0.5, 2.0, (n, 1))
+    spread = rng.choice([-1.0, 1.0], (n, degree + 1)) * 10.0 ** rng.uniform(-12, 12, (n, degree + 1))
+    pick = rng.random((n, 1))
+    c = np.where(pick < 0.4, products, np.where(pick < 0.6, spread, c))
+    zeros = rng.integers(0, degree + 1, n)
+    c[np.arange(degree + 1) > degree - zeros[:, None]] = 0.0
+    c[:, 0] = np.where(c[:, 0] == 0.0, 1.0, c[:, 0])
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_rows())
+def test_solve_polys_match_numpy_roots_oracle(c):
+    """Each row's roots equal the scalar numpy.roots path bit for bit,
+    including exact zero roots for trailing zero coefficients."""
+    got = solve_polys(c)
+    for row, roots in zip(c, got):
+        want = oracle.solve_poly(Poly(tuple(row))).roots
+        assert _bits(tuple(roots)) == _bits(want)
+        assert _bits(solve_poly(Poly(tuple(row))).roots) == _bits(want)
+
+
+def test_solve_polys_polish_matches_oracle():
+    """Rows whose companion roots miss the residual test get the oracle's
+    Newton step; some rows here need it."""
+    rng = np.random.default_rng(0)
+    c = rng.choice([-1.0, 1.0], (3000, 4)) * 10.0 ** rng.uniform(-12, 12, (3000, 4))
+    got = solve_polys(c)
+    polished = 0
+    for row, roots in zip(c, got):
+        want = oracle.solve_poly(Poly(tuple(row))).roots
+        assert _bits(tuple(roots)) == _bits(want)
+        polished += _bits(want) != _bits(oracle.pair_conjugates(np.roots(row)))
+    assert polished > 0
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("model", [
+    Fourier(kappa=0.8), MCV(tau=0.3, kappa=1.7), Jeffreys(tau=0.8, xi=2.0, kappa=0.5), GN3(xi=1.5, kappa=2.0),
+    Quintanilla(tau=1.0, xi=1.0, kappa=0.5), Burgers(lambda_b=1.0, tau=1.0, mu=2.0, nu=1.0),
+], ids=lambda m: type(m).__name__)
+def test_mode_reports_solve_the_spectrum_with_one_eigvals_call(monkeypatch, model, bc):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    reports = mode_reports(SpectralProblem(bc=bc, L=np.pi, n_max=50, rho_c=1.5), model)
+    assert len(reports) == 50
+    assert len(calls) == 1 and calls[0][0] == 50
+
+
+def test_classify_modes_rows_match_classify_mode():
+    roots = np.array([[-1.0, -2.0], [-1 + 2j, -1 - 2j], [2j, -2j], [1.0, -1.0], [0.0, -1.0], [1e-12 + 1j, 1e-12 - 1j]])
+    want = ["decaying", "oscillatory_decaying", "neutral_oscillation", "unstable", "mixed", "neutral_oscillation"]
+    assert classify_modes(roots) == want
+    assert [classify_mode(RootSet(tuple(r))) for r in roots.tolist()] == want
+    assert classify_modes(roots, tol=0.0)[-1] == "unstable"
