@@ -187,12 +187,8 @@ def cmd_simulate(args) -> int:
     try:
         if isinstance(model, GKLinear):
             traj = simulate_coupled_gk(build_gk_sim_config(cfg))
-            audit_cols = ("t", "min_zeta", "k_boundary", "k_inf", "max_residual")
-            fields = traj.qs
         else:
             traj = simulate(build_sim_config(cfg))
-            audit_cols = ("t", "min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
-            fields = traj.fluxes
     except (PositivityError, DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -201,11 +197,11 @@ def cmd_simulate(args) -> int:
         np.repeat(traj.times, traj.x.size),
         np.tile(traj.x, traj.times.size),
         np.concatenate(traj.thetas),
-        np.concatenate(fields),
+        np.concatenate(traj.fluxes),
     )
     _write(out / "snapshots.csv", _header(args) + ["t,x,theta,q"] + snap)
-    audit = _float_rows(*(traj.audit[c] for c in audit_cols))
-    _write(out / "audit.csv", _header(args) + [",".join(audit_cols)] + audit)
+    audit = _float_rows(*traj.audit.values())
+    _write(out / "audit.csv", _header(args) + [",".join(traj.audit)] + audit)
     print(f"wrote {len(traj.times)} snapshots and {len(audit)} audit rows to {args.out}")
     return 0
 

@@ -329,25 +329,16 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
     """
     if isinstance(m, LocalModel):
         return m.law.rate(s)
-    if isinstance(m, GKNonlinear):
+    if isinstance(m, GKLinear):  # the linear law is the delta = 0 case
         if m.tau == 0:
             raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
-        s.require("grad_q", "nonlocal_q")
+        nonlinear = isinstance(m, GKNonlinear)
+        s.require(*(("grad_q",) if nonlinear else ()), "nonlocal_q")
         th = s.theta
-        nl = (
-            m.lambda2(th) * s.nonlocal_q
-            + m.mu(th) * (s.grad_q @ s.q)
-            + m.nu(th) * np.trace(s.grad_q) * s.q
-        )
+        nl = m.lambda2(th) * s.nonlocal_q
+        if nonlinear:
+            nl = nl + m.mu(th) * (s.grad_q @ s.q) + m.nu(th) * np.trace(s.grad_q) * s.q
         return (-s.q - m.kappa(th) * s.grad_theta + nl) / m.tau
-    if isinstance(m, GKLinear):
-        if m.tau == 0:
-            raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
-        s.require("nonlocal_q")
-        th = s.theta
-        return (
-            -s.q - m.kappa(th) * s.grad_theta + m.lambda2(th) * s.nonlocal_q
-        ) / m.tau
     raise InvalidInputError(f"unknown model kind {type(m).__name__}")
 
 

@@ -382,16 +382,25 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """Snapshots of (theta, q) and the per-step audit of one run; the audit
+    is keyed by its CSV columns, in column order, starting with t."""
+
     x: np.ndarray
     times: np.ndarray
     thetas: List[np.ndarray]
     fluxes: List[np.ndarray]
     audit: Dict[str, np.ndarray]
     theta_ref: float
-    completed: bool = True
+
+    @property
+    def qs(self) -> List[np.ndarray]:
+        return self.fluxes
 
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
+
+    def final_q(self) -> np.ndarray:
+        return self.fluxes[-1]
 
     def max_amplitude(self) -> float:
         return float(self.audit["max_amp"].max())
@@ -408,6 +417,40 @@ def _init_field(value, x: np.ndarray) -> np.ndarray:
     if a.shape != x.shape:
         raise ConfigurationError(f"initial field shape {a.shape} != grid shape {x.shape}")
     return a
+
+
+def _march(
+    x: np.ndarray,
+    cfg: Union[SimConfig, GKSimConfig],
+    u: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    observe: Callable[[int, float, np.ndarray], Tuple[float, ...]],
+    fields: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    columns: Tuple[str, ...],
+    every: Optional[int] = None,
+) -> Trajectory:
+    """The fixed-step loop of every 1-D solver: u = step(u), a divergence
+    check, then observe(step number, t, u), which may raise PositivityError
+    and returns that step's values of the audit columns after t. fields(u)
+    gives the (theta, flux) snapshot at t = 0, every `every` steps (about
+    200 snapshots by default) and at the last step."""
+    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    every = every or max(1, nsteps // 200)
+    audit = {key: np.empty(nsteps) for key in ("t",) + columns}
+    cols = list(audit.values())
+    times, snaps = [0.0], [fields(u)]
+    for i in range(nsteps):
+        t = (i + 1) * cfg.dt
+        u = step(u)
+        if not np.all(np.isfinite(u)):
+            raise DivergenceError(i + 1, t)
+        for col, value in zip(cols, (t, *observe(i + 1, t, u))):
+            col[i] = value
+        if (i + 1) % every == 0 or i + 1 == nsteps:
+            times.append(t)
+            snaps.append(fields(u))
+    thetas, fluxes = (list(s) for s in zip(*snaps))
+    return Trajectory(x, np.array(times), thetas, fluxes, audit, cfg.theta_ref)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -430,10 +473,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
     if order >= 3:
         u[2 * n :] = _init_field(cfg.theta_ddot0, x)
 
-    # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
-    # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second
     law = temperature_law(cfg.model, ConfigurationError)
+    audit_fn = _entropy_audit(cfg.model, law)
+
+    def grads(uu):
+        tx = ops.d1 @ uu[:n] + ops.d1_b
+        tdx = ops.d1 @ uu[n : 2 * n] if order >= 2 else np.zeros(n)
+        return tx, tdx, _drive(law, tx, tdx)
+
+    # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
+    # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
+    # an algebraic law's flux is its drive, y = (drive,)
     k = law.order
+    drive = grads(u)[2]
     if k:
         A = np.eye(k, k, 1)
         A[-1] -= np.divide(law.a[:-1], law.a[-1])
@@ -442,60 +494,29 @@ def simulate(cfg: SimConfig) -> Trajectory:
         forc = np.zeros((n, k))
         lhs_inv = np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A)
         rhs_a = np.eye(k) + cfg.dt / 2.0 * A
-    audit_fn = _entropy_audit(cfg.model, law)
+    else:
+        y = drive[:, None]
 
-    def grads(uu):
-        tx = ops.d1 @ uu[:n] + ops.d1_b
-        tdx = ops.d1 @ uu[n : 2 * n] if order >= 2 else np.zeros(n)
-        return tx, tdx, _drive(law, tx, tdx)
-
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    every = cfg.snapshot_every or max(1, nsteps // 200)
-
-    tx, tdx, drive = grads(u)
-    times = [0.0]
-    thetas = [u[:n].copy()]
-    fluxes = [(y[:, 0] if k else drive).copy()]
-    audit = {
-        key: np.empty(nsteps)
-        for key in ("t", "min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
-    }
-
-    for i in range(nsteps):
-        t = (i + 1) * cfg.dt
-        u_new = step(u)
-        if not np.all(np.isfinite(u_new)):
-            raise DivergenceError(i + 1, t)
-        tx_new, tdx_new, drive_new = grads(u_new)
+    def observe(i, t, u):
+        nonlocal y, drive
+        tx, tdx, drive_new = grads(u)
         if k:
             forc[:, -1] = cfg.dt / 2.0 * (drive + drive_new)
             y = (y @ rhs_a.T + forc) @ lhs_inv.T
-        u, tx, tdx, drive = u_new, tx_new, tdx_new, drive_new
-
+        else:
+            y = drive_new[:, None]
+        drive = drive_new
         ta = cfg.theta_ref + u[:n]
         if np.any(ta <= 0.0):
-            raise PositivityError(i + 1, t)
-        ydata = y if k else drive[:, None]
-        sig, res = audit_fn(ta, tx, tdx, drive, ydata)
-        audit["t"][i] = t
-        audit["min_sigma"][i] = sig.min()
-        audit["max_sigma"][i] = sig.max()
-        audit["max_residual"][i] = np.abs(res).max()
-        audit["theta_min"][i] = ta.min()
-        audit["max_amp"][i] = np.abs(u[:n]).max()
+            raise PositivityError(i, t)
+        sig, res = audit_fn(ta, tx, tdx, drive, y)
+        return sig.min(), sig.max(), np.abs(res).max(), ta.min(), np.abs(u[:n]).max()
 
-        if (i + 1) % every == 0 or i + 1 == nsteps:
-            times.append(t)
-            thetas.append(u[:n].copy())
-            fluxes.append(ydata[:, 0].copy())
-
-    return Trajectory(
-        x=x,
-        times=np.array(times),
-        thetas=thetas,
-        fluxes=fluxes,
-        audit=audit,
-        theta_ref=cfg.theta_ref,
+    return _march(
+        x, cfg, u, step, observe,
+        fields=lambda u: (u[:n].copy(), y[:, 0].copy()),
+        columns=("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp"),
+        every=cfg.snapshot_every,
     )
 
 
@@ -596,19 +617,6 @@ class GKSimConfig:
             )
 
 
-@dataclass
-class GKTrajectory:
-    x: np.ndarray
-    times: np.ndarray
-    thetas: List[np.ndarray]
-    qs: List[np.ndarray]
-    audit: Dict[str, np.ndarray]
-    theta_ref: float
-
-    def final_q(self) -> np.ndarray:
-        return self.qs[-1]
-
-
 def steady_gk_profile(
     kappa: float, lambda2: float, G: float, L: float, x: np.ndarray
 ) -> Field1D:
@@ -622,7 +630,7 @@ def steady_gk_profile(
     return Field1D(x=x, values=q)
 
 
-def simulate_coupled_gk(cfg: GKSimConfig) -> GKTrajectory:
+def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
     """Trapezoidal integration of the energy balance coupled to the nonlocal
     flux law, q = 0 at both endpoints.
 
@@ -633,123 +641,63 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> GKTrajectory:
     coefficients).
     """
     grid = cfg.grid
-    dx = grid.dx
     n = grid.N
     x = grid.interior_x()
+    tau = cfg.tau
     varkappa = cfg.kappa * cfg.theta_ref**2
     ell2 = cfg.lambda2 / varkappa
+    # q lives on the interior nodes with q = 0 at both endpoints: the
+    # homogeneous Dirichlet parts of the theta operators
+    ops = space_operators(grid, "dirichlet", cfg.bc_theta)
+    gk_rhs = (-sp.identity(n) + 3.0 * cfg.lambda2 * ops.lap) / tau if tau > 0 else None
 
-    # q lives on the interior nodes; q = 0 at both endpoints
-    d2q = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tocsr() / dx**2
-    d1q = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)).tocsr() / (2 * dx)
-
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    every = max(1, nsteps // 200)
-    audit = {
-        key: np.empty(nsteps)
-        for key in ("t", "min_zeta", "k_boundary", "k_inf", "max_residual")
-    }
-
-    def zeta_of(q: np.ndarray) -> np.ndarray:
-        qx = d1q @ q  # endpoint values of q are zero
-        return q**2 / varkappa + 3.0 * ell2 * qx**2
-
-    def boundary_k(q: np.ndarray) -> float:
-        # k = -3 ell^2 q q_x vanishes with q at the walls; evaluate it anyway
-        q_wall = 0.0
-        qx_left = (q[0] - q_wall) / dx
-        qx_right = (q_wall - q[-1]) / dx
-        return max(
-            abs(-3.0 * ell2 * q_wall * qx_left), abs(-3.0 * ell2 * q_wall * qx_right)
-        )
-
-    def k_inf(q: np.ndarray) -> float:
-        qx = d1q @ q
-        return float(np.abs(-3.0 * ell2 * q * qx).max())
-
-    def residual_of(q: np.ndarray, theta_x: np.ndarray) -> np.ndarray:
-        qxx = d2q @ q
-        qx = d1q @ q
-        if cfg.tau > 0:
-            qdot = (-q - cfg.kappa * theta_x + 3.0 * cfg.lambda2 * qxx) / cfg.tau
+    def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[float, ...]:
+        qx, qxx = ops.d1 @ q, ops.lap @ q
+        zeta = q**2 / varkappa + 3.0 * ell2 * qx**2
+        if tau > 0:
+            qdot = (-q - cfg.kappa * theta_x + 3.0 * cfg.lambda2 * qxx) / tau
         else:
             qdot = np.zeros_like(q)
         div_k = -3.0 * ell2 * (qx**2 + q * qxx)
-        return (
-            cfg.tau / varkappa * q * qdot
-            + q * theta_x / cfg.theta_ref**2
-            + div_k
-            + zeta_of(q)
-        )
+        residual = tau / varkappa * q * qdot + q * theta_x / cfg.theta_ref**2 + div_k + zeta
+        # k = -3 ell^2 q q_x vanishes with q at the walls, so k_boundary is 0
+        # by construction
+        return zeta.min(), 0.0, np.abs(-3.0 * ell2 * q * qx).max(), np.abs(residual).max()
 
-    def record(i: int, t: float, q: np.ndarray, theta_x: np.ndarray) -> None:
-        z = zeta_of(q)
-        audit["t"][i] = t
-        audit["min_zeta"][i] = z.min()
-        audit["k_boundary"][i] = boundary_k(q)
-        audit["k_inf"][i] = k_inf(q)
-        audit["max_residual"][i] = np.abs(residual_of(q, theta_x)).max()
-
+    columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
     if cfg.imposed_gradient is not None:
         G = cfg.imposed_gradient
         theta = cfg.theta_ref + G * (x - grid.L / 2.0)
         theta_x = np.full(n, G)
-        q = _init_field(cfg.q0, x)
-        if cfg.tau == 0:
+        if tau == 0:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
             # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0
-            solve = trapezoid_stepper(3.0 * cfg.lambda2 * d2q, np.full(n, -cfg.kappa * G / 2.0), 2.0)
+            solve = trapezoid_stepper(3.0 * cfg.lambda2 * ops.lap, np.full(n, -cfg.kappa * G / 2.0), 2.0)
             steady = solve(np.zeros(n))
             step = lambda q: steady
         else:
-            A = ((-sp.identity(n) + 3.0 * cfg.lambda2 * d2q) / cfg.tau).tocsr()
-            step = trapezoid_stepper(A, np.full(n, -cfg.kappa * G / cfg.tau), cfg.dt)
-        times, thetas, qs = [0.0], [theta.copy()], [q.copy()]
-        for i in range(nsteps):
-            t = (i + 1) * cfg.dt
-            q = step(q)
-            if not np.all(np.isfinite(q)):
-                raise DivergenceError(i + 1, t)
-            record(i, t, q, theta_x)
-            if (i + 1) % every == 0 or i + 1 == nsteps:
-                times.append(t)
-                thetas.append(theta.copy())
-                qs.append(q.copy())
-        return GKTrajectory(x, np.array(times), thetas, qs, audit, cfg.theta_ref)
+            step = trapezoid_stepper(gk_rhs, np.full(n, -cfg.kappa * G / tau), cfg.dt)
+        return _march(
+            x, cfg, _init_field(cfg.q0, x), step,
+            observe=lambda i, t, q: audit(q, theta_x),
+            fields=lambda q: (theta.copy(), q.copy()),
+            columns=columns,
+        )
 
     # fully coupled: u = (theta deviation, q)
-    ops = space_operators(grid, "dirichlet", cfg.bc_theta)
-    theta = _init_field(cfg.theta0, x)
-    q = _init_field(cfg.q0, x)
-    tau = cfg.tau
-    zero = sp.csr_matrix((n, n))
-    M = sp.bmat(
-        [
-            [zero, -d1q / cfg.rho_c],
-            [
-                -cfg.kappa / tau * ops.d1,
-                (-sp.identity(n) + 3.0 * cfg.lambda2 * d2q) / tau,
-            ],
-        ]
-    ).tocsr()
+    M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.rho_c], [-cfg.kappa / tau * ops.d1, gk_rhs]]).tocsr()
     f = np.zeros(2 * n)
     f[n:] = -cfg.kappa / tau * ops.d1_b
-    step = trapezoid_stepper(M, f, cfg.dt, keep=n)
-    u = np.concatenate([theta, q])
-    times, thetas, qs = [0.0], [theta.copy()], [q.copy()]
-    for i in range(nsteps):
-        t = (i + 1) * cfg.dt
-        u = step(u)
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError(i + 1, t)
+
+    def observe(i, t, u):
         theta, q = u[:n], u[n:]
-        ta = cfg.theta_ref + theta
-        if np.any(ta <= 0.0):
-            raise PositivityError(i + 1, t)
-        theta_x = ops.d1 @ theta + ops.d1_b
-        record(i, t, q, theta_x)
-        if (i + 1) % every == 0 or i + 1 == nsteps:
-            times.append(t)
-            thetas.append(theta.copy())
-            qs.append(q.copy())
-    return GKTrajectory(x, np.array(times), thetas, qs, audit, cfg.theta_ref)
+        if np.any(cfg.theta_ref + theta <= 0.0):
+            raise PositivityError(i, t)
+        return audit(q, ops.d1 @ theta + ops.d1_b)
+
+    return _march(
+        x, cfg, np.concatenate([_init_field(cfg.theta0, x), _init_field(cfg.q0, x)]),
+        trapezoid_stepper(M, f, cfg.dt, keep=n), observe,
+        fields=lambda u: (u[:n].copy(), u[n:].copy()),
+        columns=columns,
+    )

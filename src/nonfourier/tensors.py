@@ -49,6 +49,8 @@ class SymTensor3:
         a = np.asarray(m, dtype=float)
         if a.shape != (3, 3):
             raise InvalidInputError(f"expected 3x3 matrix, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise InvalidInputError("non-finite matrix entry")
         if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
             raise InvalidInputError("matrix is not symmetric")
         s = 0.5 * (a + a.T)
@@ -329,13 +331,18 @@ def solve_polys(coeffs) -> np.ndarray:
     re[stripped] = im[stripped] = 0.0
     roots = _pair_conjugates(re, im)
     # |p(r)| by Horner in the real arithmetic of Python complex numbers; the
-    # factor 1/2 leaves the exact test below to decide near its threshold
+    # factor 1/2 leaves the exact test below to decide near its threshold.
+    # Roots too large for the screen's bound cannot be tested at all.
     re, im = roots.real, roots.imag
     pr, pi = np.zeros((len(c), d)), np.zeros((len(c), d))
-    for ck in c.T:
-        pr, pi = pr * re - pi * im + ck[:, None], pr * im + pi * re
     scale = np.abs(c).max(axis=1, keepdims=True)
-    limit = 1e-8 * scale * np.maximum(1.0, np.hypot(re, im)) ** d
+    try:
+        with np.errstate(over="raise"):
+            for ck in c.T:
+                pr, pi = pr * re - pi * im + ck[:, None], pr * im + pi * re
+            limit = 1e-8 * scale * np.maximum(1.0, np.hypot(re, im)) ** d
+    except FloatingPointError as e:
+        raise InvalidInputError(f"coefficient scale out of range: the roots overflow the residual screen ({e})") from e
     for i in np.flatnonzero((np.hypot(pr, pi) > 0.5 * limit).any(axis=1)):
         roots[i] = _polish(Poly(tuple(c[i])), tuple(roots[i].tolist()))
     return roots
@@ -357,6 +364,8 @@ def cardano_cubic(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, 
     sq = complex(disc) ** 0.5
     u3 = -q / 2.0 + sq
     v3 = -q / 2.0 - sq
+    if abs(v3) > abs(u3):  # the smaller of the two cancels; take u from the larger
+        u3, v3 = v3, u3
     u = u3 ** (1.0 / 3.0) if u3 != 0 else 0.0
     # pick the cube root of v3 pairing with u so that u*v = -p/3
     if u != 0:

@@ -39,6 +39,9 @@ gk.imposed_gradient = 1.0
 sim.theta_ref = 1.0
 """
 
+# coupled theta-q run whose -2 sin dip takes theta_ref + theta below zero
+GK_CFG_COUPLED_DIP = GK_CFG.replace("gk.imposed_gradient = 1.0\n", "ic.kind = sine\nic.amplitude = -2.0\n")
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "simulate"
 MODAL_GOLDEN = Path(__file__).resolve().parent / "data" / "modal"
 AUDIT_GOLDEN = Path(__file__).resolve().parent / "data" / "audit"
@@ -133,6 +136,14 @@ def test_simulate_gk_nonlinear_at_delta_zero_runs_as_gk(tmp_path):
         assert main(["simulate", "--config", write_cfg(tmp_path, text, name), "--out", str(out)]) == 0
         outputs.append([(out / f).read_text().splitlines()[3:] for f in ("snapshots.csv", "audit.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_gk_positivity_abort_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GK_CFG_COUPLED_DIP)
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 1
+    assert "error: theta <= 0 first reached at step" in capsys.readouterr().err
+    assert not (out / "audit.csv").exists()
 
 
 def test_sweep_orders_verdicts_by_value(tmp_path):
@@ -254,6 +265,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ):
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2, (command, path)
         assert "config error: " in capsys.readouterr().err
+
+
+def test_overflowing_coefficient_scale_exits_2(tmp_path, capsys):
+    """tau = 1.4e-278 puts an MCV root near -7e277, whose square overflows
+    the root screen: a config error, not a warning and a written table."""
+    cfg = write_cfg(tmp_path, "model.kind = mcv\nmodel.tau = 1.4e-278\nmodel.kappa = 1.0\n")
+    code, out = run(tmp_path, "modal", "--config", cfg)
+    assert code == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (out / "modes.csv").exists()
 
 
 def test_missing_required_key_exits_2(tmp_path):

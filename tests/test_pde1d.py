@@ -303,6 +303,17 @@ def test_positivity_abort_reports_first_step():
     assert e.value.step >= 1
 
 
+def test_coupled_gk_positivity_abort():
+    """The coupled solver checks the absolute temperature every step too."""
+    cfg = GKSimConfig(
+        tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=40), dt=1e-3, t_end=0.1,
+        theta0=lambda x: -2.0 * np.sin(np.pi * x), theta_ref=1.0,
+    )
+    with pytest.raises(PositivityError) as e:
+        simulate_coupled_gk(cfg)
+    assert e.value.step >= 1
+
+
 def test_divergence_abort_on_unstable_backward_heat():
     cfg = SimConfig(
         model=Fourier(kappa=-1.0),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,8 +52,11 @@ def test_pd_vs_psd_boundary_cases():
 def test_nonfinite_entries_rejected():
     with pytest.raises(InvalidInputError):
         SymTensor3(np.nan, 1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        SymTensor3.from_matrix(np.full((3, 3), np.inf))
+    # rejected before the symmetry check, whose tolerance would be infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            SymTensor3.from_matrix(np.full((3, 3), np.inf))
 
 
 def test_from_matrix_requires_symmetry():
@@ -160,6 +165,14 @@ def test_solve_poly_undamped_mode():
     rs = solve_poly(Poly((1.0, 0.0, 4.0)))
     assert rs.max_real() == pytest.approx(0.0, abs=1e-12)
     assert sorted(abs(r.imag) for r in rs.roots) == pytest.approx([2.0, 2.0])
+
+
+def test_solve_poly_rejects_roots_beyond_the_residual_screen():
+    # a root near -1e300: its square, in the screen's bound, overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="coefficient scale"):
+            solve_poly(Poly((1e-300, 1.0, 1.0)))
 
 
 def test_poly_rejects_degenerate_input():
