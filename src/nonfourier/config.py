@@ -19,8 +19,9 @@ Tensor-valued keys accept a plain scalar (isotropic), ``diag:a,b,c`` or
 """
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -113,32 +114,30 @@ def parse_coefficient(raw: str, key: str = "") -> CoefficientFn:
         raise ConfigError(f"key {key!r}: bad coefficient {raw!r} ({e})") from e
 
 
-def _tensor(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> SymTensor3:
-    return parse_tensor(_get(cfg, key, default), key)
+def _parsed(parse: Callable[[str, str], object]) -> Callable[..., object]:
+    return lambda cfg, key, default=None: parse(_get(cfg, key, default), key)
 
 
-_GK = {"tau": _float, "ell": _float, "varkappa": lambda cfg, key: parse_coefficient(_get(cfg, key), key)}
+# a parameter set's declared field type -> the reader of its model.<field> key
+_READERS = {"float": _float, "SymTensor3": _parsed(parse_tensor), "CoefficientFn": _parsed(parse_coefficient)}
 
-# kind -> (parameter set, {parameter: reader of model.<parameter>})
 MODEL_KINDS = {
-    "fourier": (Fourier, {"kappa": _tensor}),
-    "gn2": (GN2, {"K": _tensor}),
-    "mcv": (MCV, {"tau": _float, "kappa": _tensor}),
-    "jeffreys": (Jeffreys, {"tau": _float, "xi": _tensor, "kappa": _tensor}),
-    "gn3": (GN3, {"xi": _tensor, "kappa": _tensor}),
-    "quintanilla": (Quintanilla, {"tau": _float, "xi": _tensor, "kappa": _tensor}),
-    "burgers": (Burgers, {"lambda_b": _float, "tau": _float, "mu": _float, "nu": _float}),
-    "gk": (GKLinear, _GK),
-    "gk_nonlinear": (GKNonlinear, {**_GK, "delta": lambda cfg, key: _float(cfg, key, "0.0")}),
+    "fourier": Fourier, "gn2": GN2, "mcv": MCV, "jeffreys": Jeffreys, "gn3": GN3,
+    "quintanilla": Quintanilla, "burgers": Burgers, "gk": GKLinear, "gk_nonlinear": GKNonlinear,
 }
 
 
 def build_model(cfg: Dict[str, str]) -> ModelParams:
+    """The kind's parameter set, each field read from model.<field> in
+    declaration order, with the field's default where it has one."""
     kind = _get(cfg, "model.kind").lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(f"key 'model.kind': unknown kind {kind!r} (one of {tuple(MODEL_KINDS)})")
-    cls, params = MODEL_KINDS[kind]
-    return cls(**{name: read(cfg, f"model.{name}") for name, read in params.items()})
+    cls = MODEL_KINDS[kind]
+    return cls(**{
+        f.name: _READERS[f.type](cfg, f"model.{f.name}", None if f.default is MISSING else str(f.default))
+        for f in fields(cls)
+    })
 
 
 def build_material(cfg: Dict[str, str]) -> MaterialConstants:
@@ -202,6 +201,8 @@ def build_gk_sim_config(cfg: Dict[str, str]) -> GKSimConfig:
         raise ConfigError("key 'model.kind': coupled solver needs a gk model")
     if isinstance(model, GKNonlinear) and model.delta != 0:
         raise ConfigError("key 'model.delta': the coupled solver has no nonlinear term; it needs delta = 0")
+    if model.varkappa.p != 0:
+        raise ConfigError("key 'model.varkappa': the coupled solver freezes it at theta_ref; it needs constant:c")
     grid = build_grid(cfg)
     theta_ref = _float(cfg, "sim.theta_ref", "1.0")
     material = build_material(cfg)

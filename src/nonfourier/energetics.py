@@ -27,7 +27,6 @@ from .models import (
     Burgers,
     Fourier,
     GKLinear,
-    GKNonlinear,
     Jeffreys,
     LocalModel,
     ModelParams,
@@ -271,11 +270,51 @@ def _row(m: ModelParams, variant: str) -> EnergyRow:
     return m.energy[variant]
 
 
-def _is_gk(m: ModelParams, variant: str) -> bool:
-    """True for the nonlocal kinds, whose one variant is "plus"."""
-    if isinstance(m, GKLinear) and variant != "plus":
+class Nonlocal(NamedTuple):
+    """The nonlocal kinds' coefficients at one temperature. The methods sum
+    the flux products they are given (|q|^2, |grad q|^2, (div q)^2, (grad q)q,
+    (div q)q, q.nonlocal_q, q.(grad q)q, |q|^2 div q), so they take one 3-D
+    state's products or 1-D node arrays alike. The delta terms are skipped
+    when delta = 0; the products only they read may then be None."""
+
+    tau: float
+    vk: float
+    ell2: float
+    delta: float = 0.0
+
+    def psi_q(self, theta, q):
+        """d rho*psi / dq."""
+        return self.tau * theta / self.vk * q
+
+    def zeta(self, qq, gq2, dq2):
+        """Internal entropy supply rho*zeta."""
+        return qq / self.vk + self.ell2 * gq2 + 2.0 * self.ell2 * dq2
+
+    def k(self, q, gq_q, dq_q, qq):
+        """Extra entropy flux k."""
+        k = -self.ell2 * (gq_q + 2.0 * dq_q)
+        if self.delta:
+            k = k - self.delta * qq * q
+        return k
+
+    def div_k(self, gq2, dq2, q_nl, q_gq_q, qq_dq):
+        """div k from the pointwise identity."""
+        out = -self.ell2 * (gq2 + 2.0 * dq2 + q_nl)
+        if self.delta:
+            out = out - self.delta * (2.0 * q_gq_q + qq_dq)
+        return out
+
+
+def _gk(m: ModelParams, variant: str, theta: float) -> Optional[Nonlocal]:
+    """The nonlocal kind's coefficients at theta; None for a local kind."""
+    if not isinstance(m, GKLinear):
+        return None
+    if variant != "plus":
         raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
-    return isinstance(m, GKLinear)
+    vk = m.varkappa(theta)
+    if vk <= 0:
+        raise SingularParameterError("varkappa(theta) must be positive")
+    return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))
 
 
 # --- free energy -------------------------------------------------------------
@@ -287,11 +326,9 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
     (xi + kappa)-weighted energy and "star" the (xi - kappa)-weighted one.
     """
     th = s.theta
-    if _is_gk(m, variant):
-        vk = m.varkappa(th)
-        if vk <= 0:
-            raise SingularParameterError("varkappa(theta) must be positive")
-        return 0.5 * m.tau * th / vk * float(s.q @ s.q)
+    gk = _gk(m, variant, th)
+    if gk is not None:
+        return 0.5 * gk.tau * th / gk.vk * float(s.q @ s.q)
     P = _row(m, variant).P
     if P is None:
         return 0.0
@@ -304,18 +341,10 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
 def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
     """rho*sigma; for the nonlocal model the internal supply rho*zeta."""
     th = s.theta
-    if _is_gk(m, variant):
+    gk = _gk(m, variant, th)
+    if gk is not None:
         s.require("grad_q")
-        vk = m.varkappa(th)
-        if vk <= 0:
-            raise SingularParameterError("varkappa(theta) must be positive")
-        ell2 = m.ell**2
-        div_q = float(np.trace(s.grad_q))
-        return (
-            float(s.q @ s.q) / vk
-            + ell2 * float(np.sum(s.grad_q**2))
-            + 2.0 * ell2 * div_q**2
-        )
+        return gk.zeta(float(s.q @ s.q), float(np.sum(s.grad_q**2)), float(np.trace(s.grad_q)) ** 2)
     S = _row(m, variant).S
     if S is None:
         return 0.0
@@ -325,14 +354,11 @@ def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -
 
 def extra_entropy_flux(m: GKLinear, s: ThermalState) -> np.ndarray:
     """Extra entropy flux k of the nonlocal model; zero for q = 0 states."""
-    if not isinstance(m, GKLinear):
+    gk = _gk(m, "plus", s.theta)
+    if gk is None:
         raise InvalidInputError("extra entropy flux only exists for the nonlocal model")
     s.require("grad_q")
-    ell2 = m.ell**2
-    k = -ell2 * (s.grad_q @ s.q + 2.0 * float(np.trace(s.grad_q)) * s.q)
-    if isinstance(m, GKNonlinear):
-        k = k - m.delta * float(s.q @ s.q) * s.q
-    return k
+    return gk.k(s.q, s.grad_q @ s.q, float(np.trace(s.grad_q)) * s.q, float(s.q @ s.q))
 
 
 def no_flow(k: np.ndarray, n: np.ndarray, tol: float = 1e-12) -> bool:
@@ -342,16 +368,9 @@ def no_flow(k: np.ndarray, n: np.ndarray, tol: float = 1e-12) -> bool:
 def gk_flux_divergence(m: GKLinear, s: ThermalState) -> float:
     """div k from the pointwise identity, reading grad_q and nonlocal_q."""
     s.require("grad_q", "nonlocal_q")
-    ell2 = m.ell**2
-    div_q = float(np.trace(s.grad_q))
-    out = -ell2 * (
-        float(np.sum(s.grad_q**2)) + 2.0 * div_q**2 + float(s.nonlocal_q @ s.q)
-    )
-    if isinstance(m, GKNonlinear):
-        out -= m.delta * (
-            2.0 * float((s.grad_q @ s.q) @ s.q) + float(s.q @ s.q) * div_q
-        )
-    return out
+    gk, div_q = _gk(m, "plus", s.theta), float(np.trace(s.grad_q))
+    delta_terms = (float((s.grad_q @ s.q) @ s.q), float(s.q @ s.q) * div_q) if gk.delta else (None, None)
+    return gk.div_k(float(np.sum(s.grad_q**2)), div_q**2, float(s.nonlocal_q @ s.q), *delta_terms)
 
 
 # --- analytic free-energy gradients ------------------------------------------
@@ -360,11 +379,9 @@ def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> Psi
     """(d rho*psi / dq, d rho*psi / dqdot, d rho*psi / dgrad_theta)."""
     th = s.theta
     z = np.zeros(3)
-    if _is_gk(m, variant):
-        vk = m.varkappa(th)
-        if vk <= 0:
-            raise SingularParameterError("varkappa(theta) must be positive")
-        return PsiGradients(m.tau * th / vk * s.q, z, z)
+    gk = _gk(m, variant, th)
+    if gk is not None:
+        return PsiGradients(gk.psi_q(th, s.q), z, z)
     P = _row(m, variant).P
     if P is None:
         return PsiGradients(z, z, z)
@@ -388,11 +405,12 @@ def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") ->
     zeta instead, matching its split form of the Second Law.
     """
     th = s.theta
-    if _is_gk(m, variant):
+    gk = _gk(m, variant, th)
+    if gk is not None:
         s.require("qdot")
         return np.array(
             [
-                float(psi_gradients(m, s).q @ s.qdot) / th,
+                float(gk.psi_q(th, s.q) @ s.qdot) / th,
                 float(s.q @ s.grad_theta) / th**2,
                 gk_flux_divergence(m, s),
                 entropy_production(m, s),

@@ -9,15 +9,13 @@ are reached through ``reduce_limit`` instead of division by zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from .tensors import InvalidInputError, SymTensor3, coerce_tensor, is_nonsingular
-
-TensorLike = Union[float, SymTensor3]
 
 
 class ContractError(ValueError):
@@ -56,8 +54,15 @@ class CoefficientFn:
 # --- parameter sets ----------------------------------------------------------
 
 class LocalModel:
-    """Parameter set of a local kind; its whole rate law is ``law``, its
-    free energy and entropy production are ``energy``."""
+    """Parameter set of a local kind, each field coerced from its declared
+    type (a SymTensor3 field also takes a scalar or a 3x3 array); its whole
+    rate law is ``law``, its free energy and entropy production ``energy``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            # annotations are strings under ``from __future__ import annotations``
+            coerce = coerce_tensor if f.type == "SymTensor3" else float
+            object.__setattr__(self, f.name, coerce(getattr(self, f.name)))
 
     @cached_property
     def law(self) -> "RateLaw":
@@ -75,9 +80,6 @@ class LocalModel:
 class Fourier(LocalModel):
     kappa: SymTensor3
 
-    def __init__(self, kappa: TensorLike):
-        object.__setattr__(self, "kappa", coerce_tensor(kappa))
-
 
 @dataclass(frozen=True)
 class GN2(LocalModel):
@@ -85,18 +87,11 @@ class GN2(LocalModel):
 
     K: SymTensor3
 
-    def __init__(self, K):
-        object.__setattr__(self, "K", coerce_tensor(K))
-
 
 @dataclass(frozen=True)
 class MCV(LocalModel):
     tau: float
     kappa: SymTensor3
-
-    def __init__(self, tau: float, kappa: TensorLike):
-        object.__setattr__(self, "tau", float(tau))
-        object.__setattr__(self, "kappa", coerce_tensor(kappa))
 
 
 @dataclass(frozen=True)
@@ -105,20 +100,11 @@ class Jeffreys(LocalModel):
     xi: SymTensor3
     kappa: SymTensor3
 
-    def __init__(self, tau: float, xi: TensorLike, kappa: TensorLike):
-        object.__setattr__(self, "tau", float(tau))
-        object.__setattr__(self, "xi", coerce_tensor(xi))
-        object.__setattr__(self, "kappa", coerce_tensor(kappa))
-
 
 @dataclass(frozen=True)
 class GN3(LocalModel):
     xi: SymTensor3
     kappa: SymTensor3
-
-    def __init__(self, xi: TensorLike, kappa: TensorLike):
-        object.__setattr__(self, "xi", coerce_tensor(xi))
-        object.__setattr__(self, "kappa", coerce_tensor(kappa))
 
 
 @dataclass(frozen=True)
@@ -126,11 +112,6 @@ class Quintanilla(LocalModel):
     tau: float
     xi: SymTensor3
     kappa: SymTensor3
-
-    def __init__(self, tau: float, xi: TensorLike, kappa: TensorLike):
-        object.__setattr__(self, "tau", float(tau))
-        object.__setattr__(self, "xi", coerce_tensor(xi))
-        object.__setattr__(self, "kappa", coerce_tensor(kappa))
 
 
 @dataclass(frozen=True)

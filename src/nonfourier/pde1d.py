@@ -15,14 +15,14 @@ audited at every node and step from the model's energy row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .energetics import Form, SingularParameterError
+from .energetics import Form, Nonlocal, SingularParameterError
 from .modal import characteristic_poly, modal_solution
 from .models import MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
@@ -157,7 +157,6 @@ def assemble_rhs(
     m: ModelParams,
     material: MaterialConstants,
     ops: SpaceOperators,
-    source: Optional[np.ndarray] = None,
 ) -> Tuple[sp.csr_matrix, np.ndarray, int]:
     """First-order system u_dot = M u + f over the stacked fields
     u_k = d^k theta / dt^k, k < order, derived from the rate-law row:
@@ -173,8 +172,6 @@ def assemble_rhs(
     order = law.order + 1
     n = ops.n
     rc = material.rho_cv
-    if source is not None and order > 1:
-        raise ConfigurationError("a heat supply is only supported in the Fourier limit")
     *lower, top = law.a
     if top == 0:
         raise ConfigurationError(law.limit)
@@ -192,8 +189,6 @@ def assemble_rhs(
         last[1] = b1_lap if last[1] is None else b1_lap + last[1]
     f = np.zeros(order * n)
     f[-n:] = law.b0 / rc / top * ops.lap_b
-    if source is not None:
-        f += np.asarray(source, dtype=float) / material.cv
     return sp.bmat(blocks).tocsr(), f, order
 
 
@@ -373,7 +368,6 @@ class SimConfig:
     q0: Union[np.ndarray, float, None] = None
     theta_ref: float = 300.0
     snapshot_every: Optional[int] = None
-    source: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -461,7 +455,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     residual, the absolute-temperature minimum and the field amplitude.
     """
     ops = space_operators(cfg.grid, cfg.bc_kind, cfg.bc_value)
-    M, f, order = assemble_rhs(cfg.model, cfg.material, ops, cfg.source)
+    M, f, order = assemble_rhs(cfg.model, cfg.material, ops)
     n = ops.n
     x = ops.x
     step = trapezoid_stepper(M, f, cfg.dt, keep=n)
@@ -547,19 +541,9 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
         raise ConfigurationError("modal comparison is Dirichlet-only")
     grid = cfg.grid
     shape = np.sin(n_mode * np.pi * grid.interior_x() / grid.L)
-    run_cfg = SimConfig(
-        model=cfg.model,
-        material=cfg.material,
-        grid=grid,
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        bc_kind="dirichlet",
-        bc_value=0.0,
-        theta0=shape.copy(),
-        theta_ref=cfg.theta_ref,
-        snapshot_every=cfg.snapshot_every,
-    )
-    traj = simulate(run_cfg)
+    traj = simulate(replace(
+        cfg, bc_value=0.0, theta0=shape.copy(), theta_dot0=None, theta_ddot0=None, q0=None
+    ))
     lt = discrete_eigenvalue(grid, n_mode) / cfg.material.rho_cv
     poly = characteristic_poly(cfg.model, lt)
     roots = solve_poly(poly)
@@ -587,8 +571,9 @@ class GKSimConfig:
     temperature; the entropy-audit coefficients are recovered from them as
     varkappa = kappa * theta_ref**2 and ell**2 = lambda2 / varkappa. With
     imposed_gradient set, theta is frozen at the linear profile
-    theta_ref + G (x - L/2) and only the flux evolves (the boundary-layer
-    setup whose steady state is the cosh plug profile).
+    theta_ref + G (x - L/2), which must be positive at every node, and only
+    the flux evolves (the boundary-layer setup whose steady state is the
+    cosh plug profile).
     """
 
     tau: float
@@ -645,29 +630,33 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
     x = grid.interior_x()
     tau = cfg.tau
     varkappa = cfg.kappa * cfg.theta_ref**2
-    ell2 = cfg.lambda2 / varkappa
+    # no nonlinear term (delta = 0), so div k reads no q.(grad q)q or |q|^2 div q
+    gk = Nonlocal(tau, varkappa, cfg.lambda2 / varkappa)
     # q lives on the interior nodes with q = 0 at both endpoints: the
     # homogeneous Dirichlet parts of the theta operators
     ops = space_operators(grid, "dirichlet", cfg.bc_theta)
     gk_rhs = (-sp.identity(n) + 3.0 * cfg.lambda2 * ops.lap) / tau if tau > 0 else None
 
     def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[float, ...]:
-        qx, qxx = ops.d1 @ q, ops.lap @ q
-        zeta = q**2 / varkappa + 3.0 * ell2 * qx**2
-        if tau > 0:
-            qdot = (-q - cfg.kappa * theta_x + 3.0 * cfg.lambda2 * qxx) / tau
-        else:
-            qdot = np.zeros_like(q)
-        div_k = -3.0 * ell2 * (qx**2 + q * qxx)
-        residual = tau / varkappa * q * qdot + q * theta_x / cfg.theta_ref**2 + div_k + zeta
-        # k = -3 ell^2 q q_x vanishes with q at the walls, so k_boundary is 0
-        # by construction
-        return zeta.min(), 0.0, np.abs(-3.0 * ell2 * q * qx).max(), np.abs(residual).max()
+        # the x-directed fields: |grad q|^2 = (div q)^2 = q_x^2, (grad q)q =
+        # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx
+        qx, nl = ops.d1 @ q, 3.0 * (ops.lap @ q)
+        qq, qx2, qqx = q * q, qx * qx, q * qx
+        zeta = gk.zeta(qq, qx2, qx2)
+        div_k = gk.div_k(qx2, qx2, q * nl, None, None)
+        # tau q_dot from the rate law, and d(rho psi)/dq / theta = tau q / varkappa
+        tau_qdot = -q - cfg.kappa * theta_x + cfg.lambda2 * nl if tau > 0 else 0.0
+        residual = q * (tau_qdot / varkappa + theta_x / cfg.theta_ref**2) + div_k + zeta
+        # k vanishes with q at the walls, so k_boundary is 0 by construction
+        return zeta.min(), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(), np.abs(residual).max()
 
     columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
     if cfg.imposed_gradient is not None:
         G = cfg.imposed_gradient
-        theta = cfg.theta_ref + G * (x - grid.L / 2.0)
+        theta = G * (x - grid.L / 2.0)
+        if np.any(cfg.theta_ref + theta <= 0.0):
+            raise ConfigurationError(f"imposed gradient {G:.6g}: theta_ref + G (x - L/2) reaches "
+                                     f"{cfg.theta_ref + theta.min():.6g} <= 0")
         theta_x = np.full(n, G)
         if tau == 0:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
@@ -691,7 +680,7 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
 
     def observe(i, t, u):
         theta, q = u[:n], u[n:]
-        if np.any(cfg.theta_ref + theta <= 0.0):
+        if theta.min() <= -cfg.theta_ref:  # theta_ref + theta <= 0 somewhere, in one pass
             raise PositivityError(i, t)
         return audit(q, ops.d1 @ theta + ops.d1_b)
 

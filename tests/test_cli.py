@@ -126,6 +126,33 @@ def test_simulate_gk_uses_coupled_solver(tmp_path):
     assert audit[3] == "t,min_zeta,k_boundary,k_inf,max_residual"
     zetas = [float(line.split(",")[1]) for line in audit[4:]]
     assert min(zetas) >= 0.0
+    # the theta column is the deviation G (x - L/2) from theta_ref, as in every run
+    snap = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=4)
+    np.testing.assert_allclose(snap[:, 2], 1.0 * (snap[:, 1] - 0.5), rtol=0, atol=1e-12)
+
+
+def test_simulate_gk_rejects_temperature_dependent_varkappa(tmp_path, capsys):
+    """The coupled solver freezes varkappa at theta_ref, so a power law with
+    p != 0 would be ignored without a word: it is a config error."""
+    coupled = GK_CFG.replace("gk.imposed_gradient = 1.0\n", "ic.kind = sine\nic.amplitude = 0.5\n")
+    cfg = write_cfg(tmp_path, coupled.replace("constant:1.0", "power:1.0,3.0"))
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 2
+    assert "config error: key 'model.varkappa'" in capsys.readouterr().err
+    assert not (out / "snapshots.csv").exists()
+    # p = 0 is the constant law
+    constant = write_cfg(tmp_path, coupled.replace("constant:1.0", "power:1.0,0"), "p0.cfg")
+    assert main(["simulate", "--config", constant, "--out", str(tmp_path / "p0")]) == 0
+
+
+def test_simulate_gk_nonpositive_imposed_profile_exits_2(tmp_path, capsys):
+    """G = 3 about theta_ref = 1 puts the frozen profile theta_ref + G (x - L/2)
+    below zero near x = 0; the run is refused, not written."""
+    cfg = write_cfg(tmp_path, GK_CFG.replace("gk.imposed_gradient = 1.0", "gk.imposed_gradient = 3.0"))
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 2
+    assert "config error: imposed gradient 3: theta_ref + G (x - L/2) reaches" in capsys.readouterr().err
+    assert not (out / "snapshots.csv").exists()
 
 
 def test_simulate_gk_nonlinear_at_delta_zero_runs_as_gk(tmp_path):

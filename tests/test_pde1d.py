@@ -4,12 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nonfourier import pde1d
-from nonfourier.energetics import dissipation_terms, entropy_production
+from nonfourier.energetics import dissipation_terms, entropy_production, extra_entropy_flux
 from nonfourier.models import (
     MCV,
     GN3,
     Burgers,
+    CoefficientFn,
     Fourier,
+    GKLinear,
     Jeffreys,
     MaterialConstants,
     Quintanilla,
@@ -217,12 +219,6 @@ def test_band_storage_cap_raises(monkeypatch):
         trapezoid_stepper(M, np.zeros(6), 0.1)
     monkeypatch.setattr(pde1d, "_MAX_BAND_ENTRIES", 6 * 16)
     trapezoid_stepper(M, np.zeros(6), 0.1)
-
-
-def test_source_only_in_fourier_limit():
-    ops = space_operators(Grid1D(L=1.0, N=9), "dirichlet", 0.0)
-    with pytest.raises(ConfigurationError):
-        assemble_rhs(MCV(tau=1.0, kappa=1.0), MAT, ops, source=np.ones(9))
 
 
 def test_degenerate_model_kinds_rejected_in_assembly():
@@ -534,3 +530,81 @@ def test_gk_coupled_dynamics_dissipates():
     traj = simulate_coupled_gk(cfg)
     assert traj.audit["min_zeta"].min() >= -1e-12
     assert np.abs(traj.thetas[-1]).max() < np.abs(traj.thetas[0]).max()
+
+
+def test_gk_imposed_gradient_writes_the_deviation_and_rejects_a_nonpositive_profile():
+    """theta snapshots hold G (x - L/2), the deviation from theta_ref, as in
+    every other run; a profile theta_ref + G (x - L/2) that reaches 0 is a
+    configuration error, not a run."""
+    grid = Grid1D(L=1.0, N=40)
+    cfg = GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=grid, dt=1e-3, t_end=0.005,
+                      theta_ref=1.0, imposed_gradient=1.5)
+    traj = simulate_coupled_gk(cfg)
+    for theta in traj.thetas:
+        np.testing.assert_array_equal(theta, 1.5 * (traj.x - 0.5))
+    # the first node sits dx = 1/41 from the wall: G = 2 keeps it at 0.049
+    simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 2.0}))
+    with pytest.raises(ConfigurationError, match="reaches"):
+        simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 2.2}))
+    with pytest.raises(ConfigurationError, match="reaches"):
+        simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": -2.5}))
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        dict(tau=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x), bc_theta=(0.05, -0.02), theta_ref=1.3),
+        dict(tau=0.05, imposed_gradient=0.8, theta_ref=1.3),
+    ],
+    ids=["coupled", "imposed_relaxing"],
+)
+def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
+    """The coupled GK audit columns of a short run equal entropy_production,
+    extra_entropy_flux and the dissipation terms of the GK model on the node
+    fields embedded as x-components: grad_q[0, 0] = q_x and nonlocal_q =
+    3 q_xx e_x, at the reference temperature where the audit linearizes."""
+    records = []
+    march = pde1d._march
+
+    def spy(x, cfg, u, step, observe, *args, **kwargs):
+        def recorded(i, t, u):
+            out = observe(i, t, u)
+            records.append((u.copy(), out))
+            return out
+
+        return march(x, cfg, u, step, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(pde1d, "_march", spy)
+    grid = Grid1D(L=1.0, N=16)
+    cfg = GKSimConfig(kappa=0.7, lambda2=2e-3, grid=grid, dt=2e-3, t_end=0.02,
+                      q0=lambda x: 0.3 * x * (1.0 - x), **setup)
+    traj = simulate_coupled_gk(cfg)
+    assert list(traj.audit) == ["t", "min_zeta", "k_boundary", "k_inf", "max_residual"]
+    assert len(records) == 10
+
+    vk = cfg.kappa * cfg.theta_ref**2
+    model = GKLinear(tau=cfg.tau, ell=np.sqrt(cfg.lambda2 / vk), varkappa=CoefficientFn.constant(vk))
+    ops = space_operators(grid, "dirichlet", cfg.bc_theta)
+    e = np.array([1.0, 0.0, 0.0])
+    for u, (min_zeta, k_boundary, k_inf, max_residual) in records:
+        if cfg.imposed_gradient is None:
+            q, theta_x = u[grid.N :], ops.d1 @ u[: grid.N] + ops.d1_b
+        else:
+            q, theta_x = u, np.full(grid.N, cfg.imposed_gradient)
+        qx, qxx = ops.d1 @ q, ops.lap @ q
+        zetas, ks, residuals, scale = [], [], [], 0.0
+        for i in range(grid.N):
+            grad_q = np.zeros((3, 3))
+            grad_q[0, 0] = qx[i]
+            s = ThermalState(theta=cfg.theta_ref, q=q[i] * e, grad_theta=theta_x[i] * e,
+                             grad_q=grad_q, nonlocal_q=3.0 * qxx[i] * e)
+            s = ThermalState(**{**s.__dict__, "qdot": flux_rate(model, s)})
+            terms = dissipation_terms(model, s)
+            zetas.append(entropy_production(model, s))
+            ks.append(abs(extra_entropy_flux(model, s)[0]))
+            residuals.append(abs(terms.sum()))
+            scale = max(scale, np.abs(terms).max())
+        assert k_boundary == 0.0
+        assert min_zeta == pytest.approx(min(zetas), rel=1e-12)
+        assert k_inf == pytest.approx(max(ks), rel=1e-12)
+        assert abs(max_residual - max(residuals)) <= 1e-12 * scale
