@@ -4,7 +4,7 @@ Submodules:
   tensors      symmetric 3x3 tensors, definiteness tests, cubic roots
   models       parameter sets, constitutive rate laws, limit reductions
   energetics   free energies, entropy productions, dissipation audits
-  consistency  thermodynamic admissibility checkers and quadratic forms
+  consistency  thermodynamic admissibility checkers and their witnesses
   modal        interval spectra, Routh-Hurwitz verdicts, mode classification
   pde1d        implicit 1-D simulation with per-step entropy audits
   cli          config-driven command-line front end

@@ -2,22 +2,22 @@
 
 Each checker returns a ConsistencyVerdict carrying the smallest slack among
 its inequalities, a tag for which parameter regime applied, and, for
-sign-type failures of the quadratic-form checks, a witness amplitude vector
-along which the entropy production goes negative.
+sign-type failures of the Quintanilla and Burgers checks, a witness
+amplitude vector along which the entropy production of the kind's own
+energy row goes negative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .energetics import SingularParameterError, burgers_sigma_matrix
-from .models import Burgers, CoefficientFn, GKLinear, GKNonlinear
+from .energetics import SingularParameterError
+from .models import Burgers, GKLinear, LocalModel, Quintanilla
 from .tensors import (
     DEFAULT_TOL,
     InvalidInputError,
-    SymTensor3,
     coerce_tensor,
     is_nonsingular,
     is_pd,
@@ -48,28 +48,15 @@ class ConsistencyVerdict:
             raise InvalidInputError("fail verdict requires a failed condition")
 
 
-@dataclass(frozen=True)
-class QuadFormMatrix:
-    """Symmetric coefficient matrix over the amplitude blocks (q, qdot, grad).
-
-    x' A x equals rho*theta*sigma for per-direction amplitudes x; PSD of A is
-    equivalent to nonnegative entropy production on all states.
-    """
-
-    A: SymTensor3
-    provenance: dict = field(default_factory=dict)
-
-    def matrix(self) -> np.ndarray:
-        return self.A.as_matrix()
-
-    def is_psd(self, tol: float = DEFAULT_TOL) -> bool:
-        return is_psd(self.A, tol)
-
-    def margin(self) -> float:
-        return psd_margin(self.A)
-
-
-def _witness(a: np.ndarray) -> Optional[np.ndarray]:
+def _witness(m: LocalModel) -> Optional[np.ndarray]:
+    """Unit amplitude vector over (q, qdot, grad_theta) along which the
+    x-directed entropy production of the kind's energy row is most negative;
+    None if it is nowhere negative or the row cannot be built (a singular
+    parameter combination, or an anisotropic Quintanilla)."""
+    try:
+        a = m.energy["plus"].S.amplitudes()
+    except (SingularParameterError, InvalidInputError):
+        return None
     vals, vecs = np.linalg.eigh(a)
     if vals[0] < 0:
         return vecs[:, 0]
@@ -142,16 +129,9 @@ def check_quintanilla(tau: float, xi, kappa, tol: float = DEFAULT_TOL) -> Consis
     gap = kappa - tau * xi
     m = psd_margin(gap)
     if not is_psd(gap, tol):
-        w = None
-        xs, ks = xi.isotropic_value(), kappa.isotropic_value()
-        if xs is not None and ks is not None:
-            try:
-                w = _witness(quintanilla_A_matrix(tau, xs, ks, 1.0).matrix())
-            except SingularParameterError:
-                pass
         return ConsistencyVerdict(
             False, m, failed_condition="kappa - tau*xi not positive semidefinite",
-            failure_mode="sign", witness=w,
+            failure_mode="sign", witness=_witness(Quintanilla(tau, xi, kappa)),
         )
     # within tol of the boundary the smallest eigenvalue may round below 0
     return ConsistencyVerdict(True, m, marginal=m < 0)
@@ -200,15 +180,10 @@ def check_burgers(
     margin = min(mu, slack)
     if mu > tol * scale and slack >= -tol * scale**3:
         return ConsistencyVerdict(True, margin, case_tag="iii", marginal=near_band or margin < 0)
-    w = None
-    try:
-        w = _witness(burgers_sigma_matrix(Burgers(lambda_b, tau, mu, nu), 1.0, "iii"))
-    except SingularParameterError:
-        pass
     return ConsistencyVerdict(
         False, margin, case_tag="iii",
         failed_condition="regime iii needs mu > 0 and nu*tau^2 >= lambda_b*mu",
-        failure_mode="sign", marginal=near_band, witness=w,
+        failure_mode="sign", marginal=near_band, witness=_witness(Burgers(lambda_b, tau, mu, nu)),
     )
 
 
@@ -318,40 +293,3 @@ def check_gk_nonlinear(
             failed_condition="mu != 2*delta*varkappa", failure_mode="structural",
         )
     return ConsistencyVerdict(True, base.margin)
-
-
-# --- quadratic-form matrices -------------------------------------------------
-
-def quintanilla_A_matrix(tau: float, xi: float, kappa: float, theta: float) -> QuadFormMatrix:
-    """Coefficient matrix of rho*theta*sigma over (q, qdot, grad) amplitudes
-    for the isotropic second-flux-rate model: a rank-one form in
-    tau*qdot + kappa*grad scaled by 1/(theta*(kappa - tau*xi))."""
-    if theta <= 0:
-        raise InvalidInputError("theta must be positive")
-    den = kappa - tau * xi
-    if den == 0:
-        raise SingularParameterError("kappa = tau*xi")
-    c = 1.0 / (theta * den)
-    a = SymTensor3(0.0, tau**2 * c, kappa**2 * c, yz=tau * kappa * c)
-    return QuadFormMatrix(
-        a,
-        provenance={
-            "A22": "tau^2/(theta*(kappa - tau*xi))",
-            "A33": "kappa^2/(theta*(kappa - tau*xi))",
-            "A23": "tau*kappa/(theta*(kappa - tau*xi))",
-        },
-    )
-
-
-def burgers_A_matrix(
-    lambda_b: float, tau: float, mu: float, nu: float, theta: float, case: str = "iii"
-) -> QuadFormMatrix:
-    """Coefficient matrix of rho*theta*sigma for the two-relaxation-time
-    model, built from the case's quadratic free-energy coefficients."""
-    if theta <= 0:
-        raise InvalidInputError("theta must be positive")
-    b = burgers_sigma_matrix(Burgers(lambda_b, tau, mu, nu), theta, case)
-    return QuadFormMatrix(
-        SymTensor3.from_matrix(b),
-        provenance={"all": f"regime {case} free-energy coefficients"},
-    )

@@ -136,14 +136,14 @@ def burgers_psi_coefficients(
     return BurgersPsiCoefficients(tag, a1, a2, a3, g1, g2, g3)
 
 
-def burgers_sigma_matrix(m: Burgers, theta: float, case: str | None = None) -> np.ndarray:
+def burgers_sigma_matrix(m: Burgers, theta: float) -> np.ndarray:
     """Symmetric 3x3 coefficient matrix B over blocks (q, qdot, grad_theta).
 
     rho*theta*sigma = x' B x with x the per-direction amplitudes; derived by
     eliminating qddot from the dissipation identity with the rate law, so the
     identity closes for any admissible coefficient set by construction.
     """
-    c = burgers_psi_coefficients(m, theta, case)
+    c = burgers_psi_coefficients(m, theta)
     lam, tau, mu = m.lambda_b, m.tau, m.mu
     b11 = c.g1 / lam
     b22 = (tau / lam) * c.a2 - c.g1
@@ -167,6 +167,14 @@ class Form(NamedTuple):
         if len(self.fields) == 1:
             return getattr(s, self.fields[0])
         return np.concatenate([getattr(s, name) for name in self.fields])
+
+    def amplitudes(self) -> np.ndarray:
+        """The x-directed reduction (each 3x3 block's xx entry) as a 3x3
+        array over (q, qdot, grad_theta), zero on blocks the form does not read."""
+        read = [_QDG.index(name) for name in self.fields]
+        out = np.zeros((3, 3))
+        out[np.ix_(read, read)] = self.matrix[::3, ::3]
+        return out
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]
     and is cleared, so a form of rank r gives r squares."""
     if form is None:
         return []
-    f, blocks = form.matrix[::3, ::3], [("q", "qdot", "grad_theta").index(name) for name in form.fields]
+    f = form.amplitudes()
     tol = 16 * np.finfo(float).eps * np.abs(f).max()
     squares = []
     while np.any(f):
@@ -314,7 +314,7 @@ def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]
             e = np.eye(len(f))
             pivots = [(f[a, b] / 2, e[a] + e[b]), (-f[a, b] / 2, e[a] - e[b])]
         for d, l in pivots:
-            squares.append((d, [(c, i) for c, i in zip(l, blocks) if c != 0]))
+            squares.append((d, [(c, i) for i, c in enumerate(l) if c != 0]))
             f = f - d * np.outer(l, l)
         f[np.abs(f) <= tol] = 0.0
     return squares
@@ -571,9 +571,9 @@ class GKSimConfig:
     temperature; the entropy-audit coefficients are recovered from them as
     varkappa = kappa * theta_ref**2 and ell**2 = lambda2 / varkappa. With
     imposed_gradient set, theta is frozen at the linear profile
-    theta_ref + G (x - L/2), which must be positive at every node, and only
-    the flux evolves (the boundary-layer setup whose steady state is the
-    cosh plug profile).
+    theta_ref + G (x - L/2), which must be positive on [0, L], walls
+    included, and only the flux evolves (the boundary-layer setup whose
+    steady state is the cosh plug profile).
     """
 
     tau: float
@@ -654,9 +654,9 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
     if cfg.imposed_gradient is not None:
         G = cfg.imposed_gradient
         theta = G * (x - grid.L / 2.0)
-        if np.any(cfg.theta_ref + theta <= 0.0):
-            raise ConfigurationError(f"imposed gradient {G:.6g}: theta_ref + G (x - L/2) reaches "
-                                     f"{cfg.theta_ref + theta.min():.6g} <= 0")
+        wall = cfg.theta_ref - abs(G) * grid.L / 2.0  # the profile's minimum, at a wall
+        if wall <= 0.0:
+            raise ConfigurationError(f"imposed gradient {G:.6g}: theta_ref + G (x - L/2) reaches {wall:.6g} <= 0")
         theta_x = np.full(n, G)
         if tau == 0:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =

@@ -98,14 +98,19 @@ class SymTensor3:
     def apply(self, v) -> np.ndarray:
         return self.as_matrix() @ _as_vec3(v)
 
+    def _parts(self) -> tuple:
+        return (self.xx, self.yy, self.zz, self.yz, self.xz, self.xy)
+
+    # entrywise on the six components: sums and multiples of symmetric
+    # tensors are symmetric; __post_init__ rejects a non-finite result
     def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3.from_matrix(self.as_matrix() + other.as_matrix())
+        return SymTensor3(*(a + b for a, b in zip(self._parts(), other._parts())))
 
     def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3.from_matrix(self.as_matrix() - other.as_matrix())
+        return SymTensor3(*(a - b for a, b in zip(self._parts(), other._parts())))
 
     def __mul__(self, c: float) -> "SymTensor3":
-        return SymTensor3.from_matrix(c * self.as_matrix())
+        return SymTensor3(*(c * a for a in self._parts()))
 
     __rmul__ = __mul__
 
@@ -247,50 +252,19 @@ def _companions(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
 def _pair_conjugates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Symmetrize numerically computed roots of real polynomials, row by row.
 
-    Each row is sorted by (real, imag). Walking it in order, a root within
-    1e-12 relative of the real axis becomes real; any other root is averaged
-    with its closest unused conjugate partner further on (the first of equal
-    distances) into an exact pair, or kept as it is when none is left. The
-    arithmetic is that of Python complex numbers written out in real parts
-    (np.hypot for abs), because numpy's complex-array abs and multiply round
-    differently in the last bit.
+    eigvals of a real matrix already gives each complex pair equal real
+    parts and opposite imaginary parts, except that a zero real part may
+    carry opposite signs (0.0 and -0.0 for x^2 + 4). So a root within 1e-12
+    relative of the real axis becomes real, the others get + 0.0 on their
+    real part, and each row is sorted by (real, imag), ties by the unsnapped
+    imag. np.hypot stands for abs, because numpy's complex-array abs rounds
+    differently from Python's in the last bit.
     """
-    n, d = re.shape
-    order = np.lexsort((im, re), axis=-1)
-    re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
-    used = np.zeros((n, d), dtype=bool)
-    out_re, out_im = np.empty((n, d)), np.empty((n, d))
-    k = np.zeros(n, dtype=int)
-    rows = np.arange(n)
-
-    def put(mask, r, i):
-        out_re[rows[mask], k[mask]], out_im[rows[mask], k[mask]] = r, i
-        k[mask] += 1
-
-    for i in range(d):
-        free = ~used[:, i]
-        real = free & (np.abs(im[:, i]) <= 1e-12 * np.maximum(1.0, np.hypot(re[:, i], im[:, i])))
-        put(real, re[real, i], 0.0)
-        cplx = free & ~real
-        dist = np.full((n, d), np.inf)
-        later = ~used & (np.arange(d) > i) & cplx[:, None]
-        dist[later] = np.hypot(re - re[:, i : i + 1], im + im[:, i : i + 1])[later]
-        best = np.argmin(dist, axis=1)
-        paired = cplx & (dist[rows, best] < np.inf)
-        alone = cplx & ~paired
-        put(alone, re[alone, i], im[alone, i])
-        # mean = 0.5 * (r + conj(partner)) as complex arithmetic rounds it:
-        # 0.5 becomes 0.5 + 0j, whose 0.0 * b term signs a zero real part
-        b = im[paired, i] - im[paired, best[paired]]
-        mean_re = 0.5 * (re[paired, i] + re[paired, best[paired]]) - 0.0 * b
-        mean_im = np.abs(0.5 * b)
-        put(paired, mean_re, mean_im)
-        put(paired, mean_re, -mean_im)
-        used[:, i] |= free
-        used[rows[paired], best[paired]] = True
-    order = np.lexsort((out_im, out_re), axis=-1)
-    out = np.empty((n, d), dtype=complex)
-    out.real, out.imag = np.take_along_axis(out_re, order, -1), np.take_along_axis(out_im, order, -1)
+    real = np.abs(im) <= 1e-12 * np.maximum(1.0, np.hypot(re, im))
+    re2, im2 = np.where(real, re, re + 0.0), np.where(real, 0.0, im)
+    order = np.lexsort((im, im2, re2), axis=-1)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = np.take_along_axis(re2, order, -1), np.take_along_axis(im2, order, -1)
     return out
 
 

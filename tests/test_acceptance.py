@@ -2,7 +2,7 @@
 and prints one pass/fail line (run with -s to see them live).
 
 The criteria cross-validate independent implementations against each other:
-closed-form quadratic-form matrices against the inequality checkers,
+the energy rows' entropy-production forms against the inequality checkers,
 Routh-Hurwitz verdicts against numerically computed roots, discriminant
 formulas against root products, the PDE solver against separated modal
 solutions, and the entropy audits against the analytic steady profiles.
@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nonfourier.consistency import (
-    burgers_A_matrix,
-    check_burgers,
-    check_burgers_full,
-    check_quintanilla,
-    quintanilla_A_matrix,
-)
+from nonfourier.consistency import check_burgers, check_burgers_full, check_quintanilla
 from nonfourier.energetics import (
     SingularParameterError,
     dissipation_residual,
@@ -81,7 +75,9 @@ def test_criterion_1_quintanilla_checker_vs_quadratic_form():
             continue
         checked += 1
         verdict = check_quintanilla(tau, xi, kappa)
-        psd = quintanilla_A_matrix(tau, xi, kappa, 1.0).is_psd(1e-8)
+        # tensors.is_psd's rule, on the sigma form's x-directed amplitudes
+        a = Quintanilla(tau, xi, kappa).energy["plus"].S.amplitudes()
+        psd = np.linalg.eigvalsh(a)[0] >= -1e-8 * max(1.0, np.linalg.norm(a))
         if verdict.passed != psd:
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -111,11 +107,11 @@ def test_criterion_2_burgers_checker_vs_quadratic_form():
         checked += 1
         verdict = check_burgers(lam, tau, mu, nu)
         try:
-            a = burgers_A_matrix(lam, tau, mu, nu, 1.0)
+            a = Burgers(lam, tau, mu, nu).energy["plus"].S.amplitudes()
         except SingularParameterError:
             checked -= 1
             continue
-        psd = bool(np.linalg.eigvalsh(a.matrix()).min() >= -1e-8)
+        psd = bool(np.linalg.eigvalsh(a).min() >= -1e-8)
         if verdict.passed != psd:
             mismatches += 1
     spot = check_burgers_full(1.0, 2.0, 1.0, 1.0).passed and not check_burgers_full(

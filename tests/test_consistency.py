@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nonfourier.cli import run_check
 from nonfourier.consistency import (
     ConsistencyVerdict,
-    burgers_A_matrix,
     check_burgers,
     check_burgers_full,
     check_gk,
@@ -15,7 +14,6 @@ from nonfourier.consistency import (
     check_gn3,
     check_jeffreys,
     check_quintanilla,
-    quintanilla_A_matrix,
 )
 from nonfourier.energetics import SingularParameterError, entropy_production
 from nonfourier.models import (
@@ -94,18 +92,26 @@ def test_quintanilla_margin_is_gap_eigenvalue():
     assert v.margin == pytest.approx(2.0)
 
 
-def test_quintanilla_A_matrix_example():
-    a = quintanilla_A_matrix(1.0, 1.0, 2.0, 1.0).matrix()
+def _sigma_amplitudes(m):
+    """rho*theta^2*sigma of the kind's energy row over (q, qdot, grad_theta)
+    amplitudes along x."""
+    return m.energy["plus"].S.amplitudes()
+
+
+def _is_psd(a, tol=1e-10):
+    return is_psd(SymTensor3.from_matrix(a), tol)
+
+
+def test_quintanilla_sigma_amplitudes_example():
+    a = _sigma_amplitudes(Quintanilla(1.0, 1.0, 2.0))
     np.testing.assert_allclose(a, [[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
-    assert quintanilla_A_matrix(1.0, 1.0, 2.0, 1.0).is_psd()
-    assert not quintanilla_A_matrix(1.0, 1.0, 0.5, 1.0).is_psd()
+    assert _is_psd(a)
+    assert not _is_psd(_sigma_amplitudes(Quintanilla(1.0, 1.0, 0.5)))
 
 
-def test_quintanilla_A_matrix_degenerate_raises():
+def test_quintanilla_sigma_form_degenerate_raises():
     with pytest.raises(SingularParameterError):
-        quintanilla_A_matrix(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        quintanilla_A_matrix(1.0, 1.0, 2.0, 0.0)
+        _sigma_amplitudes(Quintanilla(1.0, 1.0, 1.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,7 +124,7 @@ def test_quintanilla_checker_agrees_with_quadratic_form(seed):
     if abs(kappa - tau * xi) < 1e-8 or abs(kappa) < 1e-8:
         return
     verdict = check_quintanilla(tau, xi, kappa)
-    psd = quintanilla_A_matrix(tau, xi, kappa, 1.0).is_psd()
+    psd = _is_psd(_sigma_amplitudes(Quintanilla(tau, xi, kappa)))
     assert verdict.passed == psd
 
 
@@ -132,6 +138,14 @@ def test_quintanilla_sign_failure_has_negative_sigma_witness():
     e = np.array([1.0, 0.0, 0.0])
     s = ThermalState(theta=1.0, q=w[0] * e, qdot=w[1] * e, grad_theta=w[2] * e)
     assert entropy_production(m, s) < 0.0
+
+
+def test_anisotropic_quintanilla_sign_failure_has_no_witness():
+    """The energy row exists only for isotropic tensors; the verdict still
+    comes back, without a witness."""
+    v = check_quintanilla(1.0, np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 2.0, 1.0]))
+    assert not v.passed and v.failure_mode == "sign"
+    assert v.witness is None
 
 
 # --- Burgers ------------------------------------------------------------------
@@ -167,8 +181,8 @@ def test_burgers_marginal_dead_band():
     assert v.marginal
 
 
-def test_burgers_A_matrix_example():
-    a = burgers_A_matrix(1.0, 2.0, 1.0, 1.0, 1.0).matrix()
+def test_burgers_sigma_amplitudes_example():
+    a = _sigma_amplitudes(Burgers(1.0, 2.0, 1.0, 1.0))
     np.testing.assert_allclose(
         7.0 * a, [[3.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]], atol=1e-12
     )
@@ -188,10 +202,7 @@ def test_burgers_case_iii_checker_agrees_with_quadratic_form(seed):
         return
     verdict = check_burgers(lam, tau, mu, nu)
     try:
-        psd = is_psd(
-            SymTensor3.from_matrix(burgers_A_matrix(lam, tau, mu, nu, 1.0).matrix()),
-            1e-8,
-        )
+        psd = _is_psd(_sigma_amplitudes(Burgers(lam, tau, mu, nu)), 1e-8)
     except SingularParameterError:
         return
     assert verdict.passed == psd
@@ -207,6 +218,14 @@ def test_burgers_sign_failure_has_negative_sigma_witness():
         theta=1.0, q=w[0] * e, qdot=w[1] * e, grad_theta=w[2] * e
     )
     assert entropy_production(m, s) < 0.0
+
+
+def test_burgers_sign_failure_with_singular_form_has_no_witness():
+    """nu^2 tau^2 + mu (nu tau^2 - mu lambda_b) = 1 + 2 (1 - 1.5) = 0: the
+    regime-iii free energy does not exist, so neither does a witness."""
+    v = check_burgers(0.75, 1.0, 2.0, 1.0)
+    assert not v.passed and v.case_tag == "iii" and v.failure_mode == "sign"
+    assert v.witness is None
 
 
 # --- weakly nonlocal ----------------------------------------------------------

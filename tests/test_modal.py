@@ -323,6 +323,19 @@ def test_solve_polys_match_numpy_roots_oracle(c):
         assert _bits(solve_poly(Poly(tuple(row))).roots) == _bits(want)
 
 
+@pytest.mark.parametrize("row", [[1.0, 0.0, 4.0], [2.0, 0.0, 8.0, 0.0]])
+def test_solve_polys_pure_imaginary_pair_matches_oracle(row):
+    """x^2 + 4 (and 2x^3 + 8x) give the pair +-2i, whose zero real parts
+    eigvals returns with opposite signs; both come back as +0.0, as the
+    oracle's mean makes them."""
+    got = solve_polys([row])[0]
+    want = oracle.solve_poly(Poly(tuple(row))).roots
+    assert _bits(tuple(got)) == _bits(want)
+    lo, hi = [r for r in got if r.imag != 0]
+    assert _bits([lo.real, hi.real]) == _bits([0.0, 0.0])
+    assert lo.imag == -hi.imag == pytest.approx(-2.0)
+
+
 def test_solve_polys_polish_matches_oracle():
     """Rows whose companion roots miss the residual test get the oracle's
     Newton step; some rows here need it."""

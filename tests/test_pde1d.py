@@ -534,20 +534,20 @@ def test_gk_coupled_dynamics_dissipates():
 
 def test_gk_imposed_gradient_writes_the_deviation_and_rejects_a_nonpositive_profile():
     """theta snapshots hold G (x - L/2), the deviation from theta_ref, as in
-    every other run; a profile theta_ref + G (x - L/2) that reaches 0 is a
-    configuration error, not a run."""
+    every other run; a profile theta_ref + G (x - L/2) that reaches 0 on
+    [0, L], walls included, is a configuration error, not a run."""
     grid = Grid1D(L=1.0, N=40)
     cfg = GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=grid, dt=1e-3, t_end=0.005,
                       theta_ref=1.0, imposed_gradient=1.5)
     traj = simulate_coupled_gk(cfg)
     for theta in traj.thetas:
         np.testing.assert_array_equal(theta, 1.5 * (traj.x - 0.5))
-    # the first node sits dx = 1/41 from the wall: G = 2 keeps it at 0.049
-    simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 2.0}))
-    with pytest.raises(ConfigurationError, match="reaches"):
-        simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 2.2}))
-    with pytest.raises(ConfigurationError, match="reaches"):
-        simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": -2.5}))
+    # G = 1.9 keeps the walls at 0.05; G = 2 puts 0 K at x = 0, although
+    # the first node, dx = 1/41 from the wall, would sit at 0.049
+    simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 1.9}))
+    for G in (2.0, 2.2, -2.5):
+        with pytest.raises(ConfigurationError, match="reaches"):
+            simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": G}))
 
 
 @pytest.mark.parametrize(
