@@ -21,20 +21,30 @@ COMMANDS = ("check", "modal", "simulate", "sweep", "audit")
 SEED = "5"
 
 
+def configs(root: Path) -> list:
+    return sorted((root / "configs").glob("*.cfg"))
+
+
+def run(root: Path, cfg: Path, command: str, out: Path, env=None) -> subprocess.CompletedProcess:
+    """One fresh-interpreter run of `command` on `cfg` with --seed 5, on the
+    checkout at `root`, writing into `out`."""
+    env = dict(env or os.environ, PYTHONPATH=str(root / "src"))
+    # a relative config path keeps the checkout's location out of the headers
+    argv = [sys.executable, "-m", "nonfourier.cli", command,
+            "--config", str(cfg.relative_to(root)), "--out", str(out), "--seed", SEED]
+    return subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", type=Path)
     args = ap.parse_args()
 
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+    for cfg in configs(ROOT):
         for command in COMMANDS:
             out = (args.outdir / cfg.stem / command).resolve()
             out.mkdir(parents=True, exist_ok=True)
-            # a relative config path keeps the checkout's location out of the headers
-            argv = [sys.executable, "-m", "nonfourier.cli", command,
-                    "--config", str(cfg.relative_to(ROOT)), "--out", str(out), "--seed", SEED]
-            proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+            proc = run(ROOT, cfg, command, out)
             (out / "stdout.txt").write_text(proc.stdout.replace(str(out), "<out>"))
             (out / "stderr.txt").write_text(proc.stderr.replace(str(out), "<out>"))
             (out / "exit_code.txt").write_text(f"{proc.returncode}\n")

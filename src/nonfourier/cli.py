@@ -77,6 +77,17 @@ def _float_rows(*columns: np.ndarray) -> List[str]:
     return [row % tuple(r) for i in range(0, len(table), 4096) for r in table[i : i + 4096].tolist()]
 
 
+def _snapshot_rows(traj) -> List[str]:
+    """t,x,theta,q lines of every snapshot, cells as _fmt writes a float;
+    each t and each x is formatted once, then one %-format per row."""
+    xs = ["%.12g," % v for v in traj.x.tolist()]
+    lines = []
+    for t, theta, q in zip(traj.times.tolist(), traj.thetas, traj.fluxes):
+        head = "%.12g," % t
+        lines += [head + x + "%.12g,%.12g" % p for x, p in zip(xs, zip(theta.tolist(), q.tolist()))]
+    return lines
+
+
 def _header(args) -> List[str]:
     return [
         f"# nonfourier {__version__}",
@@ -193,13 +204,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    snap = _float_rows(
-        np.repeat(traj.times, traj.x.size),
-        np.tile(traj.x, traj.times.size),
-        np.concatenate(traj.thetas),
-        np.concatenate(traj.fluxes),
-    )
-    _write(out / "snapshots.csv", _header(args) + ["t,x,theta,q"] + snap)
+    _write(out / "snapshots.csv", _header(args) + ["t,x,theta,q"] + _snapshot_rows(traj))
     audit = _float_rows(*traj.audit.values())
     _write(out / "audit.csv", _header(args) + [",".join(traj.audit)] + audit)
     print(f"wrote {len(traj.times)} snapshots and {len(audit)} audit rows to {args.out}")

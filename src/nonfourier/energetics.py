@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .models import (
     MCV,
@@ -206,8 +205,16 @@ def _through(w: np.ndarray, kappa: SymTensor3) -> np.ndarray:
 
 
 def _iso(form) -> np.ndarray:
-    """A form over scalar blocks, applied to every direction alike."""
-    return np.kron(form, np.eye(3))
+    """A form over scalar blocks, applied to every direction alike: the
+    products of np.kron(form, I3), signed zeros included, in one multiply."""
+    f = np.asarray(form, dtype=float)
+    return (f[:, None, :, None] * np.eye(3)[:, None]).reshape(3 * len(f), -1)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The square blocks a and b on the diagonal, zeros elsewhere."""
+    z = np.zeros((len(a), len(b)))
+    return np.block([[a, z], [z.T, b]])
 
 
 def _jeffreys_rows(m: Jeffreys) -> Dict[str, EnergyRow]:
@@ -220,8 +227,8 @@ def _jeffreys_rows(m: Jeffreys) -> Dict[str, EnergyRow]:
         return EnergyRow(lambda: Form(_QG, m.tau * _through(w(), m.kappa)), lambda: Form(_QG, sigma(w())))
 
     return {
-        "plus": row(lambda: _inv(m.xi + m.kappa, "xi + kappa"), lambda w: block_diag(w, km @ w @ m.xi.as_matrix())),
-        "star": row(lambda: _inv(m.xi - m.kappa, "xi - kappa"), lambda w: _through(w, m.kappa) + block_diag(0 * km, km)),
+        "plus": row(lambda: _inv(m.xi + m.kappa, "xi + kappa"), lambda w: _block_diag(w, km @ w @ m.xi.as_matrix())),
+        "star": row(lambda: _inv(m.xi - m.kappa, "xi - kappa"), lambda w: _through(w, m.kappa) + _block_diag(0 * km, km)),
     }
 
 

@@ -16,16 +16,19 @@ audited at every node and step from the model's energy row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .energetics import Form, Nonlocal, SingularParameterError
 from .modal import characteristic_poly, modal_solution
 from .models import MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
+
+# scipy is imported where operators are built and factored, so the
+# subcommands that never simulate do not load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ConfigurationError(ValueError):
@@ -105,6 +108,8 @@ def _pair(value: Union[float, Tuple[float, float]]) -> Tuple[float, float]:
 def space_operators(
     grid: Grid1D, bc_kind: str, bc_value: Union[float, Tuple[float, float]] = 0.0
 ) -> SpaceOperators:
+    import scipy.sparse as sp
+
     dx = grid.dx
     left, right = _pair(bc_value)
     if bc_kind == "dirichlet":
@@ -168,6 +173,8 @@ def assemble_rhs(
     boundary data are constant in time, so the derivative fields carry
     homogeneous versions of the same condition.
     """
+    import scipy.sparse as sp
+
     law = temperature_law(m, ConfigurationError)
     order = law.order + 1
     n = ops.n
@@ -196,6 +203,8 @@ def _nilpotent_inverse(N: sp.csr_matrix) -> sp.csr_matrix:
     """(I - N)^-1 = I + N + N^2 + ... for a nilpotent N. Raises unless each
     power has fewer nonzero rows than the last until one vanishes, which
     holds whenever the nonzero pattern of N has no cycle."""
+    import scipy.sparse as sp
+
     total = sp.identity(N.shape[0], format="csr")
     power, rows = N.copy(), N.shape[0] + 1
     power.eliminate_zeros()
@@ -215,6 +224,8 @@ _MAX_BAND_ENTRIES = 2**24
 def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     """LAPACK band LU of S, its bandwidths read off its nonzeros; returns
     b -> S^-1 b."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     S = S.tocoo()
     S.eliminate_zeros()
     kl = int((S.row - S.col).max(initial=0))
@@ -246,6 +257,8 @@ def trapezoid_stepper(
     for the reduced right-hand side and the eliminated unknowns, one band
     solve, and one matvec to back-substitute.
     """
+    import scipy.sparse as sp
+
     n = M.shape[0]
     n1 = n - (n if keep is None else keep)
     if not 0 <= n1 < n:
@@ -325,8 +338,8 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     x-directed fields x = (q, q_dot, theta_x): rho*sigma = x'Sx / theta^2 and
     the dissipation residual (x_dot'Px + q theta_x) / theta + theta sigma,
     with the rates x_dot taken from the law on the discrete fields.
-    Arguments: absolute temperature, theta_x, theta_dot_x, the law's drive
-    and the flux-state columns."""
+    Arguments: absolute temperature, theta_x, theta_dot_x and the law's
+    drive, each (steps, nodes), and the flux state (steps, nodes, law order)."""
     row = m.energy["plus"]
     try:
         P, S = _squares(row.P), _squares(row.S)
@@ -335,15 +348,15 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     lower = [(-c / law.a[-1], j) for j, c in enumerate(law.a[:-1]) if c != 0]
 
     def audit(ta, tx, tdx, drive, y):
-        x = (y[:, 0], y[:, -1], tx)  # q, q_dot where the law has it, theta_x
+        x = (y[..., 0], y[..., -1], tx)  # q, q_dot where the law has it, theta_x
         quad = _combine((d, _combine((c, x[b]) for c, b in terms) ** 2) for d, terms in S)
         if quad is None:  # no entropy production, as in GN3 with kappa = 0
             quad = np.zeros_like(ta)
         total = x[0] * tx + quad
         if P:
             # y_j' = y_{j+1}; the top rate comes from the law
-            top = _combine([(1, drive)] + [(c, y[:, j]) for c, j in lower])
-            rate = (y[:, 1], top, tdx) if law.order == 2 else (top, None, tdx)
+            top = _combine([(1, drive)] + [(c, y[..., j]) for c, j in lower])
+            rate = (y[..., 1], top, tdx) if law.order == 2 else (top, None, tdx)
             for d, terms in P:
                 total += d * _combine((c, rate[b]) for c, b in terms) * _combine((c, x[b]) for c, b in terms)
         return quad / (ta * ta), total / ta
@@ -413,38 +426,71 @@ def _init_field(value, x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rows(op: sp.csr_matrix, block: np.ndarray) -> np.ndarray:
+    """op applied to every row of a (steps, nodes) block."""
+    return (op @ block.T).T
+
+
+# a block of steps holds about this many floats (256 kB), so it stays in cache
+_BLOCK_FLOATS = 2**15
+
+
 def _march(
     x: np.ndarray,
     cfg: Union[SimConfig, GKSimConfig],
     u: np.ndarray,
     step: Callable[[np.ndarray], np.ndarray],
-    observe: Callable[[int, float, np.ndarray], Tuple[float, ...]],
-    fields: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    observe: Callable[[np.ndarray], Tuple[Tuple, np.ndarray, np.ndarray]],
+    first: Tuple[np.ndarray, np.ndarray],
     columns: Tuple[str, ...],
+    nodes: Optional[int] = None,
     every: Optional[int] = None,
 ) -> Trajectory:
-    """The fixed-step loop of every 1-D solver: u = step(u), a divergence
-    check, then observe(step number, t, u), which may raise PositivityError
-    and returns that step's values of the audit columns after t. fields(u)
-    gives the (theta, flux) snapshot at t = 0, every `every` steps (about
-    200 snapshots by default) and at the last step."""
+    """The fixed-step loop of every 1-D solver. Only u = step(u) and its
+    divergence check run per step; the rest runs once per block of B steps
+    on the block's states, the rows of U (steps, u.size), with B * u.size
+    about _BLOCK_FLOATS (B = 1 on fine grids). When u starts with the
+    `nodes` values of the theta deviation, the absolute temperature
+    theta_ref + theta must stay positive. observe(U) returns the block's
+    audit columns after t (arrays over its steps, or one value for all of
+    them) and its (theta, flux) rows. Errors name the first bad step, and no
+    state from it on is observed. `first` is the (theta, flux) snapshot at
+    t = 0; the others are taken every `every` steps (about 200 snapshots by
+    default) and at the last step."""
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     every = every or max(1, nsteps // 200)
+    block = max(1, min(nsteps, _BLOCK_FLOATS // u.size))
     audit = {key: np.empty(nsteps) for key in ("t",) + columns}
-    cols = list(audit.values())
-    times, snaps = [0.0], [fields(u)]
-    for i in range(nsteps):
-        t = (i + 1) * cfg.dt
-        u = step(u)
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError(i + 1, t)
-        for col, value in zip(cols, (t, *observe(i + 1, t, u))):
-            col[i] = value
-        if (i + 1) % every == 0 or i + 1 == nsteps:
-            times.append(t)
-            snaps.append(fields(u))
-    thetas, fluxes = (list(s) for s in zip(*snaps))
-    return Trajectory(x, np.array(times), thetas, fluxes, audit, cfg.theta_ref)
+    audit["t"][:] = np.arange(1, nsteps + 1) * cfg.dt
+    kept, thetas, fluxes = [0], [first[0]], [first[1]]
+    for i0 in range(0, nsteps, block):
+        end = min(i0 + block, nsteps)
+        rows = []
+        for _ in range(i0, end):
+            u = step(u)
+            if not np.isfinite(u).all():
+                break
+            rows.append(u)
+        b = len(rows)
+        if b:
+            U = np.stack(rows) if b > 1 else rows[0][None]  # no copy for one step
+            if nodes:
+                # theta_ref + theta <= 0 somewhere, in one pass
+                bad = np.flatnonzero(U[:, :nodes].min(1) <= -cfg.theta_ref)
+                if bad.size:
+                    i = i0 + int(bad[0]) + 1
+                    raise PositivityError(i, i * cfg.dt)
+        if i0 + b < end:
+            raise DivergenceError(i0 + b + 1, (i0 + b + 1) * cfg.dt)
+        values, theta, flux = observe(U)
+        for col, value in zip(columns, values):
+            audit[col][i0 : i0 + b] = value
+        keep = [r for r in range(b) if (i0 + r + 1) % every == 0 or i0 + r + 1 == nsteps]
+        if keep:
+            kept.extend(i0 + r + 1 for r in keep)
+            thetas.extend(theta[keep])
+            fluxes.extend(flux[keep])
+    return Trajectory(x, np.array(kept) * cfg.dt, thetas, fluxes, audit, cfg.theta_ref)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -470,16 +516,16 @@ def simulate(cfg: SimConfig) -> Trajectory:
     law = temperature_law(cfg.model, ConfigurationError)
     audit_fn = _entropy_audit(cfg.model, law)
 
-    def grads(uu):
-        tx = ops.d1 @ uu[:n] + ops.d1_b
-        tdx = ops.d1 @ uu[n : 2 * n] if order >= 2 else np.zeros(n)
+    def grads(U):
+        tx = _rows(ops.d1, U[:, :n]) + ops.d1_b
+        tdx = _rows(ops.d1, U[:, n : 2 * n]) if order >= 2 else np.zeros_like(tx)
         return tx, tdx, _drive(law, tx, tdx)
 
     # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
     # an algebraic law's flux is its drive, y = (drive,)
     k = law.order
-    drive = grads(u)[2]
+    drive = grads(u[None])[2][0]
     if k:
         A = np.eye(k, k, 1)
         A[-1] -= np.divide(law.a[:-1], law.a[-1])
@@ -491,25 +537,33 @@ def simulate(cfg: SimConfig) -> Trajectory:
     else:
         y = drive[:, None]
 
-    def observe(i, t, u):
+    def observe(U):
         nonlocal y, drive
-        tx, tdx, drive_new = grads(u)
+        tx, tdx, drives = grads(U)
         if k:
-            forc[:, -1] = cfg.dt / 2.0 * (drive + drive_new)
-            y = (y @ rhs_a.T + forc) @ lhs_inv.T
+            # the trapezoid forcing of each step, then the sequential recurrence
+            half = np.empty_like(drives)
+            np.add(drive, drives[0], out=half[0])
+            np.add(drives[:-1], drives[1:], out=half[1:])
+            half *= cfg.dt / 2.0
+            ys = np.empty(half.shape + (k,))
+            for j, h in enumerate(half):
+                forc[:, -1] = h
+                y = np.matmul(y @ rhs_a.T + forc, lhs_inv.T, out=ys[j])
         else:
-            y = drive_new[:, None]
-        drive = drive_new
-        ta = cfg.theta_ref + u[:n]
-        if np.any(ta <= 0.0):
-            raise PositivityError(i, t)
-        sig, res = audit_fn(ta, tx, tdx, drive, y)
-        return sig.min(), sig.max(), np.abs(res).max(), ta.min(), np.abs(u[:n]).max()
+            ys = drives[..., None]
+        drive = drives[-1]
+        theta = U[:, :n]
+        ta = cfg.theta_ref + theta
+        sig, res = audit_fn(ta, tx, tdx, drives, ys)
+        values = sig.min(1), sig.max(1), np.abs(res).max(1), ta.min(1), np.abs(theta).max(1)
+        return values, theta, ys[..., 0]
 
     return _march(
         x, cfg, u, step, observe,
-        fields=lambda u: (u[:n].copy(), y[:, 0].copy()),
+        first=(u[:n].copy(), y[:, 0].copy()),
         columns=("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp"),
+        nodes=n,
         every=cfg.snapshot_every,
     )
 
@@ -625,6 +679,8 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
     reference temperature (the linearization point of the constant
     coefficients).
     """
+    import scipy.sparse as sp
+
     grid = cfg.grid
     n = grid.N
     x = grid.interior_x()
@@ -637,10 +693,10 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
     ops = space_operators(grid, "dirichlet", cfg.bc_theta)
     gk_rhs = (-sp.identity(n) + 3.0 * cfg.lambda2 * ops.lap) / tau if tau > 0 else None
 
-    def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[float, ...]:
+    def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[np.ndarray, ...]:
         # the x-directed fields: |grad q|^2 = (div q)^2 = q_x^2, (grad q)q =
         # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx
-        qx, nl = ops.d1 @ q, 3.0 * (ops.lap @ q)
+        qx, nl = _rows(ops.d1, q), 3.0 * _rows(ops.lap, q)
         qq, qx2, qqx = q * q, qx * qx, q * qx
         zeta = gk.zeta(qq, qx2, qx2)
         div_k = gk.div_k(qx2, qx2, q * nl, None, None)
@@ -648,9 +704,10 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
         tau_qdot = -q - cfg.kappa * theta_x + cfg.lambda2 * nl if tau > 0 else 0.0
         residual = q * (tau_qdot / varkappa + theta_x / cfg.theta_ref**2) + div_k + zeta
         # k vanishes with q at the walls, so k_boundary is 0 by construction
-        return zeta.min(), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(), np.abs(residual).max()
+        return zeta.min(1), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(1), np.abs(residual).max(1)
 
     columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
+    q0 = _init_field(cfg.q0, x)
     if cfg.imposed_gradient is not None:
         G = cfg.imposed_gradient
         theta = G * (x - grid.L / 2.0)
@@ -660,33 +717,31 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
         theta_x = np.full(n, G)
         if tau == 0:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
-            # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0
+            # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
+            # step returns that state, so its audit row is computed once
             solve = trapezoid_stepper(3.0 * cfg.lambda2 * ops.lap, np.full(n, -cfg.kappa * G / 2.0), 2.0)
             steady = solve(np.zeros(n))
             step = lambda q: steady
+            row = audit(steady[None], theta_x)
+            observe = lambda Q: (row, np.broadcast_to(theta, Q.shape), Q)
         else:
             step = trapezoid_stepper(gk_rhs, np.full(n, -cfg.kappa * G / tau), cfg.dt)
-        return _march(
-            x, cfg, _init_field(cfg.q0, x), step,
-            observe=lambda i, t, q: audit(q, theta_x),
-            fields=lambda q: (theta.copy(), q.copy()),
-            columns=columns,
-        )
+            observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
+        return _march(x, cfg, q0, step, observe, first=(theta.copy(), q0.copy()), columns=columns)
 
     # fully coupled: u = (theta deviation, q)
     M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.rho_c], [-cfg.kappa / tau * ops.d1, gk_rhs]]).tocsr()
     f = np.zeros(2 * n)
     f[n:] = -cfg.kappa / tau * ops.d1_b
 
-    def observe(i, t, u):
-        theta, q = u[:n], u[n:]
-        if theta.min() <= -cfg.theta_ref:  # theta_ref + theta <= 0 somewhere, in one pass
-            raise PositivityError(i, t)
-        return audit(q, ops.d1 @ theta + ops.d1_b)
+    def observe(U):
+        theta, q = U[:, :n], U[:, n:]
+        return audit(q, _rows(ops.d1, theta) + ops.d1_b), theta, q
 
+    u = np.concatenate([_init_field(cfg.theta0, x), q0])
     return _march(
-        x, cfg, np.concatenate([_init_field(cfg.theta0, x), _init_field(cfg.q0, x)]),
-        trapezoid_stepper(M, f, cfg.dt, keep=n), observe,
-        fields=lambda u: (u[:n].copy(), u[n:].copy()),
+        x, cfg, u, trapezoid_stepper(M, f, cfg.dt, keep=n), observe,
+        first=(u[:n].copy(), u[n:].copy()),
         columns=columns,
+        nodes=n,
     )

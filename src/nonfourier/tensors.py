@@ -41,7 +41,7 @@ class SymTensor3:
 
     def __post_init__(self):
         for name in ("xx", "yy", "zz", "yz", "xz", "xy"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"non-finite component {name!r}")
 
     @classmethod

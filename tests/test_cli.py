@@ -1,10 +1,15 @@
 """End-to-end exercises of the command-line front end via main(argv)."""
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nonfourier.cli import _float_rows, _fmt, main
+import nonfourier
+from nonfourier.cli import _float_rows, _fmt, _snapshot_rows, main
 
 QUINTANILLA_CFG = """
 model.kind = quintanilla
@@ -217,6 +222,25 @@ def test_float_rows_format_cells_as_fmt():
     cols = [np.tile(cells, 700), np.tile(cells[::-1], 700) * np.repeat([1.0, -1.0], 350 * len(cells))]
     want = [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(*cols)]
     assert _float_rows(*cols) == want
+
+
+def test_snapshot_rows_format_cells_as_fmt():
+    cells = np.array([-0.0, 0.0, 1e-300, -5e-320, 1e16, 1e15 + 0.5, 1.0 / 3.0, np.inf, -np.inf, np.nan])
+    traj = SimpleNamespace(x=cells[::-1].copy(), times=cells[:4].copy(),
+                           thetas=[np.roll(cells, k) for k in range(4)], fluxes=[-np.roll(cells, -k) for k in range(4)])
+    want = [",".join(map(_fmt, (t, x, theta, q)))
+            for t, thetas, qs in zip(traj.times, traj.thetas, traj.fluxes)
+            for x, theta, q in zip(traj.x, thetas, qs)]
+    assert _snapshot_rows(traj) == want
+
+
+def test_cli_import_loads_no_scipy():
+    """Only simulate needs scipy (sparse operators, band LU); the CLI and
+    the other subcommands' modules import without it."""
+    code = "import sys, nonfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(nonfourier.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk"])

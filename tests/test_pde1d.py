@@ -282,7 +282,67 @@ def test_neumann_mean_is_conserved():
     assert np.abs(traj.final_theta() - m1).max() < 1e-2
 
 
-def test_positivity_abort_reports_first_step():
+def _built_steppers(monkeypatch):
+    """The steppers the simulator builds, kept to be looped by hand."""
+    steppers = []
+    build = pde1d.trapezoid_stepper
+
+    def spy(*args, **kwargs):
+        steppers.append(build(*args, **kwargs))
+        return steppers[-1]
+
+    monkeypatch.setattr(pde1d, "trapezoid_stepper", spy)
+    return steppers
+
+
+def _observed_states(monkeypatch):
+    """Every state the time loop passes to the simulator's observer."""
+    states = []
+    march = pde1d._march
+
+    def spy(x, cfg, u, step, observe, *args, **kwargs):
+        def recorded(U):
+            states.extend(U.copy())
+            return observe(U)
+
+        return march(x, cfg, u, step, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(pde1d, "_march", spy)
+    return states
+
+
+def _first_bad_step(step, u, bad):
+    """Step number of the first state from u on that bad() flags, stepping
+    by hand."""
+    for i in range(1, 100_000):
+        u = step(u)
+        if bad(u):
+            return i
+    raise AssertionError("no bad state")
+
+
+def _block(cfg, size):
+    """The time loop's block length for a state of `size` unknowns."""
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    return max(1, min(nsteps, pde1d._BLOCK_FLOATS // size))
+
+
+def _assert_first_bad_step(monkeypatch, run, cfg, u0, n, error, bad):
+    """run(cfg) raises `error` at the first step whose state bad() flags,
+    found by looping the simulator's own stepper from u0 by hand, and only
+    states before it reach the observer, all with a positive absolute
+    temperature."""
+    steppers, states = _built_steppers(monkeypatch), _observed_states(monkeypatch)
+    with pytest.raises(error) as e:
+        run(cfg)
+    first = _first_bad_step(steppers[-1], u0, bad)
+    assert (e.value.step, e.value.t) == (first, first * cfg.dt)
+    assert len(states) < first
+    assert all((cfg.theta_ref + s[:n] > 0.0).all() for s in states)
+    return first
+
+
+def test_positivity_abort_reports_first_step(monkeypatch):
     """A reference temperature smaller than the initial dip drives the
     absolute temperature through zero immediately."""
     cfg = SimConfig(
@@ -294,20 +354,78 @@ def test_positivity_abort_reports_first_step():
         theta0=lambda x: -2.0 * np.sin(x),
         theta_ref=1.0,
     )
-    with pytest.raises(PositivityError) as e:
-        simulate(cfg)
-    assert e.value.step >= 1
+    u0 = -2.0 * np.sin(cfg.grid.interior_x())
+    first = _assert_first_bad_step(
+        monkeypatch, simulate, cfg, u0, 20, PositivityError, lambda u: (cfg.theta_ref + u <= 0).any()
+    )
+    assert first == 1
 
 
-def test_coupled_gk_positivity_abort():
+@pytest.mark.parametrize(
+    "model, N, t_end, later_block",
+    [
+        (Fourier(kappa=1.0), 20, 0.3, False),  # 300 steps in one block
+        (Quintanilla(tau=0.5, xi=1.0, kappa=0.502), 200, 1.0, True),  # 1000 steps, blocks of 54
+    ],
+    ids=["fourier", "quintanilla"],
+)
+def test_positivity_abort_names_first_step_inside_a_block(monkeypatch, model, N, t_end, later_block):
+    """A wall held below -theta_ref cools the first node through 0 K after
+    hundreds of steps, inside a block of the time loop."""
+    cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=np.pi, N=N), dt=1e-3, t_end=t_end,
+                    bc_value=(-1.2, 0.0), theta_ref=1.0)
+    order = time_order(model)
+    first = _assert_first_bad_step(
+        monkeypatch, simulate, cfg, np.zeros(order * N), N, PositivityError,
+        lambda u: (cfg.theta_ref + u[:N] <= 0).any(),
+    )
+    block = _block(cfg, order * N)
+    assert first % block > 1  # neither the first nor the last step of its block
+    if later_block:  # past the first block, in a run whose last block is short
+        assert first > block and round(t_end / cfg.dt) % block
+
+
+def test_coupled_gk_positivity_abort(monkeypatch):
     """The coupled solver checks the absolute temperature every step too."""
     cfg = GKSimConfig(
         tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=40), dt=1e-3, t_end=0.1,
         theta0=lambda x: -2.0 * np.sin(np.pi * x), theta_ref=1.0,
     )
-    with pytest.raises(PositivityError) as e:
-        simulate_coupled_gk(cfg)
-    assert e.value.step >= 1
+    u0 = np.concatenate([-2.0 * np.sin(np.pi * cfg.grid.interior_x()), np.zeros(40)])
+    first = _assert_first_bad_step(
+        monkeypatch, simulate_coupled_gk, cfg, u0, 40, PositivityError, lambda u: u[:40].min() <= -cfg.theta_ref
+    )
+    assert first == 1
+
+
+def test_coupled_gk_positivity_abort_inside_a_later_block(monkeypatch):
+    """A cold wall takes a node of the coupled run through 0 K inside a
+    later block of a run whose last block is short."""
+    N = 200
+    cfg = GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=N), dt=1e-3, t_end=1.0,
+                      bc_theta=(-1.2, 0.0), theta_ref=1.0)
+    first = _assert_first_bad_step(
+        monkeypatch, simulate_coupled_gk, cfg, np.zeros(2 * N), N, PositivityError,
+        lambda u: u[:N].min() <= -cfg.theta_ref,
+    )
+    block = _block(cfg, 2 * N)
+    assert first > block and first % block > 1 and 1000 % block
+
+
+def test_divergence_abort_names_first_step(monkeypatch):
+    """Backward heat flow with h lambda_1 = 0.999 multiplies the positive
+    first sine mode by 1999 a step until it overflows, without ever taking
+    theta below 0; the first non-finite step is reported, inside the only
+    block, and no state of that block is audited."""
+    grid = Grid1D(L=np.pi, N=60)
+    dt = 2 * 0.999 / discrete_eigenvalue(grid, 1)
+    cfg = SimConfig(model=Fourier(kappa=-1.0), material=MAT, grid=grid, dt=dt, t_end=300 * dt,
+                    theta0=lambda x: 1e-3 * np.sin(x), theta_ref=1.0)
+    u0 = 1e-3 * np.sin(grid.interior_x())
+    first = _assert_first_bad_step(
+        monkeypatch, simulate, cfg, u0, 60, DivergenceError, lambda u: not np.isfinite(u).all()
+    )
+    assert 1 < first < _block(cfg, 60) == 300
 
 
 def test_divergence_abort_on_unstable_backward_heat():
@@ -379,21 +497,23 @@ def test_node_audit_matches_pointwise_energetics(monkeypatch, model):
             q0=lambda x: 0.1 * np.cos(np.pi * x), theta_ref=1.0,
         )
     )
-    (ta, tx, tdx, _, y), (sig, res) = calls[-1]
     e = np.array([1.0, 0.0, 0.0])
     order = model.law.order
-    for i in range(ta.size):
-        fields = {"q": y[i, 0] * e, "grad_theta": tx[i] * e, "grad_theta_dot": tdx[i] * e}
-        if order == 2:
-            fields["qdot"] = y[i, 1] * e
-        s = ThermalState(theta=ta[i], **fields)
-        if order:
-            fields[("qdot", "qddot")[order - 1]] = flux_rate(model, s)
+    # each call audits a block of steps: (steps, nodes) arrays
+    assert sum(len(columns[0]) for columns, _ in calls) == 10
+    for (ta, tx, tdx, _, y), (sig, res) in calls:
+        for i in np.ndindex(ta.shape):
+            fields = {"q": y[i][0] * e, "grad_theta": tx[i] * e, "grad_theta_dot": tdx[i] * e}
+            if order == 2:
+                fields["qdot"] = y[i][1] * e
             s = ThermalState(theta=ta[i], **fields)
-        terms = dissipation_terms(model, s)
-        scale = np.abs(terms).max()
-        assert abs(sig[i] - entropy_production(model, s)) <= 1e-12 * scale / ta[i]
-        assert abs(res[i] - terms.sum()) <= 1e-12 * scale
+            if order:
+                fields[("qdot", "qddot")[order - 1]] = flux_rate(model, s)
+                s = ThermalState(theta=ta[i], **fields)
+            terms = dissipation_terms(model, s)
+            scale = np.abs(terms).max()
+            assert abs(sig[i] - entropy_production(model, s)) <= 1e-12 * scale / ta[i]
+            assert abs(res[i] - terms.sum()) <= 1e-12 * scale
 
 
 def test_gn3_undamped_mode_oscillates_at_dispersion_frequency():
@@ -555,8 +675,9 @@ def test_gk_imposed_gradient_writes_the_deviation_and_rejects_a_nonpositive_prof
     [
         dict(tau=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x), bc_theta=(0.05, -0.02), theta_ref=1.3),
         dict(tau=0.05, imposed_gradient=0.8, theta_ref=1.3),
+        dict(tau=0.0, imposed_gradient=0.8, theta_ref=1.3),
     ],
-    ids=["coupled", "imposed_relaxing"],
+    ids=["coupled", "imposed_relaxing", "imposed_steady"],
 )
 def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
     """The coupled GK audit columns of a short run equal entropy_production,
@@ -567,9 +688,11 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
     march = pde1d._march
 
     def spy(x, cfg, u, step, observe, *args, **kwargs):
-        def recorded(i, t, u):
-            out = observe(i, t, u)
-            records.append((u.copy(), out))
+        def recorded(U):
+            out = observe(U)
+            # one record per step of the block: its state and audit row
+            rows = zip(*(np.broadcast_to(value, len(U)) for value in out[0]))
+            records.extend(zip(U.copy(), rows))
             return out
 
         return march(x, cfg, u, step, recorded, *args, **kwargs)
@@ -598,7 +721,9 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
             grad_q[0, 0] = qx[i]
             s = ThermalState(theta=cfg.theta_ref, q=q[i] * e, grad_theta=theta_x[i] * e,
                              grad_q=grad_q, nonlocal_q=3.0 * qxx[i] * e)
-            s = ThermalState(**{**s.__dict__, "qdot": flux_rate(model, s)})
+            # tau = 0 has no rate, and tau q_dot drops out of the identity
+            qdot = flux_rate(model, s) if cfg.tau > 0 else np.zeros(3)
+            s = ThermalState(**{**s.__dict__, "qdot": qdot})
             terms = dissipation_terms(model, s)
             zetas.append(entropy_production(model, s))
             ks.append(abs(extra_entropy_flux(model, s)[0]))
