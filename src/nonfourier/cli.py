@@ -78,14 +78,13 @@ def _float_rows(*columns: np.ndarray) -> List[str]:
 
 
 def _snapshot_rows(traj) -> List[str]:
-    """t,x,theta,q lines of every snapshot, cells as _fmt writes a float;
-    each t and each x is formatted once, then one %-format per row."""
-    xs = ["%.12g," % v for v in traj.x.tolist()]
-    lines = []
-    for t, theta, q in zip(traj.times.tolist(), traj.thetas, traj.fluxes):
-        head = "%.12g," % t
-        lines += [head + x + "%.12g,%.12g" % p for x, p in zip(xs, zip(theta.tolist(), q.tolist()))]
-    return lines
+    """The t,x,theta,q lines of each snapshot as one string, cells as _fmt
+    writes a float. The x cells are formatted once into a template of the
+    snapshot's lines; per snapshot its t goes in for a sentinel that %.12g
+    output cannot contain, then one %-format fills every theta and q."""
+    template = "\n".join(f"@{v:.12g},%.12g,%.12g" for v in traj.x.tolist())
+    return [template.replace("@", "%.12g," % t) % tuple(np.column_stack((theta, q)).ravel().tolist())
+            for t, theta, q in zip(traj.times.tolist(), traj.thetas, traj.fluxes)]
 
 
 def _header(args) -> List[str]:

@@ -45,10 +45,11 @@ class PositivityError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A field became non-finite (numerical blow-up)."""
+    """A field, or the audit of a finite one, became non-finite (numerical
+    blow-up)."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite field values at step {step} (t = {t:.6g})")
+    def __init__(self, step: int, t: float, what: str = "field"):
+        super().__init__(f"non-finite {what} values at step {step} (t = {t:.6g})")
         self.step = step
         self.t = t
 
@@ -223,7 +224,7 @@ _MAX_BAND_ENTRIES = 2**24
 
 def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     """LAPACK band LU of S, its bandwidths read off its nonzeros; returns
-    b -> S^-1 b."""
+    b -> S^-1 b, solved in b's own storage."""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     S = S.tocoo()
@@ -239,7 +240,7 @@ def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return dgbtrs(lu, kl, ku, b, piv)[0]
+        return dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
 
     return solve
 
@@ -253,11 +254,13 @@ def trapezoid_stepper(
     The system is Schur-reduced onto its last `keep` unknowns (all of them
     by default). The eliminated block of M must be nilpotent (the companion
     shifts of a temperature equation, or zero), so (I - hM11)^-1 is a finite
-    sum; the banded complement is LU-factored once. A step is one matvec
-    for the reduced right-hand side and the eliminated unknowns, one band
-    solve, and one matvec to back-substitute.
+    sum; the banded complement is LU-factored once. A step is two calls of
+    scipy's CSR matvec kernel (the reduced right-hand side with the
+    eliminated unknowns, then the back-substitution) and one band solve
+    (`dgbtrs`), with no sparse-matrix dispatch.
     """
     import scipy.sparse as sp
+    from scipy.sparse._sparsetools import csr_matvec
 
     n = M.shape[0]
     n1 = n - (n if keep is None else keep)
@@ -273,12 +276,20 @@ def trapezoid_stepper(
     rhs_mat = (reduce @ (eye + hM)).tocsr()
     rhs_f = reduce @ (dt * np.asarray(f, dtype=float))
     back = (E @ hM12).tocsr()
+    rp, ri, rd = rhs_mat.indptr, rhs_mat.indices, rhs_mat.data
+    bp, bi, bd = back.indptr, back.indices, back.data
 
+    # each product sums into zeros, as `rhs_mat @ u + rhs_f` and
+    # `r[:n1] += back @ r[n1:]` do, so the rounding is theirs
     def step(u: np.ndarray) -> np.ndarray:
-        r = rhs_mat @ u + rhs_f
+        r = np.zeros(n)
+        csr_matvec(n, n, rp, ri, rd, u, r)
+        r += rhs_f
         r[n1:] = solve(r[n1:])
         if n1:
-            r[:n1] += back @ r[n1:]
+            t = np.zeros(n1)
+            csr_matvec(n1, n - n1, bp, bi, bd, r[n1:], t)
+            r[:n1] += t
         return r
 
     return step
@@ -454,9 +465,11 @@ def _march(
     theta_ref + theta must stay positive. observe(U) returns the block's
     audit columns after t (arrays over its steps, or one value for all of
     them) and its (theta, flux) rows. Errors name the first bad step, and no
-    state from it on is observed. `first` is the (theta, flux) snapshot at
-    t = 0; the others are taken every `every` steps (about 200 snapshots by
-    default) and at the last step."""
+    state from a bad state on is observed. A block of finite states is
+    observed with overflow silenced; its first step with a non-finite audit
+    value (a state past about 1e154 squares to inf) is an error too. `first`
+    is the (theta, flux) snapshot at t = 0; the others are taken every
+    `every` steps (about 200 snapshots by default) and at the last step."""
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     every = every or max(1, nsteps // 200)
     block = max(1, min(nsteps, _BLOCK_FLOATS // u.size))
@@ -482,7 +495,15 @@ def _march(
                     raise PositivityError(i, i * cfg.dt)
         if i0 + b < end:
             raise DivergenceError(i0 + b + 1, (i0 + b + 1) * cfg.dt)
-        values, theta, flux = observe(U)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, theta, flux = observe(U)
+        finite = np.ones(b, dtype=bool)
+        for value in values:
+            finite &= np.isfinite(value)
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            i = i0 + int(bad[0]) + 1
+            raise DivergenceError(i, i * cfg.dt, "audit")
         for col, value in zip(columns, values):
             audit[col][i0 : i0 + b] = value
         keep = [r for r in range(b) if (i0 + r + 1) % every == 0 or i0 + r + 1 == nsteps]
@@ -718,12 +739,11 @@ def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
         if tau == 0:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
             # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
-            # step returns that state, so its audit row is computed once
+            # step returns that state, so its audit row is computed once a block
             solve = trapezoid_stepper(3.0 * cfg.lambda2 * ops.lap, np.full(n, -cfg.kappa * G / 2.0), 2.0)
             steady = solve(np.zeros(n))
             step = lambda q: steady
-            row = audit(steady[None], theta_x)
-            observe = lambda Q: (row, np.broadcast_to(theta, Q.shape), Q)
+            observe = lambda Q: (audit(Q[:1], theta_x), np.broadcast_to(theta, Q.shape), Q)
         else:
             step = trapezoid_stepper(gk_rhs, np.full(n, -cfg.kappa * G / tau), cfg.dt)
             observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)

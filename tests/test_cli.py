@@ -178,6 +178,31 @@ def test_simulate_gk_positivity_abort_exits_1(tmp_path, capsys):
     assert not (out / "audit.csv").exists()
 
 
+SLOW_BLOW_UP_CFG = """
+model.kind = fourier
+model.kappa = -1.0
+grid.L = 1.0
+grid.N = 200
+time.dt = 0.12
+time.t_end = 60.0
+sim.theta_ref = 1.0
+ic.kind = sine
+ic.amplitude = 1e-3
+"""
+
+
+def test_simulate_audit_overflow_exits_1_without_warning(tmp_path, capsys):
+    """Backward heat flow whose state stays finite for all 500 steps but
+    passes 1e154, where the audit's squares overflow, on the way."""
+    cfg = write_cfg(tmp_path, SLOW_BLOW_UP_CFG)
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite audit values at step 265 (t = 31.8)" in err
+    assert "RuntimeWarning" not in err
+    assert not (out / "audit.csv").exists()
+
+
 def test_sweep_orders_verdicts_by_value(tmp_path):
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     code, out = run(tmp_path, "sweep", "--config", cfg)
@@ -231,7 +256,9 @@ def test_snapshot_rows_format_cells_as_fmt():
     want = [",".join(map(_fmt, (t, x, theta, q)))
             for t, thetas, qs in zip(traj.times, traj.thetas, traj.fluxes)
             for x, theta, q in zip(traj.x, thetas, qs)]
-    assert _snapshot_rows(traj) == want
+    # one string per snapshot, joined into lines as _write joins them
+    assert len(_snapshot_rows(traj)) == len(traj.times)
+    assert "\n".join(_snapshot_rows(traj)) == "\n".join(want)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from nonfourier import pde1d
 from nonfourier.energetics import dissipation_terms, entropy_production, extra_entropy_flux
@@ -189,6 +193,75 @@ def test_gk_banded_steps_match_superlu_oracle(monkeypatch, setup):
     for gq, wq, gt, wt in zip(got.qs[1:], want.qs[1:], got.thetas[1:], want.thetas[1:]):
         _assert_close(gq, wq)
         _assert_close(gt, wt)
+
+
+def _dispatch_stepper(M, f, dt, keep=None):
+    """Oracle for the kernel calls of trapezoid_stepper's step: the same
+    Schur reduction and band LU, stepped through scipy's public sparse
+    products and a copying dgbtrs as `rhs_mat @ u + rhs_f`, the band solve
+    and `back @ r2`."""
+    n = M.shape[0]
+    n1 = n - (n if keep is None else keep)
+    hM = (dt / 2.0 * sp.csr_matrix(M)).tocsr()
+    eye = sp.identity(n, format="csr")
+    E = pde1d._nilpotent_inverse(hM[:n1, :n1])
+    hM12, A21E = hM[:n1, n1:], -hM[n1:, :n1] @ E
+    S = (eye[n1:, n1:] - hM[n1:, n1:] + A21E @ hM12).tocoo()
+    S.eliminate_zeros()
+    kl, ku = int((S.row - S.col).max(initial=0)), int((S.col - S.row).max(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, n - n1))
+    ab[kl + ku + S.row - S.col, S.col] = S.data
+    lu, piv, _ = dgbtrf(ab, kl, ku)
+    reduce = sp.bmat([[E, None], [-A21E, eye[n1:, n1:]]], format="csr")
+    rhs_mat = (reduce @ (eye + hM)).tocsr()
+    rhs_f = reduce @ (dt * np.asarray(f, dtype=float))
+    back = (E @ hM12).tocsr()
+
+    def step(u):
+        r = rhs_mat @ u + rhs_f
+        r2 = dgbtrs(lu, kl, ku, r[n1:], piv)[0]
+        return np.concatenate([r[:n1] + back @ r2, r2])
+
+    return step
+
+
+def _assert_bitwise_steps(M, f, dt, keep, steps=500):
+    """trapezoid_stepper and the dispatch oracle stay bitwise equal from one
+    random state for `steps` steps."""
+    kernel, oracle = trapezoid_stepper(M, f, dt, keep=keep), _dispatch_stepper(M, f, dt, keep=keep)
+    u = v = np.random.default_rng(M.shape[0]).standard_normal(M.shape[0])
+    for _ in range(steps):
+        u, v = kernel(u), oracle(v)
+        assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("model", [MCV(tau=0.7, kappa=2.0), Quintanilla(tau=0.5, xi=1.0, kappa=2.0)],
+                         ids=lambda m: type(m).__name__)
+def test_kernel_step_is_bitwise_the_sparse_product_step(model):
+    """Order 2 and order 3, kept on the top derivative with back-substitution
+    as simulate keeps them."""
+    ops = space_operators(Grid1D(L=1.0, N=200), "dirichlet", (0.3, -0.2))
+    M, f, order = assemble_rhs(model, MAT, ops)
+    assert order == time_order(model) > 1
+    _assert_bitwise_steps(M, f, 1e-3, ops.n)
+
+
+@pytest.mark.parametrize(
+    "setup, keep",
+    [(dict(theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_theta=(0.05, -0.02)), 60), (dict(imposed_gradient=1.0), None)],
+    ids=["coupled", "imposed_relaxing"],
+)
+def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, keep):
+    """The coupled GK matrix, kept on the flux with back-substitution, and
+    the imposed-gradient flux matrix, kept whole."""
+    calls = []
+    build = pde1d.trapezoid_stepper
+    monkeypatch.setattr(pde1d, "trapezoid_stepper", lambda *a, **k: calls.append((a, k)) or build(*a, **k))
+    simulate_coupled_gk(GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=60), dt=1e-3,
+                                    t_end=1e-3, **setup))
+    (M, f, dt), kwargs = calls[0]
+    assert kwargs.get("keep") == keep
+    _assert_bitwise_steps(M, f, dt, keep)
 
 
 def test_singular_implicit_matrix_raises():
@@ -440,6 +513,34 @@ def test_divergence_abort_on_unstable_backward_heat():
     )
     with pytest.raises((DivergenceError, PositivityError)):
         simulate(cfg)
+
+
+def test_slow_blow_up_aborts_at_first_non_finite_audit_without_warning(monkeypatch):
+    """Backward heat flow with h lambda_1 = 0.6 multiplies the first sine
+    mode by 4 a step. Its squares in the audit overflow once |theta| passes
+    about 1e154, in the second block of steps and long before the state
+    itself overflows: the run stops at that step with a DivergenceError and
+    no RuntimeWarning, and the run to the step before has a finite audit."""
+    grid = Grid1D(L=np.pi, N=200)
+    dt = 2 * 0.6 / discrete_eigenvalue(grid, 1)
+    cfg = SimConfig(model=Fourier(kappa=-1.0), material=MAT, grid=grid, dt=dt, t_end=600 * dt,
+                    theta0=lambda x: 1e-3 * np.sin(x), theta_ref=1.0)
+    steppers = _built_steppers(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite audit values") as e:
+            simulate(cfg)
+        first = e.value.step
+        before = simulate(replace(cfg, t_end=(first - 1) * dt))
+    assert e.value.t == first * dt
+    block = _block(cfg, 200)
+    assert block < first < 2 * block
+    assert all(np.isfinite(col).all() for col in before.audit.values())
+    # the state at that step is finite: its audit is what overflows
+    u = 1e-3 * np.sin(grid.interior_x())
+    for _ in range(first):
+        u = steppers[0](u)
+    assert np.isfinite(u).all() and np.abs(u).max() > 1e150
 
 
 def test_audit_tracks_nonnegative_sigma_for_mcv():
