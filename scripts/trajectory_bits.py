@@ -2,8 +2,9 @@
 """Save the exact numbers of a set of 1-D runs, so two checkouts' solvers
 can be compared bit for bit.
 
-Cases: every local kind the 1-D layer simulates, at N = 100, 333 and 2000,
-with Dirichlet and with Neumann data; and the coupled, the relaxing
+Cases: every local kind the 1-D layer simulates (GN III also with
+kappa = 0, which produces no entropy), at N = 100, 333 and 2000, with
+Dirichlet and with Neumann data; and the coupled, the relaxing
 (imposed gradient, tau > 0) and the steady (imposed gradient, tau = 0)
 Guyer-Krumhansl runs at each N. For each case <out.npz> holds the snapshot
 times, the stacked theta and flux snapshots and every audit column, under
@@ -31,6 +32,7 @@ MODELS = (
     MCV(tau=0.7, kappa=2.0),
     Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
     GN3(xi=1.5, kappa=2.0),
+    GN3(xi=1.5, kappa=0.0),  # no entropy production: the audit's zero-sigma branch
     Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
     Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0),
 )
@@ -46,12 +48,12 @@ def bump(x: np.ndarray) -> np.ndarray:
 def cases():
     for N in SIZES:
         grid = Grid1D(L=1.0, N=N)
-        for model in MODELS:
+        for i, model in enumerate(MODELS):
             for bc in ("dirichlet", "neumann"):
                 cfg = SimConfig(model=model, material=MAT, grid=grid, dt=DT, t_end=STEPS * DT, bc_kind=bc,
                                 bc_value=(0.3, -0.2), theta0=bump, theta_dot0=lambda x: 0.2 * x,
                                 q0=lambda x: 0.1 * x * (1.0 - x), snapshot_every=7)
-                yield f"{type(model).__name__}/{bc}/{N}", lambda cfg=cfg: simulate(cfg)
+                yield f"{type(model).__name__}{i}/{bc}/{N}", lambda cfg=cfg: simulate(cfg)
         gk = dict(kappa=1.0, lambda2=1e-3, grid=grid, dt=DT, t_end=STEPS * DT, q0=lambda x: 0.3 * x * (1.0 - x))
         for name, setup in (
             ("coupled", dict(tau=0.1, theta0=bump, bc_theta=(0.05, -0.02))),
