@@ -9,7 +9,8 @@ import argparse
 
 import numpy as np
 
-from nonfourier.pde1d import GKSimConfig, Grid1D, simulate_coupled_gk, steady_gk_profile
+from nonfourier.models import CoefficientFn, GKLinear, MaterialConstants
+from nonfourier.pde1d import Grid1D, SimConfig, simulate, steady_gk_profile
 
 
 def main() -> None:
@@ -22,16 +23,17 @@ def main() -> None:
     grid = Grid1D(L=1.0, N=args.N)
     print(f"{'lambda2':>10} {'midpoint_q':>12} {'linf_vs_exact':>14} {'min_zeta':>10}")
     for lambda2 in (1e-1, 1e-2, 1.0 / 300.0, 1e-3):
-        cfg = GKSimConfig(
-            tau=0.0,
-            kappa=args.kappa,
-            lambda2=lambda2,
+        # at theta_ref = 1, varkappa = kappa and ell^2 = lambda2 / kappa
+        cfg = SimConfig(
+            model=GKLinear(tau=0.0, ell=np.sqrt(lambda2 / args.kappa), varkappa=CoefficientFn(args.kappa)),
+            material=MaterialConstants(rho=1.0, cv=1.0),
             grid=grid,
             dt=1e-2,
             t_end=0.1,
+            theta_ref=1.0,
             imposed_gradient=args.gradient,
         )
-        traj = simulate_coupled_gk(cfg)
+        traj = simulate(cfg)
         exact = steady_gk_profile(args.kappa, lambda2, args.gradient, 1.0, traj.x).values
         linf = float(np.abs(traj.final_q() - exact).max())
         mid = float(np.interp(0.5, traj.x, traj.final_q()))

@@ -40,7 +40,7 @@ from .models import (
     ModelParams,
     Quintanilla,
 )
-from .pde1d import GKSimConfig, Grid1D, SimConfig
+from .pde1d import Grid1D, SimConfig
 from .tensors import SymTensor3
 
 
@@ -179,8 +179,9 @@ def _initial_field(cfg: Dict[str, str], grid: Grid1D):
 
 def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
     grid = build_grid(cfg)
+    model = build_model(cfg)
     return SimConfig(
-        model=build_model(cfg),
+        model=model,
         material=build_material(cfg),
         grid=grid,
         dt=_float(cfg, "time.dt"),
@@ -188,37 +189,7 @@ def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
         bc_kind=_get(cfg, "bc.kind", "dirichlet").lower(),
         bc_value=_float(cfg, "bc.value", "0.0"),
         theta0=_initial_field(cfg, grid),
-        theta_ref=_float(cfg, "sim.theta_ref", "300.0"),
-        snapshot_every=(
-            _int(cfg, "time.snapshot_every") if "time.snapshot_every" in cfg else None
-        ),
-    )
-
-
-def build_gk_sim_config(cfg: Dict[str, str]) -> GKSimConfig:
-    model = build_model(cfg)
-    if not isinstance(model, GKLinear):
-        raise ConfigError("key 'model.kind': coupled solver needs a gk model")
-    if isinstance(model, GKNonlinear) and model.delta != 0:
-        raise ConfigError("key 'model.delta': the coupled solver has no nonlinear term; it needs delta = 0")
-    if model.varkappa.p != 0:
-        raise ConfigError("key 'model.varkappa': the coupled solver freezes it at theta_ref; it needs constant:c")
-    grid = build_grid(cfg)
-    theta_ref = _float(cfg, "sim.theta_ref", "1.0")
-    material = build_material(cfg)
-    imposed = (
-        _float(cfg, "gk.imposed_gradient") if "gk.imposed_gradient" in cfg else None
-    )
-    return GKSimConfig(
-        tau=model.tau,
-        kappa=model.kappa(theta_ref),
-        lambda2=model.lambda2(theta_ref),
-        grid=grid,
-        dt=_float(cfg, "time.dt"),
-        t_end=_float(cfg, "time.t_end"),
-        rho_c=material.rho_cv,
-        theta_ref=theta_ref,
-        imposed_gradient=imposed,
-        bc_theta=_float(cfg, "bc.value", "0.0"),
-        theta0=_initial_field(cfg, grid),
+        theta_ref=_float(cfg, "sim.theta_ref", "1.0" if isinstance(model, GKLinear) else "300.0"),
+        snapshot_every=_int(cfg, "time.snapshot_every") if "time.snapshot_every" in cfg else None,
+        imposed_gradient=_float(cfg, "gk.imposed_gradient") if "gk.imposed_gradient" in cfg else None,
     )

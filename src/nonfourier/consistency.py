@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .energetics import SingularParameterError
+from .energetics import SingularParameterError, burgers_bands, burgers_case
 from .models import Burgers, GKLinear, LocalModel, Quintanilla
 from .tensors import (
     DEFAULT_TOL,
@@ -24,10 +24,6 @@ from .tensors import (
     is_psd,
     psd_margin,
 )
-
-# dead-band for the exact-zero hypotheses (tau*nu = 0, mu = 0)
-ZERO_BAND = 1e-12
-
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
@@ -148,19 +144,18 @@ def check_burgers(
       i)   tau*nu = 0, mu > 0 and lambda_b < 0;
       ii)  tau*nu != 0, mu = 0 and nu > 0;
       iii) tau*nu != 0, mu > 0 and nu*tau**2 >= lambda_b*mu.
-    Exact-zero hypotheses use a relative dead-band; inputs sitting inside the
-    band without satisfying any regime come back tagged marginal.
+    The regime is energetics.burgers_case's, whose exact-zero hypotheses
+    use a relative dead-band; inputs within twice the band of it, but not
+    exactly zero, come back tagged marginal.
     """
     if lambda_b == 0:
         raise SingularParameterError("lambda_b = 0: use the Jeffreys checker")
+    m = Burgers(lambda_b, tau, mu, nu)
+    case, (tn_band, mu_band) = burgers_case(m), burgers_bands(m)
     scale = max(1.0, abs(tau), abs(nu), abs(mu), abs(lambda_b))
-    band = ZERO_BAND * scale
-    tn = tau * nu
-    tn_zero = abs(tn) <= band * scale
-    mu_zero = abs(mu) <= band
-    near_band = (0 < abs(tn) <= 2 * band * scale) or (0 < abs(mu) <= 2 * band)
+    near_band = (0 < abs(tau * nu) <= 2 * tn_band) or (0 < abs(mu) <= 2 * mu_band)
 
-    if tn_zero:
+    if case == "i":
         margin = min(mu, -lambda_b)
         if mu > tol * scale and lambda_b < -tol * scale:
             return ConsistencyVerdict(True, margin, case_tag="i", marginal=near_band)
@@ -169,7 +164,7 @@ def check_burgers(
             failed_condition="regime i needs mu > 0 and lambda_b < 0",
             failure_mode="sign", marginal=near_band,
         )
-    if mu_zero:
+    if case == "ii":
         if nu > tol * scale:
             return ConsistencyVerdict(True, nu, case_tag="ii", marginal=near_band)
         return ConsistencyVerdict(
@@ -183,7 +178,7 @@ def check_burgers(
     return ConsistencyVerdict(
         False, margin, case_tag="iii",
         failed_condition="regime iii needs mu > 0 and nu*tau^2 >= lambda_b*mu",
-        failure_mode="sign", marginal=near_band, witness=_witness(Burgers(lambda_b, tau, mu, nu)),
+        failure_mode="sign", marginal=near_band, witness=_witness(m),
     )
 
 

@@ -82,18 +82,25 @@ class BurgersPsiCoefficients:
     g3: float
 
 
-def burgers_case(m: Burgers, zero_tol: float = 1e-12) -> str:
-    """Which coefficient regime applies; '' if none does structurally."""
+# tau*nu and mu count as zero within this band of their scale
+ZERO_BAND = 1e-12
+
+
+def burgers_bands(m: Burgers) -> Tuple[float, float]:
+    """The zero bands of tau*nu and of mu in the regime decision: ZERO_BAND
+    times the scale s = max(1, |tau|, |nu|, |mu|), times s again for tau*nu."""
     scale = max(1.0, abs(m.tau), abs(m.nu), abs(m.mu))
-    tn_zero = abs(m.tau * m.nu) <= zero_tol * scale**2
-    mu_zero = abs(m.mu) <= zero_tol * scale
-    if not tn_zero and not mu_zero:
-        return "iii"
-    if not tn_zero and mu_zero:
-        return "ii"
-    if tn_zero:
+    band = ZERO_BAND * scale
+    return band * scale, band
+
+
+def burgers_case(m: Burgers) -> str:
+    """Which coefficient regime applies: "i" when tau*nu is zero, else "ii"
+    when mu is, else "iii"."""
+    tn_band, mu_band = burgers_bands(m)
+    if abs(m.tau * m.nu) <= tn_band:
         return "i"
-    return ""
+    return "ii" if abs(m.mu) <= mu_band else "iii"
 
 
 def burgers_psi_coefficients(
@@ -320,7 +327,7 @@ class Nonlocal(NamedTuple):
         return out
 
 
-def _gk(m: ModelParams, variant: str, theta: float) -> Optional[Nonlocal]:
+def nonlocal_coefficients(m: ModelParams, theta: float, variant: str = "plus") -> Optional[Nonlocal]:
     """The nonlocal kind's coefficients at theta; None for a local kind."""
     if not isinstance(m, GKLinear):
         return None
@@ -341,7 +348,7 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
     (xi + kappa)-weighted energy and "star" the (xi - kappa)-weighted one.
     """
     th = s.theta
-    gk = _gk(m, variant, th)
+    gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         return 0.5 * gk.tau * th / gk.vk * float(s.q @ s.q)
     P = _row(m, variant).P
@@ -356,7 +363,7 @@ def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float
 def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
     """rho*sigma; for the nonlocal model the internal supply rho*zeta."""
     th = s.theta
-    gk = _gk(m, variant, th)
+    gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         s.require("grad_q")
         return gk.zeta(float(s.q @ s.q), float(np.sum(s.grad_q**2)), float(np.trace(s.grad_q)) ** 2)
@@ -369,7 +376,7 @@ def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -
 
 def extra_entropy_flux(m: GKLinear, s: ThermalState) -> np.ndarray:
     """Extra entropy flux k of the nonlocal model; zero for q = 0 states."""
-    gk = _gk(m, "plus", s.theta)
+    gk = nonlocal_coefficients(m, s.theta)
     if gk is None:
         raise InvalidInputError("extra entropy flux only exists for the nonlocal model")
     s.require("grad_q")
@@ -383,7 +390,7 @@ def no_flow(k: np.ndarray, n: np.ndarray, tol: float = 1e-12) -> bool:
 def gk_flux_divergence(m: GKLinear, s: ThermalState) -> float:
     """div k from the pointwise identity, reading grad_q and nonlocal_q."""
     s.require("grad_q", "nonlocal_q")
-    gk, div_q = _gk(m, "plus", s.theta), float(np.trace(s.grad_q))
+    gk, div_q = nonlocal_coefficients(m, s.theta), float(np.trace(s.grad_q))
     delta_terms = (float((s.grad_q @ s.q) @ s.q), float(s.q @ s.q) * div_q) if gk.delta else (None, None)
     return gk.div_k(float(np.sum(s.grad_q**2)), div_q**2, float(s.nonlocal_q @ s.q), *delta_terms)
 
@@ -394,7 +401,7 @@ def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> Psi
     """(d rho*psi / dq, d rho*psi / dqdot, d rho*psi / dgrad_theta)."""
     th = s.theta
     z = np.zeros(3)
-    gk = _gk(m, variant, th)
+    gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         return PsiGradients(gk.psi_q(th, s.q), z, z)
     P = _row(m, variant).P
@@ -420,7 +427,7 @@ def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") ->
     zeta instead, matching its split form of the Second Law.
     """
     th = s.theta
-    gk = _gk(m, variant, th)
+    gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         s.require("qdot")
         return np.array(

@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .energetics import Form, Nonlocal, SingularParameterError
+from .energetics import Form, SingularParameterError, nonlocal_coefficients
 from .modal import characteristic_poly, modal_solution
-from .models import MaterialConstants, ModelParams, RateLaw, temperature_law
+from .models import CoefficientFn, GKLinear, MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
 
 # scipy is imported where operators are built and factored, so the
@@ -379,6 +379,14 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
 
 @dataclass
 class SimConfig:
+    """One 1-D run of any simulated kind. A local kind steps its temperature
+    equation; a gk kind (delta = 0, constant varkappa, Dirichlet walls)
+    steps the coupled theta-q system with its coefficients at theta_ref.
+    With imposed_gradient G (gk only) theta is frozen at the linear profile
+    theta_ref + G (x - L/2), which must be positive on [0, L], walls
+    included, and only the flux evolves (the boundary-layer setup whose
+    steady state is the cosh plug profile)."""
+
     model: ModelParams
     material: MaterialConstants
     grid: Grid1D
@@ -389,13 +397,16 @@ class SimConfig:
     theta0: Union[np.ndarray, Callable[[np.ndarray], np.ndarray], float, None] = None
     theta_dot0: Union[np.ndarray, Callable, float, None] = None
     theta_ddot0: Union[np.ndarray, Callable, float, None] = None
-    q0: Union[np.ndarray, float, None] = None
+    q0: Union[np.ndarray, Callable, float, None] = None
     theta_ref: float = 300.0
     snapshot_every: Optional[int] = None
+    imposed_gradient: Optional[float] = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
+        if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):
+            raise ConfigurationError(f"key 'sim.theta_ref': need a finite theta_ref > 0, got {self.theta_ref:g}")
 
 
 @dataclass
@@ -448,7 +459,7 @@ _BLOCK_FLOATS = 2**15
 
 def _march(
     x: np.ndarray,
-    cfg: Union[SimConfig, GKSimConfig],
+    cfg: SimConfig,
     u: np.ndarray,
     step: Callable[[np.ndarray], np.ndarray],
     observe: Callable[[np.ndarray], Tuple[Tuple, np.ndarray, np.ndarray]],
@@ -457,19 +468,20 @@ def _march(
     nodes: Optional[int] = None,
     every: Optional[int] = None,
 ) -> Trajectory:
-    """The fixed-step loop of every 1-D solver. Only u = step(u) and its
+    """The fixed-step loop of every 1-D run. Only u = step(u) and its
     divergence check run per step; the rest runs once per block of B steps
     on the block's states, the rows of U (steps, u.size), with B * u.size
     about _BLOCK_FLOATS (B = 1 on fine grids). When u starts with the
     `nodes` values of the theta deviation, the absolute temperature
     theta_ref + theta must stay positive. observe(U) returns the block's
     audit columns after t (arrays over its steps, or one value for all of
-    them) and its (theta, flux) rows. Errors name the first bad step, and no
-    state from a bad state on is observed. A block of finite states is
-    observed with overflow silenced; its first step with a non-finite audit
-    value (a state past about 1e154 squares to inf) is an error too. `first`
-    is the (theta, flux) snapshot at t = 0; the others are taken every
-    `every` steps (about 200 snapshots by default) and at the last step."""
+    them) and its (theta, flux) rows. A block's states before its first
+    non-finite or non-positive one are observed, with overflow silenced,
+    before anything is raised, so the error names the earliest bad step
+    whatever B is: a non-finite audit value (a state past about 1e154
+    squares to inf), then 0 K, then a non-finite state. `first` is the
+    (theta, flux) snapshot at t = 0; the others are taken every `every`
+    steps (about 200 snapshots by default) and at the last step."""
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     every = every or max(1, nsteps // 200)
     block = max(1, min(nsteps, _BLOCK_FLOATS // u.size))
@@ -485,25 +497,27 @@ def _march(
                 break
             rows.append(u)
         b = len(rows)
+        error = None if i0 + b == end else DivergenceError(i0 + b + 1, (i0 + b + 1) * cfg.dt)
         if b:
             U = np.stack(rows) if b > 1 else rows[0][None]  # no copy for one step
             if nodes:
                 # theta_ref + theta <= 0 somewhere, in one pass
                 bad = np.flatnonzero(U[:, :nodes].min(1) <= -cfg.theta_ref)
                 if bad.size:
-                    i = i0 + int(bad[0]) + 1
-                    raise PositivityError(i, i * cfg.dt)
-        if i0 + b < end:
-            raise DivergenceError(i0 + b + 1, (i0 + b + 1) * cfg.dt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, theta, flux = observe(U)
-        finite = np.ones(b, dtype=bool)
-        for value in values:
-            finite &= np.isfinite(value)
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            i = i0 + int(bad[0]) + 1
-            raise DivergenceError(i, i * cfg.dt, "audit")
+                    b = int(bad[0])
+                    error, U = PositivityError(i0 + b + 1, (i0 + b + 1) * cfg.dt), U[:b]
+        if b:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, theta, flux = observe(U)
+            finite = np.ones(b, dtype=bool)
+            for value in values:
+                finite &= np.isfinite(value)
+            bad = np.flatnonzero(~finite)
+            if bad.size:
+                i = i0 + int(bad[0]) + 1
+                raise DivergenceError(i, i * cfg.dt, "audit")
+        if error is not None:
+            raise error
         for col, value in zip(columns, values):
             audit[col][i0 : i0 + b] = value
         keep = [r for r in range(b) if (i0 + r + 1) % every == 0 or i0 + r + 1 == nsteps]
@@ -514,13 +528,13 @@ def _march(
     return Trajectory(x, np.array(kept) * cfg.dt, thetas, fluxes, audit, cfg.theta_ref)
 
 
-def simulate(cfg: SimConfig) -> Trajectory:
-    """Integrate the temperature equation, auditing entropy every step.
-
-    Raises PositivityError / DivergenceError naming the first bad step; the
-    audit arrays record, per step, the extremes of sigma, the dissipation
-    residual, the absolute-temperature minimum and the field amplitude.
-    """
+def _local_system(cfg: SimConfig) -> Tuple:
+    """The temperature equation of a local kind over (theta, theta_dot[,
+    theta_ddot]), with the per-node flux ODE and entropy audit: per step the
+    extremes of sigma, the dissipation residual, the absolute-temperature
+    minimum and the field amplitude."""
+    if cfg.imposed_gradient is not None:
+        raise ConfigurationError("key 'gk.imposed_gradient': only a gk kind takes an imposed gradient")
     ops = space_operators(cfg.grid, cfg.bc_kind, cfg.bc_value)
     M, f, order = assemble_rhs(cfg.model, cfg.material, ops)
     n = ops.n
@@ -580,13 +594,102 @@ def simulate(cfg: SimConfig) -> Trajectory:
         values = sig.min(1), sig.max(1), np.abs(res).max(1), ta.min(1), np.abs(theta).max(1)
         return values, theta, ys[..., 0]
 
-    return _march(
-        x, cfg, u, step, observe,
-        first=(u[:n].copy(), y[:, 0].copy()),
-        columns=("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp"),
-        nodes=n,
-        every=cfg.snapshot_every,
-    )
+    columns = ("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
+    return x, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n
+
+
+def _nonlocal_system(cfg: SimConfig) -> Tuple:
+    """The energy balance coupled to the nonlocal flux law, q = 0 at both
+    walls, from the model's coefficient set at theta_ref: kappa = vk /
+    theta_ref^2 and lambda2 = ell2 vk. With an imposed gradient only the
+    flux is stepped.
+
+    Audits, per step: the internal entropy supply zeta (nonnegative by
+    construction for the derived coefficients), the boundary no-flow of the
+    extra entropy flux k, its largest value, and the dissipation residual
+    evaluated at theta_ref (the linearization point of the constant
+    coefficients).
+    """
+    import scipy.sparse as sp
+
+    m, G = cfg.model, cfg.imposed_gradient
+    if m.varkappa.p != 0:
+        raise ConfigurationError("key 'model.varkappa': the coupled solver freezes it at theta_ref; it needs constant:c")
+    gk = nonlocal_coefficients(m, cfg.theta_ref)
+    if gk.delta != 0:
+        raise ConfigurationError("key 'model.delta': the coupled solver has no nonlinear term; it needs delta = 0")
+    if gk.tau < 0 or (gk.tau == 0 and G is None):
+        raise ConfigurationError("key 'model.tau': need tau >= 0, and tau = 0 only with an imposed gradient")
+    if cfg.bc_kind != "dirichlet":
+        raise ConfigurationError(f"key 'bc.kind': the coupled solver takes only dirichlet walls, not {cfg.bc_kind!r}")
+    tau, kappa, lambda2 = gk.tau, gk.vk / cfg.theta_ref**2, gk.ell2 * gk.vk
+    grid = cfg.grid
+    # q lives on the interior nodes with q = 0 at both walls: the
+    # homogeneous Dirichlet parts of the theta operators
+    ops = space_operators(grid, "dirichlet", cfg.bc_value)
+    n, x = ops.n, ops.x
+    gk_rhs = (-sp.identity(n) + 3.0 * lambda2 * ops.lap) / tau if tau > 0 else None
+
+    def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        # the x-directed fields: |grad q|^2 = (div q)^2 = q_x^2, (grad q)q =
+        # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx
+        qx, nl = _rows(ops.d1, q), 3.0 * _rows(ops.lap, q)
+        qq, qx2, qqx = q * q, qx * qx, q * qx
+        zeta = gk.zeta(qq, qx2, qx2)
+        div_k = gk.div_k(qx2, qx2, q * nl, None, None)
+        # tau q_dot from the rate law, and d(rho psi)/dq / theta = tau q / varkappa
+        tau_qdot = -q - kappa * theta_x + lambda2 * nl if tau > 0 else 0.0
+        residual = q * (tau_qdot / gk.vk + theta_x / cfg.theta_ref**2) + div_k + zeta
+        # k vanishes with q at the walls, so k_boundary is 0 by construction
+        return zeta.min(1), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(1), np.abs(residual).max(1)
+
+    columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
+    q0 = _init_field(cfg.q0, x)
+    if G is not None:
+        if cfg.theta0 is not None or _pair(cfg.bc_value) != (0.0, 0.0):
+            raise ConfigurationError("key 'gk.imposed_gradient': it freezes theta, so it takes no ic.* or bc.value")
+        theta = G * (x - grid.L / 2.0)
+        wall = cfg.theta_ref - abs(G) * grid.L / 2.0  # the profile's minimum, at a wall
+        if wall <= 0.0:
+            raise ConfigurationError(f"imposed gradient {G:.6g}: theta_ref + G (x - L/2) reaches {wall:.6g} <= 0")
+        theta_x = np.full(n, G)
+        if tau == 0:
+            # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
+            # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
+            # step returns that state, so its audit row is computed once a block
+            solve = trapezoid_stepper(3.0 * lambda2 * ops.lap, np.full(n, -kappa * G / 2.0), 2.0)
+            steady = solve(np.zeros(n))
+            step = lambda q: steady
+            observe = lambda Q: (audit(Q[:1], theta_x), np.broadcast_to(theta, Q.shape), Q)
+        else:
+            step = trapezoid_stepper(gk_rhs, np.full(n, -kappa * G / tau), cfg.dt)
+            observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
+        return x, q0, step, observe, (theta.copy(), q0.copy()), columns, None
+
+    # fully coupled: u = (theta deviation, q)
+    M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.material.rho_cv], [-kappa / tau * ops.d1, gk_rhs]]).tocsr()
+    f = np.zeros(2 * n)
+    f[n:] = -kappa / tau * ops.d1_b
+
+    def observe(U):
+        theta, q = U[:, :n], U[:, n:]
+        return audit(q, _rows(ops.d1, theta) + ops.d1_b), theta, q
+
+    u = np.concatenate([_init_field(cfg.theta0, x), q0])
+    return x, u, trapezoid_stepper(M, f, cfg.dt, keep=n), observe, (u[:n].copy(), u[n:].copy()), columns, n
+
+
+def simulate(cfg: SimConfig) -> Trajectory:
+    """Integrate the kind's 1-D system, auditing entropy every step.
+
+    The kind's system builder checks the setup (ConfigurationError) and
+    returns what the time loop takes: x, u, step, observe, first, columns
+    and nodes. Raises PositivityError / DivergenceError naming the first bad
+    step.
+    """
+    system = _nonlocal_system if isinstance(cfg.model, GKLinear) else _local_system
+    x, u, step, observe, first, columns, nodes = system(cfg)
+    return _march(x, cfg, u, step, observe, first, columns, nodes, cfg.snapshot_every)
 
 
 # --- modal cross-validation --------------------------------------------------
@@ -636,46 +739,7 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     )
 
 
-# --- coupled weakly nonlocal system ------------------------------------------
-
-@dataclass
-class GKSimConfig:
-    """Coupled theta-q simulation of the nonlocal conductor.
-
-    kappa and lambda2 are the constant coefficients at the reference
-    temperature; the entropy-audit coefficients are recovered from them as
-    varkappa = kappa * theta_ref**2 and ell**2 = lambda2 / varkappa. With
-    imposed_gradient set, theta is frozen at the linear profile
-    theta_ref + G (x - L/2), which must be positive on [0, L], walls
-    included, and only the flux evolves (the boundary-layer setup whose
-    steady state is the cosh plug profile).
-    """
-
-    tau: float
-    kappa: float
-    lambda2: float
-    grid: Grid1D
-    dt: float
-    t_end: float
-    rho_c: float = 1.0
-    theta_ref: float = 1.0
-    imposed_gradient: Optional[float] = None
-    bc_theta: Union[float, Tuple[float, float]] = 0.0
-    theta0: Union[np.ndarray, Callable, float, None] = None
-    q0: Union[np.ndarray, float, None] = None
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigurationError("dt and t_end must be positive")
-        if self.kappa <= 0 or self.lambda2 < 0 or self.theta_ref <= 0:
-            raise ConfigurationError("need kappa > 0, lambda2 >= 0, theta_ref > 0")
-        if self.tau < 0:
-            raise ConfigurationError("tau must be nonnegative")
-        if self.tau == 0 and self.imposed_gradient is None:
-            raise ConfigurationError(
-                "tau = 0 is supported only with an imposed temperature gradient"
-            )
-
+# --- analytic steady plug profile ------------------------------------------
 
 def steady_gk_profile(
     kappa: float, lambda2: float, G: float, L: float, x: np.ndarray
@@ -690,78 +754,11 @@ def steady_gk_profile(
     return Field1D(x=x, values=q)
 
 
-def simulate_coupled_gk(cfg: GKSimConfig) -> Trajectory:
-    """Trapezoidal integration of the energy balance coupled to the nonlocal
-    flux law, q = 0 at both endpoints.
+# perfbench's fine-grid gk op still builds its run through these two names;
+# they go with the next change to the benchmark
+def GKSimConfig(tau, kappa, lambda2, grid, dt, t_end, theta0=None) -> SimConfig:
+    gk = GKLinear(tau, np.sqrt(lambda2 / kappa), CoefficientFn.constant(kappa))
+    return SimConfig(gk, MaterialConstants(1.0, 1.0), grid, dt, t_end, theta0=theta0, theta_ref=1.0)
 
-    Audits, per step: the internal entropy supply zeta (nonnegative by
-    construction for the derived coefficients), the boundary no-flow of the
-    extra entropy flux k, and the dissipation residual evaluated at the
-    reference temperature (the linearization point of the constant
-    coefficients).
-    """
-    import scipy.sparse as sp
 
-    grid = cfg.grid
-    n = grid.N
-    x = grid.interior_x()
-    tau = cfg.tau
-    varkappa = cfg.kappa * cfg.theta_ref**2
-    # no nonlinear term (delta = 0), so div k reads no q.(grad q)q or |q|^2 div q
-    gk = Nonlocal(tau, varkappa, cfg.lambda2 / varkappa)
-    # q lives on the interior nodes with q = 0 at both endpoints: the
-    # homogeneous Dirichlet parts of the theta operators
-    ops = space_operators(grid, "dirichlet", cfg.bc_theta)
-    gk_rhs = (-sp.identity(n) + 3.0 * cfg.lambda2 * ops.lap) / tau if tau > 0 else None
-
-    def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        # the x-directed fields: |grad q|^2 = (div q)^2 = q_x^2, (grad q)q =
-        # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx
-        qx, nl = _rows(ops.d1, q), 3.0 * _rows(ops.lap, q)
-        qq, qx2, qqx = q * q, qx * qx, q * qx
-        zeta = gk.zeta(qq, qx2, qx2)
-        div_k = gk.div_k(qx2, qx2, q * nl, None, None)
-        # tau q_dot from the rate law, and d(rho psi)/dq / theta = tau q / varkappa
-        tau_qdot = -q - cfg.kappa * theta_x + cfg.lambda2 * nl if tau > 0 else 0.0
-        residual = q * (tau_qdot / varkappa + theta_x / cfg.theta_ref**2) + div_k + zeta
-        # k vanishes with q at the walls, so k_boundary is 0 by construction
-        return zeta.min(1), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(1), np.abs(residual).max(1)
-
-    columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
-    q0 = _init_field(cfg.q0, x)
-    if cfg.imposed_gradient is not None:
-        G = cfg.imposed_gradient
-        theta = G * (x - grid.L / 2.0)
-        wall = cfg.theta_ref - abs(G) * grid.L / 2.0  # the profile's minimum, at a wall
-        if wall <= 0.0:
-            raise ConfigurationError(f"imposed gradient {G:.6g}: theta_ref + G (x - L/2) reaches {wall:.6g} <= 0")
-        theta_x = np.full(n, G)
-        if tau == 0:
-            # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
-            # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
-            # step returns that state, so its audit row is computed once a block
-            solve = trapezoid_stepper(3.0 * cfg.lambda2 * ops.lap, np.full(n, -cfg.kappa * G / 2.0), 2.0)
-            steady = solve(np.zeros(n))
-            step = lambda q: steady
-            observe = lambda Q: (audit(Q[:1], theta_x), np.broadcast_to(theta, Q.shape), Q)
-        else:
-            step = trapezoid_stepper(gk_rhs, np.full(n, -cfg.kappa * G / tau), cfg.dt)
-            observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
-        return _march(x, cfg, q0, step, observe, first=(theta.copy(), q0.copy()), columns=columns)
-
-    # fully coupled: u = (theta deviation, q)
-    M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.rho_c], [-cfg.kappa / tau * ops.d1, gk_rhs]]).tocsr()
-    f = np.zeros(2 * n)
-    f[n:] = -cfg.kappa / tau * ops.d1_b
-
-    def observe(U):
-        theta, q = U[:, :n], U[:, n:]
-        return audit(q, _rows(ops.d1, theta) + ops.d1_b), theta, q
-
-    u = np.concatenate([_init_field(cfg.theta0, x), q0])
-    return _march(
-        x, cfg, u, trapezoid_stepper(M, f, cfg.dt, keep=n), observe,
-        first=(u[:n].copy(), u[n:].copy()),
-        columns=columns,
-        nodes=n,
-    )
+simulate_coupled_gk = simulate

@@ -39,15 +39,7 @@ from nonfourier.models import (
     MaterialConstants,
     Quintanilla,
 )
-from nonfourier.pde1d import (
-    GKSimConfig,
-    Grid1D,
-    SimConfig,
-    compare_modal_vs_pde,
-    simulate,
-    simulate_coupled_gk,
-    steady_gk_profile,
-)
+from nonfourier.pde1d import Grid1D, SimConfig, compare_modal_vs_pde, simulate, steady_gk_profile
 
 MAT = MaterialConstants(rho=1.0, cv=1.0)
 
@@ -352,16 +344,16 @@ def test_criterion_8_simulations_keep_sigma_nonnegative():
 def test_criterion_9_gk_plug_profile_and_no_flow():
     t0 = time.perf_counter()
     grid = Grid1D(L=1.0, N=400)
-    cfg = GKSimConfig(
-        tau=0.0,
-        kappa=1.0,
-        lambda2=1.0 / 300.0,
+    cfg = SimConfig(
+        model=GKLinear(tau=0.0, ell=np.sqrt(1.0 / 300.0), varkappa=CoefficientFn(1.0)),
+        material=MAT,
         grid=grid,
         dt=1e-2,
         t_end=0.1,
+        theta_ref=1.0,
         imposed_gradient=1.0,
     )
-    traj = simulate_coupled_gk(cfg)
+    traj = simulate(cfg)
     oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
     linf = float(np.abs(traj.final_q() - oracle).max())
     mid = float(np.interp(0.5, traj.x, traj.final_q()))

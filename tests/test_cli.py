@@ -178,6 +178,42 @@ def test_simulate_gk_positivity_abort_exits_1(tmp_path, capsys):
     assert not (out / "audit.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("text", [QUINTANILLA_CFG, GK_CFG], ids=["local", "gk"])
+def test_simulate_nonpositive_or_nonfinite_theta_ref_exits_2(tmp_path, capsys, text, value):
+    """sim.theta_ref is checked once, before any coefficient is evaluated
+    at it, for every kind."""
+    cfg = write_cfg(tmp_path, text + f"sim.theta_ref = {value}\n")
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 2
+    assert "config error: key 'sim.theta_ref'" in capsys.readouterr().err
+    assert not (out / "snapshots.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (GK_CFG + "bc.kind = bogus\n", 2),
+        (GK_CFG + "time.snapshot_every = 50\n", 0),
+        (QUINTANILLA_CFG + "gk.imposed_gradient = 1.0\n", 2),
+        (GK_CFG + "ic.kind = sine\n", 2),
+    ],
+    ids=["gk_bc_kind", "gk_snapshot_every", "local_imposed_gradient", "imposed_gradient_ic"],
+)
+def test_simulate_uses_or_refuses_every_key(tmp_path, capsys, text, code):
+    """Each simulate key either changes the run or is a config error: a gk
+    run takes only Dirichlet walls and honours time.snapshot_every, only a
+    gk run takes an imposed gradient, and a frozen theta takes no ic.*."""
+    got, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, text))
+    assert got == code
+    if code == 2:
+        assert "config error: " in capsys.readouterr().err
+        assert not (out / "snapshots.csv").exists()
+    else:  # 200 steps: t = 0 and every 50th step
+        snap = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=4)
+        np.testing.assert_array_equal(np.unique(snap[:, 0]), [0.0, 0.05, 0.1, 0.15, 0.2])
+
+
 SLOW_BLOW_UP_CFG = """
 model.kind = fourier
 model.kappa = -1.0

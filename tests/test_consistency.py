@@ -15,7 +15,7 @@ from nonfourier.consistency import (
     check_jeffreys,
     check_quintanilla,
 )
-from nonfourier.energetics import SingularParameterError, entropy_production
+from nonfourier.energetics import SingularParameterError, burgers_case, entropy_production
 from nonfourier.models import (
     GN2,
     GN3,
@@ -179,6 +179,26 @@ def test_burgers_full_examples():
 def test_burgers_marginal_dead_band():
     v = check_burgers(1.0, 1e-13, 1.0, 1.0)
     assert v.marginal
+
+
+@pytest.mark.parametrize("lambda_b", [1e8, -1e8])
+def test_burgers_checker_and_energetics_share_a_regime(lambda_b):
+    """|lambda_b| does not widen the zero band of tau*nu = 1e-5: the checker
+    and the free energy are both in regime iii."""
+    assert check_burgers(lambda_b, 1.0, 1.0, 1e-5).case_tag == burgers_case(Burgers(lambda_b, 1.0, 1.0, 1e-5)) == "iii"
+
+
+def test_burgers_regimes_agree_on_a_seeded_draw():
+    """Magnitudes over 22 decades, either sign: the checker's regime is the
+    energetics' every time, and all three regimes occur."""
+    rng = np.random.default_rng(7)
+    tags = set()
+    for _ in range(3000):
+        lam, tau, mu, nu = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-14.0, 8.0, 4)
+        tag = burgers_case(Burgers(lam, tau, mu, nu))
+        assert check_burgers(lam, tau, mu, nu).case_tag == tag
+        tags.add(tag)
+    assert tags == {"i", "ii", "iii"}
 
 
 def test_burgers_sigma_amplitudes_example():

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from nonfourier import pde1d
-from nonfourier.energetics import dissipation_terms, entropy_production, extra_entropy_flux
+from nonfourier.energetics import SingularParameterError, dissipation_terms, entropy_production, extra_entropy_flux
 from nonfourier.models import (
     MCV,
     GN3,
@@ -16,6 +16,7 @@ from nonfourier.models import (
     CoefficientFn,
     Fourier,
     GKLinear,
+    GKNonlinear,
     Jeffreys,
     MaterialConstants,
     Quintanilla,
@@ -25,7 +26,6 @@ from nonfourier.models import (
 from nonfourier.pde1d import (
     ConfigurationError,
     DivergenceError,
-    GKSimConfig,
     Grid1D,
     ModalComparison,
     PositivityError,
@@ -34,7 +34,6 @@ from nonfourier.pde1d import (
     compare_modal_vs_pde,
     discrete_eigenvalue,
     simulate,
-    simulate_coupled_gk,
     space_operators,
     spatial_mean,
     steady_gk_profile,
@@ -44,6 +43,14 @@ from nonfourier.pde1d import (
 from nonfourier.tensors import InvalidInputError
 
 MAT = MaterialConstants(rho=1.0, cv=1.0)
+
+
+def _gk(tau, ell2=1e-3, varkappa=1.0, **setup):
+    """A gk run with ell^2 = ell2 and constant varkappa, at theta_ref = 1
+    unless the setup names another; at theta_ref = 1, kappa = varkappa and
+    lambda2 = ell2 varkappa up to the last bit of ell2."""
+    model = GKLinear(tau=tau, ell=np.sqrt(ell2), varkappa=CoefficientFn(varkappa))
+    return SimConfig(model=model, material=MAT, **{"theta_ref": 1.0, **setup})
 
 
 def test_grid_geometry():
@@ -177,18 +184,17 @@ def test_banded_step_matches_superlu_oracle(model, bc_kind, N):
 @pytest.mark.parametrize(
     "setup",
     [
-        dict(tau=0.1, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_theta=(0.05, -0.02)),
+        dict(tau=0.1, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_value=(0.05, -0.02)),
         dict(tau=0.05, imposed_gradient=1.0),
         dict(tau=0.0, imposed_gradient=1.0),
     ],
     ids=["coupled", "imposed_relaxing", "imposed_steady"],
 )
 def test_gk_banded_steps_match_superlu_oracle(monkeypatch, setup):
-    cfg = GKSimConfig(kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=0.02,
-                      q0=lambda x: 0.3 * x * (1.0 - x), **setup)
-    got = simulate_coupled_gk(cfg)
+    cfg = _gk(grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=0.02, q0=lambda x: 0.3 * x * (1.0 - x), **setup)
+    got = simulate(cfg)
     monkeypatch.setattr(pde1d, "trapezoid_stepper", _splu_stepper)
-    want = simulate_coupled_gk(cfg)
+    want = simulate(cfg)
     assert len(got.qs) == len(want.qs) == 21
     for gq, wq, gt, wt in zip(got.qs[1:], want.qs[1:], got.thetas[1:], want.thetas[1:]):
         _assert_close(gq, wq)
@@ -248,7 +254,7 @@ def test_kernel_step_is_bitwise_the_sparse_product_step(model):
 
 @pytest.mark.parametrize(
     "setup, keep",
-    [(dict(theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_theta=(0.05, -0.02)), 60), (dict(imposed_gradient=1.0), None)],
+    [(dict(theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_value=(0.05, -0.02)), 60), (dict(imposed_gradient=1.0), None)],
     ids=["coupled", "imposed_relaxing"],
 )
 def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, keep):
@@ -257,8 +263,7 @@ def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, k
     calls = []
     build = pde1d.trapezoid_stepper
     monkeypatch.setattr(pde1d, "trapezoid_stepper", lambda *a, **k: calls.append((a, k)) or build(*a, **k))
-    simulate_coupled_gk(GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=60), dt=1e-3,
-                                    t_end=1e-3, **setup))
+    simulate(_gk(0.05, grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=1e-3, **setup))
     (M, f, dt), kwargs = calls[0]
     assert kwargs.get("keep") == keep
     _assert_bitwise_steps(M, f, dt, keep)
@@ -460,13 +465,10 @@ def test_positivity_abort_names_first_step_inside_a_block(monkeypatch, model, N,
 
 def test_coupled_gk_positivity_abort(monkeypatch):
     """The coupled solver checks the absolute temperature every step too."""
-    cfg = GKSimConfig(
-        tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=40), dt=1e-3, t_end=0.1,
-        theta0=lambda x: -2.0 * np.sin(np.pi * x), theta_ref=1.0,
-    )
+    cfg = _gk(0.05, grid=Grid1D(L=1.0, N=40), dt=1e-3, t_end=0.1, theta0=lambda x: -2.0 * np.sin(np.pi * x))
     u0 = np.concatenate([-2.0 * np.sin(np.pi * cfg.grid.interior_x()), np.zeros(40)])
     first = _assert_first_bad_step(
-        monkeypatch, simulate_coupled_gk, cfg, u0, 40, PositivityError, lambda u: u[:40].min() <= -cfg.theta_ref
+        monkeypatch, simulate, cfg, u0, 40, PositivityError, lambda u: u[:40].min() <= -cfg.theta_ref
     )
     assert first == 1
 
@@ -475,30 +477,37 @@ def test_coupled_gk_positivity_abort_inside_a_later_block(monkeypatch):
     """A cold wall takes a node of the coupled run through 0 K inside a
     later block of a run whose last block is short."""
     N = 200
-    cfg = GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=Grid1D(L=1.0, N=N), dt=1e-3, t_end=1.0,
-                      bc_theta=(-1.2, 0.0), theta_ref=1.0)
+    cfg = _gk(0.05, grid=Grid1D(L=1.0, N=N), dt=1e-3, t_end=1.0, bc_value=(-1.2, 0.0))
     first = _assert_first_bad_step(
-        monkeypatch, simulate_coupled_gk, cfg, np.zeros(2 * N), N, PositivityError,
+        monkeypatch, simulate, cfg, np.zeros(2 * N), N, PositivityError,
         lambda u: u[:N].min() <= -cfg.theta_ref,
     )
     block = _block(cfg, 2 * N)
     assert first > block and first % block > 1 and 1000 % block
 
 
-def test_divergence_abort_names_first_step(monkeypatch):
+@pytest.mark.parametrize("block_floats", [60, 600, pde1d._BLOCK_FLOATS], ids=["B1", "B10", "default"])
+def test_divergence_abort_names_first_step(monkeypatch, block_floats):
     """Backward heat flow with h lambda_1 = 0.999 multiplies the positive
-    first sine mode by 1999 a step until it overflows, without ever taking
-    theta below 0; the first non-finite step is reported, inside the only
-    block, and no state of that block is audited."""
+    first sine mode by 1999 a step, without ever taking theta below 0. Its
+    audit's squares overflow at step 48, long before the state itself does
+    (step 94); the run stops at step 48 whatever the block length, in blocks
+    of 1 and 10 steps as in the one block of 300, with no RuntimeWarning, and
+    every step before it is observed."""
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
     grid = Grid1D(L=np.pi, N=60)
     dt = 2 * 0.999 / discrete_eigenvalue(grid, 1)
     cfg = SimConfig(model=Fourier(kappa=-1.0), material=MAT, grid=grid, dt=dt, t_end=300 * dt,
                     theta0=lambda x: 1e-3 * np.sin(x), theta_ref=1.0)
+    steppers, states = _built_steppers(monkeypatch), _observed_states(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite audit values") as e:
+            simulate(cfg)
+    assert (e.value.step, e.value.t) == (48, 48 * dt)
+    assert len(states) >= 48
     u0 = 1e-3 * np.sin(grid.interior_x())
-    first = _assert_first_bad_step(
-        monkeypatch, simulate, cfg, u0, 60, DivergenceError, lambda u: not np.isfinite(u).all()
-    )
-    assert 1 < first < _block(cfg, 60) == 300
+    assert _first_bad_step(steppers[-1], u0, lambda u: not np.isfinite(u).all()) == 94
 
 
 def test_divergence_abort_on_unstable_backward_heat():
@@ -684,12 +693,36 @@ def test_modal_comparison_requires_dirichlet():
 
 # --- coupled weakly nonlocal solver ------------------------------------------
 
-def test_gk_config_validation():
-    grid = Grid1D(L=1.0, N=20)
-    with pytest.raises(ConfigurationError):
-        GKSimConfig(tau=0.0, kappa=1.0, lambda2=0.1, grid=grid, dt=1e-3, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        GKSimConfig(tau=1.0, kappa=-1.0, lambda2=0.1, grid=grid, dt=1e-3, t_end=0.1)
+@pytest.mark.parametrize(
+    "model, setup, error, match",
+    [
+        (GKLinear(0.0, 0.3, CoefficientFn(1.0)), {}, ConfigurationError, "tau = 0 only with an imposed gradient"),
+        (GKLinear(-0.1, 0.3, CoefficientFn(1.0)), {}, ConfigurationError, "tau >= 0"),
+        (GKLinear(1.0, 0.3, CoefficientFn(-1.0)), {}, SingularParameterError, "varkappa"),
+        (GKLinear(1.0, 0.3, CoefficientFn(1.0, 2.0)), {}, ConfigurationError, "model.varkappa"),
+        (GKNonlinear(1.0, 0.3, CoefficientFn(1.0), delta=0.2), {}, ConfigurationError, "delta = 0"),
+        (GKLinear(1.0, 0.3, CoefficientFn(1.0)), dict(bc_kind="neumann"), ConfigurationError, "dirichlet"),
+        (GKLinear(1.0, 0.3, CoefficientFn(1.0)), dict(imposed_gradient=1.0, theta0=0.1), ConfigurationError, "ic"),
+        (GKLinear(1.0, 0.3, CoefficientFn(1.0)), dict(imposed_gradient=1.0, bc_value=0.1), ConfigurationError, "bc"),
+        (MCV(tau=1.0, kappa=1.0), dict(imposed_gradient=1.0), ConfigurationError, "only a gk kind"),
+    ],
+    ids=["tau_0_coupled", "negative_tau", "negative_varkappa", "power_varkappa", "delta", "neumann",
+         "imposed_with_theta0", "imposed_with_wall_values", "local_with_imposed_gradient"],
+)
+def test_simulate_rejects_what_the_kind_cannot_run(model, setup, error, match):
+    """The checks of a run's setup live in simulate, for the CLI and library
+    callers alike."""
+    cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=1.0, N=20), dt=1e-3, t_end=0.1, theta_ref=1.0,
+                    **setup)
+    with pytest.raises(error, match=match):
+        simulate(cfg)
+
+
+@pytest.mark.parametrize("theta_ref", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("model", [Fourier(kappa=1.0), GKLinear(0.1, 0.3, CoefficientFn(1.0))], ids=["local", "gk"])
+def test_sim_config_rejects_a_nonpositive_or_nonfinite_theta_ref(model, theta_ref):
+    with pytest.raises(ConfigurationError, match="theta_ref"):
+        SimConfig(model=model, material=MAT, grid=Grid1D(L=1.0, N=20), dt=1e-3, t_end=0.1, theta_ref=theta_ref)
 
 
 def test_steady_gk_profile_shape():
@@ -703,17 +736,8 @@ def test_steady_gk_profile_shape():
 
 
 def test_gk_imposed_gradient_reaches_plug_profile():
-    grid = Grid1D(L=1.0, N=200)
-    cfg = GKSimConfig(
-        tau=0.0,
-        kappa=1.0,
-        lambda2=1.0 / 300.0,
-        grid=grid,
-        dt=1e-2,
-        t_end=0.1,
-        imposed_gradient=1.0,
-    )
-    traj = simulate_coupled_gk(cfg)
+    cfg = _gk(0.0, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=200), dt=1e-2, t_end=0.1, imposed_gradient=1.0)
+    traj = simulate(cfg)
     oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
     assert np.abs(traj.final_q() - oracle).max() <= 2e-4
     assert traj.audit["min_zeta"].min() >= 0.0
@@ -721,34 +745,16 @@ def test_gk_imposed_gradient_reaches_plug_profile():
 
 
 def test_gk_relaxing_flux_converges_to_steady_state():
-    grid = Grid1D(L=1.0, N=100)
-    cfg = GKSimConfig(
-        tau=0.05,
-        kappa=1.0,
-        lambda2=1.0 / 300.0,
-        grid=grid,
-        dt=1e-3,
-        t_end=1.0,
-        imposed_gradient=1.0,
-    )
-    traj = simulate_coupled_gk(cfg)
+    cfg = _gk(0.05, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=100), dt=1e-3, t_end=1.0, imposed_gradient=1.0)
+    traj = simulate(cfg)
     oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
     assert np.abs(traj.final_q() - oracle).max() <= 1e-3
     assert traj.audit["max_residual"].max() <= 1e-10
 
 
 def test_gk_coupled_dynamics_dissipates():
-    grid = Grid1D(L=1.0, N=60)
-    cfg = GKSimConfig(
-        tau=0.1,
-        kappa=1.0,
-        lambda2=1e-3,
-        grid=grid,
-        dt=1e-3,
-        t_end=1.0,
-        theta0=lambda x: 0.1 * np.sin(np.pi * x),
-    )
-    traj = simulate_coupled_gk(cfg)
+    cfg = _gk(0.1, grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=1.0, theta0=lambda x: 0.1 * np.sin(np.pi * x))
+    traj = simulate(cfg)
     assert traj.audit["min_zeta"].min() >= -1e-12
     assert np.abs(traj.thetas[-1]).max() < np.abs(traj.thetas[0]).max()
 
@@ -758,23 +764,22 @@ def test_gk_imposed_gradient_writes_the_deviation_and_rejects_a_nonpositive_prof
     every other run; a profile theta_ref + G (x - L/2) that reaches 0 on
     [0, L], walls included, is a configuration error, not a run."""
     grid = Grid1D(L=1.0, N=40)
-    cfg = GKSimConfig(tau=0.05, kappa=1.0, lambda2=1e-3, grid=grid, dt=1e-3, t_end=0.005,
-                      theta_ref=1.0, imposed_gradient=1.5)
-    traj = simulate_coupled_gk(cfg)
+    cfg = _gk(0.05, grid=grid, dt=1e-3, t_end=0.005, imposed_gradient=1.5)
+    traj = simulate(cfg)
     for theta in traj.thetas:
         np.testing.assert_array_equal(theta, 1.5 * (traj.x - 0.5))
     # G = 1.9 keeps the walls at 0.05; G = 2 puts 0 K at x = 0, although
     # the first node, dx = 1/41 from the wall, would sit at 0.049
-    simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": 1.9}))
+    simulate(replace(cfg, imposed_gradient=1.9))
     for G in (2.0, 2.2, -2.5):
         with pytest.raises(ConfigurationError, match="reaches"):
-            simulate_coupled_gk(GKSimConfig(**{**cfg.__dict__, "imposed_gradient": G}))
+            simulate(replace(cfg, imposed_gradient=G))
 
 
 @pytest.mark.parametrize(
     "setup",
     [
-        dict(tau=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x), bc_theta=(0.05, -0.02), theta_ref=1.3),
+        dict(tau=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x), bc_value=(0.05, -0.02), theta_ref=1.3),
         dict(tau=0.05, imposed_gradient=0.8, theta_ref=1.3),
         dict(tau=0.0, imposed_gradient=0.8, theta_ref=1.3),
     ],
@@ -800,15 +805,14 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
 
     monkeypatch.setattr(pde1d, "_march", spy)
     grid = Grid1D(L=1.0, N=16)
-    cfg = GKSimConfig(kappa=0.7, lambda2=2e-3, grid=grid, dt=2e-3, t_end=0.02,
-                      q0=lambda x: 0.3 * x * (1.0 - x), **setup)
-    traj = simulate_coupled_gk(cfg)
+    cfg = _gk(ell2=2e-3 / 1.183, varkappa=1.183, grid=grid, dt=2e-3, t_end=0.02, q0=lambda x: 0.3 * x * (1.0 - x),
+              **setup)
+    traj = simulate(cfg)
     assert list(traj.audit) == ["t", "min_zeta", "k_boundary", "k_inf", "max_residual"]
     assert len(records) == 10
 
-    vk = cfg.kappa * cfg.theta_ref**2
-    model = GKLinear(tau=cfg.tau, ell=np.sqrt(cfg.lambda2 / vk), varkappa=CoefficientFn.constant(vk))
-    ops = space_operators(grid, "dirichlet", cfg.bc_theta)
+    model = cfg.model
+    ops = space_operators(grid, "dirichlet", cfg.bc_value)
     e = np.array([1.0, 0.0, 0.0])
     for u, (min_zeta, k_boundary, k_inf, max_residual) in records:
         if cfg.imposed_gradient is None:
@@ -823,7 +827,7 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
             s = ThermalState(theta=cfg.theta_ref, q=q[i] * e, grad_theta=theta_x[i] * e,
                              grad_q=grad_q, nonlocal_q=3.0 * qxx[i] * e)
             # tau = 0 has no rate, and tau q_dot drops out of the identity
-            qdot = flux_rate(model, s) if cfg.tau > 0 else np.zeros(3)
+            qdot = flux_rate(model, s) if model.tau > 0 else np.zeros(3)
             s = ThermalState(**{**s.__dict__, "qdot": qdot})
             terms = dissipation_terms(model, s)
             zetas.append(entropy_production(model, s))
