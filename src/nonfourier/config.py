@@ -179,9 +179,8 @@ def _initial_field(cfg: Dict[str, str], grid: Grid1D):
 
 def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
     grid = build_grid(cfg)
-    model = build_model(cfg)
     return SimConfig(
-        model=model,
+        model=build_model(cfg),
         material=build_material(cfg),
         grid=grid,
         dt=_float(cfg, "time.dt"),
@@ -189,7 +188,7 @@ def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
         bc_kind=_get(cfg, "bc.kind", "dirichlet").lower(),
         bc_value=_float(cfg, "bc.value", "0.0"),
         theta0=_initial_field(cfg, grid),
-        theta_ref=_float(cfg, "sim.theta_ref", "1.0" if isinstance(model, GKLinear) else "300.0"),
+        theta_ref=_float(cfg, "sim.theta_ref") if "sim.theta_ref" in cfg else None,
         snapshot_every=_int(cfg, "time.snapshot_every") if "time.snapshot_every" in cfg else None,
         imposed_gradient=_float(cfg, "gk.imposed_gradient") if "gk.imposed_gradient" in cfg else None,
     )

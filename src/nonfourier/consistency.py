@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .energetics import SingularParameterError, burgers_bands, burgers_case
+from .energetics import ZERO_BAND, SingularParameterError, burgers_case, burgers_scale
 from .models import Burgers, GKLinear, LocalModel, Quintanilla
 from .tensors import (
     DEFAULT_TOL,
@@ -144,16 +144,18 @@ def check_burgers(
       i)   tau*nu = 0, mu > 0 and lambda_b < 0;
       ii)  tau*nu != 0, mu = 0 and nu > 0;
       iii) tau*nu != 0, mu > 0 and nu*tau**2 >= lambda_b*mu.
-    The regime is energetics.burgers_case's, whose exact-zero hypotheses
-    use a relative dead-band; inputs within twice the band of it, but not
-    exactly zero, come back tagged marginal.
+    The regime and the scale s of the sign tests are energetics.burgers_case's
+    and burgers_scale's, whose exact-zero hypotheses use a relative dead-band;
+    inputs within twice the band of it, but not exactly zero, come back
+    tagged marginal. Regime iii's inequality is tested to tol relative to the
+    larger of its two sides.
     """
     if lambda_b == 0:
         raise SingularParameterError("lambda_b = 0: use the Jeffreys checker")
     m = Burgers(lambda_b, tau, mu, nu)
-    case, (tn_band, mu_band) = burgers_case(m), burgers_bands(m)
-    scale = max(1.0, abs(tau), abs(nu), abs(mu), abs(lambda_b))
-    near_band = (0 < abs(tau * nu) <= 2 * tn_band) or (0 < abs(mu) <= 2 * mu_band)
+    case, scale = burgers_case(m), burgers_scale(m)
+    band = ZERO_BAND * scale
+    near_band = (0 < abs(tau * nu) <= 2 * band * scale) or (0 < abs(mu) <= 2 * band)
 
     if case == "i":
         margin = min(mu, -lambda_b)
@@ -173,7 +175,7 @@ def check_burgers(
         )
     slack = nu * tau**2 - lambda_b * mu
     margin = min(mu, slack)
-    if mu > tol * scale and slack >= -tol * scale**3:
+    if mu > tol * scale and slack >= -tol * max(abs(nu * tau**2), abs(lambda_b * mu)):
         return ConsistencyVerdict(True, margin, case_tag="iii", marginal=near_band or margin < 0)
     return ConsistencyVerdict(
         False, margin, case_tag="iii",

@@ -86,21 +86,19 @@ class BurgersPsiCoefficients:
 ZERO_BAND = 1e-12
 
 
-def burgers_bands(m: Burgers) -> Tuple[float, float]:
-    """The zero bands of tau*nu and of mu in the regime decision: ZERO_BAND
-    times the scale s = max(1, |tau|, |nu|, |mu|), times s again for tau*nu."""
-    scale = max(1.0, abs(m.tau), abs(m.nu), abs(m.mu))
-    band = ZERO_BAND * scale
-    return band * scale, band
+def burgers_scale(m: Burgers) -> float:
+    """The scale s = max(1, |tau|, |nu|, |mu|) of the regime decision: tau*nu
+    counts as zero within ZERO_BAND * s**2 and mu within ZERO_BAND * s."""
+    return max(1.0, abs(m.tau), abs(m.nu), abs(m.mu))
 
 
 def burgers_case(m: Burgers) -> str:
     """Which coefficient regime applies: "i" when tau*nu is zero, else "ii"
     when mu is, else "iii"."""
-    tn_band, mu_band = burgers_bands(m)
-    if abs(m.tau * m.nu) <= tn_band:
+    s = burgers_scale(m)
+    if abs(m.tau * m.nu) <= ZERO_BAND * s**2:
         return "i"
-    return "ii" if abs(m.mu) <= mu_band else "iii"
+    return "ii" if abs(m.mu) <= ZERO_BAND * s else "iii"
 
 
 def burgers_psi_coefficients(

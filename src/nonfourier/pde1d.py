@@ -385,7 +385,8 @@ class SimConfig:
     With imposed_gradient G (gk only) theta is frozen at the linear profile
     theta_ref + G (x - L/2), which must be positive on [0, L], walls
     included, and only the flux evolves (the boundary-layer setup whose
-    steady state is the cosh plug profile)."""
+    steady state is the cosh plug profile). theta_ref defaults to 1 for a gk
+    kind and to 300 for a local one."""
 
     model: ModelParams
     material: MaterialConstants
@@ -398,13 +399,15 @@ class SimConfig:
     theta_dot0: Union[np.ndarray, Callable, float, None] = None
     theta_ddot0: Union[np.ndarray, Callable, float, None] = None
     q0: Union[np.ndarray, Callable, float, None] = None
-    theta_ref: float = 300.0
+    theta_ref: Optional[float] = None
     snapshot_every: Optional[int] = None
     imposed_gradient: Optional[float] = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
+        if self.theta_ref is None:
+            self.theta_ref = 1.0 if isinstance(self.model, GKLinear) else 300.0
         if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):
             raise ConfigurationError(f"key 'sim.theta_ref': need a finite theta_ref > 0, got {self.theta_ref:g}")
 
@@ -528,7 +531,7 @@ def _march(
     return Trajectory(x, np.array(kept) * cfg.dt, thetas, fluxes, audit, cfg.theta_ref)
 
 
-def _local_system(cfg: SimConfig) -> Tuple:
+def _local_system(cfg: SimConfig) -> Trajectory:
     """The temperature equation of a local kind over (theta, theta_dot[,
     theta_ddot]), with the per-node flux ODE and entropy audit: per step the
     extremes of sigma, the dissipation residual, the absolute-temperature
@@ -595,10 +598,10 @@ def _local_system(cfg: SimConfig) -> Tuple:
         return values, theta, ys[..., 0]
 
     columns = ("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
-    return x, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n
+    return _march(x, cfg, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n, cfg.snapshot_every)
 
 
-def _nonlocal_system(cfg: SimConfig) -> Tuple:
+def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     """The energy balance coupled to the nonlocal flux law, q = 0 at both
     walls, from the model's coefficient set at theta_ref: kappa = vk /
     theta_ref^2 and lambda2 = ell2 vk. With an imposed gradient only the
@@ -664,7 +667,7 @@ def _nonlocal_system(cfg: SimConfig) -> Tuple:
         else:
             step = trapezoid_stepper(gk_rhs, np.full(n, -kappa * G / tau), cfg.dt)
             observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
-        return x, q0, step, observe, (theta.copy(), q0.copy()), columns, None
+        return _march(x, cfg, q0, step, observe, (theta.copy(), q0.copy()), columns, None, cfg.snapshot_every)
 
     # fully coupled: u = (theta deviation, q)
     M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.material.rho_cv], [-kappa / tau * ops.d1, gk_rhs]]).tocsr()
@@ -676,20 +679,16 @@ def _nonlocal_system(cfg: SimConfig) -> Tuple:
         return audit(q, _rows(ops.d1, theta) + ops.d1_b), theta, q
 
     u = np.concatenate([_init_field(cfg.theta0, x), q0])
-    return x, u, trapezoid_stepper(M, f, cfg.dt, keep=n), observe, (u[:n].copy(), u[n:].copy()), columns, n
+    step = trapezoid_stepper(M, f, cfg.dt, keep=n)
+    return _march(x, cfg, u, step, observe, (u[:n].copy(), u[n:].copy()), columns, n, cfg.snapshot_every)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
-    """Integrate the kind's 1-D system, auditing entropy every step.
-
-    The kind's system builder checks the setup (ConfigurationError) and
-    returns what the time loop takes: x, u, step, observe, first, columns
-    and nodes. Raises PositivityError / DivergenceError naming the first bad
-    step.
+    """Integrate the kind's 1-D system, auditing entropy every step. The
+    kind's system builder checks the setup (ConfigurationError); the time
+    loop raises PositivityError / DivergenceError naming the first bad step.
     """
-    system = _nonlocal_system if isinstance(cfg.model, GKLinear) else _local_system
-    x, u, step, observe, first, columns, nodes = system(cfg)
-    return _march(x, cfg, u, step, observe, first, columns, nodes, cfg.snapshot_every)
+    return (_nonlocal_system if isinstance(cfg.model, GKLinear) else _local_system)(cfg)
 
 
 # --- modal cross-validation --------------------------------------------------
@@ -758,7 +757,7 @@ def steady_gk_profile(
 # they go with the next change to the benchmark
 def GKSimConfig(tau, kappa, lambda2, grid, dt, t_end, theta0=None) -> SimConfig:
     gk = GKLinear(tau, np.sqrt(lambda2 / kappa), CoefficientFn.constant(kappa))
-    return SimConfig(gk, MaterialConstants(1.0, 1.0), grid, dt, t_end, theta0=theta0, theta_ref=1.0)
+    return SimConfig(gk, MaterialConstants(1.0, 1.0), grid, dt, t_end, theta0=theta0)
 
 
 simulate_coupled_gk = simulate

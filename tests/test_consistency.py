@@ -181,11 +181,37 @@ def test_burgers_marginal_dead_band():
     assert v.marginal
 
 
-@pytest.mark.parametrize("lambda_b", [1e8, -1e8])
+@pytest.mark.parametrize("lambda_b", [1e8, -1e8, 1e5])
 def test_burgers_checker_and_energetics_share_a_regime(lambda_b):
     """|lambda_b| does not widen the zero band of tau*nu = 1e-5: the checker
-    and the free energy are both in regime iii."""
-    assert check_burgers(lambda_b, 1.0, 1.0, 1e-5).case_tag == burgers_case(Burgers(lambda_b, 1.0, 1.0, 1e-5)) == "iii"
+    and the free energy are both in regime iii. Nor does it loosen regime
+    iii's test: for lambda_b > 0, nu tau^2 - lambda_b mu = 1e-5 - lambda_b is
+    far below zero next to lambda_b mu, so the verdict fails with a witness
+    of negative entropy production."""
+    m = Burgers(lambda_b, 1.0, 1.0, 1e-5)
+    v = check_burgers(lambda_b, 1.0, 1.0, 1e-5)
+    assert v.case_tag == burgers_case(m) == "iii"
+    assert v.passed == (lambda_b < 0)
+    if not v.passed:
+        e, w = np.array([1.0, 0.0, 0.0]), v.witness
+        s = ThermalState(theta=1.0, q=w[0] * e, qdot=w[1] * e, grad_theta=w[2] * e)
+        assert entropy_production(m, s) < 0.0
+
+
+def test_burgers_regime_iii_passes_have_a_nonnegative_sigma_form():
+    """Magnitudes over 14 decades, either sign: every regime-iii pass has a
+    positive semidefinite sigma form, to rounding of its largest entry."""
+    rng = np.random.default_rng(11)
+    passes = 0
+    for _ in range(4000):
+        lam, tau, mu, nu = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-6.0, 8.0, 4)
+        v = check_burgers(lam, tau, mu, nu)
+        if not v.passed or v.case_tag != "iii":
+            continue
+        ev = np.linalg.eigvalsh(_sigma_amplitudes(Burgers(lam, tau, mu, nu)))
+        assert ev.min() >= -1e-9 * np.abs(ev).max(), (lam, tau, mu, nu)
+        passes += 1
+    assert passes > 500
 
 
 def test_burgers_regimes_agree_on_a_seeded_draw():

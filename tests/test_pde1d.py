@@ -725,6 +725,19 @@ def test_sim_config_rejects_a_nonpositive_or_nonfinite_theta_ref(model, theta_re
         SimConfig(model=model, material=MAT, grid=Grid1D(L=1.0, N=20), dt=1e-3, t_end=0.1, theta_ref=theta_ref)
 
 
+@pytest.mark.parametrize(
+    "model, theta_ref",
+    [(Fourier(kappa=1.0), 300.0), (GKLinear(0.1, 0.3, CoefficientFn(1.0)), 1.0),
+     (GKNonlinear(0.1, 0.3, CoefficientFn(1.0), delta=0.0), 1.0)],
+    ids=["local", "gk", "gk_nonlinear"],
+)
+def test_sim_config_defaults_theta_ref_by_kind(model, theta_ref):
+    """A library caller gets the same theta_ref as a config without the key."""
+    cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=1.0, N=20), dt=1e-3, t_end=0.1)
+    assert cfg.theta_ref == theta_ref
+    assert simulate(cfg).theta_ref == theta_ref
+
+
 def test_steady_gk_profile_shape():
     x = np.linspace(0.0, 1.0, 101)
     prof = steady_gk_profile(kappa=1.0, lambda2=1.0 / 300.0, G=1.0, L=1.0, x=x)
