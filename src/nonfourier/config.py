@@ -160,6 +160,14 @@ def build_spectral(cfg: Dict[str, str]) -> SpectralProblem:
     )
 
 
+def build_audit_samples(cfg: Dict[str, str]) -> int:
+    """audit.samples, a positive integer (default 1000)."""
+    n = _int(cfg, "audit.samples", "1000")
+    if n <= 0:
+        raise ConfigError(f"key 'audit.samples': need a positive integer, got {n}")
+    return n
+
+
 def _initial_field(cfg: Dict[str, str], grid: Grid1D):
     kind = _get(cfg, "ic.kind", "zero").lower()
     if kind == "zero":

@@ -189,23 +189,25 @@ def check_burgers_full(
 ) -> ConsistencyVerdict:
     """Joint thermodynamic and dynamic admissibility: mu >= 0, nu > 0,
     lambda_b > 0, tau > 0 and nu*tau**2 >= lambda_b*mu. Margin is the
-    smallest slack among the five inequalities."""
-    slacks = {
-        "mu >= 0": mu,
-        "nu > 0": nu,
-        "lambda_b > 0": lambda_b,
-        "tau > 0": tau,
-        "nu*tau^2 >= lambda_b*mu": nu * tau**2 - lambda_b * mu,
+    smallest slack among the five inequalities. Each inequality has its own
+    tolerance: mu's sign is tested to tol at check_burgers' scale, the
+    last inequality to tol relative to the larger of its two sides, as in
+    check_burgers' regime iii, and the strict ones exactly."""
+    lead, rest = nu * tau**2, lambda_b * mu
+    # each condition's slack, and whether it holds to its own tolerance
+    checks = {
+        "mu >= 0": (mu, mu >= -tol * burgers_scale(Burgers(lambda_b, tau, mu, nu))),
+        "nu > 0": (nu, nu > 0),
+        "lambda_b > 0": (lambda_b, lambda_b > 0),
+        "tau > 0": (tau, tau > 0),
+        "nu*tau^2 >= lambda_b*mu": (lead - rest, lead - rest >= -tol * max(abs(lead), abs(rest))),
     }
-    worst = min(slacks, key=slacks.get)
-    margin = slacks[worst]
-    scale = max(1.0, abs(tau), abs(nu), abs(mu), abs(lambda_b))
-    if margin >= -tol * scale**3 and nu > 0 and lambda_b > 0 and tau > 0 and mu >= -tol * scale:
-        return ConsistencyVerdict(True, max(margin, 0.0) if margin < 0 else margin)
-    mode = "sign" if (mu < 0 or nu <= 0 or nu * tau**2 < lambda_b * mu) else "dynamic"
-    return ConsistencyVerdict(
-        False, margin, failed_condition=worst, failure_mode=mode,
-    )
+    margin = min(slack for slack, _ in checks.values())
+    failed = {name: slack for name, (slack, ok) in checks.items() if not ok}
+    if not failed:
+        return ConsistencyVerdict(True, max(margin, 0.0))
+    mode = "sign" if (mu < 0 or nu <= 0 or lead < rest) else "dynamic"
+    return ConsistencyVerdict(False, margin, failed_condition=min(failed, key=failed.get), failure_mode=mode)
 
 
 # --- weakly nonlocal model ---------------------------------------------------

@@ -33,7 +33,7 @@ from .models import (
     ThermalState,
     flux_rate,
 )
-from .tensors import InvalidInputError, SymTensor3, is_nonsingular
+from .tensors import InvalidInputError, SymTensor3, is_nonsingular, matvec
 
 
 class SingularParameterError(ValueError):
@@ -53,14 +53,6 @@ class PsiGradients:
     q: np.ndarray
     qdot: np.ndarray
     grad_theta: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyAudit:
-    psi: float
-    sigma: float
-    k_flux: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ class Form(NamedTuple):
         s.require(*self.fields)
         if len(self.fields) == 1:
             return getattr(s, self.fields[0])
-        return np.concatenate([getattr(s, name) for name in self.fields])
+        return np.concatenate([getattr(s, name) for name in self.fields], axis=-1)
 
     def amplitudes(self) -> np.ndarray:
         """The x-directed reduction (each 3x3 block's xx entry) as a 3x3
@@ -325,87 +317,112 @@ class Nonlocal(NamedTuple):
         return out
 
 
-def nonlocal_coefficients(m: ModelParams, theta: float, variant: str = "plus") -> Optional[Nonlocal]:
-    """The nonlocal kind's coefficients at theta; None for a local kind."""
+def nonlocal_coefficients(m: ModelParams, theta, variant: str = "plus") -> Optional[Nonlocal]:
+    """The nonlocal kind's coefficients at theta (a float or an array of
+    temperatures); None for a local kind."""
     if not isinstance(m, GKLinear):
         return None
     if variant != "plus":
         raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
     vk = m.varkappa(theta)
-    if vk <= 0:
+    if np.any(vk <= 0):
         raise SingularParameterError("varkappa(theta) must be positive")
     return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))
 
 
-# --- free energy -------------------------------------------------------------
+# --- stacked evaluation --------------------------------------------------------
 
-def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
+# The functions below take one state or a stack of n. A per-state scalar is
+# carried as (..., 1), so that it broadcasts against (..., 3) vectors, and
+# is returned as a float for one state and an (n,) array for a stack.
+# Products are stacked matmuls and powers np.float_power: each state gets
+# the bits of its own unstacked evaluation.
+
+def _col(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)[..., None]
+
+
+def _out(v: np.ndarray):
+    v = v[..., 0]
+    return v if v.ndim else float(v)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of each state's vectors, as (..., 1)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _quad(form: Form, s: ThermalState) -> np.ndarray:
+    """x'Mx of each state's blocks x, as (..., 1)."""
+    x = form.stack(s)
+    return ((x[..., None, :] @ form.matrix) @ x[..., :, None])[..., 0]
+
+
+def _blocks(P: Form, s: ThermalState, th: np.ndarray) -> Dict[str, np.ndarray]:
+    """d rho*psi / dx = Px / theta, split into the (..., 3) block of each field."""
+    g = matvec(P.matrix, P.stack(s)) / th
+    return {name: g[..., 3 * i : 3 * i + 3] for i, name in enumerate(P.fields)}
+
+
+def _grad_q(s: ThermalState) -> Tuple[np.ndarray, np.ndarray]:
+    """|grad q|^2 and div q, as (..., 1)."""
+    s.require("grad_q")
+    return np.sum(s.grad_q**2, axis=(-2, -1))[..., None], np.trace(s.grad_q, axis1=-2, axis2=-1)[..., None]
+
+
+# --- free energy, entropy production, extra entropy flux -------------------------
+
+def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus"):
     """rho*psi excess over the purely thermal part (which is fixed to 0).
 
     For the two-flux-rate Jeffreys family, variant "plus" selects the
     (xi + kappa)-weighted energy and "star" the (xi - kappa)-weighted one.
     """
-    th = s.theta
+    th = _col(s.theta)
     gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
-        return 0.5 * gk.tau * th / gk.vk * float(s.q @ s.q)
+        return _out(0.5 * gk.tau * th / gk.vk * _dot(s.q, s.q))
     P = _row(m, variant).P
-    if P is None:
-        return 0.0
-    x = P.stack(s)
-    return 0.5 * float(x @ P.matrix @ x) / th
+    return _out(np.zeros_like(th) if P is None else 0.5 * _quad(P, s) / th)
 
 
-# --- entropy production ------------------------------------------------------
-
-def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
+def entropy_production(m: ModelParams, s: ThermalState, variant: str = "plus"):
     """rho*sigma; for the nonlocal model the internal supply rho*zeta."""
-    th = s.theta
+    th = _col(s.theta)
     gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
-        s.require("grad_q")
-        return gk.zeta(float(s.q @ s.q), float(np.sum(s.grad_q**2)), float(np.trace(s.grad_q)) ** 2)
+        gq2, div_q = _grad_q(s)
+        return _out(gk.zeta(_dot(s.q, s.q), gq2, np.float_power(div_q, 2)))
     S = _row(m, variant).S
-    if S is None:
-        return 0.0
-    x = S.stack(s)
-    return float(x @ S.matrix @ x) / th**2
+    return _out(np.zeros_like(th) if S is None else _quad(S, s) / np.float_power(th, 2))
 
 
 def extra_entropy_flux(m: GKLinear, s: ThermalState) -> np.ndarray:
     """Extra entropy flux k of the nonlocal model; zero for q = 0 states."""
-    gk = nonlocal_coefficients(m, s.theta)
+    gk = nonlocal_coefficients(m, _col(s.theta))
     if gk is None:
         raise InvalidInputError("extra entropy flux only exists for the nonlocal model")
-    s.require("grad_q")
-    return gk.k(s.q, s.grad_q @ s.q, float(np.trace(s.grad_q)) * s.q, float(s.q @ s.q))
+    return gk.k(s.q, matvec(s.grad_q, s.q), _grad_q(s)[1] * s.q, _dot(s.q, s.q))
 
 
-def no_flow(k: np.ndarray, n: np.ndarray, tol: float = 1e-12) -> bool:
-    return abs(float(np.asarray(k) @ np.asarray(n))) <= tol
-
-
-def gk_flux_divergence(m: GKLinear, s: ThermalState) -> float:
+def gk_flux_divergence(m: GKLinear, s: ThermalState):
     """div k from the pointwise identity, reading grad_q and nonlocal_q."""
-    s.require("grad_q", "nonlocal_q")
-    gk, div_q = nonlocal_coefficients(m, s.theta), float(np.trace(s.grad_q))
-    delta_terms = (float((s.grad_q @ s.q) @ s.q), float(s.q @ s.q) * div_q) if gk.delta else (None, None)
-    return gk.div_k(float(np.sum(s.grad_q**2)), div_q**2, float(s.nonlocal_q @ s.q), *delta_terms)
+    s.require("nonlocal_q")
+    gk, (gq2, div_q) = nonlocal_coefficients(m, _col(s.theta)), _grad_q(s)
+    delta_terms = (_dot(matvec(s.grad_q, s.q), s.q), _dot(s.q, s.q) * div_q) if gk.delta else (None, None)
+    return _out(gk.div_k(gq2, np.float_power(div_q, 2), _dot(s.nonlocal_q, s.q), *delta_terms))
 
 
 # --- analytic free-energy gradients ------------------------------------------
 
 def psi_gradients(m: ModelParams, s: ThermalState, variant: str = "plus") -> PsiGradients:
     """(d rho*psi / dq, d rho*psi / dqdot, d rho*psi / dgrad_theta)."""
-    th = s.theta
-    z = np.zeros(3)
+    th, z = _col(s.theta), np.zeros(np.shape(s.q))
     gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         return PsiGradients(gk.psi_q(th, s.q), z, z)
     P = _row(m, variant).P
-    if P is None:
-        return PsiGradients(z, z, z)
-    g = dict(zip(P.fields, (P.matrix @ P.stack(s) / th).reshape(-1, 3)))
+    g = {} if P is None else _blocks(P, s, th)
     return PsiGradients(g.get("q", z), g.get("qdot", z), g.get("grad_theta", z))
 
 
@@ -416,71 +433,35 @@ _RATES = {"q": "qdot", "qdot": "qddot", "grad_theta": "grad_theta_dot"}
 
 
 def dissipation_terms(m: ModelParams, s: ThermalState, variant: str = "plus") -> np.ndarray:
-    """Individual addends of the reduced entropy equality; their sum is the
-    residual and the largest magnitude sets the natural relative scale.
+    """Individual addends of the reduced entropy equality, along the last
+    axis; their sum is the residual and the largest magnitude sets the
+    natural relative scale.
 
     Local models: dpsi_x . x_dot for each block x in (q, qdot, grad_theta)
     that the free energy reads, then q.grad/theta and theta*sigma. The
     nonlocal model divides the first two groups by theta and adds div k and
     zeta instead, matching its split form of the Second Law.
     """
-    th = s.theta
+    th = _col(s.theta)
     gk = nonlocal_coefficients(m, th, variant)
     if gk is not None:
         s.require("qdot")
-        return np.array(
-            [
-                float(gk.psi_q(th, s.q) @ s.qdot) / th,
-                float(s.q @ s.grad_theta) / th**2,
-                gk_flux_divergence(m, s),
-                entropy_production(m, s),
-            ]
-        )
+        terms = [_dot(gk.psi_q(th, s.q), s.qdot) / th, _dot(s.q, s.grad_theta) / np.float_power(th, 2),
+                 _col(gk_flux_divergence(m, s)), _col(entropy_production(m, s))]
+        return np.concatenate(terms, axis=-1)
     P = _row(m, variant).P
     terms = []
     if P is not None:
-        rates = [_RATES[name] for name in P.fields]
-        s.require(*rates)
-        g = (P.matrix @ P.stack(s) / th).reshape(-1, 3)
-        terms = [float(gi @ getattr(s, rate)) for gi, rate in zip(g, rates)]
-    terms += [float(s.q @ s.grad_theta) / th, th * entropy_production(m, s, variant)]
-    return np.array(terms)
+        s.require(*(_RATES[name] for name in P.fields))
+        terms = [_dot(g, getattr(s, _RATES[name])) for name, g in _blocks(P, s, th).items()]
+    terms += [_dot(s.q, s.grad_theta) / th, th * _col(entropy_production(m, s, variant))]
+    return np.concatenate(terms, axis=-1)
 
 
-def dissipation_residual(m: ModelParams, s: ThermalState, variant: str = "plus") -> float:
+def dissipation_residual(m: ModelParams, s: ThermalState, variant: str = "plus"):
     """Defect of the reduced entropy equality; zero when the rates obey the
     model's own rate law."""
-    return float(np.sum(dissipation_terms(m, s, variant)))
-
-
-def convex_energy_family(
-    m: Jeffreys, weight: float
-) -> Tuple[Callable[[ThermalState], float], Callable[[ThermalState], float]]:
-    """Convex mix of the two admissible Jeffreys (psi, sigma) pairs.
-
-    Any 0 <= weight <= 1 gives another pair satisfying the dissipation
-    identity, since the identity is linear in (psi, sigma).
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise InvalidInputError("weight must lie in [0, 1]")
-
-    def psi(s: ThermalState) -> float:
-        return weight * free_energy(m, s, "plus") + (1 - weight) * free_energy(m, s, "star")
-
-    def sigma(s: ThermalState) -> float:
-        return weight * entropy_production(m, s, "plus") + (1 - weight) * entropy_production(
-            m, s, "star"
-        )
-
-    return psi, sigma
-
-
-def mixed_dissipation_residual(m: Jeffreys, s: ThermalState, weight: float) -> float:
-    if not 0.0 <= weight <= 1.0:
-        raise InvalidInputError("weight must lie in [0, 1]")
-    return weight * dissipation_residual(m, s, "plus") + (1 - weight) * dissipation_residual(
-        m, s, "star"
-    )
+    return _out(np.sum(dissipation_terms(m, s, variant), axis=-1, keepdims=True))
 
 
 def sample_state(
@@ -489,39 +470,31 @@ def sample_state(
     theta_low: float = 0.5,
     theta_high: float = 2.0,
     amplitude: float = 1.0,
+    size: Optional[int] = None,
 ) -> ThermalState:
     """Random state whose rate fields come from the model's own rate law,
-    so the dissipation identity should close on it to rounding error."""
-    theta = float(rng.uniform(theta_low, theta_high))
-    vec = lambda: amplitude * rng.standard_normal(3)
-    grad = vec()
+    so the dissipation identity should close on it to rounding error;
+    size=n gives a stack of n, the states of n calls with size=None.
+
+    Per state: theta, then one standard_normal of grad_theta, q and its
+    derivatives below the law's top one, then grad(theta_dot) if the law
+    reads it (nonlocal kinds: q, grad_q, nonlocal_q). Seeded audit output
+    depends on this order. The top derivative comes from the law.
+    """
     if isinstance(m, LocalModel):
-        # draw q and its derivatives below the law's top one, then
-        # grad(theta_dot) if the law reads it; seeded audit output depends
-        # on this order. The top derivative comes from the law.
         law, names = m.law, ("q", "qdot", "qddot")
-        fields = {name: vec() for name in names[: law.order]}
-        if law.b1 is not None:
-            fields["grad_theta_dot"] = vec()
+        drawn = ("grad_theta",) + names[: law.order] + (("grad_theta_dot",) if law.b1 is not None else ())
         rate = names[law.order]
     elif isinstance(m, GKLinear):
-        fields = {"q": vec(), "grad_q": amplitude * rng.standard_normal((3, 3)), "nonlocal_q": vec()}
-        rate = "qdot"
+        drawn, rate = ("grad_theta", "q", "grad_q", "nonlocal_q"), "qdot"
     else:
         raise InvalidInputError(f"no state sampler for {type(m).__name__}")
-    base = ThermalState(theta=theta, grad_theta=grad, **fields)
-    fields[rate] = flux_rate(m, base)
-    return ThermalState(theta=theta, grad_theta=grad, **fields)
-
-
-def energy_audit(
-    m: ModelParams, s: ThermalState, variant: str = "plus", with_residual: bool = True
-) -> EnergyAudit:
-    k = extra_entropy_flux(m, s) if isinstance(m, GKLinear) else np.zeros(3)
-    res = dissipation_residual(m, s, variant) if with_residual else float("nan")
-    return EnergyAudit(
-        psi=free_energy(m, s, variant),
-        sigma=entropy_production(m, s, variant),
-        k_flux=k,
-        residual=res,
-    )
+    shape, widths = () if size is None else (size,), [9 if name == "grad_q" else 3 for name in drawn]
+    theta, z = np.empty(shape), np.empty(shape + (sum(widths),))
+    for i in np.ndindex(shape):
+        theta[i] = rng.uniform(theta_low, theta_high)
+        rng.standard_normal(out=z[i])
+    parts = np.split(amplitude * z, np.cumsum(widths)[:-1], axis=-1)
+    fields = {name: p.reshape(shape + (3, 3)) if name == "grad_q" else p for name, p in zip(drawn, parts)}
+    fields[rate] = flux_rate(m, ThermalState(theta=theta, **fields))
+    return ThermalState(theta=theta, **fields)

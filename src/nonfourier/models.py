@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensors import InvalidInputError, SymTensor3, coerce_tensor, is_nonsingular
+from .tensors import InvalidInputError, SymTensor3, coerce_tensor, is_nonsingular, matvec
 
 
 class ContractError(ValueError):
@@ -34,13 +34,15 @@ class InvalidLimitError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientFn:
-    """Named scalar function of temperature: c * theta**p."""
+    """Named scalar function of temperature: c * theta**p, for one theta
+    or an array of them. np.float_power is libm pow, as a Python float's
+    ** is, on arrays too."""
 
     c: float
     p: float = 0.0
 
-    def __call__(self, theta: float) -> float:
-        return self.c * theta**self.p
+    def __call__(self, theta):
+        return self.c * np.float_power(theta, self.p)
 
     @classmethod
     def constant(cls, c: float) -> "CoefficientFn":
@@ -137,10 +139,10 @@ class GKLinear:
     ell: float
     varkappa: CoefficientFn
 
-    def kappa(self, theta: float) -> float:
-        return self.varkappa(theta) / theta**2
+    def kappa(self, theta):
+        return self.varkappa(theta) / np.float_power(theta, 2)
 
-    def lambda2(self, theta: float) -> float:
+    def lambda2(self, theta):
         return self.ell**2 * self.varkappa(theta)
 
 
@@ -148,10 +150,10 @@ class GKLinear:
 class GKNonlinear(GKLinear):
     delta: float = 0.0
 
-    def mu(self, theta: float) -> float:
+    def mu(self, theta):
         return 2.0 * self.delta * self.varkappa(theta)
 
-    def nu(self, theta: float) -> float:
+    def nu(self, theta):
         return self.delta * self.varkappa(theta)
 
 
@@ -172,16 +174,11 @@ class MaterialConstants:
         return self.rho * self.cv
 
 
-def _vec(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise InvalidInputError(f"expected 3-vector, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class ThermalState:
-    """Pointwise state feeding energetics and rate laws.
+    """Pointwise state feeding energetics and rate laws, or a stack of n
+    such states: theta is then an (n,) array and each field has a leading
+    axis of n (a field given for one state is shared by the stack).
 
     q, gradients and rates are 3-vectors; grad_q is the 3x3 array with
     (grad_q)[i, j] = d q_j / d x_i. nonlocal_q holds the combination
@@ -198,19 +195,15 @@ class ThermalState:
     nonlocal_q: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (self.theta > 0 and np.isfinite(self.theta)):
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim > 1 or not np.all((theta > 0) & np.isfinite(theta)):
             raise InvalidInputError("absolute temperature must be positive and finite")
-        object.__setattr__(self, "q", _vec(self.q))
-        object.__setattr__(self, "grad_theta", _vec(self.grad_theta))
-        for name in ("qdot", "grad_theta_dot", "qddot", "nonlocal_q"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _vec(v))
-        if self.grad_q is not None:
-            g = np.asarray(self.grad_q, dtype=float)
-            if g.shape != (3, 3):
-                raise InvalidInputError("grad_q must be 3x3")
-            object.__setattr__(self, "grad_q", g)
+        object.__setattr__(self, "theta", theta if theta.ndim else float(theta))
+        for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) is not None):
+            a, shape = np.asarray(getattr(self, name), dtype=float), theta.shape + ((3, 3) if name == "grad_q" else (3,))
+            if a.shape not in (shape, shape[theta.ndim :]):
+                raise InvalidInputError(f"{name}: expected shape {shape}, got {a.shape}")
+            object.__setattr__(self, name, a if a.shape == shape else np.broadcast_to(a, shape))
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -255,7 +248,8 @@ class RateLaw:
 
         Terms are summed in the order q, q_dot, grad(theta), grad(theta_dot).
         Zero coefficients are skipped and unit ones not multiplied out: the
-        result is the same, at fewer array operations per call.
+        result is the same, at fewer array operations per call. A stacked
+        state gives the stack of rates, each with the bits of its own call.
         """
         *lower, top = self.a
         if top == 0:
@@ -315,10 +309,11 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
             raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
         nonlinear = isinstance(m, GKNonlinear)
         s.require(*(("grad_q",) if nonlinear else ()), "nonlocal_q")
-        th = s.theta
+        th = np.asarray(s.theta)[..., None]  # broadcasts against the vectors
         nl = m.lambda2(th) * s.nonlocal_q
         if nonlinear:
-            nl = nl + m.mu(th) * (s.grad_q @ s.q) + m.nu(th) * np.trace(s.grad_q) * s.q
+            div_q = np.trace(s.grad_q, axis1=-2, axis2=-1)[..., None]
+            nl = nl + m.mu(th) * matvec(s.grad_q, s.q) + m.nu(th) * div_q * s.q
         return (-s.q - m.kappa(th) * s.grad_theta + nl) / m.tau
     raise InvalidInputError(f"unknown model kind {type(m).__name__}")
 

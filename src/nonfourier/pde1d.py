@@ -404,8 +404,11 @@ class SimConfig:
     imposed_gradient: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigurationError("dt and t_end must be positive")
+        for key, v in (("time.dt", self.dt), ("time.t_end", self.t_end)):
+            if not (np.isfinite(v) and v > 0):
+                raise ConfigurationError(f"key {key!r}: need a finite value > 0, got {v:g}")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ConfigurationError(f"key 'time.t_end': t_end / dt = {self.t_end:g} / {self.dt:g} is not finite")
         if self.theta_ref is None:
             self.theta_ref = 1.0 if isinstance(self.model, GKLinear) else 300.0
         if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):

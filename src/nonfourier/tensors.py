@@ -25,6 +25,13 @@ def _as_vec3(v) -> np.ndarray:
     return a
 
 
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a vector v (k,) or a stack of them (..., k), m one (k, k)
+    matrix or a stack of them. Each product has the bits of the unstacked
+    m @ v; a stacked v @ m.T or einsum does not."""
+    return (m @ v[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class SymTensor3:
     """Symmetric 3x3 tensor stored as its 6 independent components.
@@ -96,7 +103,11 @@ class SymTensor3:
         return SymTensor3.from_matrix(np.linalg.inv(self.as_matrix()))
 
     def apply(self, v) -> np.ndarray:
-        return self.as_matrix() @ _as_vec3(v)
+        """The tensor times a 3-vector, or times each of a stack (..., 3)."""
+        a = np.asarray(v, dtype=float)
+        if a.shape[-1:] != (3,):
+            raise InvalidInputError(f"expected 3-vectors, got shape {a.shape}")
+        return matvec(self.as_matrix(), a)
 
     def _parts(self) -> tuple:
         return (self.xx, self.yy, self.zz, self.yz, self.xz, self.xy)

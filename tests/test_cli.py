@@ -8,8 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import energetics_oracle as oracle
 import nonfourier
 from nonfourier.cli import _float_rows, _fmt, _snapshot_rows, main
+from nonfourier.config import build_model, parse_config
 
 QUINTANILLA_CFG = """
 model.kind = quintanilla
@@ -350,6 +352,64 @@ def test_audit_matches_golden_output(tmp_path, kind):
     for g, w in zip(got[1:], want[1:]):
         assert g[:4] == w[:4]
         assert abs(float(g[4])) <= 1e-12 and float(g[5]) <= 1e-12
+
+
+# model.* lines of one config per kind, for the audit's byte checks
+AUDIT_MODELS = {
+    "fourier": "model.kappa = full:2,3,4,0.3,0.2,0.1",
+    "gn2": "model.K = 1.5",
+    "mcv": "model.tau = 0.7\nmodel.kappa = 2.0",
+    "jeffreys": "model.tau = 0.8\nmodel.xi = 2.0\nmodel.kappa = 0.5",
+    "gn3": "model.xi = 1.5\nmodel.kappa = 2.0",
+    "quintanilla": "model.tau = 0.5\nmodel.xi = 1.0\nmodel.kappa = 2.0",
+    "burgers": "model.lambda_b = 1.0\nmodel.tau = 2.0\nmodel.mu = 1.0\nmodel.nu = 1.0",
+    "gk": "model.tau = 0.5\nmodel.ell = 0.3\nmodel.varkappa = power:2.0,1.5",
+    "gk_nonlinear": "model.tau = 0.5\nmodel.ell = 0.3\nmodel.varkappa = power:2.0,-0.5\nmodel.delta = 0.4",
+}
+
+
+@pytest.mark.parametrize("kind", AUDIT_MODELS)
+def test_audit_writes_the_bytes_of_the_per_state_loop(tmp_path, capsys, kind):
+    """residuals.csv and the summary line are those of auditing one state
+    at a time, residual columns included."""
+    cfg = write_cfg(tmp_path, f"model.kind = {kind}\n{AUDIT_MODELS[kind]}\naudit.samples = 300\n")
+    code, out = run(tmp_path, "audit", "--config", cfg, "--seed", "11")
+    assert code == 0
+    rows = oracle.audit(build_model(parse_config(cfg)), np.random.default_rng(11), 300)
+    want = ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (i, th, psi, sig, res, rel)
+            for i, (th, psi, sig, _, res, rel) in enumerate(rows)]
+    assert (out / "residuals.csv").read_text().splitlines()[4:] == want
+    worst, least = max([0.0] + [r[5] for r in rows]), min([np.inf] + [r[2] for r in rows])
+    assert f"audited 300 random states: max relative residual {worst:.3e}, min sigma {least:.3e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5", "0"])
+def test_audit_samples_must_be_a_positive_integer(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, QUINTANILLA_CFG.replace("audit.samples = 50", f"audit.samples = {value}"))
+    code, out = run(tmp_path, "audit", "--config", cfg)
+    assert code == 2
+    assert "config error: key 'audit.samples'" in capsys.readouterr().err
+    assert not (out / "residuals.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, key",
+    [
+        ("time.dt = nan", "time.dt"),
+        ("time.dt = inf", "time.dt"),
+        ("time.t_end = inf", "time.t_end"),
+        ("time.t_end = nan", "time.t_end"),
+        ("time.dt = 1e-300\ntime.t_end = 1e300", "time.t_end"),
+    ],
+    ids=["dt_nan", "dt_inf", "t_end_inf", "t_end_nan", "ratio_inf"],
+)
+def test_simulate_nonfinite_time_settings_exit_2(tmp_path, capsys, setting, key):
+    """A non-finite dt, t_end or step count t_end / dt is a config error,
+    not a traceback from the time loop."""
+    code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, QUINTANILLA_CFG + setting + "\n"))
+    assert code == 2
+    assert f"config error: key '{key}'" in capsys.readouterr().err
+    assert not (out / "snapshots.csv").exists()
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -176,6 +176,21 @@ def test_burgers_full_examples():
     assert not v.passed and v.failure_mode == "dynamic"
 
 
+@pytest.mark.parametrize("params", [(1e8, 1.0, 1.0, 1e-5), (1e-3, 1.0, 1e6, 1e-3)])
+def test_burgers_full_tests_its_last_inequality_against_its_own_sides(params):
+    """nu tau^2 - lambda_b mu is -1e8 and about -1e3 here: far outside a
+    tolerance relative to the larger side, whatever lambda_b or mu alone."""
+    v = check_burgers_full(*params)
+    assert not v.passed
+    assert v.failed_condition == "nu*tau^2 >= lambda_b*mu" and v.failure_mode == "sign"
+    assert v.margin < -1e2
+
+
+@pytest.mark.parametrize("lam, tau, mu", [(3.0, 0.7, 1.9), (1e8, 1.0, 1.0), (0.01, 3.0, 1e6)])
+def test_burgers_full_passes_its_boundary_within_rounding(lam, tau, mu):
+    assert check_burgers_full(lam, tau, mu, lam * mu / tau**2).passed
+
+
 def test_burgers_marginal_dead_band():
     v = check_burgers(1.0, 1e-13, 1.0, 1.0)
     assert v.marginal

@@ -3,21 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import energetics_oracle as oracle
+from energetics_oracle import convex_energy_family, energy_audit, mixed_dissipation_residual, no_flow
 from nonfourier.energetics import (
     SingularParameterError,
     burgers_case,
     burgers_psi_coefficients,
     burgers_sigma_matrix,
-    convex_energy_family,
     dissipation_residual,
     dissipation_terms,
-    energy_audit,
     entropy_production,
     extra_entropy_flux,
     free_energy,
     gk_flux_divergence,
-    mixed_dissipation_residual,
-    no_flow,
     psi_gradients,
     sample_state,
 )
@@ -380,3 +378,60 @@ def test_singular_weights_raise():
             Quintanilla(tau=1.0, xi=1.0, kappa=1.0),
             ThermalState(theta=1.0, qdot=EX),
         )
+
+
+# --- the stacked path against the per-state oracle ------------------------------
+
+NINE_KINDS = [
+    Fourier(kappa=np.array([[2.0, 0.1, 0.2], [0.1, 3.0, 0.3], [0.2, 0.3, 4.0]])),
+    GN2(K=1.5),
+    MCV(tau=0.7, kappa=2.0),
+    Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
+    GN3(xi=1.5, kappa=2.0),
+    Quintanilla(tau=0.5, xi=1.0, kappa=2.0),
+    Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0),
+    GKLinear(tau=0.5, ell=0.3, varkappa=CoefficientFn.power(2.0, 1.5)),
+    GKNonlinear(tau=0.5, ell=0.3, varkappa=CoefficientFn.power(2.0, -0.5), delta=0.4),
+]
+_VARIANTS = [(m, v) for m in NINE_KINDS for v in (("plus", "star") if isinstance(m, Jeffreys) else ("plus",))]
+_hex = np.vectorize(float.hex, otypes=[str])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model, variant", _VARIANTS, ids=[f"{type(m).__name__}-{v}" for m, v in _VARIANTS])
+def test_stacked_states_match_the_per_state_oracle_bit_for_bit(model, variant, seed):
+    """One stack of 400 states gives, by float hex, the theta, psi, sigma
+    and every dissipation term of 400 single draws evaluated one by one."""
+    n = 400
+    want = oracle.audit(model, np.random.default_rng(seed), n, variant)
+    s = sample_state(model, np.random.default_rng(seed), size=n)
+    got = (
+        s.theta,
+        free_energy(model, s, variant),
+        entropy_production(model, s, variant),
+        dissipation_terms(model, s, variant),
+    )
+    for j, values in enumerate(got):
+        assert values.shape[0] == n
+        assert (_hex(np.array([row[j] for row in want])) == _hex(values)).all(), ("theta", "psi", "sigma", "terms")[j]
+
+
+@pytest.mark.parametrize("model", NINE_KINDS, ids=_id)
+def test_one_state_gives_floats_equal_to_its_row_of_a_stack(model):
+    one = sample_state(model, np.random.default_rng(4))
+    stack = sample_state(model, np.random.default_rng(4), size=3)
+    assert type(one.theta) is float and one.theta == stack.theta[0]
+    for fn in (free_energy, entropy_production, dissipation_residual):
+        value = fn(model, one)
+        assert type(value) is float and value.hex() == float(fn(model, stack)[0]).hex()
+    np.testing.assert_array_equal(dissipation_terms(model, one), dissipation_terms(model, stack)[0])
+    if isinstance(model, GKLinear):
+        assert type(gk_flux_divergence(model, one)) is float
+        np.testing.assert_array_equal(extra_entropy_flux(model, one), extra_entropy_flux(model, stack)[0])
+
+
+def test_stacked_state_rejects_a_field_of_the_wrong_length():
+    with pytest.raises(InvalidInputError, match="q: expected shape"):
+        ThermalState(theta=np.ones(4), q=np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError, match="absolute temperature"):
+        ThermalState(theta=np.array([1.0, 0.0]))
