@@ -9,7 +9,7 @@ energy row goes negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -216,11 +216,19 @@ def _default_theta_grid(theta_min: float = 1.0, theta_max: float = 10.0) -> np.n
     return np.geomspace(theta_min, theta_max, 32)
 
 
+def _on_grid(theta_samples: Optional[Sequence[float]], *fns: Callable) -> Tuple[np.ndarray, ...]:
+    """The temperature grid (default _default_theta_grid) and each
+    coefficient function evaluated on the whole grid in one call; a
+    constant one may return a scalar."""
+    thetas = np.asarray(theta_samples if theta_samples is not None else _default_theta_grid(), dtype=float)
+    return (thetas, *(np.broadcast_to(f(thetas), thetas.shape) for f in fns))
+
+
 def check_gk(
     ell: float,
-    varkappa: Callable[[float], float],
-    kappa: Callable[[float], float],
-    lambda2: Callable[[float], float],
+    varkappa: Callable[[np.ndarray], np.ndarray],
+    kappa: Callable[[np.ndarray], np.ndarray],
+    lambda2: Callable[[np.ndarray], np.ndarray],
     theta_samples: Optional[Sequence[float]] = None,
     tol: float = DEFAULT_TOL,
 ) -> ConsistencyVerdict:
@@ -228,19 +236,16 @@ def check_gk(
     kappa(theta) * ell**2 * theta**2 == lambda2(theta), with varkappa > 0.
 
     The identity is sampled on a theta grid (default 32 log-spaced points)
-    because the condition is functional, not algebraic.
+    because the condition is functional, not algebraic; each coefficient
+    function takes the whole grid as one array.
     """
-    thetas = np.asarray(
-        theta_samples if theta_samples is not None else _default_theta_grid(), dtype=float
-    )
-    vk = np.array([varkappa(t) for t in thetas])
+    thetas, vk = _on_grid(theta_samples, varkappa)
     if np.any(vk <= 0):
         return ConsistencyVerdict(
             False, float(vk.min()), failed_condition="varkappa not positive",
             failure_mode="sign",
         )
-    kv = np.array([kappa(t) for t in thetas])
-    lv = np.array([lambda2(t) for t in thetas])
+    _, kv, lv = _on_grid(thetas, kappa, lambda2)
     defect = np.abs(kv * ell**2 * thetas**2 - lv)
     scale = max(1.0, float(np.abs(lv).max()), float(np.abs(kv).max()))
     worst = float(defect.max())
@@ -260,11 +265,11 @@ def check_gk_params(m: GKLinear, theta_samples: Optional[Sequence[float]] = None
 
 def check_gk_nonlinear(
     ell: float,
-    varkappa: Callable[[float], float],
-    kappa: Callable[[float], float],
-    lambda2: Callable[[float], float],
-    mu: Callable[[float], float],
-    nu: Callable[[float], float],
+    varkappa: Callable[[np.ndarray], np.ndarray],
+    kappa: Callable[[np.ndarray], np.ndarray],
+    lambda2: Callable[[np.ndarray], np.ndarray],
+    mu: Callable[[np.ndarray], np.ndarray],
+    nu: Callable[[np.ndarray], np.ndarray],
     delta: float,
     theta_samples: Optional[Sequence[float]] = None,
     tol: float = DEFAULT_TOL,
@@ -274,12 +279,7 @@ def check_gk_nonlinear(
     base = check_gk(ell, varkappa, kappa, lambda2, theta_samples, tol)
     if not base.passed:
         return base
-    thetas = np.asarray(
-        theta_samples if theta_samples is not None else _default_theta_grid(), dtype=float
-    )
-    mv = np.array([mu(t) for t in thetas])
-    nv = np.array([nu(t) for t in thetas])
-    vk = np.array([varkappa(t) for t in thetas])
+    _, mv, nv, vk = _on_grid(theta_samples, mu, nu, varkappa)
     scale = max(1.0, float(np.abs(mv).max()), float(np.abs(vk).max()))
     if float(np.abs(mv - 2.0 * nv).max()) > tol * scale:
         return ConsistencyVerdict(

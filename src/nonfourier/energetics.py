@@ -330,7 +330,7 @@ def nonlocal_coefficients(m: ModelParams, theta, variant: str = "plus") -> Optio
     return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))
 
 
-# --- stacked evaluation --------------------------------------------------------
+# --- stacked evaluation ------------------------------------------------------
 
 # The functions below take one state or a stack of n. A per-state scalar is
 # carried as (..., 1), so that it broadcasts against (..., 3) vectors, and
@@ -370,7 +370,7 @@ def _grad_q(s: ThermalState) -> Tuple[np.ndarray, np.ndarray]:
     return np.sum(s.grad_q**2, axis=(-2, -1))[..., None], np.trace(s.grad_q, axis1=-2, axis2=-1)[..., None]
 
 
-# --- free energy, entropy production, extra entropy flux -------------------------
+# --- free energy, entropy production, extra entropy flux ---------------------
 
 def free_energy(m: ModelParams, s: ThermalState, variant: str = "plus"):
     """rho*psi excess over the purely thermal part (which is fixed to 0).

@@ -27,7 +27,7 @@ from nonfourier.tensors import InvalidInputError
 _RATES = {"q": "qdot", "qdot": "qddot", "grad_theta": "grad_theta_dot"}
 
 
-# --- test-only helpers ---------------------------------------------------------
+# --- test-only helpers -------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnergyAudit:
@@ -84,7 +84,7 @@ def mixed_dissipation_residual(m: Jeffreys, s: ThermalState, weight: float) -> f
     )
 
 
-# --- the per-state oracle ------------------------------------------------------
+# --- the per-state oracle ----------------------------------------------------
 
 def _nonlocal(m: GKLinear, theta: float) -> Nonlocal:
     vk = m.varkappa.c * theta**m.varkappa.p

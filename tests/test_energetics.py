@@ -380,7 +380,7 @@ def test_singular_weights_raise():
         )
 
 
-# --- the stacked path against the per-state oracle ------------------------------
+# --- the stacked path against the per-state oracle ----------------------------
 
 NINE_KINDS = [
     Fourier(kappa=np.array([[2.0, 0.1, 0.2], [0.1, 3.0, 0.3], [0.2, 0.3, 4.0]])),
