@@ -240,6 +240,8 @@ def check_gk(
     function takes the whole grid as one array.
     """
     thetas, vk = _on_grid(theta_samples, varkappa)
+    if not np.isfinite(vk).all():
+        raise SingularParameterError("varkappa(theta) must be finite")
     if np.any(vk <= 0):
         return ConsistencyVerdict(
             False, float(vk.min()), failed_condition="varkappa not positive",

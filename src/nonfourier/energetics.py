@@ -287,7 +287,9 @@ class Nonlocal(NamedTuple):
     the flux products they are given (|q|^2, |grad q|^2, (div q)^2, (grad q)q,
     (div q)q, q.nonlocal_q, q.(grad q)q, |q|^2 div q), so they take one 3-D
     state's products or 1-D node arrays alike. The delta terms are skipped
-    when delta = 0; the products only they read may then be None."""
+    when delta = 0; the products only they read may then be None. Given
+    `out` (and for zeta `tmp`, which takes a product), a method writes its
+    result there, as numpy's `out=` does, with the same bits."""
 
     tau: float
     vk: float
@@ -298,22 +300,28 @@ class Nonlocal(NamedTuple):
         """d rho*psi / dq."""
         return self.tau * theta / self.vk * q
 
-    def zeta(self, qq, gq2, dq2):
+    def zeta(self, qq, gq2, dq2, out=None, tmp=None):
         """Internal entropy supply rho*zeta."""
-        return qq / self.vk + self.ell2 * gq2 + 2.0 * self.ell2 * dq2
+        out = np.divide(qq, self.vk, out=out)
+        out += np.multiply(self.ell2, gq2, out=tmp)
+        out += np.multiply(2.0 * self.ell2, dq2, out=tmp)
+        return out
 
-    def k(self, q, gq_q, dq_q, qq):
+    def k(self, q, gq_q, dq_q, qq, out=None):
         """Extra entropy flux k."""
-        k = -self.ell2 * (gq_q + 2.0 * dq_q)
+        out = np.add(gq_q, np.multiply(2.0, dq_q, out=out), out=out)
+        out *= -self.ell2
         if self.delta:
-            k = k - self.delta * qq * q
-        return k
+            out -= self.delta * qq * q
+        return out
 
-    def div_k(self, gq2, dq2, q_nl, q_gq_q, qq_dq):
+    def div_k(self, gq2, dq2, q_nl, q_gq_q, qq_dq, out=None):
         """div k from the pointwise identity."""
-        out = -self.ell2 * (gq2 + 2.0 * dq2 + q_nl)
+        out = np.add(gq2, np.multiply(2.0, dq2, out=out), out=out)
+        out += q_nl
+        out *= -self.ell2
         if self.delta:
-            out = out - self.delta * (2.0 * q_gq_q + qq_dq)
+            out -= self.delta * (2.0 * q_gq_q + qq_dq)
         return out
 
 
@@ -325,8 +333,8 @@ def nonlocal_coefficients(m: ModelParams, theta, variant: str = "plus") -> Optio
     if variant != "plus":
         raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
     vk = m.varkappa(theta)
-    if np.any(vk <= 0):
-        raise SingularParameterError("varkappa(theta) must be positive")
+    if not np.all(np.isfinite(vk) & (vk > 0)):
+        raise SingularParameterError("varkappa(theta) must be finite and positive")
     return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))
 
 
@@ -494,6 +502,8 @@ def sample_state(
     for i in np.ndindex(shape):
         theta[i] = rng.uniform(theta_low, theta_high)
         rng.standard_normal(out=z[i])
+    # a nonlocal rate reads varkappa(theta): refuse the draw before it does
+    nonlocal_coefficients(m, theta)
     parts = np.split(amplitude * z, np.cumsum(widths)[:-1], axis=-1)
     fields = {name: p.reshape(shape + (3, 3)) if name == "grad_q" else p for name, p in zip(drawn, parts)}
     fields[rate] = flux_rate(m, ThermalState(theta=theta, **fields))

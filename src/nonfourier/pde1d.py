@@ -116,11 +116,9 @@ def space_operators(
     if bc_kind == "dirichlet":
         n = grid.N
         x = grid.interior_x()
-        lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tocsr() / dx**2
         lap_b = np.zeros(n)
         lap_b[0] = left / dx**2
         lap_b[-1] = right / dx**2
-        d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)).tocsr() / (2 * dx)
         d1_b = np.zeros(n)
         d1_b[0] = -left / (2 * dx)
         d1_b[-1] = right / (2 * dx)
@@ -128,17 +126,9 @@ def space_operators(
     elif bc_kind == "neumann":
         n = grid.N + 2
         x = dx * np.arange(0, n)
-        lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tolil()
-        lap[0, 1] = 2.0
-        lap[n - 1, n - 2] = 2.0
-        lap = lap.tocsr() / dx**2
         lap_b = np.zeros(n)
         lap_b[0] = -2.0 * left / dx
         lap_b[-1] = 2.0 * right / dx
-        d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)).tolil()
-        d1[0, 1] = 0.0
-        d1[n - 1, n - 2] = 0.0
-        d1 = d1.tocsr() / (2 * dx)
         d1_b = np.zeros(n)
         d1_b[0] = left
         d1_b[-1] = right
@@ -146,6 +136,15 @@ def space_operators(
         weights[0] = weights[-1] = dx / 2
     else:
         raise ConfigurationError(f"unsupported boundary kind {bc_kind!r}")
+    # the off-diagonals of the central stencils; at a Neumann wall the
+    # mirrored ghost node doubles the inner neighbour in lap and cancels it
+    # in d1, whose zeros the CSR conversion drops
+    lap_lo, lap_up, d1_lo, d1_up = np.ones(n - 1), np.ones(n - 1), -np.ones(n - 1), np.ones(n - 1)
+    if bc_kind == "neumann":
+        lap_up[0] = lap_lo[-1] = 2.0
+        d1_up[0] = d1_lo[-1] = 0.0
+    lap = sp.diags([lap_lo, -2.0, lap_up], [-1, 0, 1], shape=(n, n)).tocsr() / dx**2
+    d1 = sp.diags([d1_lo, d1_up], [-1, 1], shape=(n, n)).tocsr() / (2 * dx)
     return SpaceOperators(n=n, x=x, lap=lap, lap_b=lap_b, d1=d1, d1_b=d1_b, weights=weights)
 
 
@@ -280,14 +279,17 @@ def trapezoid_stepper(
     bp, bi, bd = back.indptr, back.indices, back.data
 
     # each product sums into zeros, as `rhs_mat @ u + rhs_f` and
-    # `r[:n1] += back @ r[n1:]` do, so the rounding is theirs
+    # `r[:n1] += back @ r[n1:]` do, so the rounding is theirs; the
+    # back-substitution's product reuses one buffer, the new state is fresh
+    t = np.empty(n1)
+
     def step(u: np.ndarray) -> np.ndarray:
         r = np.zeros(n)
         csr_matvec(n, n, rp, ri, rd, u, r)
         r += rhs_f
         r[n1:] = solve(r[n1:])
         if n1:
-            t = np.zeros(n1)
+            t.fill(0.0)
             csr_matvec(n1, n - n1, bp, bi, bd, r[n1:], t)
             r[:n1] += t
         return r
@@ -295,25 +297,58 @@ def trapezoid_stepper(
     return step
 
 
-# --- heat-flux auxiliary field -----------------------------------------------
-
-def _drive(law: RateLaw, tx: np.ndarray, tdx: np.ndarray) -> np.ndarray:
-    """-(b0 theta_x + b1 theta_dot_x) / a_top: the flux itself for an
-    algebraic law, else the forcing of its highest flux derivative."""
-    if law.b1 is None:
-        return -(law.b0 * tx) / law.a[-1]
-    return -(law.b0 * tx + law.b1 * tdx) / law.a[-1]
-
-
 # --- per-node entropy audit -------------------------------------------------
 
-def _combine(terms):
-    """Sum of c * v over the (c, v) pairs, not multiplying out unit c."""
-    out = None
+class _Workspace:
+    """Named float buffers that every block of one run reuses, so the
+    observer allocates once per run rather than once per block of steps.
+    ws(name, (b, ...)) is the first b rows of a buffer with at least `rows`
+    rows, allocated on first use and again only for a longer block. A
+    result kept past its block must be copied out of it."""
+
+    def __init__(self, rows: int = 1):
+        self.rows, self.bufs = rows, {}
+
+    def __call__(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        b, tail = shape[0], tuple(shape[1:])
+        buf = self.bufs.get(name)
+        if buf is None or len(buf) < b or buf.shape[1:] != tail:
+            buf = self.bufs[name] = np.empty((max(b, self.rows),) + tail)
+        return buf[:b]
+
+
+def _stencil_rows(op: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """For a tridiagonal op, rows(V, out, tmp) writes op applied to every
+    row of the (steps, nodes) block V into out, by slices, bit for bit as
+    scipy's CSR kernel: row i is (0 + l_i v[i-1]) + d_i v[i] + u_i v[i+1]
+    over its stored entries, summed into zeros, so -0.0 becomes 0.0. An
+    entry that the CSR form does not store reads 0 here, which leaves a
+    finite sum as it is; tmp takes the products."""
+    lower, diag, upper = (op.diagonal(k) for k in (-1, 0, 1))
+    diag = diag if diag.any() else None
+
+    def rows(V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        out[:, 0] = 0.0
+        inner = np.multiply(V[:, :-1], lower, out=out[:, 1:])
+        inner += 0.0
+        if diag is not None:
+            out += np.multiply(V, diag, out=tmp)
+        out[:, :-1] += np.multiply(V[:, 1:], upper, out=tmp[:, :-1])
+        return out
+
+    return rows
+
+
+def _combine(terms, out: np.ndarray, tmp: np.ndarray) -> Optional[np.ndarray]:
+    """Sum of c * v over the (c, v) pairs, in their order, not multiplying
+    out unit c, written into out (tmp takes the later products). A lone
+    unit term is returned as it is, so the sum may be one of the inputs;
+    None for no terms."""
+    acc = None
     for c, v in terms:
-        t = v if c == 1 else c * v
-        out = t if out is None else out + t
-    return out
+        t = v if c == 1 else np.multiply(c, v, out=out if acc is None else tmp)
+        acc = t if acc is None else np.add(acc, t, out=out)
+    return acc
 
 
 def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]]:
@@ -357,20 +392,32 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     except SingularParameterError as e:
         raise ConfigurationError(f"no entropy audit: {e}") from e
     lower = [(-c / law.a[-1], j) for j, c in enumerate(law.a[:-1]) if c != 0]
+    ws = _Workspace()
 
     def audit(ta, tx, tdx, drive, y):
+        # every ufunc writes into the run's buffers, in the operation order
+        # of the plain expressions, so the bits are theirs
+        buf = lambda name: ws(name, ta.shape)
+        tmp = buf("tmp")
         x = (y[..., 0], y[..., -1], tx)  # q, q_dot where the law has it, theta_x
-        quad = _combine((d, _combine((c, x[b]) for c, b in terms) ** 2) for d, terms in S)
+        squares = [(d, np.square(_combine(((c, x[b]) for c, b in terms), buf("lin"), tmp), out=buf(f"square{i}")))
+                   for i, (d, terms) in enumerate(S)]
+        quad = _combine(squares, buf("square0"), tmp)
         if quad is None:  # no entropy production, as in GN3 with kappa = 0
-            quad = np.zeros_like(ta)
-        total = x[0] * tx + quad
+            quad = buf("square0")
+            quad.fill(0.0)
+        total = np.multiply(x[0], tx, out=buf("total"))
+        total += quad
         if P:
             # y_j' = y_{j+1}; the top rate comes from the law
-            top = _combine([(1, drive)] + [(c, y[..., j]) for c, j in lower])
+            top = _combine([(1, drive)] + [(c, y[..., j]) for c, j in lower], buf("top"), tmp)
             rate = (y[..., 1], top, tdx) if law.order == 2 else (top, None, tdx)
             for d, terms in P:
-                total += d * _combine((c, rate[b]) for c, b in terms) * _combine((c, x[b]) for c, b in terms)
-        return quad / (ta * ta), total / ta
+                r = np.multiply(d, _combine(((c, rate[b]) for c, b in terms), buf("lin"), tmp), out=buf("term"))
+                total += np.multiply(r, _combine(((c, x[b]) for c, b in terms), buf("lin"), tmp), out=r)
+        ta2 = np.multiply(ta, ta, out=buf("lin"))
+        sig = np.divide(quad, ta2, out=ta2)
+        return sig, np.divide(total, ta, out=total)
 
     return audit
 
@@ -414,6 +461,11 @@ class SimConfig:
         if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):
             raise ConfigurationError(f"key 'sim.theta_ref': need a finite theta_ref > 0, got {self.theta_ref:g}")
 
+    @property
+    def steps(self) -> int:
+        """The number of fixed steps from 0 to t_end."""
+        return max(1, int(round(self.t_end / self.dt)))
+
 
 @dataclass
 class Trajectory:
@@ -454,13 +506,14 @@ def _init_field(value, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rows(op: sp.csr_matrix, block: np.ndarray) -> np.ndarray:
-    """op applied to every row of a (steps, nodes) block."""
-    return (op @ block.T).T
-
-
 # a block of steps holds about this many floats (256 kB), so it stays in cache
 _BLOCK_FLOATS = 2**15
+
+
+def _block_steps(cfg: SimConfig, size: int) -> int:
+    """B, the steps of one block of the time loop for a state of `size`
+    unknowns."""
+    return max(1, min(cfg.steps, _BLOCK_FLOATS // size))
 
 
 def _march(
@@ -488,12 +541,19 @@ def _march(
     squares to inf), then 0 K, then a non-finite state. `first` is the
     (theta, flux) snapshot at t = 0; the others are taken every `every`
     steps (about 200 snapshots by default) and at the last step."""
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    nsteps = cfg.steps
     every = every or max(1, nsteps // 200)
-    block = max(1, min(nsteps, _BLOCK_FLOATS // u.size))
+    block = _block_steps(cfg, u.size)
     audit = {key: np.empty(nsteps) for key in ("t",) + columns}
     audit["t"][:] = np.arange(1, nsteps + 1) * cfg.dt
-    kept, thetas, fluxes = [0], [first[0]], [first[1]]
+    kept = list(range(0, nsteps + 1, every))
+    if kept[-1] != nsteps:
+        kept.append(nsteps)
+    # the run's snapshots of each field in one array, filled block by block
+    snaps = [np.empty((len(kept),) + np.shape(f)) for f in first]
+    for snap, f in zip(snaps, first):
+        snap[0] = f
+    filled = 1
     for i0 in range(0, nsteps, block):
         end = min(i0 + block, nsteps)
         rows = []
@@ -526,12 +586,11 @@ def _march(
             raise error
         for col, value in zip(columns, values):
             audit[col][i0 : i0 + b] = value
-        keep = [r for r in range(b) if (i0 + r + 1) % every == 0 or i0 + r + 1 == nsteps]
-        if keep:
-            kept.extend(i0 + r + 1 for r in keep)
-            thetas.extend(theta[keep])
-            fluxes.extend(flux[keep])
-    return Trajectory(x, np.array(kept) * cfg.dt, thetas, fluxes, audit, cfg.theta_ref)
+        while filled < len(kept) and kept[filled] <= i0 + b:
+            r = kept[filled] - i0 - 1
+            snaps[0][filled], snaps[1][filled] = theta[r], flux[r]
+            filled += 1
+    return Trajectory(x, np.array(kept) * cfg.dt, list(snaps[0]), list(snaps[1]), audit, cfg.theta_ref)
 
 
 def _local_system(cfg: SimConfig) -> Trajectory:
@@ -556,48 +615,73 @@ def _local_system(cfg: SimConfig) -> Trajectory:
 
     law = temperature_law(cfg.model, ConfigurationError)
     audit_fn = _entropy_audit(cfg.model, law)
+    ws = _Workspace(_block_steps(cfg, u.size))
+    d1 = _stencil_rows(ops.d1)
 
     def grads(U):
-        tx = _rows(ops.d1, U[:, :n]) + ops.d1_b
-        tdx = _rows(ops.d1, U[:, n : 2 * n]) if order >= 2 else np.zeros_like(tx)
-        return tx, tdx, _drive(law, tx, tdx)
+        """theta_x, theta_dot_x and the law's drive -(b0 theta_x + b1
+        theta_dot_x) / a_top: the flux itself for an algebraic law, else the
+        forcing of its highest flux derivative."""
+        shape = (len(U), n)
+        tmp = ws("tmp", shape)
+        tx = d1(U[:, :n], ws("tx", shape), tmp)
+        tx += ops.d1_b
+        tdx = ws("tdx", shape)
+        if order >= 2:
+            d1(U[:, n : 2 * n], tdx, tmp)
+        else:
+            tdx.fill(0.0)
+        drive = np.multiply(law.b0, tx, out=ws("drive", shape))
+        if law.b1 is not None:
+            drive += np.multiply(law.b1, tdx, out=tmp)
+        drive = np.negative(drive, out=drive)
+        drive /= law.a[-1]
+        return tx, tdx, drive
 
     # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
-    # an algebraic law's flux is its drive, y = (drive,)
+    # an algebraic law's flux is its drive, y = (drive,). The recurrence's
+    # state, forcing and 2x2 factors are contiguous: matmul on them has the
+    # bits of matmul on transposed views, at a third of the time
     k = law.order
-    drive = grads(u[None])[2][0]
+    drive = grads(u[None])[2][0].copy()
     if k:
         A = np.eye(k, k, 1)
         A[-1] -= np.divide(law.a[:-1], law.a[-1])
         y = np.zeros((n, k))
         y[:, 0] = _init_field(cfg.q0, x)
-        forc = np.zeros((n, k))
-        lhs_inv = np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A)
-        rhs_a = np.eye(k) + cfg.dt / 2.0 * A
+        forc, yr = np.zeros((n, k)), np.empty((n, k))
+        lhs_inv_t = np.ascontiguousarray(np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A).T)
+        rhs_a_t = np.ascontiguousarray((np.eye(k) + cfg.dt / 2.0 * A).T)
     else:
         y = drive[:, None]
 
     def observe(U):
-        nonlocal y, drive
+        b = len(U)
         tx, tdx, drives = grads(U)
         if k:
             # the trapezoid forcing of each step, then the sequential recurrence
-            half = np.empty_like(drives)
+            half = ws("tmp", (b, n))
             np.add(drive, drives[0], out=half[0])
             np.add(drives[:-1], drives[1:], out=half[1:])
             half *= cfg.dt / 2.0
-            ys = np.empty(half.shape + (k,))
-            for j, h in enumerate(half):
-                forc[:, -1] = h
-                y = np.matmul(y @ rhs_a.T + forc, lhs_inv.T, out=ys[j])
+            ys = ws("ys", (b, n, k))
+            prev = y
+            for j in range(b):
+                forc[:, -1] = half[j]
+                np.matmul(prev, rhs_a_t, out=yr)
+                np.add(yr, forc, out=yr)
+                prev = np.matmul(yr, lhs_inv_t, out=ys[j])
+            np.copyto(y, prev)
+            np.copyto(drive, drives[-1])
         else:
             ys = drives[..., None]
-        drive = drives[-1]
         theta = U[:, :n]
-        ta = cfg.theta_ref + theta
+        ta = np.add(cfg.theta_ref, theta, out=ws("ta", (b, n)))
         sig, res = audit_fn(ta, tx, tdx, drives, ys)
-        values = sig.min(1), sig.max(1), np.abs(res).max(1), ta.min(1), np.abs(theta).max(1)
+        absolute = ws("tmp", (b, n))
+        max_res = np.abs(res, out=absolute).max(1)
+        values = sig.min(1), sig.max(1), max_res, ta.min(1), np.abs(theta, out=absolute).max(1)
         return values, theta, ys[..., 0]
 
     columns = ("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
@@ -636,18 +720,39 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     n, x = ops.n, ops.x
     gk_rhs = (-sp.identity(n) + 3.0 * lambda2 * ops.lap) / tau if tau > 0 else None
 
+    d1, lap = _stencil_rows(ops.d1), _stencil_rows(ops.lap)
+    ws = _Workspace()
+
     def audit(q: np.ndarray, theta_x: np.ndarray) -> Tuple[np.ndarray, ...]:
         # the x-directed fields: |grad q|^2 = (div q)^2 = q_x^2, (grad q)q =
-        # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx
-        qx, nl = _rows(ops.d1, q), 3.0 * _rows(ops.lap, q)
-        qq, qx2, qqx = q * q, qx * qx, q * qx
-        zeta = gk.zeta(qq, qx2, qx2)
-        div_k = gk.div_k(qx2, qx2, q * nl, None, None)
-        # tau q_dot from the rate law, and d(rho psi)/dq / theta = tau q / varkappa
-        tau_qdot = -q - kappa * theta_x + lambda2 * nl if tau > 0 else 0.0
-        residual = q * (tau_qdot / gk.vk + theta_x / cfg.theta_ref**2) + div_k + zeta
+        # (div q)q = q q_x and nonlocal_q = lap q + 2 grad div q = 3 q_xx;
+        # every product and sum is written into the run's buffers
+        buf = lambda name: ws(name, q.shape)
+        tmp = buf("tmp")
+        qx = d1(q, buf("qx"), tmp)
+        nl = lap(q, buf("nl"), tmp)
+        nl *= 3.0
+        qx2 = np.multiply(qx, qx, out=buf("qx2"))
+        zeta = gk.zeta(np.multiply(q, q, out=buf("zeta")), qx2, qx2, out=buf("zeta"), tmp=tmp)
+        # q (tau q_dot / varkappa + theta_x / theta_ref^2) + div_k + zeta, with
+        # tau q_dot from the rate law: d(rho psi)/dq / theta = tau q / varkappa
+        res = buf("res")
+        if tau > 0:
+            np.negative(q, out=res)
+            res -= np.multiply(kappa, theta_x, out=tmp)
+            res += np.multiply(lambda2, nl, out=tmp)
+            res /= gk.vk
+        else:  # tau q_dot = 0
+            res.fill(0.0)
+        res += np.divide(theta_x, cfg.theta_ref**2, out=tmp)
+        res *= q
+        # q . nonlocal_q goes to k's buffer, div k to nonlocal_q's
+        res += gk.div_k(qx2, qx2, np.multiply(q, nl, out=buf("k")), None, None, out=nl)
+        res += zeta
         # k vanishes with q at the walls, so k_boundary is 0 by construction
-        return zeta.min(1), 0.0, np.abs(gk.k(q, qqx, qqx, qq)).max(1), np.abs(residual).max(1)
+        qqx = np.multiply(q, qx, out=qx)
+        k = gk.k(q, qqx, qqx, None, out=buf("k"))
+        return zeta.min(1), 0.0, np.abs(k, out=k).max(1), np.abs(res, out=res).max(1)
 
     columns = ("min_zeta", "k_boundary", "k_inf", "max_residual")
     q0 = _init_field(cfg.q0, x)
@@ -679,7 +784,9 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
 
     def observe(U):
         theta, q = U[:, :n], U[:, n:]
-        return audit(q, _rows(ops.d1, theta) + ops.d1_b), theta, q
+        theta_x = d1(theta, ws("theta_x", theta.shape), ws("tmp", theta.shape))
+        theta_x += ops.d1_b
+        return audit(q, theta_x), theta, q
 
     u = np.concatenate([_init_field(cfg.theta0, x), q0])
     step = trapezoid_stepper(M, f, cfg.dt, keep=n)

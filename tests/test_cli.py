@@ -392,6 +392,30 @@ def test_audit_samples_must_be_a_positive_integer(tmp_path, capsys, value):
     assert not (out / "residuals.csv").exists()
 
 
+@pytest.mark.parametrize("samples", [10, 1000])
+def test_audit_nonfinite_varkappa_exits_2(tmp_path, capsys, samples):
+    """varkappa = theta**2000 overflows above theta = 1.43 and underflows to
+    0 below 0.71 on the sampled range [0.5, 2]: a config error before any
+    rate is taken, with no RuntimeWarning (an error under tier-1) and no
+    residuals.csv of nan rows."""
+    cfg = write_cfg(tmp_path, "model.kind = gk\nmodel.tau = 0.5\nmodel.ell = 0.3\n"
+                              f"model.varkappa = power:1.0,2000\naudit.samples = {samples}\n")
+    code, out = run(tmp_path, "audit", "--config", cfg)
+    assert code == 2
+    assert "config error: varkappa(theta) must be finite and positive" in capsys.readouterr().err
+    assert not (out / "residuals.csv").exists()
+
+
+def test_check_nonfinite_varkappa_exits_2(tmp_path, capsys):
+    """On the check's theta grid (1 to 10) varkappa = theta**2000 overflows;
+    the coupling defect is then nan, which must not read as a pass."""
+    cfg = write_cfg(tmp_path, "model.kind = gk\nmodel.tau = 0.5\nmodel.ell = 0.3\nmodel.varkappa = power:1.0,2000\n")
+    code, out = run(tmp_path, "check", "--config", cfg)
+    assert code == 2
+    assert "config error: varkappa(theta) must be finite" in capsys.readouterr().err
+    assert not (out / "verdict.txt").exists()
+
+
 @pytest.mark.parametrize(
     "setting, key",
     [

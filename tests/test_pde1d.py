@@ -110,6 +110,61 @@ def test_spatial_mean_weighting():
     assert spatial_mean(ops, np.ones(ops.n)) == pytest.approx(1.0)
 
 
+def _lil_operators(grid):
+    """The Neumann lap and d1 as first written: the Dirichlet stencils with
+    the ghost-node corrections set entry by entry in LIL form."""
+    n, dx = grid.N + 2, grid.dx
+    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    lap[0, 1] = 2.0
+    lap[n - 1, n - 2] = 2.0
+    d1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n)).tolil()
+    d1[0, 1] = 0.0
+    d1[n - 1, n - 2] = 0.0
+    return lap.tocsr() / dx**2, d1.tocsr() / (2 * dx)
+
+
+@pytest.mark.parametrize("N", [8, 2000])
+def test_neumann_operators_equal_the_lil_construction(N):
+    grid = Grid1D(L=np.pi, N=N)
+    ops = space_operators(grid, "neumann", (0.3, -0.2))
+    for got, want in zip((ops.lap, ops.d1), _lil_operators(grid)):
+        assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def _signed_zero_block(rng, b, n):
+    """(b, n) values around 1 with runs of +-0.0 and subnormals, so that
+    some stencil products are -0.0 and some underflow."""
+    V = rng.standard_normal((b, n))
+    V[:, 1::7] = 0.0
+    V[:, 2::7] = -0.0
+    V[:, 3::7] = -0.0
+    V[:, 4::7] = 5e-324
+    V[:, 5::7] = -2.5e-310
+    return V
+
+
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("b", [1, 5])
+def test_stencil_rows_are_bitwise_the_csr_product(bc_kind, b):
+    """The observer's slice gradients equal (op @ block.T).T, scipy's CSR
+    kernel, float for float: -0.0 sums, subnormal products and the empty
+    Neumann wall rows of d1 included."""
+    rng = np.random.default_rng(7)
+    ops = space_operators(Grid1D(L=np.pi, N=40), bc_kind, (0.3, -0.2))
+    for V in (_signed_zero_block(rng, b, ops.n), np.full((b, ops.n), -0.0), 1e-310 * rng.standard_normal((b, ops.n))):
+        for op in (ops.d1, ops.lap):
+            out, tmp = np.full((b, ops.n), np.nan), np.full((b, ops.n), np.nan)
+            got = pde1d._stencil_rows(op)(V, out, tmp)
+            assert got is out
+            assert _hex(got) == _hex((op @ V.T).T)
+
+
 def test_trapezoid_scalar_decay_example():
     """One step of u' = -u with dt = 0.1 gives u (1 - 0.05)/(1 + 0.05)."""
     M = sp.csr_matrix(np.array([[-1.0]]))
@@ -624,6 +679,56 @@ def test_node_audit_matches_pointwise_energetics(monkeypatch, model):
             scale = np.abs(terms).max()
             assert abs(sig[i] - entropy_production(model, s)) <= 1e-12 * scale / ta[i]
             assert abs(res[i] - terms.sum()) <= 1e-12 * scale
+
+
+def _run_bits(traj):
+    """Every number a run returns, as bytes: snapshot times and fields, and
+    the audit columns."""
+    return ([traj.times.tobytes()] + [a.tobytes() for a in traj.thetas] + [a.tobytes() for a in traj.fluxes]
+            + [(k, v.tobytes()) for k, v in traj.audit.items()])
+
+
+_BLOCK_RUNS = [
+    pytest.param(dict(model=model, bc_kind=bc), id=f"{type(model).__name__.lower()}-{bc}")
+    for model in TEMPERATURE_MODELS for bc in ("dirichlet", "neumann")
+] + [
+    pytest.param(dict(gk=dict(tau=0.05, theta0=lambda x: 0.2 * np.sin(np.pi * x), bc_value=(0.05, -0.02))),
+                 id="gk-coupled"),
+    pytest.param(dict(gk=dict(tau=0.05, imposed_gradient=0.8)), id="gk-imposed"),
+]
+
+
+@pytest.mark.parametrize("setup", _BLOCK_RUNS)
+def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
+    """The observer's buffers are reused by every block of a run. Blocks of
+    1 and 6 steps give the snapshots and audit columns of one block of 100,
+    bit for bit: a kept snapshot or column that still pointed into a buffer
+    would hold a later block's values."""
+    grid, common = Grid1D(L=1.0, N=40), dict(dt=1e-3, t_end=0.1, snapshot_every=3)
+    if "gk" in setup:
+        cfg = _gk(grid=grid, q0=lambda x: 0.3 * x * (1.0 - x), **common, **setup["gk"])
+    else:
+        cfg = SimConfig(model=setup["model"], material=MAT, grid=grid, bc_kind=setup["bc_kind"], bc_value=0.1,
+                        theta0=lambda x: 0.2 * np.cos(np.pi * x), theta_dot0=0.3,
+                        q0=lambda x: 0.1 * np.cos(np.pi * x), theta_ref=1.0, **common)
+    runs, blocks = {}, {}
+    march = pde1d._march
+
+    def spy(x, cfg, u, step, observe, *args, **kwargs):
+        def recorded(U):
+            blocks[block_floats].append(len(U))
+            return observe(U)
+
+        return march(x, cfg, u, step, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(pde1d, "_march", spy)
+    for block_floats in (60, 600, pde1d._BLOCK_FLOATS):
+        monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
+        blocks[block_floats] = []
+        runs[block_floats] = _run_bits(simulate(cfg))
+    assert blocks[60] == [1] * 100 and blocks[pde1d._BLOCK_FLOATS] == [100]
+    assert 1 < max(blocks[600]) < 100
+    assert runs[60] == runs[pde1d._BLOCK_FLOATS] and runs[600] == runs[pde1d._BLOCK_FLOATS]
 
 
 def test_gn3_undamped_mode_oscillates_at_dispersion_frequency():
