@@ -239,7 +239,8 @@ def check_gk(
     because the condition is functional, not algebraic; each coefficient
     function takes the whole grid as one array.
     """
-    thetas, vk = _on_grid(theta_samples, varkappa)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        thetas, vk = _on_grid(theta_samples, varkappa)
     if not np.isfinite(vk).all():
         raise SingularParameterError("varkappa(theta) must be finite")
     if np.any(vk <= 0):

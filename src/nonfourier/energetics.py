@@ -332,7 +332,8 @@ def nonlocal_coefficients(m: ModelParams, theta, variant: str = "plus") -> Optio
         return None
     if variant != "plus":
         raise InvalidInputError(f"unknown variant {variant!r} for {type(m).__name__}")
-    vk = m.varkappa(theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        vk = m.varkappa(theta)
     if not np.all(np.isfinite(vk) & (vk > 0)):
         raise SingularParameterError("varkappa(theta) must be finite and positive")
     return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))

@@ -42,10 +42,7 @@ class CoefficientFn:
     p: float = 0.0
 
     def __call__(self, theta):
-        # a large exponent gives inf, 0 or nan without a warning; a caller
-        # that needs a finite, positive value checks for one
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.c * np.float_power(theta, self.p)
+        return self.c * np.float_power(theta, self.p)
 
     @classmethod
     def constant(cls, c: float) -> "CoefficientFn":

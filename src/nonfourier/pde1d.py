@@ -395,8 +395,9 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     ws = _Workspace()
 
     def audit(ta, tx, tdx, drive, y):
-        # every ufunc writes into the run's buffers, in the operation order
-        # of the plain expressions, so the bits are theirs
+        # each sum and product goes into a buffer of the run, term by term in
+        # the order the formulas are written, so the values have the bits of
+        # evaluating the formulas directly
         buf = lambda name: ws(name, ta.shape)
         tmp = buf("tmp")
         x = (y[..., 0], y[..., -1], tx)  # q, q_dot where the law has it, theta_x
@@ -641,7 +642,7 @@ def _local_system(cfg: SimConfig) -> Trajectory:
     # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
     # an algebraic law's flux is its drive, y = (drive,). The recurrence's
-    # state, forcing and 2x2 factors are contiguous: matmul on them has the
+    # state, forcing and k x k factors are contiguous: matmul on them has the
     # bits of matmul on transposed views, at a third of the time
     k = law.order
     drive = grads(u[None])[2][0].copy()
