@@ -701,9 +701,10 @@ _BLOCK_RUNS = [
 @pytest.mark.parametrize("setup", _BLOCK_RUNS)
 def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
     """The observer's buffers are reused by every block of a run. Blocks of
-    1 and 6 steps give the snapshots and audit columns of one block of 100,
-    bit for bit: a kept snapshot or column that still pointed into a buffer
-    would hold a later block's values."""
+    one step (_BLOCK_FLOATS = 60) and of a few steps (600) give the
+    snapshots and audit columns of one block of all 100 steps (the
+    default), bit for bit: a kept snapshot or column that still pointed
+    into a buffer would hold a later block's values."""
     grid, common = Grid1D(L=1.0, N=40), dict(dt=1e-3, t_end=0.1, snapshot_every=3)
     if "gk" in setup:
         cfg = _gk(grid=grid, q0=lambda x: 0.3 * x * (1.0 - x), **common, **setup["gk"])
@@ -712,7 +713,7 @@ def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
                         theta0=lambda x: 0.2 * np.cos(np.pi * x), theta_dot0=0.3,
                         q0=lambda x: 0.1 * np.cos(np.pi * x), theta_ref=1.0, **common)
     runs, blocks = {}, {}
-    march = pde1d._march
+    march, default = pde1d._march, pde1d._BLOCK_FLOATS
 
     def spy(x, cfg, u, step, observe, *args, **kwargs):
         def recorded(U):
@@ -722,13 +723,13 @@ def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
         return march(x, cfg, u, step, recorded, *args, **kwargs)
 
     monkeypatch.setattr(pde1d, "_march", spy)
-    for block_floats in (60, 600, pde1d._BLOCK_FLOATS):
+    for block_floats in (60, 600, default):
         monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
         blocks[block_floats] = []
         runs[block_floats] = _run_bits(simulate(cfg))
-    assert blocks[60] == [1] * 100 and blocks[pde1d._BLOCK_FLOATS] == [100]
+    assert blocks[60] == [1] * 100 and blocks[default] == [100]
     assert 1 < max(blocks[600]) < 100
-    assert runs[60] == runs[pde1d._BLOCK_FLOATS] and runs[600] == runs[pde1d._BLOCK_FLOATS]
+    assert runs[60] == runs[default] and runs[600] == runs[default]
 
 
 def test_gn3_undamped_mode_oscillates_at_dispersion_frequency():
