@@ -29,7 +29,7 @@ def main() -> None:
     for tau in taus:
         for kappa in kappas:
             model = Quintanilla(tau=tau, xi=args.xi, kappa=float(kappa))
-            verdict = check_quintanilla(tau, args.xi, float(kappa))
+            verdict = check_quintanilla(model)
             reports = mode_reports(problem, model)
             bad = [r.n for r in reports if not r.rh_pass]
             rank = {

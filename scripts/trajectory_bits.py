@@ -15,9 +15,11 @@ Usage:
 
 Two such files (a.npz from one checkout, b.npz from another) agree when
 
-    python3 -c "import sys, numpy as np; a, b = map(np.load, sys.argv[1:]); print('all arrays equal' if a.files == b.files and all(np.array_equal(a[k], b[k], equal_nan=True) for k in a.files) else 'arrays differ')" a.npz b.npz
+    python3 -c "import sys, numpy as np; a, b = map(np.load, sys.argv[1:]); print('all arrays equal' if a.files == b.files and all((a[k].dtype, a[k].shape, a[k].tobytes()) == (b[k].dtype, b[k].shape, b[k].tobytes()) for k in a.files) else 'arrays differ')" a.npz b.npz
 
-prints "all arrays equal".
+prints "all arrays equal". It compares the arrays' bytes, so a zero whose
+sign flipped (which simulate writes as -0 against 0) counts as a
+difference, as np.array_equal's 0.0 == -0.0 would not.
 
 The Guyer-Krumhansl cases run GKLinear(tau, ell = sqrt(1e-3), varkappa =
 1) at theta_ref = 1, so they step with lambda2 = ell**2 = sqrt(1e-3)**2,

@@ -18,40 +18,17 @@ from . import __version__
 from .config import (
     ConfigError,
     build_audit_samples,
-    build_material,
     build_model,
     build_sim_config,
     build_spectral,
     parse_config,
 )
-from .consistency import (
-    ConsistencyVerdict,
-    check_burgers,
-    check_burgers_full,
-    check_gk_nonlinear,
-    check_gk_params,
-    check_gn3,
-    check_jeffreys,
-    check_quintanilla,
-)
+from .consistency import CHECKS, check_burgers_full
 from .energetics import SingularParameterError, dissipation_terms, entropy_production, free_energy, sample_state
 from .modal import InvalidKindError, mode_reports
-from .models import (
-    MCV,
-    GN2,
-    GN3,
-    Burgers,
-    DegenerateModelError,
-    Fourier,
-    GKLinear,
-    GKNonlinear,
-    Jeffreys,
-    ModelParams,
-    Quintanilla,
-    gn2_consistent,
-)
+from .models import Burgers, DegenerateModelError, ModelParams
 from .pde1d import ConfigurationError, DivergenceError, PositivityError, simulate
-from .tensors import InvalidInputError, is_pd, is_psd, psd_margin
+from .tensors import InvalidInputError
 
 # perfbench's traced run still wraps these two names; gk runs go through
 # build_sim_config and simulate, and the names go with the next change to
@@ -105,30 +82,8 @@ def _write(path: Path, lines: List[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _verdict(ok: bool, margin: float, condition: str, mode: str) -> ConsistencyVerdict:
-    # a pass within tolerance of the boundary may carry a margin just below 0
-    return ConsistencyVerdict(
-        ok, margin,
-        failed_condition="" if ok else condition, failure_mode="" if ok else mode,
-        marginal=ok and margin < 0,
-    )
-
-
-CHECKS = {
-    Fourier: lambda m: _verdict(is_psd(m.kappa), psd_margin(m.kappa), "kappa not positive semidefinite", "sign"),
-    GN2: lambda m: _verdict(gn2_consistent(m.K), abs(m.K.det()), "K singular", "structural"),
-    MCV: lambda m: _verdict(is_pd(m.kappa), psd_margin(m.kappa), "kappa not positive definite", "sign"),
-    Jeffreys: lambda m: check_jeffreys(m.xi, m.kappa),
-    GN3: lambda m: check_gn3(m.xi, m.kappa),
-    Quintanilla: lambda m: check_quintanilla(m.tau, m.xi, m.kappa),
-    Burgers: lambda m: check_burgers(m.lambda_b, m.tau, m.mu, m.nu),
-    GKLinear: check_gk_params,
-    GKNonlinear: lambda m: check_gk_nonlinear(m.ell, m.varkappa, m.kappa, m.lambda2, m.mu, m.nu, m.delta),
-}
-
-
 def run_check(model: ModelParams) -> Dict[str, str]:
-    """Dispatch the model to its consistency proposition."""
+    """The record of the model's consistency proposition (consistency.CHECKS)."""
     check = CHECKS.get(type(model))
     if check is None:
         raise ConfigError(f"no consistency check for {type(model).__name__}")
@@ -142,7 +97,7 @@ def run_check(model: ModelParams) -> Dict[str, str]:
         "marginal": _fmt(v.marginal),
     }
     if isinstance(model, Burgers):
-        full = check_burgers_full(model.lambda_b, model.tau, model.mu, model.nu)
+        full = check_burgers_full(model)
         record["full.pass"] = _fmt(full.passed)
         record["full.margin"] = _fmt(full.margin)
         record["full.failed_condition"] = full.failed_condition

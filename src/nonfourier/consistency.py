@@ -1,29 +1,22 @@
 """Mechanized thermodynamic-consistency checks.
 
-Each checker returns a ConsistencyVerdict carrying the smallest slack among
-its inequalities, a tag for which parameter regime applied, and, for
-sign-type failures of the Quintanilla and Burgers checks, a witness
-amplitude vector along which the entropy production of the kind's own
-energy row goes negative.
+Each checker takes the model it judges and returns a ConsistencyVerdict
+carrying the smallest slack among its inequalities, a tag for which
+parameter regime applied, and, for sign-type failures of the Quintanilla and
+Burgers checks, a witness amplitude vector along which the entropy
+production of the kind's own energy row goes negative. ``CHECKS`` maps each
+model kind to its proposition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .energetics import ZERO_BAND, SingularParameterError, burgers_case, burgers_scale
-from .models import Burgers, GKLinear, LocalModel, Quintanilla
-from .tensors import (
-    DEFAULT_TOL,
-    InvalidInputError,
-    coerce_tensor,
-    is_nonsingular,
-    is_pd,
-    is_psd,
-    psd_margin,
-)
+from .models import MCV, GN2, GN3, Burgers, Fourier, GKLinear, GKNonlinear, Jeffreys, LocalModel, Quintanilla
+from .tensors import DEFAULT_TOL, InvalidInputError, is_nonsingular, is_pd, is_psd, psd_margin
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
@@ -61,16 +54,15 @@ def _witness(m: LocalModel) -> Optional[np.ndarray]:
 
 # --- proportionality and tensor-class checks ---------------------------------
 
-def check_jeffreys(xi, kappa, tol: float = DEFAULT_TOL) -> ConsistencyVerdict:
+def check_jeffreys(m: Jeffreys) -> ConsistencyVerdict:
     """Pass iff xi is positive definite and kappa = beta*xi for some beta >= 0.
 
     beta is the least-squares projection tr(kappa xi)/tr(xi xi); the
     proportionality test uses the projection residual, which is robust to
     zero entries.
     """
-    xi = coerce_tensor(xi)
-    kappa = coerce_tensor(kappa)
-    if not is_pd(xi, tol):
+    xi, kappa = m.xi, m.kappa
+    if not is_pd(xi):
         return ConsistencyVerdict(
             False, psd_margin(xi), failed_condition="xi not positive definite",
             failure_mode="sign",
@@ -79,12 +71,12 @@ def check_jeffreys(xi, kappa, tol: float = DEFAULT_TOL) -> ConsistencyVerdict:
     beta = float(np.sum(km * xm) / np.sum(xm * xm))
     resid = float(np.linalg.norm(km - beta * xm))
     scale = max(1.0, kappa.norm())
-    if resid > tol * scale:
+    if resid > DEFAULT_TOL * scale:
         return ConsistencyVerdict(
             False, -resid, failed_condition="kappa not proportional to xi",
             failure_mode="sign",
         )
-    if beta < -tol:
+    if beta < -DEFAULT_TOL:
         return ConsistencyVerdict(
             False, beta, failed_condition="proportionality factor negative",
             failure_mode="sign",
@@ -92,52 +84,46 @@ def check_jeffreys(xi, kappa, tol: float = DEFAULT_TOL) -> ConsistencyVerdict:
     return ConsistencyVerdict(True, max(beta, 0.0), case_tag=f"beta={beta:.6g}")
 
 
-def check_gn3(xi, kappa, tol: float = DEFAULT_TOL) -> ConsistencyVerdict:
+def check_gn3(m: GN3) -> ConsistencyVerdict:
     """Pass iff xi is symmetric nonsingular (any signature) and kappa PD."""
-    xi = coerce_tensor(xi)
-    kappa = coerce_tensor(kappa)
-    if not is_nonsingular(xi, tol):
+    if not is_nonsingular(m.xi):
         return ConsistencyVerdict(
-            False, -abs(xi.det()) - 1.0, failed_condition="xi singular",
+            False, -abs(m.xi.det()) - 1.0, failed_condition="xi singular",
             failure_mode="structural",
         )
-    m = psd_margin(kappa)
-    if not is_pd(kappa, tol):
+    margin = psd_margin(m.kappa)
+    if not is_pd(m.kappa):
         return ConsistencyVerdict(
-            False, m, failed_condition="kappa not positive definite",
+            False, margin, failed_condition="kappa not positive definite",
             failure_mode="sign",
         )
-    return ConsistencyVerdict(True, m)
+    return ConsistencyVerdict(True, margin)
 
 
-def check_quintanilla(tau: float, xi, kappa, tol: float = DEFAULT_TOL) -> ConsistencyVerdict:
+def check_quintanilla(m: Quintanilla) -> ConsistencyVerdict:
     """Pass iff xi is nonsingular and kappa - tau*xi is positive semidefinite
     (strictly, in the nondegenerate reading used here: positive definite up
     to tol). Margin is the smallest eigenvalue of kappa - tau*xi."""
-    if tau == 0:
+    if m.tau == 0:
         raise SingularParameterError("tau = 0: use the GN III checker")
-    xi = coerce_tensor(xi)
-    kappa = coerce_tensor(kappa)
-    if not is_nonsingular(xi, tol):
+    if not is_nonsingular(m.xi):
         return ConsistencyVerdict(
             False, -1.0, failed_condition="xi singular", failure_mode="structural",
         )
-    gap = kappa - tau * xi
-    m = psd_margin(gap)
-    if not is_psd(gap, tol):
+    gap = m.kappa - m.tau * m.xi
+    margin = psd_margin(gap)
+    if not is_psd(gap):
         return ConsistencyVerdict(
-            False, m, failed_condition="kappa - tau*xi not positive semidefinite",
-            failure_mode="sign", witness=_witness(Quintanilla(tau, xi, kappa)),
+            False, margin, failed_condition="kappa - tau*xi not positive semidefinite",
+            failure_mode="sign", witness=_witness(m),
         )
     # within tol of the boundary the smallest eigenvalue may round below 0
-    return ConsistencyVerdict(True, m, marginal=m < 0)
+    return ConsistencyVerdict(True, margin, marginal=margin < 0)
 
 
 # --- Burgers regimes ---------------------------------------------------------
 
-def check_burgers(
-    lambda_b: float, tau: float, mu: float, nu: float, tol: float = DEFAULT_TOL
-) -> ConsistencyVerdict:
+def check_burgers(m: Burgers) -> ConsistencyVerdict:
     """Thermodynamic admissibility of the two-relaxation-time law.
 
     One of three regimes must hold:
@@ -150,9 +136,9 @@ def check_burgers(
     tagged marginal. Regime iii's inequality is tested to tol relative to the
     larger of its two sides.
     """
+    lambda_b, tau, mu, nu, tol = m.lambda_b, m.tau, m.mu, m.nu, DEFAULT_TOL
     if lambda_b == 0:
         raise SingularParameterError("lambda_b = 0: use the Jeffreys checker")
-    m = Burgers(lambda_b, tau, mu, nu)
     case, scale = burgers_case(m), burgers_scale(m)
     band = ZERO_BAND * scale
     near_band = (0 < abs(tau * nu) <= 2 * band * scale) or (0 < abs(mu) <= 2 * band)
@@ -184,19 +170,18 @@ def check_burgers(
     )
 
 
-def check_burgers_full(
-    lambda_b: float, tau: float, mu: float, nu: float, tol: float = DEFAULT_TOL
-) -> ConsistencyVerdict:
+def check_burgers_full(m: Burgers) -> ConsistencyVerdict:
     """Joint thermodynamic and dynamic admissibility: mu >= 0, nu > 0,
     lambda_b > 0, tau > 0 and nu*tau**2 >= lambda_b*mu. Margin is the
     smallest slack among the five inequalities. Each inequality has its own
-    tolerance: mu's sign is tested to tol at check_burgers' scale, the
-    last inequality to tol relative to the larger of its two sides, as in
-    check_burgers' regime iii, and the strict ones exactly."""
+    tolerance: mu's sign is tested to DEFAULT_TOL at check_burgers' scale,
+    the last inequality to DEFAULT_TOL relative to the larger of its two
+    sides, as in check_burgers' regime iii, and the strict ones exactly."""
+    lambda_b, tau, mu, nu, tol = m.lambda_b, m.tau, m.mu, m.nu, DEFAULT_TOL
     lead, rest = nu * tau**2, lambda_b * mu
     # each condition's slack, and whether it holds to its own tolerance
     checks = {
-        "mu >= 0": (mu, mu >= -tol * burgers_scale(Burgers(lambda_b, tau, mu, nu))),
+        "mu >= 0": (mu, mu >= -tol * burgers_scale(m)),
         "nu > 0": (nu, nu > 0),
         "lambda_b > 0": (lambda_b, lambda_b > 0),
         "tau > 0": (tau, tau > 0),
@@ -212,35 +197,27 @@ def check_burgers_full(
 
 # --- weakly nonlocal model ---------------------------------------------------
 
-def _default_theta_grid(theta_min: float = 1.0, theta_max: float = 10.0) -> np.ndarray:
-    return np.geomspace(theta_min, theta_max, 32)
+# the temperatures the functional identities are sampled at
+_THETAS = np.geomspace(1.0, 10.0, 32)
+_THETAS.flags.writeable = False
 
 
-def _on_grid(theta_samples: Optional[Sequence[float]], *fns: Callable) -> Tuple[np.ndarray, ...]:
-    """The temperature grid (default _default_theta_grid) and each
-    coefficient function evaluated on the whole grid in one call; a
+def _on_grid(*fns: Callable) -> Tuple[np.ndarray, ...]:
+    """Each coefficient function evaluated on the whole grid in one call; a
     constant one may return a scalar."""
-    thetas = np.asarray(theta_samples if theta_samples is not None else _default_theta_grid(), dtype=float)
-    return (thetas, *(np.broadcast_to(f(thetas), thetas.shape) for f in fns))
+    return tuple(np.broadcast_to(f(_THETAS), _THETAS.shape) for f in fns)
 
 
-def check_gk(
-    ell: float,
-    varkappa: Callable[[np.ndarray], np.ndarray],
-    kappa: Callable[[np.ndarray], np.ndarray],
-    lambda2: Callable[[np.ndarray], np.ndarray],
-    theta_samples: Optional[Sequence[float]] = None,
-    tol: float = DEFAULT_TOL,
-) -> ConsistencyVerdict:
+def check_gk(m: GKLinear) -> ConsistencyVerdict:
     """The nonlocal coefficients must be functionally coupled:
     kappa(theta) * ell**2 * theta**2 == lambda2(theta), with varkappa > 0.
 
-    The identity is sampled on a theta grid (default 32 log-spaced points)
+    The identity is sampled on 32 log-spaced temperatures in [1, 10]
     because the condition is functional, not algebraic; each coefficient
     function takes the whole grid as one array.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        thetas, vk = _on_grid(theta_samples, varkappa)
+        (vk,) = _on_grid(m.varkappa)
     if not np.isfinite(vk).all():
         raise SingularParameterError("varkappa(theta) must be finite")
     if np.any(vk <= 0):
@@ -248,11 +225,11 @@ def check_gk(
             False, float(vk.min()), failed_condition="varkappa not positive",
             failure_mode="sign",
         )
-    _, kv, lv = _on_grid(thetas, kappa, lambda2)
-    defect = np.abs(kv * ell**2 * thetas**2 - lv)
+    kv, lv = _on_grid(m.kappa, m.lambda2)
+    defect = np.abs(kv * m.ell**2 * _THETAS**2 - lv)
     scale = max(1.0, float(np.abs(lv).max()), float(np.abs(kv).max()))
     worst = float(defect.max())
-    if worst > tol * scale:
+    if worst > DEFAULT_TOL * scale:
         return ConsistencyVerdict(
             False, -worst, failed_condition="kappa, lambda2 not functionally coupled",
             failure_mode="structural",
@@ -260,38 +237,48 @@ def check_gk(
     return ConsistencyVerdict(True, float(vk.min()))
 
 
-def check_gk_params(m: GKLinear, theta_samples: Optional[Sequence[float]] = None) -> ConsistencyVerdict:
-    """Convenience wrapper: derived coefficients pass by construction
-    whenever varkappa stays positive on the sample grid."""
-    return check_gk(m.ell, m.varkappa, m.kappa, m.lambda2, theta_samples)
-
-
-def check_gk_nonlinear(
-    ell: float,
-    varkappa: Callable[[np.ndarray], np.ndarray],
-    kappa: Callable[[np.ndarray], np.ndarray],
-    lambda2: Callable[[np.ndarray], np.ndarray],
-    mu: Callable[[np.ndarray], np.ndarray],
-    nu: Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    theta_samples: Optional[Sequence[float]] = None,
-    tol: float = DEFAULT_TOL,
-) -> ConsistencyVerdict:
+def check_gk_nonlinear(m: GKNonlinear) -> ConsistencyVerdict:
     """Linear coupling plus mu = 2*nu and mu = 2*delta*varkappa; the sign of
     delta is unconstrained."""
-    base = check_gk(ell, varkappa, kappa, lambda2, theta_samples, tol)
+    base = check_gk(m)
     if not base.passed:
         return base
-    _, mv, nv, vk = _on_grid(theta_samples, mu, nu, varkappa)
+    mv, nv, vk = _on_grid(m.mu, m.nu, m.varkappa)
     scale = max(1.0, float(np.abs(mv).max()), float(np.abs(vk).max()))
-    if float(np.abs(mv - 2.0 * nv).max()) > tol * scale:
+    if float(np.abs(mv - 2.0 * nv).max()) > DEFAULT_TOL * scale:
         return ConsistencyVerdict(
             False, -float(np.abs(mv - 2.0 * nv).max()),
             failed_condition="mu != 2*nu", failure_mode="structural",
         )
-    if float(np.abs(mv - 2.0 * delta * vk).max()) > tol * scale:
+    if float(np.abs(mv - 2.0 * m.delta * vk).max()) > DEFAULT_TOL * scale:
         return ConsistencyVerdict(
-            False, -float(np.abs(mv - 2.0 * delta * vk).max()),
+            False, -float(np.abs(mv - 2.0 * m.delta * vk).max()),
             failed_condition="mu != 2*delta*varkappa", failure_mode="structural",
         )
     return ConsistencyVerdict(True, base.margin)
+
+
+# --- kind -> proposition -------------------------------------------------------
+
+def _verdict(ok: bool, margin: float, condition: str, mode: str) -> ConsistencyVerdict:
+    # a pass within tolerance of the boundary may carry a margin just below 0
+    return ConsistencyVerdict(
+        ok, margin,
+        failed_condition="" if ok else condition, failure_mode="" if ok else mode,
+        marginal=ok and margin < 0,
+    )
+
+
+# GN2's law q_dot = -K grad(theta) is dissipation-free for a constant,
+# symmetric and nonsingular K; a parsed K is constant and symmetric
+CHECKS: Dict[type, Callable[..., ConsistencyVerdict]] = {
+    Fourier: lambda m: _verdict(is_psd(m.kappa), psd_margin(m.kappa), "kappa not positive semidefinite", "sign"),
+    GN2: lambda m: _verdict(is_nonsingular(m.K), abs(m.K.det()), "K singular", "structural"),
+    MCV: lambda m: _verdict(is_pd(m.kappa), psd_margin(m.kappa), "kappa not positive definite", "sign"),
+    Jeffreys: check_jeffreys,
+    GN3: check_gn3,
+    Quintanilla: check_quintanilla,
+    Burgers: check_burgers,
+    GKLinear: check_gk,
+    GKNonlinear: check_gk_nonlinear,
+}

@@ -105,17 +105,6 @@ def routh_hurwitz(p: Poly) -> bool:
     return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
 
 
-def routh_hurwitz_quadratic(a2: float, a1: float, a0: float) -> bool:
-    """All roots strictly in the left half-plane iff the three coefficients
-    share one strict sign."""
-    return routh_hurwitz(Poly((a2, a1, a0)))
-
-
-def routh_hurwitz_cubic(a3: float, a2: float, a1: float, a0: float) -> bool:
-    """Same-sign coefficients plus the bridge inequality a2*a1 > a0*a3."""
-    return routh_hurwitz(Poly((a3, a2, a1, a0)))
-
-
 def cubic_discriminant(a3: float, a2: float, a1: float, a0: float) -> float:
     """Standard discriminant, equal to a3^4 * prod_{i<j} (w_i - w_j)^2."""
     return (
@@ -124,23 +113,6 @@ def cubic_discriminant(a3: float, a2: float, a1: float, a0: float) -> float:
         + a2**2 * a1**2
         - 4.0 * a3 * a1**3
         - 27.0 * a3**2 * a0**2
-    )
-
-
-def mgt_discriminant(tau: float, kappa: float, xi: float, lam_tilde: float) -> float:
-    """Discriminant of tau*w^3 + w^2 + Lt*kappa*w + Lt*xi.
-
-    Negative iff the cubic has one real root and a complex-conjugate pair;
-    for tau = kappa = xi = 1 it is negative for every Lambda_tilde > 0, so
-    oscillating modes always appear. Written in the factored form
-    -Lt*(4*kappa^3*tau*Lt^2 + (9*tau*xi*(3*tau*xi - 2*kappa) - kappa^2)*Lt
-    + 4*xi), identical to the standard discriminant of the coefficients.
-    """
-    lt = lam_tilde
-    return -lt * (
-        4.0 * kappa**3 * tau * lt**2
-        + (9.0 * tau * xi * (3.0 * tau * xi - 2.0 * kappa) - kappa**2) * lt
-        + 4.0 * xi
     )
 
 

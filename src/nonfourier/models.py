@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensors import InvalidInputError, SymTensor3, coerce_tensor, is_nonsingular, matvec
+from .tensors import InvalidInputError, SymTensor3, coerce_tensor, matvec
 
 
 class ContractError(ValueError):
@@ -316,18 +316,6 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
             nl = nl + m.mu(th) * matvec(s.grad_q, s.q) + m.nu(th) * div_q * s.q
         return (-s.q - m.kappa(th) * s.grad_theta + nl) / m.tau
     raise InvalidInputError(f"unknown model kind {type(m).__name__}")
-
-
-def gn2_consistent(K, symmetric: bool = True, constant: bool = True) -> bool:
-    """The law q_dot = -K grad(theta) is dissipation-free only for constant,
-    symmetric, nonsingular K."""
-    if not symmetric or not constant:
-        return False
-    try:
-        t = coerce_tensor(K)
-    except InvalidInputError:
-        return False
-    return is_nonsingular(t)
 
 
 # --- limit reductions --------------------------------------------------------

@@ -526,7 +526,6 @@ def _march(
     first: Tuple[np.ndarray, np.ndarray],
     columns: Tuple[str, ...],
     nodes: Optional[int] = None,
-    every: Optional[int] = None,
 ) -> Trajectory:
     """The fixed-step loop of every 1-D run. Only u = step(u) and its
     divergence check run per step; the rest runs once per block of B steps
@@ -540,10 +539,10 @@ def _march(
     before anything is raised, so the error names the earliest bad step
     whatever B is: a non-finite audit value (a state past about 1e154
     squares to inf), then 0 K, then a non-finite state. `first` is the
-    (theta, flux) snapshot at t = 0; the others are taken every `every`
-    steps (about 200 snapshots by default) and at the last step."""
+    (theta, flux) snapshot at t = 0; the others are taken every
+    cfg.snapshot_every steps (about 200 by default) and at the last step."""
     nsteps = cfg.steps
-    every = every or max(1, nsteps // 200)
+    every = cfg.snapshot_every or max(1, nsteps // 200)
     block = _block_steps(cfg, u.size)
     audit = {key: np.empty(nsteps) for key in ("t",) + columns}
     audit["t"][:] = np.arange(1, nsteps + 1) * cfg.dt
@@ -686,7 +685,7 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         return values, theta, ys[..., 0]
 
     columns = ("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
-    return _march(x, cfg, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n, cfg.snapshot_every)
+    return _march(x, cfg, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n)
 
 
 def _nonlocal_system(cfg: SimConfig) -> Trajectory:
@@ -776,7 +775,7 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
         else:
             step = trapezoid_stepper(gk_rhs, np.full(n, -kappa * G / tau), cfg.dt)
             observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
-        return _march(x, cfg, q0, step, observe, (theta.copy(), q0.copy()), columns, None, cfg.snapshot_every)
+        return _march(x, cfg, q0, step, observe, (theta.copy(), q0.copy()), columns)
 
     # fully coupled: u = (theta deviation, q)
     M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.material.rho_cv], [-kappa / tau * ops.d1, gk_rhs]]).tocsr()
@@ -791,7 +790,7 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
 
     u = np.concatenate([_init_field(cfg.theta0, x), q0])
     step = trapezoid_stepper(M, f, cfg.dt, keep=n)
-    return _march(x, cfg, u, step, observe, (u[:n].copy(), u[n:].copy()), columns, n, cfg.snapshot_every)
+    return _march(x, cfg, u, step, observe, (u[:n].copy(), u[n:].copy()), columns, n)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:

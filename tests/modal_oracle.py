@@ -1,7 +1,8 @@
 """The per-mode spectral path that the batched one replaced, kept as a test
 oracle: numpy.roots on one polynomial at a time, conjugate pairing and
 Newton polish in Python complex arithmetic, and one Routh-Hurwitz test and
-classification per mode."""
+classification per mode; and the factored discriminant of the
+Moore-Gibson-Thompson cubic."""
 import numpy as np
 
 from nonfourier.modal import InvalidKindError, ModeReport, cubic_discriminant
@@ -101,4 +102,21 @@ def mode_report(m, n, Lambda, rho_c):
         rh_pass=routh_hurwitz(p),
         discriminant=cubic_discriminant(*p.coeffs) if p.degree == 3 else None,
         classification=classify_mode(roots),
+    )
+
+
+def mgt_discriminant(tau: float, kappa: float, xi: float, lam_tilde: float) -> float:
+    """Discriminant of tau*w^3 + w^2 + Lt*kappa*w + Lt*xi.
+
+    Negative iff the cubic has one real root and a complex-conjugate pair;
+    for tau = kappa = xi = 1 it is negative for every Lambda_tilde > 0, so
+    oscillating modes always appear. Written in the factored form
+    -Lt*(4*kappa^3*tau*Lt^2 + (9*tau*xi*(3*tau*xi - 2*kappa) - kappa^2)*Lt
+    + 4*xi), identical to the standard discriminant of the coefficients.
+    """
+    lt = lam_tilde
+    return -lt * (
+        4.0 * kappa**3 * tau * lt**2
+        + (9.0 * tau * xi * (3.0 * tau * xi - 2.0 * kappa) - kappa**2) * lt
+        + 4.0 * xi
     )

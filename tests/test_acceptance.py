@@ -14,14 +14,7 @@ import pytest
 
 from nonfourier.consistency import check_burgers, check_burgers_full, check_quintanilla
 from nonfourier.energetics import SingularParameterError, dissipation_terms, sample_state
-from nonfourier.modal import (
-    SpectralProblem,
-    cubic_discriminant,
-    mgt_discriminant,
-    mode_reports,
-    routh_hurwitz_cubic,
-    routh_hurwitz_quadratic,
-)
+from nonfourier.modal import SpectralProblem, mode_reports, routh_hurwitz
 from nonfourier.models import (
     MCV,
     GN3,
@@ -34,6 +27,9 @@ from nonfourier.models import (
     Quintanilla,
 )
 from nonfourier.pde1d import Grid1D, SimConfig, compare_modal_vs_pde, simulate, steady_gk_profile
+from nonfourier.tensors import Poly
+
+from modal_oracle import mgt_discriminant
 
 MAT = MaterialConstants(rho=1.0, cv=1.0)
 
@@ -60,9 +56,10 @@ def test_criterion_1_quintanilla_checker_vs_quadratic_form():
         if abs(kappa - tau * xi) < 1e-8 or abs(kappa) < 1e-8:
             continue
         checked += 1
-        verdict = check_quintanilla(tau, xi, kappa)
+        m = Quintanilla(tau, xi, kappa)
+        verdict = check_quintanilla(m)
         # tensors.is_psd's rule, on the sigma form's x-directed amplitudes
-        a = Quintanilla(tau, xi, kappa).energy["plus"].S.amplitudes()
+        a = m.energy["plus"].S.amplitudes()
         psd = np.linalg.eigvalsh(a)[0] >= -1e-8 * max(1.0, np.linalg.norm(a))
         if verdict.passed != psd:
             mismatches += 1
@@ -91,17 +88,18 @@ def test_criterion_2_burgers_checker_vs_quadratic_form():
         if abs(slack) < 1e-8 or abs(denom) < 1e-8:
             continue
         checked += 1
-        verdict = check_burgers(lam, tau, mu, nu)
+        m = Burgers(lam, tau, mu, nu)
+        verdict = check_burgers(m)
         try:
-            a = Burgers(lam, tau, mu, nu).energy["plus"].S.amplitudes()
+            a = m.energy["plus"].S.amplitudes()
         except SingularParameterError:
             checked -= 1
             continue
         psd = bool(np.linalg.eigvalsh(a).min() >= -1e-8)
         if verdict.passed != psd:
             mismatches += 1
-    spot = check_burgers_full(1.0, 2.0, 1.0, 1.0).passed and not check_burgers_full(
-        1.0, 1.0, 2.0, 1.0
+    spot = check_burgers_full(Burgers(1.0, 2.0, 1.0, 1.0)).passed and not check_burgers_full(
+        Burgers(1.0, 1.0, 2.0, 1.0)
     ).passed
     elapsed = time.perf_counter() - t0
     report(
@@ -127,7 +125,7 @@ def test_criterion_3_routh_hurwitz_vs_roots():
     max_re_q = np.maximum(r1.real, r2.real)
     keep = np.abs(max_re_q) > 1e-6
     rh_q = np.array(
-        [routh_hurwitz_quadratic(*row) for row in q[keep]]
+        [routh_hurwitz(Poly(tuple(row))) for row in q[keep]]
     )
     mismatch_q = int(np.sum(rh_q != (max_re_q[keep] < 0)))
 
@@ -142,7 +140,7 @@ def test_criterion_3_routh_hurwitz_vs_roots():
     roots = np.linalg.eigvals(comp)
     max_re_c = roots.real.max(axis=1)
     keep_c = np.abs(max_re_c) > 1e-6
-    rh_c = np.array([routh_hurwitz_cubic(*row) for row in c[keep_c]])
+    rh_c = np.array([routh_hurwitz(Poly(tuple(row))) for row in c[keep_c]])
     mismatch_c = int(np.sum(rh_c != (max_re_c[keep_c] < 0)))
 
     total = int(keep.sum() + keep_c.sum())

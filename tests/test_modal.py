@@ -12,13 +12,10 @@ from nonfourier.modal import (
     classify_modes,
     cubic_discriminant,
     laplacian_eigenvalues,
-    mgt_discriminant,
     modal_solution,
     mode_report,
     mode_reports,
     routh_hurwitz,
-    routh_hurwitz_cubic,
-    routh_hurwitz_quadratic,
 )
 from nonfourier.models import (
     MCV,
@@ -74,14 +71,14 @@ def test_characteristic_poly_rejects_unknown_and_negative():
 
 
 def test_routh_hurwitz_examples():
-    assert routh_hurwitz_quadratic(1.0, 2.0, 3.0)
-    assert not routh_hurwitz_quadratic(1.0, -2.0, 3.0)
-    assert routh_hurwitz_quadratic(-1.0, -2.0, -3.0)
-    assert routh_hurwitz_cubic(1.0, 2.0, 3.0, 4.0)  # 2*3 > 4*1
-    assert not routh_hurwitz_cubic(1.0, 1.0, 1.0, 2.0)  # bridge fails
-    assert not routh_hurwitz_cubic(1.0, 0.0, 1.0, 1.0)
+    assert routh_hurwitz(Poly((1.0, 2.0, 3.0)))
+    assert not routh_hurwitz(Poly((1.0, -2.0, 3.0)))
+    assert routh_hurwitz(Poly((-1.0, -2.0, -3.0)))
+    assert routh_hurwitz(Poly((1.0, 2.0, 3.0, 4.0)))  # 2*3 > 4*1
+    assert not routh_hurwitz(Poly((1.0, 1.0, 1.0, 2.0)))  # bridge fails
+    assert not routh_hurwitz(Poly((1.0, 0.0, 1.0, 1.0)))
     with pytest.raises(InvalidInputError):
-        routh_hurwitz_quadratic(0.0, 1.0, 1.0)
+        routh_hurwitz(Poly((0.0, 1.0, 1.0)))
 
 
 def test_routh_hurwitz_degree_one():
@@ -131,15 +128,15 @@ def test_cubic_discriminant_equals_root_product(seed):
 def test_mgt_discriminant_matches_standard_form():
     for tau, kappa, xi, lt in [(1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 0.7, 3.0), (2.0, 0.3, 1.5, 9.0)]:
         std = cubic_discriminant(tau, 1.0, lt * kappa, lt * xi)
-        assert mgt_discriminant(tau, kappa, xi, lt) == pytest.approx(std, rel=1e-12)
+        assert oracle.mgt_discriminant(tau, kappa, xi, lt) == pytest.approx(std, rel=1e-12)
 
 
 def test_mgt_unit_parameters_always_oscillate():
     """tau = kappa = xi = 1 gives a negative discriminant (one real root plus
     a conjugate pair) at every positive eigenvalue."""
     for lt in np.geomspace(1e-3, 1e3, 50):
-        assert mgt_discriminant(1.0, 1.0, 1.0, lt) < 0
-    assert mgt_discriminant(1.0, 1.0, 1.0, 1.0) == pytest.approx(-16.0)
+        assert oracle.mgt_discriminant(1.0, 1.0, 1.0, lt) < 0
+    assert oracle.mgt_discriminant(1.0, 1.0, 1.0, 1.0) == pytest.approx(-16.0)
 
 
 def test_classify_mode_examples():
@@ -209,10 +206,10 @@ def test_full_burgers_admissibility_implies_modal_stability():
     found = 0
     while found < 20:
         lam, tau, mu, nu = rng.uniform(0.05, 3.0, 4)
-        if not check_burgers_full(lam, tau, mu, nu).passed:
+        m = Burgers(lambda_b=lam, tau=tau, mu=mu, nu=nu)
+        if not check_burgers_full(m).passed:
             continue
         found += 1
-        m = Burgers(lambda_b=lam, tau=tau, mu=mu, nu=nu)
         assert all(r.rh_pass for r in mode_reports(p, m))
 
 

@@ -21,7 +21,6 @@ from nonfourier.models import (
     ThermalState,
     burgers_from_mixture,
     flux_rate,
-    gn2_consistent,
     reduce_limit,
 )
 from nonfourier.tensors import InvalidInputError
@@ -130,13 +129,6 @@ def test_material_constants_positive():
     assert MaterialConstants(2.0, 3.0).rho_cv == 6.0
     with pytest.raises(InvalidInputError):
         MaterialConstants(0.0, 1.0)
-
-
-def test_gn2_consistency_requires_symmetric_constant_nonsingular():
-    assert gn2_consistent(1.0)
-    assert not gn2_consistent(np.diag([1.0, 1.0, 0.0]))
-    assert not gn2_consistent(1.0, symmetric=False)
-    assert not gn2_consistent(1.0, constant=False)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,17 +9,14 @@ from nonfourier.tensors import (
     InvalidInputError,
     Poly,
     SymTensor3,
-    cardano_cubic,
     coerce_tensor,
     is_nonsingular,
     is_pd,
     is_psd,
-    is_psd_minors,
-    principal_minors,
     psd_margin,
-    representation_completion,
     solve_poly,
 )
+from tensors_oracle import cardano_cubic, is_psd_minors, principal_minors, representation_completion
 
 
 def test_identity_is_psd_and_pd():
