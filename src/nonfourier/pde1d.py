@@ -223,7 +223,16 @@ _MAX_BAND_ENTRIES = 2**24
 
 def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     """LAPACK band LU of S, its bandwidths read off its nonzeros; returns
-    b -> S^-1 b, solved in b's own storage."""
+    b -> S^-1 b, solved in b's own storage.
+
+    When the factorization swapped no row, the solve is two BLAS `dtbsv`
+    calls: the unit-lower band of multipliers (kl), then the upper band
+    (kl + ku). `dgbtrs` makes one `dger` call per column for its L-solve;
+    on one right-hand side that is the AXPY with alpha = -b[j] that `dtbsv`
+    applies per column, and its U-solve is the same `dtbsv` call, so the
+    bits agree. After a row swap the solve is `dgbtrs`, which interleaves
+    the swaps with the L-solve."""
+    from scipy.linalg.blas import dtbsv
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     S = S.tocoo()
@@ -238,10 +247,22 @@ def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     if info > 0:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        return dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
+    if not np.array_equal(piv, np.arange(piv.size)):
 
-    return solve
+        def pivoted(b: np.ndarray) -> np.ndarray:
+            return dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
+
+        return pivoted
+
+    # the multipliers below U's diagonal, copied once into a Fortran-ordered
+    # band so that dtbsv reads it in place; U is lu's first kl + ku + 1 rows
+    lower = np.asfortranarray(lu[kl + ku :])
+
+    def triangular(b: np.ndarray) -> np.ndarray:
+        dtbsv(kl, lower, b, lower=1, diag=1, overwrite_x=1)
+        return dtbsv(kl + ku, lu, b, overwrite_x=1)
+
+    return triangular
 
 
 def trapezoid_stepper(
@@ -255,8 +276,12 @@ def trapezoid_stepper(
     shifts of a temperature equation, or zero), so (I - hM11)^-1 is a finite
     sum; the banded complement is LU-factored once. A step is two calls of
     scipy's CSR matvec kernel (the reduced right-hand side with the
-    eliminated unknowns, then the back-substitution) and one band solve
-    (`dgbtrs`), with no sparse-matrix dispatch.
+    eliminated unknowns, then the back-substitution) and one band solve,
+    with no sparse-matrix dispatch. The band solve is two triangular
+    `dtbsv` calls when the factorization swapped no row (every Dirichlet
+    and coupled gk system run so far), else `dgbtrs` (a Neumann wall row is
+    not column diagonally dominant, so `dgbtrf` may swap it); both have the
+    bits of `dgbtrs` (see `_band_lu`).
     """
     import scipy.sparse as sp
     from scipy.sparse._sparsetools import csr_matvec
@@ -349,6 +374,17 @@ def _combine(terms, out: np.ndarray, tmp: np.ndarray) -> Optional[np.ndarray]:
         t = v if c == 1 else np.multiply(c, v, out=out if acc is None else tmp)
         acc = t if acc is None else np.add(acc, t, out=out)
     return acc
+
+
+def _times(v: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """v @ a for the (nodes, k) flux states and a k x k factor, written into
+    out. matmul sums each entry's products into +0; for k = 1 that is the
+    one product plus 0.0 (-0.0 becomes 0.0), which multiply and add give at
+    a tenth of matmul's cost for that shape."""
+    if a.shape == (1, 1):
+        np.multiply(v, a[0, 0], out=out)
+        return np.add(out, 0.0, out=out)
+    return np.matmul(v, a, out=out)
 
 
 def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]]:
@@ -642,7 +678,8 @@ def _local_system(cfg: SimConfig) -> Trajectory:
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
     # an algebraic law's flux is its drive, y = (drive,). The recurrence's
     # state, forcing and k x k factors are contiguous: matmul on them has the
-    # bits of matmul on transposed views, at a third of the time
+    # bits of matmul on transposed views, at a third of the time; `_times`
+    # takes a 1 x 1 factor as a scalar multiply
     k = law.order
     drive = grads(u[None])[2][0].copy()
     if k:
@@ -669,9 +706,8 @@ def _local_system(cfg: SimConfig) -> Trajectory:
             prev = y
             for j in range(b):
                 forc[:, -1] = half[j]
-                np.matmul(prev, rhs_a_t, out=yr)
-                np.add(yr, forc, out=yr)
-                prev = np.matmul(yr, lhs_inv_t, out=ys[j])
+                np.add(_times(prev, rhs_a_t, yr), forc, out=yr)
+                prev = _times(yr, lhs_inv_t, ys[j])
             np.copyto(y, prev)
             np.copyto(drive, drives[-1])
         else:
@@ -838,13 +874,15 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     T = modal_solution(roots, init)
     amps = T(traj.times)
     oracle = np.asarray(amps)[:, None] * shape[None, :]
-    fields = np.array(traj.thetas)
-    scale = np.abs(oracle).max()
-    diff = fields - oracle
+    # one array besides the oracle: the snapshots, minus the oracle in place
+    diff = np.array(traj.thetas)
+    diff -= oracle
+    l2_rel = float(np.linalg.norm(diff) / np.linalg.norm(oracle))
+    scale = np.abs(oracle, out=oracle).max()
     return ModalComparison(
         n_mode=n_mode,
-        linf_rel=float(np.abs(diff).max() / scale),
-        l2_rel=float(np.linalg.norm(diff) / np.linalg.norm(oracle)),
+        linf_rel=float(np.abs(diff, out=diff).max() / scale),
+        l2_rel=l2_rel,
     )
 
 

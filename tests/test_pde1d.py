@@ -40,7 +40,8 @@ from nonfourier.pde1d import (
     time_order,
     trapezoid_stepper,
 )
-from nonfourier.tensors import InvalidInputError
+from nonfourier.modal import characteristic_poly, modal_solution
+from nonfourier.tensors import InvalidInputError, solve_poly
 
 MAT = MaterialConstants(rho=1.0, cv=1.0)
 
@@ -165,6 +166,24 @@ def test_stencil_rows_are_bitwise_the_csr_product(bc_kind, b):
             assert _hex(got) == _hex((op @ V.T).T)
 
 
+SPECIAL = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300])
+
+
+@pytest.mark.parametrize("factor", SPECIAL)
+def test_first_flux_rate_product_is_bitwise_the_matmul(factor):
+    """The flux recurrence's (nodes, 1) @ (1, 1) product, taken as multiply
+    then + 0.0, has matmul's bytes: never -0.0, and the same inf, nan and
+    underflow, for every factor. The observer runs it with overflow and
+    invalid values silenced, as here."""
+    v = np.concatenate([SPECIAL, np.random.default_rng(3).standard_normal(20)])[:, None]
+    a = np.array([[factor]])
+    out = np.full(v.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = pde1d._times(v, a, out), np.matmul(v, a)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
 def test_trapezoid_scalar_decay_example():
     """One step of u' = -u with dt = 0.1 gives u (1 - 0.05)/(1 + 0.05)."""
     M = sp.csr_matrix(np.array([[-1.0]]))
@@ -286,25 +305,43 @@ def _dispatch_stepper(M, f, dt, keep=None):
     return step
 
 
-def _assert_bitwise_steps(M, f, dt, keep, steps=500):
-    """trapezoid_stepper and the dispatch oracle stay bitwise equal from one
-    random state for `steps` steps."""
+def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, path, steps=500):
+    """trapezoid_stepper and the dispatch oracle stay bitwise equal (dtype,
+    shape and bytes, so a flipped sign of zero counts) from one random state
+    for `steps` steps, and the band solve took `path`: "triangular" (two
+    dtbsv calls, no row swapped) or "pivoted" (dgbtrs)."""
+    paths, factor = [], pde1d._band_lu
+    monkeypatch.setattr(pde1d, "_band_lu", lambda S: paths.append(factor(S)) or paths[-1])
     kernel, oracle = trapezoid_stepper(M, f, dt, keep=keep), _dispatch_stepper(M, f, dt, keep=keep)
+    assert [solve.__name__ for solve in paths] == [path]
     u = v = np.random.default_rng(M.shape[0]).standard_normal(M.shape[0])
     for _ in range(steps):
         u, v = kernel(u), oracle(v)
-        assert np.array_equal(u, v)
+        assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
 
 
-@pytest.mark.parametrize("model", [MCV(tau=0.7, kappa=2.0), Quintanilla(tau=0.5, xi=1.0, kappa=2.0)],
-                         ids=lambda m: type(m).__name__)
-def test_kernel_step_is_bitwise_the_sparse_product_step(model):
-    """Order 2 and order 3, kept on the top derivative with back-substitution
-    as simulate keeps them."""
-    ops = space_operators(Grid1D(L=1.0, N=200), "dirichlet", (0.3, -0.2))
+QUINTANILLA = Quintanilla(tau=0.5, xi=1.0, kappa=2.0)
+
+
+@pytest.mark.parametrize(
+    "model, bc_kind, N, steps, path",
+    [
+        pytest.param(MCV(tau=0.7, kappa=2.0), "dirichlet", 200, 500, "triangular", id="MCV"),
+        pytest.param(QUINTANILLA, "dirichlet", 200, 500, "triangular", id="Quintanilla"),
+        pytest.param(QUINTANILLA, "dirichlet", 20000, 3, "triangular", id="Quintanilla-N20000"),
+        # the Neumann wall rows make dgbtrf swap a row near the far wall
+        pytest.param(Fourier(kappa=2.0), "neumann", 200, 500, "pivoted", id="Fourier-neumann"),
+        pytest.param(QUINTANILLA, "neumann", 20000, 3, "pivoted", id="Quintanilla-neumann-N20000"),
+    ],
+)
+def test_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_kind, N, steps, path):
+    """Kept on the top derivative, with back-substitution for order 2 and
+    3, as simulate keeps them; each band solve path at the shipped and the
+    fine-grid size."""
+    ops = space_operators(Grid1D(L=1.0, N=N), bc_kind, (0.3, -0.2))
     M, f, order = assemble_rhs(model, MAT, ops)
-    assert order == time_order(model) > 1
-    _assert_bitwise_steps(M, f, 1e-3, ops.n)
+    assert order == time_order(model)
+    _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, path, steps)
 
 
 @pytest.mark.parametrize(
@@ -313,15 +350,16 @@ def test_kernel_step_is_bitwise_the_sparse_product_step(model):
     ids=["coupled", "imposed_relaxing"],
 )
 def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, keep):
-    """The coupled GK matrix, kept on the flux with back-substitution, and
-    the imposed-gradient flux matrix, kept whole."""
+    """The coupled GK matrix, kept on the flux with back-substitution (a
+    pentadiagonal complement), and the imposed-gradient flux matrix, kept
+    whole (tridiagonal); neither swaps a row."""
     calls = []
     build = pde1d.trapezoid_stepper
     monkeypatch.setattr(pde1d, "trapezoid_stepper", lambda *a, **k: calls.append((a, k)) or build(*a, **k))
     simulate(_gk(0.05, grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=1e-3, **setup))
     (M, f, dt), kwargs = calls[0]
     assert kwargs.get("keep") == keep
-    _assert_bitwise_steps(M, f, dt, keep)
+    _assert_bitwise_steps(monkeypatch, M, f, dt, keep, "triangular")
 
 
 def test_singular_implicit_matrix_raises():
@@ -782,6 +820,25 @@ def test_pde_matches_modal_solution_at_nonunit_rho_c(model):
         t_end=1.0,
     )
     assert compare_modal_vs_pde(cfg, 2).linf_rel <= dt**2
+
+
+@pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__.lower())
+def test_modal_comparison_has_the_bits_of_the_direct_formula(monkeypatch, model):
+    """compare_modal_vs_pde subtracts the oracle from one snapshot array in
+    place; its errors keep the bits of the formula on separate arrays."""
+    cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=np.pi, N=50), dt=1e-3, t_end=0.2)
+    runs, run = [], pde1d.simulate
+    monkeypatch.setattr(pde1d, "simulate", lambda c: runs.append(run(c)) or runs[-1])
+    got = compare_modal_vs_pde(cfg, 2)
+    (traj,) = runs
+    shape = np.sin(2 * np.pi * cfg.grid.interior_x() / cfg.grid.L)
+    poly = characteristic_poly(model, discrete_eigenvalue(cfg.grid, 2) / MAT.rho_cv)
+    T = modal_solution(solve_poly(poly), [1.0] + [0.0] * (poly.degree - 1))
+    oracle = np.asarray(T(traj.times))[:, None] * shape[None, :]
+    fields = np.array(traj.thetas)
+    diff = fields - oracle
+    assert got.linf_rel.hex() == float(np.abs(diff).max() / np.abs(oracle).max()).hex()
+    assert got.l2_rel.hex() == float(np.linalg.norm(diff) / np.linalg.norm(oracle)).hex()
 
 
 def test_modal_comparison_requires_dirichlet():
