@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Run every subcommand on every shipped config and keep all that it wrote.
+"""Run every subcommand on every shipped and test config and keep all that
+it wrote.
 
 Each of check, modal, simulate, sweep and audit runs on each configs/*.cfg
-with --seed 5, in a fresh interpreter on this checkout's src/. For a run
-<cfg>/<command>/ holds the files the command wrote, plus stdout.txt,
-stderr.txt and exit_code.txt, with the --out path replaced by <out>. Two
-checkouts' outputs are byte-identical when `diff -r` of them is empty.
+and each tests/data/*/*.cfg with --seed 5, in a fresh interpreter on this
+checkout's src/. For a run <cfg>/<command>/ holds the files the command
+wrote, plus stdout.txt, stderr.txt and exit_code.txt, with the --out path
+replaced by <out>; <cfg> is the config's path without its suffix, so
+configs/gk_plug.cfg's runs are under configs/gk_plug/. Two checkouts'
+outputs are byte-identical when `diff -r` of them is empty.
 
 Usage:
     python3 scripts/cli_bytes.py <outdir>
@@ -22,7 +25,13 @@ SEED = "5"
 
 
 def configs(root: Path) -> list:
+    """The shipped configs, configs/*.cfg."""
     return sorted((root / "configs").glob("*.cfg"))
+
+
+def test_configs(root: Path) -> list:
+    """The configs of the golden-file tests, tests/data/*/*.cfg."""
+    return sorted((root / "tests" / "data").glob("*/*.cfg"))
 
 
 def run(root: Path, cfg: Path, command: str, out: Path, env=None) -> subprocess.CompletedProcess:
@@ -40,15 +49,15 @@ def main() -> None:
     ap.add_argument("outdir", type=Path)
     args = ap.parse_args()
 
-    for cfg in configs(ROOT):
+    for cfg in configs(ROOT) + test_configs(ROOT):
         for command in COMMANDS:
-            out = (args.outdir / cfg.stem / command).resolve()
+            out = (args.outdir / cfg.relative_to(ROOT).with_suffix("") / command).resolve()
             out.mkdir(parents=True, exist_ok=True)
             proc = run(ROOT, cfg, command, out)
             (out / "stdout.txt").write_text(proc.stdout.replace(str(out), "<out>"))
             (out / "stderr.txt").write_text(proc.stderr.replace(str(out), "<out>"))
             (out / "exit_code.txt").write_text(f"{proc.returncode}\n")
-            print(f"{cfg.name} {command}: exit {proc.returncode}")
+            print(f"{cfg.relative_to(ROOT)} {command}: exit {proc.returncode}")
 
 
 if __name__ == "__main__":

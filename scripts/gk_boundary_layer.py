@@ -35,8 +35,8 @@ def main() -> None:
         )
         traj = simulate(cfg)
         exact = steady_gk_profile(args.kappa, lambda2, args.gradient, 1.0, traj.x).values
-        linf = float(np.abs(traj.final_q() - exact).max())
-        mid = float(np.interp(0.5, traj.x, traj.final_q()))
+        linf = float(np.abs(traj.fluxes[-1] - exact).max())
+        mid = float(np.interp(0.5, traj.x, traj.fluxes[-1]))
         print(
             f"{lambda2:10.4g} {mid:12.6f} {linf:14.3e} "
             f"{traj.audit['min_zeta'].min():10.3e}"

@@ -129,11 +129,16 @@ MODEL_KINDS = {
 
 def build_model(cfg: Dict[str, str]) -> ModelParams:
     """The kind's parameter set, each field read from model.<field> in
-    declaration order, with the field's default where it has one."""
+    declaration order, with the field's default where it has one; a
+    model.<name> key the kind has no field for is refused."""
     kind = _get(cfg, "model.kind").lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(f"key 'model.kind': unknown kind {kind!r} (one of {tuple(MODEL_KINDS)})")
     cls = MODEL_KINDS[kind]
+    known = {"model.kind"} | {f"model.{f.name}" for f in fields(cls)}
+    unknown = [key for key in cfg if key.startswith("model.") and key not in known]
+    if unknown:
+        raise ConfigError(f"key {unknown[0]!r}: model kind {kind!r} has no such parameter")
     return cls(**{
         f.name: _READERS[f.type](cfg, f"model.{f.name}", None if f.default is MISSING else str(f.default))
         for f in fields(cls)

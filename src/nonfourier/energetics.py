@@ -24,6 +24,7 @@ from .models import (
     GN2,
     GN3,
     Burgers,
+    DegenerateModelError,
     Fourier,
     GKLinear,
     Jeffreys,
@@ -283,18 +284,38 @@ def _row(m: ModelParams, variant: str) -> EnergyRow:
 
 
 class Nonlocal(NamedTuple):
-    """The nonlocal kinds' coefficients at one temperature. The methods sum
-    the flux products they are given (|q|^2, |grad q|^2, (div q)^2, (grad q)q,
-    (div q)q, q.nonlocal_q, q.(grad q)q, |q|^2 div q), so they take one 3-D
-    state's products or 1-D node arrays alike. The delta terms are skipped
-    when delta = 0; the products only they read may then be None. Given
-    `out` (and for zeta `tmp`, which takes a product), a method writes its
-    result there, as numpy's `out=` does, with the same bits."""
+    """The nonlocal kinds' coefficients at one temperature, the one place
+    they are defined: kappa, lambda2 = ell2 vk and mu = 2 nu = 2 delta vk
+    all derive from vk = varkappa(theta), so they are coupled by
+    construction. The energetics methods sum the flux products they are
+    given (|q|^2, |grad q|^2, (div q)^2, (grad q)q, (div q)q, q.nonlocal_q,
+    q.(grad q)q, |q|^2 div q), so they take one 3-D state's products or 1-D
+    node arrays alike. The delta terms are skipped when delta = 0; the
+    products or state fields only they read may then be None. Given `out`
+    (and for zeta `tmp`, which takes a product), a method writes its result
+    there, as numpy's `out=` does, with the same bits."""
 
     tau: float
     vk: float
     ell2: float
     delta: float = 0.0
+
+    def kappa(self, theta):
+        """The Fourier conductivity kappa = varkappa / theta^2."""
+        return self.vk / np.float_power(theta, 2)
+
+    def rate(self, theta, s: ThermalState) -> np.ndarray:
+        """q_dot from the GK law tau q_dot = -q - kappa grad(theta)
+        + lambda2 nonlocal_q + mu (grad q) q + nu (div q) q; theta carries
+        a trailing axis of 1, so that it broadcasts against the vectors."""
+        if self.tau == 0:
+            raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
+        s.require(*(("grad_q",) if self.delta else ()), "nonlocal_q")
+        nl = self.ell2 * self.vk * s.nonlocal_q
+        if self.delta:
+            div_q = np.trace(s.grad_q, axis1=-2, axis2=-1)[..., None]
+            nl = nl + 2.0 * self.delta * self.vk * matvec(s.grad_q, s.q) + self.delta * self.vk * div_q * s.q
+        return (-s.q - self.kappa(theta) * s.grad_theta + nl) / self.tau
 
     def psi_q(self, theta, q):
         """d rho*psi / dq."""
@@ -503,8 +524,6 @@ def sample_state(
     for i in np.ndindex(shape):
         theta[i] = rng.uniform(theta_low, theta_high)
         rng.standard_normal(out=z[i])
-    # a nonlocal rate reads varkappa(theta): refuse the draw before it does
-    nonlocal_coefficients(m, theta)
     parts = np.split(amplitude * z, np.cumsum(widths)[:-1], axis=-1)
     fields = {name: p.reshape(shape + (3, 3)) if name == "grad_q" else p for name, p in zip(drawn, parts)}
     fields[rate] = flux_rate(m, ThermalState(theta=theta, **fields))

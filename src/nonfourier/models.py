@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensors import InvalidInputError, SymTensor3, coerce_tensor, matvec
+from .tensors import InvalidInputError, SymTensor3, coerce_tensor
 
 
 class ContractError(ValueError):
@@ -128,33 +128,19 @@ class Burgers(LocalModel):
 
 @dataclass(frozen=True)
 class GKLinear:
-    """Weakly nonlocal conductor; kappa and lambda2 are derived, never stored.
-
-    kappa(theta) = varkappa(theta) / theta**2 and
-    lambda2(theta) = ell**2 * varkappa(theta), which builds in the functional
-    coupling of the temperature-dependent coefficients.
-    """
+    """Weakly nonlocal conductor, given by tau, ell and varkappa(theta)
+    alone; the coefficients of its law at a temperature (kappa, lambda2 and,
+    for GKNonlinear, mu and nu) are energetics.Nonlocal's, derived from
+    these fields, so their functional coupling holds by construction."""
 
     tau: float
     ell: float
     varkappa: CoefficientFn
 
-    def kappa(self, theta):
-        return self.varkappa(theta) / np.float_power(theta, 2)
-
-    def lambda2(self, theta):
-        return self.ell**2 * self.varkappa(theta)
-
 
 @dataclass(frozen=True)
 class GKNonlinear(GKLinear):
     delta: float = 0.0
-
-    def mu(self, theta):
-        return 2.0 * self.delta * self.varkappa(theta)
-
-    def nu(self, theta):
-        return self.delta * self.varkappa(theta)
 
 
 ModelParams = Union[Fourier, GN2, MCV, Jeffreys, GN3, Quintanilla, Burgers, GKLinear, GKNonlinear]
@@ -304,17 +290,11 @@ def flux_rate(m: ModelParams, s: ThermalState) -> np.ndarray:
     """
     if isinstance(m, LocalModel):
         return m.law.rate(s)
-    if isinstance(m, GKLinear):  # the linear law is the delta = 0 case
-        if m.tau == 0:
-            raise DegenerateModelError("tau = 0: algebraic nonlocal law, no rate")
-        nonlinear = isinstance(m, GKNonlinear)
-        s.require(*(("grad_q",) if nonlinear else ()), "nonlocal_q")
+    if isinstance(m, GKLinear):
+        from .energetics import nonlocal_coefficients  # energetics imports this module
+
         th = np.asarray(s.theta)[..., None]  # broadcasts against the vectors
-        nl = m.lambda2(th) * s.nonlocal_q
-        if nonlinear:
-            div_q = np.trace(s.grad_q, axis1=-2, axis2=-1)[..., None]
-            nl = nl + m.mu(th) * matvec(s.grad_q, s.q) + m.nu(th) * div_q * s.q
-        return (-s.q - m.kappa(th) * s.grad_theta + nl) / m.tau
+        return nonlocal_coefficients(m, th).rate(th, s)
     raise InvalidInputError(f"unknown model kind {type(m).__name__}")
 
 
@@ -337,7 +317,9 @@ def reduce_limit(m: ModelParams, target: str, theta_ref: float = 1.0) -> ModelPa
     if isinstance(m, Quintanilla) and target == "gn3":
         return GN3(xi=m.xi, kappa=m.kappa)
     if isinstance(m, GKLinear) and target == "mcv":
-        return MCV(tau=m.tau, kappa=m.kappa(theta_ref))
+        from .energetics import nonlocal_coefficients  # energetics imports this module
+
+        return MCV(tau=m.tau, kappa=nonlocal_coefficients(m, theta_ref).kappa(theta_ref))
     raise InvalidLimitError(f"no {target!r} limit for {type(m).__name__}")
 
 

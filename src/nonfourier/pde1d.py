@@ -520,15 +520,6 @@ class Trajectory:
     def qs(self) -> List[np.ndarray]:
         return self.fluxes
 
-    def final_theta(self) -> np.ndarray:
-        return self.thetas[-1]
-
-    def final_q(self) -> np.ndarray:
-        return self.fluxes[-1]
-
-    def max_amplitude(self) -> float:
-        return float(self.audit["max_amp"].max())
-
 
 def _init_field(value, x: np.ndarray) -> np.ndarray:
     if value is None:
@@ -726,8 +717,8 @@ def _local_system(cfg: SimConfig) -> Trajectory:
 
 def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     """The energy balance coupled to the nonlocal flux law, q = 0 at both
-    walls, from the model's coefficient set at theta_ref: kappa = vk /
-    theta_ref^2 and lambda2 = ell2 vk. With an imposed gradient only the
+    walls, from the model's coefficient set at theta_ref: kappa from
+    Nonlocal.kappa and lambda2 = ell2 vk. With an imposed gradient only the
     flux is stepped.
 
     Audits, per step: the internal entropy supply zeta (nonnegative by
@@ -748,7 +739,7 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
         raise ConfigurationError("key 'model.tau': need tau >= 0, and tau = 0 only with an imposed gradient")
     if cfg.bc_kind != "dirichlet":
         raise ConfigurationError(f"key 'bc.kind': the coupled solver takes only dirichlet walls, not {cfg.bc_kind!r}")
-    tau, kappa, lambda2 = gk.tau, gk.vk / cfg.theta_ref**2, gk.ell2 * gk.vk
+    tau, kappa, lambda2 = gk.tau, gk.kappa(cfg.theta_ref), gk.ell2 * gk.vk
     grid = cfg.grid
     # q lives on the interior nodes with q = 0 at both walls: the
     # homogeneous Dirichlet parts of the theta operators

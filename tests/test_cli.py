@@ -475,6 +475,25 @@ def test_overflowing_coefficient_scale_exits_2(tmp_path, capsys):
     assert not (out / "modes.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("check", GK_CFG + "model.delta = 0.3\n", "model.delta"),
+        ("sweep", "model.kind = mcv\nmodel.tau = 0.5\nmodel.kappa = 1.0\n"
+                  "sweep.param = model.xi\nsweep.values = 0.5, 2.0\n", "model.xi"),
+    ],
+    ids=["gk_delta", "mcv_sweep_xi"],
+)
+def test_unknown_model_key_exits_2(tmp_path, capsys, command, text, key):
+    """A model.* key the kind has no field for is a config error naming the
+    key, not a parameter silently dropped (a linear gk given a delta, or a
+    sweep whose every row is the same MCV)."""
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text))
+    assert code == 2
+    assert f"config error: key {key!r}: model kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_key_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "model.kind = mcv\nmodel.tau = 1.0\n")
     assert main(["check", "--config", cfg]) == 2

@@ -10,7 +10,6 @@ from nonfourier.consistency import (
     check_burgers,
     check_burgers_full,
     check_gk,
-    check_gk_nonlinear,
     check_gn3,
     check_jeffreys,
     check_quintanilla,
@@ -305,33 +304,17 @@ def test_gk_derived_coefficients_pass():
     assert check_gk(m).passed
 
 
-class _UncoupledGK(GKLinear):
-    def lambda2(self, theta):
-        return 0.09 * theta  # wrong theta dependence
-
-
-class _UnpairedGK(GKNonlinear):
-    def nu(self, theta):
-        return self.mu(theta)
-
-
-def test_gk_uncoupled_coefficients_fail():
-    v = check_gk(_UncoupledGK(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0)))
-    assert not v.passed and v.failure_mode == "structural"
-
-
 def test_gk_nonpositive_varkappa_fails():
     # varkappa is a field, not a method: the sign-changing function is its value
     v = check_gk(GKLinear(tau=1.0, ell=0.3, varkappa=lambda th: th - 5.0))
     assert not v.passed and v.failure_mode == "sign"
 
 
-def test_gk_nonlinear_derived_pass_and_broken_fail():
-    m = GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=-0.4)
-    v = check_gk_nonlinear(m)
-    assert v.passed  # delta sign is unconstrained
-    v = check_gk_nonlinear(_UnpairedGK(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=-0.4))
-    assert not v.passed and v.failed_condition == "mu != 2*nu"
+def test_gk_nonlinear_passes_for_either_sign_of_delta():
+    for delta in (-0.4, 0.4):
+        m = GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=delta)
+        v = CHECKS[GKNonlinear](m)
+        assert v.passed and v.margin == 2.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,6 +23,7 @@ from nonfourier.models import (
     flux_rate,
     reduce_limit,
 )
+from nonfourier.energetics import SingularParameterError
 from nonfourier.tensors import InvalidInputError
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -88,6 +89,33 @@ def test_gk_nonlinear_adds_gradient_coupling():
     extra = flux_rate(non, s) - base
     # mu*(grad_q q) + nu*tr(grad_q) q with mu = 2*delta, nu = delta
     np.testing.assert_allclose(extra, (1.0 * 2.0 + 0.5 * 2.0) * EX)
+
+
+@pytest.mark.parametrize(
+    "varkappa",
+    [CoefficientFn(-1.0), CoefficientFn(0.0), CoefficientFn(1.0, 2000.0), CoefficientFn(float("nan"))],
+    ids=["negative", "zero", "overflow", "nan"],
+)
+@pytest.mark.parametrize("build", [lambda vk: GKLinear(0.5, 0.3, vk), lambda vk: GKNonlinear(0.5, 0.3, vk, 0.4)],
+                         ids=["gk", "gk_nonlinear"])
+def test_gk_rate_and_limit_refuse_a_nonpositive_or_nonfinite_varkappa(build, varkappa):
+    """The GK law reads its coefficients through energetics.Nonlocal, which
+    refuses varkappa(theta) <= 0 or non-finite as every energetics function
+    does (varkappa = 2**2000 overflows at theta = 2, with no warning)."""
+    m, s = build(varkappa), state(theta=2.0, q=EX, grad_theta=EX, grad_q=np.eye(3), nonlocal_q=EX)
+    with pytest.raises(SingularParameterError, match="varkappa"):
+        flux_rate(m, s)
+    with pytest.raises(SingularParameterError, match="varkappa"):
+        reduce_limit(m, "mcv", theta_ref=2.0)
+
+
+def test_gk_nonlinear_at_delta_zero_is_the_linear_law():
+    """delta = 0 skips the nonlinear terms, so grad_q is not required and
+    the rate has the bits of GKLinear's."""
+    vk = CoefficientFn.power(1.3, 0.5)
+    s = state(theta=np.array([0.7, 2.0]), q=[[1.0, -2.0, 0.5], [0.0, 0.3, -1.0]], grad_theta=EX, nonlocal_q=EX)
+    lin, non = flux_rate(GKLinear(0.4, 0.2, vk), s), flux_rate(GKNonlinear(0.4, 0.2, vk, 0.0), s)
+    assert lin.tobytes() == non.tobytes()
 
 
 def test_degenerate_parameters_raise():
@@ -215,19 +243,6 @@ def test_mixture_satisfies_dynamic_admissibility(tau1, tau2, k1, k2):
     nu*tau^2 >= lambda_b*mu."""
     b = burgers_from_mixture(tau1, tau2, k1, k2)
     assert b.nu * b.tau**2 - b.lambda_b * b.mu >= -1e-9 * max(1.0, b.nu * b.tau**2)
-
-
-def test_gk_coefficient_coupling_holds_for_power_law():
-    m = GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(2.0, 1.5))
-    for th in (0.5, 1.0, 4.0):
-        assert m.kappa(th) * th**2 * m.ell**2 == pytest.approx(m.lambda2(th))
-
-
-def test_gk_nonlinear_coefficient_relations():
-    m = GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=0.7)
-    for th in (0.5, 2.0):
-        assert m.mu(th) == pytest.approx(2.0 * m.nu(th))
-        assert m.mu(th) == pytest.approx(2.0 * 0.7 * m.varkappa(th))
 
 
 def test_coefficient_fn_forms():

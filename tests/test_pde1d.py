@@ -413,7 +413,7 @@ def test_constant_equilibrium_is_preserved():
         theta0=0.7,
     )
     traj = simulate(cfg)
-    np.testing.assert_allclose(traj.final_theta(), 0.7, atol=1e-12)
+    np.testing.assert_allclose(traj.thetas[-1], 0.7, atol=1e-12)
 
 
 def test_fourier_mode_decays_at_discrete_rate():
@@ -429,7 +429,7 @@ def test_fourier_mode_decays_at_discrete_rate():
     traj = simulate(cfg)
     lam = discrete_eigenvalue(grid, 1)
     expected = np.exp(-lam * 0.5) * np.sin(grid.interior_x())
-    np.testing.assert_allclose(traj.final_theta(), expected, atol=2e-8)
+    np.testing.assert_allclose(traj.thetas[-1], expected, atol=2e-8)
 
 
 def test_neumann_mean_is_conserved():
@@ -447,10 +447,10 @@ def test_neumann_mean_is_conserved():
     )
     traj = simulate(cfg)
     m0 = spatial_mean(ops, traj.thetas[0])
-    m1 = spatial_mean(ops, traj.final_theta())
+    m1 = spatial_mean(ops, traj.thetas[-1])
     assert abs(m1 - m0) <= 1e-10
     # and the profile flattens toward that mean
-    assert np.abs(traj.final_theta() - m1).max() < 1e-2
+    assert np.abs(traj.thetas[-1] - m1).max() < 1e-2
 
 
 def _built_steppers(monkeypatch):
@@ -915,7 +915,7 @@ def test_gk_imposed_gradient_reaches_plug_profile():
     cfg = _gk(0.0, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=200), dt=1e-2, t_end=0.1, imposed_gradient=1.0)
     traj = simulate(cfg)
     oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
-    assert np.abs(traj.final_q() - oracle).max() <= 2e-4
+    assert np.abs(traj.fluxes[-1] - oracle).max() <= 2e-4
     assert traj.audit["min_zeta"].min() >= 0.0
     assert traj.audit["k_boundary"].max() <= 1e-12
 
@@ -924,7 +924,7 @@ def test_gk_relaxing_flux_converges_to_steady_state():
     cfg = _gk(0.05, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=100), dt=1e-3, t_end=1.0, imposed_gradient=1.0)
     traj = simulate(cfg)
     oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
-    assert np.abs(traj.final_q() - oracle).max() <= 1e-3
+    assert np.abs(traj.fluxes[-1] - oracle).max() <= 1e-3
     assert traj.audit["max_residual"].max() <= 1e-10
 
 
