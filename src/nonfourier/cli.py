@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    SPECTRAL_KEYS,
     ConfigError,
     build_audit_samples,
     build_model,
@@ -172,6 +173,8 @@ def cmd_sweep(args) -> int:
     raw_values = cfg.get("sweep.values")
     if not param or not raw_values:
         raise ConfigError("sweep needs sweep.param and sweep.values")
+    if not param.startswith("model.") and param not in SPECTRAL_KEYS:
+        raise ConfigError(f"key 'sweep.param': sweep varies model.* and {', '.join(SPECTRAL_KEYS)}, not {param!r}")
     values = [v.strip() for v in raw_values.split(",")]
     lines = _header(args) + [
         f"{param},pass,case,margin,max_re_root,worst_class"

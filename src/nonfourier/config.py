@@ -48,7 +48,15 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
+# the keys build_spectral reads: with model.*, what a sweep may vary
+SPECTRAL_KEYS = ("spectral.bc", "spectral.L", "spectral.n_max", "material.rho", "material.cv")
+# every key outside model.* that a subcommand reads (build_model checks model.*)
+KEYS = {*SPECTRAL_KEYS, *"grid.L grid.N time.dt time.t_end time.snapshot_every bc.kind bc.value ic.kind ic.mode "
+        "ic.amplitude sim.theta_ref gk.imposed_gradient audit.samples sweep.param sweep.values".split()}
+
+
 def parse_config(path: Union[str, Path]) -> Dict[str, str]:
+    """The file's key = value pairs; a key no subcommand reads is refused."""
     out: Dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -58,6 +66,9 @@ def parse_config(path: Union[str, Path]) -> Dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+    unknown = [key for key in out if key not in KEYS and not key.startswith("model.")]
+    if unknown:
+        raise ConfigError(f"key {unknown[0]!r}: no subcommand reads it")
     return out
 
 

@@ -16,7 +16,7 @@ audited at every node and step from the model's energy row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,11 +24,6 @@ from .energetics import Form, SingularParameterError, nonlocal_coefficients
 from .modal import characteristic_poly, modal_solution
 from .models import CoefficientFn, GKLinear, MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
-
-# scipy is imported where operators are built and factored, so the
-# subcommands that never simulate do not load it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class ConfigurationError(ValueError):
@@ -79,6 +74,13 @@ class Field1D:
     values: np.ndarray
 
 
+# a stencil or block as its diagonals, offset k -> d[i] = A[i, i + k] (0
+# where i + k leaves the block); a system's block rows map (block column,
+# offset) -> diagonal, in the order scipy's CSR form stores a row
+Band = Dict[int, np.ndarray]
+Rows = List[Dict[Tuple[int, int], np.ndarray]]
+
+
 @dataclass
 class SpaceOperators:
     """Discrete Laplacian / gradient with boundary closures baked in.
@@ -87,14 +89,15 @@ class SpaceOperators:
     boundary values enter through the affine parts lap_b / d1_b. For Neumann
     data the unknowns include both boundary nodes; the flux condition is
     eliminated with a mirrored ghost node, which keeps the trapezoid-weighted
-    spatial mean exactly conserved by the flux-free heat equation.
+    spatial mean exactly conserved by the flux-free heat equation. lap and
+    d1 are bands with scipy's CSR values (diagonal times 1 / scale).
     """
 
     n: int
     x: np.ndarray
-    lap: sp.csr_matrix
+    lap: Band
     lap_b: np.ndarray
-    d1: sp.csr_matrix
+    d1: Band
     d1_b: np.ndarray
     weights: np.ndarray
 
@@ -106,75 +109,55 @@ def _pair(value: Union[float, Tuple[float, float]]) -> Tuple[float, float]:
     return float(left), float(right)
 
 
+def _scaled(band: Band, c: float) -> Band:
+    return {k: c * d for k, d in band.items()}
+
+
 def space_operators(
     grid: Grid1D, bc_kind: str, bc_value: Union[float, Tuple[float, float]] = 0.0
 ) -> SpaceOperators:
-    import scipy.sparse as sp
-
-    dx = grid.dx
-    left, right = _pair(bc_value)
-    if bc_kind == "dirichlet":
-        n = grid.N
-        x = grid.interior_x()
-        lap_b = np.zeros(n)
-        lap_b[0] = left / dx**2
-        lap_b[-1] = right / dx**2
-        d1_b = np.zeros(n)
-        d1_b[0] = -left / (2 * dx)
-        d1_b[-1] = right / (2 * dx)
-        weights = np.full(n, dx)
-    elif bc_kind == "neumann":
-        n = grid.N + 2
-        x = dx * np.arange(0, n)
-        lap_b = np.zeros(n)
-        lap_b[0] = -2.0 * left / dx
-        lap_b[-1] = 2.0 * right / dx
-        d1_b = np.zeros(n)
-        d1_b[0] = left
-        d1_b[-1] = right
-        weights = np.full(n, dx)
-        weights[0] = weights[-1] = dx / 2
-    else:
+    if bc_kind not in ("dirichlet", "neumann"):
         raise ConfigurationError(f"unsupported boundary kind {bc_kind!r}")
+    dx, (left, right), neumann = grid.dx, _pair(bc_value), bc_kind == "neumann"
+    n = grid.N + 2 * neumann
+    x = dx * np.arange(1 - neumann, n + 1 - neumann)
+    lap_b, d1_b, weights = np.zeros(n), np.zeros(n), np.full(n, dx)
     # the off-diagonals of the central stencils; at a Neumann wall the
     # mirrored ghost node doubles the inner neighbour in lap and cancels it
-    # in d1, whose zeros the CSR conversion drops
-    lap_lo, lap_up, d1_lo, d1_up = np.ones(n - 1), np.ones(n - 1), -np.ones(n - 1), np.ones(n - 1)
-    if bc_kind == "neumann":
-        lap_up[0] = lap_lo[-1] = 2.0
+    # in d1, whose CSR form does not store that zero
+    lo, up = np.ones(n), np.ones(n)
+    lo[0] = up[-1] = 0.0
+    d1_lo, d1_up = -lo, up.copy()
+    if neumann:
+        lap_b[0], lap_b[-1], d1_b[0], d1_b[-1] = -2.0 * left / dx, 2.0 * right / dx, left, right
+        weights[0] = weights[-1] = dx / 2
+        up[0] = lo[-1] = 2.0
         d1_up[0] = d1_lo[-1] = 0.0
-    lap = sp.diags([lap_lo, -2.0, lap_up], [-1, 0, 1], shape=(n, n)).tocsr() / dx**2
-    d1 = sp.diags([d1_lo, d1_up], [-1, 1], shape=(n, n)).tocsr() / (2 * dx)
+    else:
+        lap_b[0], lap_b[-1], d1_b[0], d1_b[-1] = left / dx**2, right / dx**2, -left / (2 * dx), right / (2 * dx)
+    lap = _scaled({-1: lo, 0: np.full(n, -2.0), 1: up}, 1 / dx**2)
+    d1 = _scaled({-1: d1_lo, 1: d1_up}, 1 / (2 * dx))
     return SpaceOperators(n=n, x=x, lap=lap, lap_b=lap_b, d1=d1, d1_b=d1_b, weights=weights)
 
 
-def spatial_mean(ops: SpaceOperators, values: np.ndarray) -> float:
-    return float(ops.weights @ values) / float(ops.weights.sum())
-
-
 # --- temperature equation from the rate-law row ------------------------------
-
-def time_order(m: ModelParams) -> int:
-    return temperature_law(m, ConfigurationError).order + 1
-
 
 def assemble_rhs(
     m: ModelParams,
     material: MaterialConstants,
     ops: SpaceOperators,
-) -> Tuple[sp.csr_matrix, np.ndarray, int]:
+) -> Tuple[List[List[Optional[Band]]], np.ndarray, int]:
     """First-order system u_dot = M u + f over the stacked fields
     u_k = d^k theta / dt^k, k < order, derived from the rate-law row:
 
         a_top u_{order-1}' = (b0 lap u_0 + b1 lap u_1) / rho_c
                              - sum_{j < top} a_j u_{j+1}
 
-    The boundary closure of the Laplacian only forces the theta block; the
-    boundary data are constant in time, so the derivative fields carry
-    homogeneous versions of the same condition.
+    M is the grid of its n x n blocks, each a band or None, with the values
+    of scipy's sparse assembly. The boundary closure of the Laplacian only
+    forces the theta block; the boundary data are constant in time, so the
+    derivative fields carry homogeneous versions of the same condition.
     """
-    import scipy.sparse as sp
-
     law = temperature_law(m, ConfigurationError)
     order = law.order + 1
     n = ops.n
@@ -182,67 +165,120 @@ def assemble_rhs(
     *lower, top = law.a
     if top == 0:
         raise ConfigurationError(law.limit)
-    eye = sp.identity(n, format="csr")
-    blocks = [[None] * order for _ in range(order)]
-    for k in range(order - 1):
-        blocks[k][k + 1] = eye
+    blocks = [[{0: np.ones(n)} if j == k + 1 else None for j in range(order)] for k in range(order)]
     last = blocks[-1]
-    last[0] = law.b0 / rc / top * ops.lap
+    last[0] = _scaled(ops.lap, law.b0 / rc / top)
     for j, c in enumerate(lower):
         if c != 0:
-            last[j + 1] = -c / top * eye
+            last[j + 1] = {0: np.full(n, -c / top)}
     if law.b1 is not None:
-        b1_lap = law.b1 / rc / top * ops.lap
-        last[1] = b1_lap if last[1] is None else b1_lap + last[1]
+        b1_lap = _scaled(ops.lap, law.b1 / rc / top)
+        if last[1] is not None:  # a sparse sum: its zero entries are not stored
+            b1_lap = {k: v for k, d in b1_lap.items() if (v := d + last[1].get(k, 0.0)).any()}
+        last[1] = b1_lap
     f = np.zeros(order * n)
     f[-n:] = law.b0 / rc / top * ops.lap_b
-    return sp.bmat(blocks).tocsr(), f, order
+    return blocks, f, order
 
 
-def _nilpotent_inverse(N: sp.csr_matrix) -> sp.csr_matrix:
-    """(I - N)^-1 = I + N + N^2 + ... for a nilpotent N. Raises unless each
-    power has fewer nonzero rows than the last until one vanishes, which
-    holds whenever the nonzero pattern of N has no cycle."""
-    import scipy.sparse as sp
+# --- scipy's CSR arithmetic on block rows ------------------------------------
+# Each routine has the values and stored order of scipy's; an entry outside
+# its block or not stored is a 0, which a sum into +0 ignores.
 
-    total = sp.identity(N.shape[0], format="csr")
-    power, rows = N.copy(), N.shape[0] + 1
-    power.eliminate_zeros()
-    while power.nnz:
-        live = int(np.count_nonzero(np.diff(power.indptr)))
-        if live >= rows:
-            raise ConfigurationError("eliminated block of the implicit matrix is not nilpotent")
-        total, power, rows = total + power, power @ N, live
-        power.eliminate_zeros()
-    return total
+def _shifted(c: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """c[i] v[i + k], 0 where i + k is outside v."""
+    if k == 0:
+        return c * v
+    w, lo, hi = np.empty_like(v), max(0, -k), min(len(v), len(v) - k)
+    w[:lo] = w[hi:] = 0.0
+    np.multiply(c[lo:hi], v[lo + k : hi + k], out=w[lo:hi])
+    return w
+
+
+def _eye(blocks: int, nb: int, at: int = 0) -> Rows:
+    return [{(at + i, 0): np.ones(nb)} for i in range(blocks)]
+
+
+def _matmat(A: Rows, B: Rows) -> Rows:
+    """A @ B as csr_matmat forms it: each entry summed into +0 over A's
+    row, each entry times B's row, in stored order; each row stored in
+    reverse order of first touch (as interior rows are), zero sums dropped."""
+    out = []
+    for row in A:
+        sums = {}
+        for (j, a), va in row.items():
+            for (k, b), vb in B[j].items():
+                p = _shifted(va, vb, a)  # a fresh array, which takes the sum
+                sums[k, a + b] = np.add(sums.get((k, a + b), 0.0), p, out=p)
+        out.append({key: v for key, v in reversed(sums.items()) if v.any()})
+    return out
+
+
+def _add(A: Rows, B: Rows, op: Callable = np.add) -> Rows:
+    """op(A, B) (np.add or np.subtract) as scipy's csr binop of sorted
+    operands forms it: a missing entry read as 0, rows stored sorted, zeros
+    dropped."""
+    return [{key: v for key in sorted({**ra, **rb}) if (v := op(ra.get(key, 0.0), rb.get(key, 0.0))).any()}
+            for ra, rb in zip(A, B)]
+
+
+def _matvec(A: Rows, x: np.ndarray) -> np.ndarray:
+    """A @ x as csr_matvec sums it: each row into +0 in stored order."""
+    xs = x.reshape(len(A), -1)
+    zero = np.zeros(xs.shape[1])
+    return np.concatenate([sum((_shifted(d, xs[j], k) for (j, k), d in row.items()), zero) for row in A])
+
+
+def _csr(A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triples (indptr, indices, data) of A @ B in csr_matmat's stored
+    order. Each row holds its block row's interior pattern, an absent entry
+    being an explicit 0 at a valid column (bit-neutral for a finite state).
+    Rows near a wall, where an absent contribution can move a first touch
+    (the coupled gk q_0 row stores theta_1 before q_0), replay theirs."""
+    AB, at = _matmat(A, B), np.arange(nb, dtype=np.int32)[:, None]
+    reach, sizes = 2 * max([abs(k) for r in A + B for _, k in r] + [0]), [len(row) or 1 for row in AB]
+    indptr = np.cumsum(np.repeat([0] + sizes, [1] + [nb] * len(AB)), dtype=np.int32)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    for row, arow, lo, size in zip(AB, A, indptr[::nb], sizes):
+        keys, block = list(row), slice(lo, lo + nb * size)
+        D = np.stack([*row.values()] or [np.zeros(nb)], 1, out=data[block].reshape(nb, size))
+        C = np.add(at, [j * nb + k for j, k in keys] or [0], out=indices[block].reshape(nb, size), dtype=np.int32)
+        for i in {*range(min(reach, nb)), *range(max(nb - reach, 0), nb)} if keys else ():
+            first = {}
+            for (j, a), va in arow.items():
+                for (k, b), vb in B[j].items() if 0 <= i + a < nb and va[i] != 0 else ():
+                    if 0 <= i + a + b < nb and vb[i + a] != 0:
+                        first.setdefault((k, a + b))
+            order = [keys.index(key) for key in reversed(first) if key in row]
+            order += [x for x in range(len(keys)) if x not in order]
+            D[i] = D[i, order]
+            C[i] = [j * nb + min(max(i + k, 0), nb - 1) for j, k in (keys[x] for x in order)]
+    return indptr, indices, data
 
 
 # band storage above this many entries (128 MB) is refused, not allocated
 _MAX_BAND_ENTRIES = 2**24
 
 
-def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """LAPACK band LU of S, its bandwidths read off its nonzeros; returns
-    b -> S^-1 b, solved in b's own storage.
-
-    When the factorization swapped no row, the solve is two BLAS `dtbsv`
-    calls: the unit-lower band of multipliers (kl), then the upper band
-    (kl + ku). `dgbtrs` makes one `dger` call per column for its L-solve;
-    on one right-hand side that is the AXPY with alpha = -b[j] that `dtbsv`
-    applies per column, and its U-solve is the same `dtbsv` call, so the
-    bits agree. After a row swap the solve is `dgbtrs`, which interleaves
-    the swaps with the L-solve."""
+def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
+    """LAPACK band LU of the block rows S, each nonzero diagonal written
+    straight into band storage; returns b -> S^-1 b, solved in place. With
+    no row swapped it is two `dtbsv` calls, the unit-lower band (kl), then
+    the upper (kl + ku): `dgbtrs` makes one `dger` per column, on one
+    right-hand side the AXPY with alpha = -b[j] that `dtbsv` makes, and its
+    U-solve is that `dtbsv` call, so the bits agree. After a swap it is
+    `dgbtrs`, which interleaves the swaps with the L-solve."""
     from scipy.linalg.blas import dtbsv
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    S = S.tocoo()
-    S.eliminate_zeros()
-    kl = int((S.row - S.col).max(initial=0))
-    ku = int((S.col - S.row).max(initial=0))
-    if (2 * kl + ku + 1) * S.shape[0] > _MAX_BAND_ENTRIES:
+    diags = {(i, j, k): (j - i) * nb + k for i, row in enumerate(S) for (j, k), v in row.items() if v.any()}
+    kl, ku = max([-d for d in diags.values()] + [0]), max([*diags.values(), 0])
+    if (2 * kl + ku + 1) * len(S) * nb > _MAX_BAND_ENTRIES:
         raise ConfigurationError(f"implicit matrix too wide for band storage (bandwidths {kl}, {ku})")
-    ab = np.zeros((2 * kl + ku + 1, S.shape[0]))
-    ab[kl + ku + S.row - S.col, S.col] = S.data
+    ab = np.zeros((2 * kl + ku + 1, len(S) * nb), order="F")
+    for (i, j, k), d in diags.items():
+        lo, hi = max(0, -k), min(nb, nb - k)
+        ab[kl + ku - d, i * nb + lo + d : i * nb + hi + d] = S[i][j, k][lo:hi]
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
@@ -266,42 +302,47 @@ def _band_lu(S: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def trapezoid_stepper(
-    M: sp.csr_matrix, f: np.ndarray, dt: float, keep: Optional[int] = None
+    M: List[List[Optional[Band]]], f: np.ndarray, dt: float, keep: Optional[int] = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One fixed-step trapezoidal update u -> u' of u_dot = M u + f, that is
-    (I - hM) u' = (I + hM) u + dt f with h = dt/2, prepared once.
-
-    The system is Schur-reduced onto its last `keep` unknowns (all of them
-    by default). The eliminated block of M must be nilpotent (the companion
-    shifts of a temperature equation, or zero), so (I - hM11)^-1 is a finite
-    sum; the banded complement is LU-factored once. A step is two calls of
-    scipy's CSR matvec kernel (the reduced right-hand side with the
-    eliminated unknowns, then the back-substitution) and one band solve,
-    with no sparse-matrix dispatch. The band solve is two triangular
-    `dtbsv` calls when the factorization swapped no row (every Dirichlet
-    and coupled gk system run so far), else `dgbtrs` (a Neumann wall row is
-    not column diagonally dominant, so `dgbtrf` may swap it); both have the
-    bits of `dgbtrs` (see `_band_lu`).
-    """
-    import scipy.sparse as sp
+    """One fixed-step trapezoidal update u -> u' of u_dot = M u + f (M a
+    square grid of n x n blocks, each a band or None), that is (I - hM) u' =
+    (I + hM) u + dt f with h = dt/2, Schur-reduced onto the last `keep`
+    unknowns (all by default; whole blocks). The eliminated block must be
+    strictly block upper triangular (companion shifts, or zero), so
+    (I - hM11)^-1 is a finite sum. The set-up is numpy with scipy's sparse
+    arithmetic: `rhs_mat` and `back` are stored unsorted as scipy's products
+    store them (a kept third-order row: theta_ddot, then theta_dot and theta
+    interleaved, from the +1 neighbour down), and the CSR kernel sums each
+    row in that order, so steps have the sparse set-up's bits. A step is two
+    kernel calls (the reduced right-hand side, the back-substitution) and a
+    band solve: two `dtbsv` calls unless `dgbtrf` swapped a row (a Neumann
+    wall row is not column diagonally dominant), then `dgbtrs`."""
     from scipy.sparse._sparsetools import csr_matvec
 
-    n = M.shape[0]
+    p, n = len(M), len(f)
+    nb = n // p
     n1 = n - (n if keep is None else keep)
-    if not 0 <= n1 < n:
+    if not 0 <= n1 < n or n1 % nb:
         raise ConfigurationError(f"cannot keep {keep} of {n} unknowns")
-    hM = (dt / 2.0 * sp.csr_matrix(M)).tocsr()
-    eye = sp.identity(n, format="csr")
-    E = _nilpotent_inverse(hM[:n1, :n1])
-    hM12, A21E = hM[:n1, n1:], -hM[n1:, :n1] @ E
-    solve = _band_lu(eye[n1:, n1:] - hM[n1:, n1:] + A21E @ hM12)
-    # rows: E r1 for the eliminated unknowns, r2 - A21 E r1 for the kept ones
-    reduce = sp.bmat([[E, None], [-A21E, eye[n1:, n1:]]], format="csr")
-    rhs_mat = (reduce @ (eye + hM)).tocsr()
-    rhs_f = reduce @ (dt * np.asarray(f, dtype=float))
-    back = (E @ hM12).tocsr()
-    rp, ri, rd = rhs_mat.indptr, rhs_mat.indices, rhs_mat.data
-    bp, bi, bd = back.indptr, back.indices, back.data
+    p1, h = n1 // nb, dt / 2.0
+    hM = [{(j, k): h * d for j, band in enumerate(row) if band for k, d in sorted(band.items())} for row in M]
+    part = lambda rows, lo, hi: [{(j - lo, k): d for (j, k), d in r.items() if lo <= j < hi} for r in rows]
+    N = [{key: d for key, d in r.items() if d.any()} for r in part(hM[:p1], 0, p1)]
+    if any(j <= i for i, r in enumerate(N) for j, _ in r):
+        raise ConfigurationError("eliminated block of the implicit matrix is not strictly block upper "
+                                 "triangular, so not nilpotent as the reduction needs")
+    E, power, hM12 = _eye(p1, nb), N, part(hM[:p1], p1, p)
+    while any(power):  # the series of the inverse, summed as scipy sums it
+        E, power = _add(E, power), _matmat(power, N)
+    A21E = _matmat([{key: -d for key, d in r.items()} for r in part(hM[p1:], 0, p1)], E)
+    solve = _band_lu(_add(_add(_eye(p - p1, nb), part(hM[p1:], p1, p), np.subtract), _matmat(A21E, hM12)), nb)
+    # rows: E r1 for the eliminated unknowns, r2 - A21 E r1 for the kept
+    # ones, each sorted by column as scipy's bmat stores it
+    reduce = E + [dict(sorted({**{key: -d for key, d in a.items()}, (p1 + i, 0): np.ones(nb)}.items()))
+                  for i, a in enumerate(A21E)]
+    rp, ri, rd = _csr(reduce, _add(_eye(p, nb), hM), nb)
+    rhs_f = _matvec(reduce, dt * np.asarray(f, dtype=float))
+    bp, bi, bd = _csr(E, hM12, nb)
 
     # each product sums into zeros, as `rhs_mat @ u + rhs_f` and
     # `r[:n1] += back @ r[n1:]` do, so the rounding is theirs; the
@@ -342,15 +383,14 @@ class _Workspace:
         return buf[:b]
 
 
-def _stencil_rows(op: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """For a tridiagonal op, rows(V, out, tmp) writes op applied to every
-    row of the (steps, nodes) block V into out, by slices, bit for bit as
-    scipy's CSR kernel: row i is (0 + l_i v[i-1]) + d_i v[i] + u_i v[i+1]
+def _stencil_rows(op: Band) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """For a tridiagonal band op, rows(V, out, tmp) writes op applied to
+    every row of the (steps, nodes) block V into out, by slices, bit for bit
+    as scipy's CSR kernel: row i is (0 + l_i v[i-1]) + d_i v[i] + u_i v[i+1]
     over its stored entries, summed into zeros, so -0.0 becomes 0.0. An
     entry that the CSR form does not store reads 0 here, which leaves a
     finite sum as it is; tmp takes the products."""
-    lower, diag, upper = (op.diagonal(k) for k in (-1, 0, 1))
-    diag = diag if diag.any() else None
+    lower, diag, upper = op[-1][1:], op.get(0), op[1][:-1]
 
     def rows(V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         out[:, 0] = 0.0
@@ -727,8 +767,6 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     evaluated at theta_ref (the linearization point of the constant
     coefficients).
     """
-    import scipy.sparse as sp
-
     m, G = cfg.model, cfg.imposed_gradient
     if m.varkappa.p != 0:
         raise ConfigurationError("key 'model.varkappa': the coupled solver freezes it at theta_ref; it needs constant:c")
@@ -745,7 +783,9 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     # homogeneous Dirichlet parts of the theta operators
     ops = space_operators(grid, "dirichlet", cfg.bc_value)
     n, x = ops.n, ops.x
-    gk_rhs = (-sp.identity(n) + 3.0 * lambda2 * ops.lap) / tau if tau > 0 else None
+    # (-I + 3 lambda2 lap) / tau as scipy's sparse sum and division form it
+    nl_lap = _scaled(ops.lap, 3.0 * lambda2)
+    gk_rhs = {k: (d - (k == 0)) * (1 / tau) for k, d in nl_lap.items()} if tau > 0 else None
 
     d1, lap = _stencil_rows(ops.d1), _stencil_rows(ops.lap)
     ws = _Workspace()
@@ -795,17 +835,17 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
             # the flux follows the gradient at once: (I - 3 lambda2 D2) q =
             # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
             # step returns that state, so its audit row is computed once a block
-            solve = trapezoid_stepper(3.0 * lambda2 * ops.lap, np.full(n, -kappa * G / 2.0), 2.0)
+            solve = trapezoid_stepper([[nl_lap]], np.full(n, -kappa * G / 2.0), 2.0)
             steady = solve(np.zeros(n))
             step = lambda q: steady
             observe = lambda Q: (audit(Q[:1], theta_x), np.broadcast_to(theta, Q.shape), Q)
         else:
-            step = trapezoid_stepper(gk_rhs, np.full(n, -kappa * G / tau), cfg.dt)
+            step = trapezoid_stepper([[gk_rhs]], np.full(n, -kappa * G / tau), cfg.dt)
             observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
         return _march(x, cfg, q0, step, observe, (theta.copy(), q0.copy()), columns)
 
     # fully coupled: u = (theta deviation, q)
-    M = sp.bmat([[sp.csr_matrix((n, n)), -ops.d1 / cfg.material.rho_cv], [-kappa / tau * ops.d1, gk_rhs]]).tocsr()
+    M = [[None, _scaled(_scaled(ops.d1, -1.0), 1 / cfg.material.rho_cv)], [_scaled(ops.d1, -kappa / tau), gk_rhs]]
     f = np.zeros(2 * n)
     f[n:] = -kappa / tau * ops.d1_b
 
@@ -858,15 +898,19 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     traj = simulate(replace(
         cfg, bc_value=0.0, theta0=shape.copy(), theta_dot0=None, theta_ddot0=None, q0=None
     ))
+    # the theta snapshots are all that is compared: the flux snapshots' array
+    # goes before the oracle and the difference take as much again
+    times, thetas = traj.times, traj.thetas
+    del traj
     lt = discrete_eigenvalue(grid, n_mode) / cfg.material.rho_cv
     poly = characteristic_poly(cfg.model, lt)
     roots = solve_poly(poly)
     init = [1.0] + [0.0] * (poly.degree - 1)
     T = modal_solution(roots, init)
-    amps = T(traj.times)
+    amps = T(times)
     oracle = np.asarray(amps)[:, None] * shape[None, :]
     # one array besides the oracle: the snapshots, minus the oracle in place
-    diff = np.array(traj.thetas)
+    diff = np.array(thetas)
     diff -= oracle
     l2_rel = float(np.linalg.norm(diff) / np.linalg.norm(oracle))
     scale = np.abs(oracle, out=oracle).max()

@@ -300,8 +300,8 @@ def test_snapshot_rows_format_cells_as_fmt():
 
 
 def test_cli_import_loads_no_scipy():
-    """Only simulate needs scipy (sparse operators, band LU); the CLI and
-    the other subcommands' modules import without it."""
+    """Only simulate needs scipy (its CSR matvec kernel and LAPACK's band
+    LU); the CLI and the other subcommands' modules import without it."""
     code = "import sys, nonfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(nonfourier.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -492,6 +492,34 @@ def test_unknown_model_key_exits_2(tmp_path, capsys, command, text, key):
     assert code == 2
     assert f"config error: key {key!r}: model kind" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, extra, command, key",
+    [
+        ("burgers_sweep.cfg", "sweep.param = grid.N\n", "sweep", "sweep.param"),
+        ("burgers_sweep.cfg", "sweep.param = time.dt\n", "sweep", "sweep.param"),
+        ("mgt_stable.cfg", "audit.sample = 5\n", "audit", "audit.sample"),
+        ("mgt_stable.cfg", "grid.n = 50\n", "simulate", "grid.n"),
+    ],
+    ids=["sweep_grid_N", "sweep_time_dt", "audit_sample", "simulate_grid_n"],
+)
+def test_key_no_subcommand_reads_exits_2(tmp_path, capsys, config, extra, command, key):
+    """A key that the subcommand would not read is a config error naming
+    it, not a run that ignores it: a sweep over grid.N gave six identical
+    rows, a misspelt audit.sample audited the default 1000 states."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text + extra))
+    assert code == 2
+    assert f"config error: key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_every_shipped_config_key_is_read(config):
+    """Every key of configs/*.cfg passes the unknown-key check."""
+    assert parse_config(config)
 
 
 def test_missing_required_key_exits_2(tmp_path):
