@@ -234,7 +234,8 @@ def _csr(A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     order. Each row holds its block row's interior pattern, an absent entry
     being an explicit 0 at a valid column (bit-neutral for a finite state).
     Rows near a wall, where an absent contribution can move a first touch
-    (the coupled gk q_0 row stores theta_1 before q_0), replay theirs."""
+    (scipy stores the coupled gk q_0 row as q_1, q_2, q_0, theta_1, the
+    interior pattern as q_1, q_2, theta_1, q_0), replay theirs."""
     AB, at = _matmat(A, B), np.arange(nb, dtype=np.int32)[:, None]
     reach, sizes = 2 * max([abs(k) for r in A + B for _, k in r] + [0]), [len(row) or 1 for row in AB]
     indptr = np.cumsum(np.repeat([0] + sizes, [1] + [nb] * len(AB)), dtype=np.int32)
