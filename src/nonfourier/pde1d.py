@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .energetics import Form, SingularParameterError, nonlocal_coefficients
-from .modal import characteristic_poly, modal_solution
+from .modal import InvalidKindError, characteristic_poly, modal_solution
 from .models import CoefficientFn, GKLinear, MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
 
@@ -586,29 +586,32 @@ def _block_steps(cfg: SimConfig, size: int) -> int:
 
 
 def _march(
-    x: np.ndarray,
     cfg: SimConfig,
     u: np.ndarray,
     step: Callable[[np.ndarray], np.ndarray],
-    observe: Callable[[np.ndarray], Tuple[Tuple, np.ndarray, np.ndarray]],
-    first: Tuple[np.ndarray, np.ndarray],
-    columns: Tuple[str, ...],
+    observe: Callable[[np.ndarray], Tuple[Tuple, Tuple[np.ndarray, ...]]],
+    first: Tuple[np.ndarray, ...],
+    columns: Tuple[str, ...] = (),
     nodes: Optional[int] = None,
-) -> Trajectory:
-    """The fixed-step loop of every 1-D run. Only u = step(u) and its
-    divergence check run per step; the rest runs once per block of B steps
-    on the block's states, the rows of U (steps, u.size), with B * u.size
-    about _BLOCK_FLOATS (B = 1 on fine grids). When u starts with the
-    `nodes` values of the theta deviation, the absolute temperature
-    theta_ref + theta must stay positive. observe(U) returns the block's
-    audit columns after t (arrays over its steps, or one value for all of
-    them) and its (theta, flux) rows. A block's states before its first
-    non-finite or non-positive one are observed, with overflow silenced,
-    before anything is raised, so the error names the earliest bad step
-    whatever B is: a non-finite audit value (a state past about 1e154
-    squares to inf), then 0 K, then a non-finite state. `first` is the
-    (theta, flux) snapshot at t = 0; the others are taken every
-    cfg.snapshot_every steps (about 200 by default) and at the last step."""
+) -> Tuple[np.ndarray, List[np.ndarray], Dict[str, np.ndarray]]:
+    """The fixed-step loop of every 1-D run and of the modal comparison.
+    Only u = step(u) and its divergence check run per step; the rest runs
+    once per block of B steps on the block's states, the rows of U (steps,
+    u.size), with B * u.size about _BLOCK_FLOATS (B = 1 on fine grids).
+    When u starts with the `nodes` values of the theta deviation, the
+    absolute temperature theta_ref + theta must stay positive. observe(U)
+    returns the block's audit columns after t (arrays over its steps, or
+    one value for all of them; none for the modal comparison, which audits
+    nothing) and its rows of each snapshot field. A block's states before
+    its first non-finite or non-positive one are observed, with overflow
+    silenced, before anything is raised, so the error names the earliest
+    bad step whatever B is: a non-finite audit value (a state past about
+    1e154 squares to inf), then 0 K, then a non-finite state. `first` holds
+    the fields at t = 0 ((theta, flux) for a run, theta alone for the
+    comparison); the other snapshots are taken every cfg.snapshot_every
+    steps (about 200 by default) and at the last step. Returns the
+    snapshot times, one (snapshots, ...) array per field and the audit
+    columns, keyed from t."""
     nsteps = cfg.steps
     every = cfg.snapshot_every or max(1, nsteps // 200)
     block = _block_steps(cfg, u.size)
@@ -642,7 +645,7 @@ def _march(
                     error, U = PositivityError(i0 + b + 1, (i0 + b + 1) * cfg.dt), U[:b]
         if b:
             with np.errstate(over="ignore", invalid="ignore"):
-                values, theta, flux = observe(U)
+                values, fields = observe(U)
             finite = np.ones(b, dtype=bool)
             for value in values:
                 finite &= np.isfinite(value)
@@ -656,31 +659,38 @@ def _march(
             audit[col][i0 : i0 + b] = value
         while filled < len(kept) and kept[filled] <= i0 + b:
             r = kept[filled] - i0 - 1
-            snaps[0][filled], snaps[1][filled] = theta[r], flux[r]
+            for snap, field in zip(snaps, fields):
+                snap[filled] = field[r]
             filled += 1
-    return Trajectory(x, np.array(kept) * cfg.dt, list(snaps[0]), list(snaps[1]), audit, cfg.theta_ref)
+    return np.array(kept) * cfg.dt, snaps, audit
 
 
-def _local_system(cfg: SimConfig) -> Trajectory:
-    """The temperature equation of a local kind over (theta, theta_dot[,
-    theta_ddot]), with the per-node flux ODE and entropy audit: per step the
-    extremes of sigma, the dissipation residual, the absolute-temperature
-    minimum and the field amplitude."""
+def _local_setup(cfg: SimConfig) -> Tuple[SpaceOperators, int, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The temperature equation of a local kind over u = (theta, theta_dot[,
+    theta_ddot]): its operators, its order, its trapezoid stepper and the
+    initial u."""
     if cfg.imposed_gradient is not None:
         raise ConfigurationError("key 'gk.imposed_gradient': only a gk kind takes an imposed gradient")
     ops = space_operators(cfg.grid, cfg.bc_kind, cfg.bc_value)
     M, f, order = assemble_rhs(cfg.model, cfg.material, ops)
-    n = ops.n
-    x = ops.x
+    n, x = ops.n, ops.x
     step = trapezoid_stepper(M, f, cfg.dt, keep=n)
-
     u = np.zeros(order * n)
     u[:n] = _init_field(cfg.theta0, x)
     if order >= 2:
         u[n : 2 * n] = _init_field(cfg.theta_dot0, x)
     if order >= 3:
         u[2 * n :] = _init_field(cfg.theta_ddot0, x)
+    return ops, order, step, u
 
+
+def _local_system(cfg: SimConfig) -> Trajectory:
+    """The temperature equation of a local kind, stepped from its set-up
+    with the per-node flux ODE and entropy audit: per step the extremes of
+    sigma, the dissipation residual, the absolute-temperature minimum and
+    the field amplitude."""
+    ops, order, step, u = _local_setup(cfg)
+    n, x = ops.n, ops.x
     law = temperature_law(cfg.model, ConfigurationError)
     audit_fn = _entropy_audit(cfg.model, law)
     ws = _Workspace(_block_steps(cfg, u.size))
@@ -750,10 +760,11 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         absolute = ws("tmp", (b, n))
         max_res = np.abs(res, out=absolute).max(1)
         values = sig.min(1), sig.max(1), max_res, ta.min(1), np.abs(theta, out=absolute).max(1)
-        return values, theta, ys[..., 0]
+        return values, (theta, ys[..., 0])
 
     columns = ("min_sigma", "max_sigma", "max_residual", "theta_min", "max_amp")
-    return _march(x, cfg, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n)
+    times, (thetas, fluxes), audit = _march(cfg, u, step, observe, (u[:n].copy(), y[:, 0].copy()), columns, n)
+    return Trajectory(x, times, list(thetas), list(fluxes), audit, cfg.theta_ref)
 
 
 def _nonlocal_system(cfg: SimConfig) -> Trajectory:
@@ -839,11 +850,12 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
             solve = trapezoid_stepper([[nl_lap]], np.full(n, -kappa * G / 2.0), 2.0)
             steady = solve(np.zeros(n))
             step = lambda q: steady
-            observe = lambda Q: (audit(Q[:1], theta_x), np.broadcast_to(theta, Q.shape), Q)
+            observe = lambda Q: (audit(Q[:1], theta_x), (np.broadcast_to(theta, Q.shape), Q))
         else:
             step = trapezoid_stepper([[gk_rhs]], np.full(n, -kappa * G / tau), cfg.dt)
-            observe = lambda Q: (audit(Q, theta_x), np.broadcast_to(theta, Q.shape), Q)
-        return _march(x, cfg, q0, step, observe, (theta.copy(), q0.copy()), columns)
+            observe = lambda Q: (audit(Q, theta_x), (np.broadcast_to(theta, Q.shape), Q))
+        times, (thetas, fluxes), audit = _march(cfg, q0, step, observe, (theta.copy(), q0.copy()), columns)
+        return Trajectory(x, times, list(thetas), list(fluxes), audit, cfg.theta_ref)
 
     # fully coupled: u = (theta deviation, q)
     M = [[None, _scaled(_scaled(ops.d1, -1.0), 1 / cfg.material.rho_cv)], [_scaled(ops.d1, -kappa / tau), gk_rhs]]
@@ -854,11 +866,12 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
         theta, q = U[:, :n], U[:, n:]
         theta_x = d1(theta, ws("theta_x", theta.shape), ws("tmp", theta.shape))
         theta_x += ops.d1_b
-        return audit(q, theta_x), theta, q
+        return audit(q, theta_x), (theta, q)
 
     u = np.concatenate([_init_field(cfg.theta0, x), q0])
     step = trapezoid_stepper(M, f, cfg.dt, keep=n)
-    return _march(x, cfg, u, step, observe, (u[:n].copy(), u[n:].copy()), columns, n)
+    times, (thetas, fluxes), audit = _march(cfg, u, step, observe, (u[:n].copy(), u[n:].copy()), columns, n)
+    return Trajectory(x, times, list(thetas), list(fluxes), audit, cfg.theta_ref)
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -886,23 +899,28 @@ class ModalComparison:
 
 
 def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
-    """Run the PDE with single-sine initial data and compare against the
-    separated ODE solution built on the discrete Laplacian eigenvalue.
+    """Step a local kind's temperature equation from single-sine initial
+    data (zero theta_dot, theta_ddot and wall values) and compare its theta
+    snapshots against the separated ODE solution built on the discrete
+    Laplacian eigenvalue.
 
-    With the matching eigenvalue the two solutions differ only through the
-    time discretization, so agreement is limited by O(dt^2).
+    The run is `simulate`'s set-up and time loop with an observer that keeps
+    theta alone: the same theta snapshots, bit for bit, and the same
+    positivity and divergence checks, but no flux ODE and no entropy audit.
+    A gk kind, which has no temperature equation, is refused before any
+    step. With the matching eigenvalue the two solutions differ only
+    through the time discretization, so agreement is limited by O(dt^2).
     """
     if cfg.bc_kind != "dirichlet":
         raise ConfigurationError("modal comparison is Dirichlet-only")
+    if isinstance(cfg.model, GKLinear):
+        temperature_law(cfg.model, InvalidKindError)  # the oracle's error: no temperature equation
     grid = cfg.grid
     shape = np.sin(n_mode * np.pi * grid.interior_x() / grid.L)
-    traj = simulate(replace(
-        cfg, bc_value=0.0, theta0=shape.copy(), theta_dot0=None, theta_ddot0=None, q0=None
-    ))
-    # the theta snapshots are all that is compared: the flux snapshots' array
-    # goes before the oracle and the difference take as much again
-    times, thetas = traj.times, traj.thetas
-    del traj
+    run = replace(cfg, bc_value=0.0, theta0=shape, theta_dot0=None, theta_ddot0=None, q0=None)
+    ops, _, step, u = _local_setup(run)
+    n = ops.n
+    times, (diff,), _ = _march(run, u, step, lambda U: ((), (U[:, :n],)), (u[:n],), nodes=n)
     lt = discrete_eigenvalue(grid, n_mode) / cfg.material.rho_cv
     poly = characteristic_poly(cfg.model, lt)
     roots = solve_poly(poly)
@@ -911,7 +929,6 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     amps = T(times)
     oracle = np.asarray(amps)[:, None] * shape[None, :]
     # one array besides the oracle: the snapshots, minus the oracle in place
-    diff = np.array(thetas)
     diff -= oracle
     l2_rel = float(np.linalg.norm(diff) / np.linalg.norm(oracle))
     scale = np.abs(oracle, out=oracle).max()

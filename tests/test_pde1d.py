@@ -40,7 +40,7 @@ from nonfourier.pde1d import (
     steady_gk_profile,
     trapezoid_stepper,
 )
-from nonfourier.modal import characteristic_poly, modal_solution
+from nonfourier.modal import InvalidKindError, characteristic_poly, modal_solution
 from nonfourier.tensors import InvalidInputError, solve_poly
 
 MAT = MaterialConstants(rho=1.0, cv=1.0)
@@ -570,12 +570,12 @@ def _observed_states(monkeypatch):
     states = []
     march = pde1d._march
 
-    def spy(x, cfg, u, step, observe, *args, **kwargs):
+    def spy(cfg, u, step, observe, *args, **kwargs):
         def recorded(U):
             states.extend(U.copy())
             return observe(U)
 
-        return march(x, cfg, u, step, recorded, *args, **kwargs)
+        return march(cfg, u, step, recorded, *args, **kwargs)
 
     monkeypatch.setattr(pde1d, "_march", spy)
     return states
@@ -852,12 +852,12 @@ def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
     runs, blocks = {}, {}
     march, default = pde1d._march, pde1d._BLOCK_FLOATS
 
-    def spy(x, cfg, u, step, observe, *args, **kwargs):
+    def spy(cfg, u, step, observe, *args, **kwargs):
         def recorded(U):
             blocks[block_floats].append(len(U))
             return observe(U)
 
-        return march(x, cfg, u, step, recorded, *args, **kwargs)
+        return march(cfg, u, step, recorded, *args, **kwargs)
 
     monkeypatch.setattr(pde1d, "_march", spy)
     for block_floats in (60, 600, default):
@@ -921,15 +921,21 @@ def test_pde_matches_modal_solution_at_nonunit_rho_c(model):
     assert compare_modal_vs_pde(cfg, 2).linf_rel <= dt**2
 
 
+def _modal_run(cfg, n_mode):
+    """The run compare_modal_vs_pde makes of cfg: a single-sine theta0,
+    zero wall values, no theta_dot0, theta_ddot0 or q0."""
+    shape = np.sin(n_mode * np.pi * cfg.grid.interior_x() / cfg.grid.L)
+    return replace(cfg, bc_value=0.0, theta0=shape, theta_dot0=None, theta_ddot0=None, q0=None)
+
+
 @pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__.lower())
-def test_modal_comparison_has_the_bits_of_the_direct_formula(monkeypatch, model):
-    """compare_modal_vs_pde subtracts the oracle from one snapshot array in
-    place; its errors keep the bits of the formula on separate arrays."""
+def test_modal_comparison_has_the_bits_of_the_direct_formula(model):
+    """compare_modal_vs_pde subtracts the oracle in place from its run's
+    own snapshot array; its errors keep the bits of the formula on separate
+    arrays, from simulate's run of the same prepared config."""
     cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=np.pi, N=50), dt=1e-3, t_end=0.2)
-    runs, run = [], pde1d.simulate
-    monkeypatch.setattr(pde1d, "simulate", lambda c: runs.append(run(c)) or runs[-1])
     got = compare_modal_vs_pde(cfg, 2)
-    (traj,) = runs
+    traj = simulate(_modal_run(cfg, 2))
     shape = np.sin(2 * np.pi * cfg.grid.interior_x() / cfg.grid.L)
     poly = characteristic_poly(model, discrete_eigenvalue(cfg.grid, 2) / MAT.rho_cv)
     T = modal_solution(solve_poly(poly), [1.0] + [0.0] * (poly.degree - 1))
@@ -938,6 +944,104 @@ def test_modal_comparison_has_the_bits_of_the_direct_formula(monkeypatch, model)
     diff = fields - oracle
     assert got.linf_rel.hex() == float(np.abs(diff).max() / np.abs(oracle).max()).hex()
     assert got.l2_rel.hex() == float(np.linalg.norm(diff) / np.linalg.norm(oracle)).hex()
+
+
+@pytest.mark.parametrize("block_floats", [1, pde1d._BLOCK_FLOATS], ids=["B1", "default"])
+@pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__.lower())
+def test_modal_comparison_steps_the_theta_bits_of_simulate(monkeypatch, model, block_floats):
+    """The comparison's time loop returns the snapshot times and theta
+    snapshots of simulate's run of the same prepared config, byte for
+    byte, in blocks of one step as in one block of all 200, and it builds
+    no entropy audit: with the audit's builder raising, its errors keep
+    their bits."""
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
+    cfg = SimConfig(model=model, material=MAT, grid=Grid1D(L=np.pi, N=50), dt=1e-3, t_end=0.2, snapshot_every=7)
+    traj = simulate(_modal_run(cfg, 2))
+    expected = compare_modal_vs_pde(cfg, 2)
+    runs, march = [], pde1d._march
+
+    def spy(*args, **kwargs):
+        times, snaps, audit = march(*args, **kwargs)
+        # before the comparison subtracts the oracle from them in place
+        runs.append((times.tobytes(), [a.tobytes() for a in snaps[0]], len(snaps)))
+        return times, snaps, audit
+
+    def no_audit(*args):
+        raise AssertionError("the modal comparison built an entropy audit")
+
+    monkeypatch.setattr(pde1d, "_march", spy)
+    monkeypatch.setattr(pde1d, "_entropy_audit", no_audit)
+    got = compare_modal_vs_pde(cfg, 2)
+    assert runs == [(traj.times.tobytes(), [a.tobytes() for a in traj.thetas], 1)]
+    assert (got.linf_rel.hex(), got.l2_rel.hex()) == (expected.linf_rel.hex(), expected.l2_rel.hex())
+
+
+def _nan_at_step(monkeypatch, bad):
+    """Make every stepper built from now on return a NaN at its step `bad`."""
+    build = pde1d.trapezoid_stepper
+
+    def spy(*args, **kwargs):
+        step, calls = build(*args, **kwargs), []
+
+        def stepped(u):
+            calls.append(u)
+            r = step(u)
+            if len(calls) == bad:
+                r[3] = np.nan
+            return r
+
+        return stepped
+
+    monkeypatch.setattr(pde1d, "trapezoid_stepper", spy)
+
+
+@pytest.mark.parametrize("block_floats", [1, pde1d._BLOCK_FLOATS], ids=["B1", "default"])
+@pytest.mark.parametrize("case", ["positivity", "divergence"])
+def test_modal_comparison_aborts_where_simulate_does(monkeypatch, case, block_floats):
+    """The comparison checks every step as simulate does: a GN III mode
+    whose first swing takes theta below -theta_ref, and a state that turns
+    NaN at step 37, abort both runs of the prepared config with the same
+    error at the same step and t, inside a block as in blocks of one
+    step."""
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
+    cfg = SimConfig(model=GN3(xi=1.5, kappa=0.2), material=MAT, grid=Grid1D(L=np.pi, N=50), dt=1e-3, t_end=3.0,
+                    theta_ref=0.5)
+    error, match = PositivityError, "theta <= 0"
+    if case == "divergence":
+        cfg = replace(cfg, theta_ref=300.0)
+        error, match = DivergenceError, "non-finite field values"
+        _nan_at_step(monkeypatch, 37)
+    with pytest.raises(error, match=match) as want:
+        simulate(_modal_run(cfg, 1))
+    with pytest.raises(error, match=match) as got:
+        compare_modal_vs_pde(cfg, 1)
+    assert (got.value.step, got.value.t) == (want.value.step, want.value.t)
+    assert want.value.step > 1
+    if case == "divergence":
+        assert want.value.step == 37
+
+
+def test_modal_comparison_refuses_what_simulate_refuses():
+    """An imposed gradient on a local kind is refused by the comparison with
+    simulate's ConfigurationError."""
+    cfg = SimConfig(model=Fourier(kappa=1.0), material=MAT, grid=Grid1D(L=np.pi, N=20), dt=1e-3, t_end=0.1,
+                    imposed_gradient=0.5)
+    with pytest.raises(ConfigurationError) as want:
+        simulate(_modal_run(cfg, 1))
+    with pytest.raises(ConfigurationError) as got:
+        compare_modal_vs_pde(cfg, 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_modal_comparison_refuses_a_gk_kind_before_any_step(monkeypatch):
+    """A gk kind has no temperature equation for the modal oracle: the
+    comparison raises the oracle's InvalidKindError before it builds a
+    stepper."""
+    steppers = _built_steppers(monkeypatch)
+    cfg = _gk(0.05, grid=Grid1D(L=1.0, N=40), dt=1e-3, t_end=0.1)
+    with pytest.raises(InvalidKindError, match="no closed temperature equation for GKLinear"):
+        compare_modal_vs_pde(cfg, 1)
+    assert steppers == []
 
 
 def test_modal_comparison_requires_dirichlet():
@@ -1068,7 +1172,7 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
     records = []
     march = pde1d._march
 
-    def spy(x, cfg, u, step, observe, *args, **kwargs):
+    def spy(cfg, u, step, observe, *args, **kwargs):
         def recorded(U):
             out = observe(U)
             # one record per step of the block: its state and audit row
@@ -1076,7 +1180,7 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
             records.extend(zip(U.copy(), rows))
             return out
 
-        return march(x, cfg, u, step, recorded, *args, **kwargs)
+        return march(cfg, u, step, recorded, *args, **kwargs)
 
     monkeypatch.setattr(pde1d, "_march", spy)
     grid = Grid1D(L=1.0, N=16)
