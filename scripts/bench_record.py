@@ -7,7 +7,8 @@ For the checkout at --root (this one by default) it records:
   --trace 1, --seed 1 and --seconds 36;
 - the median wall time over fresh interpreters of each subcommand on each
   configs/*.cfg (the runs scripts/cli_bytes.py makes);
-- the wall time and summary line of the tier-1 test suite.
+- the wall time and summary line of the tier-1 test suite, and the time
+  each acceptance criterion reports (one entry per parametrized case).
 
 It only calls perfbench/run.py, so the benchmark itself stays as it is.
 Two labels compare only when measured on the same host in one sitting.
@@ -18,6 +19,7 @@ Usage:
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +34,8 @@ WORKLOADS = ("simulate_cli", "fine_grid", "scan")
 SEED = 1
 SECONDS = 36
 CLI_REPEATS = 5
+# the line tests/test_acceptance.py prints per criterion, ending in its time
+CRITERION = re.compile(r"^\[(?:PASS|FAIL)\] criterion (\d+): .*\(([\d.]+)s\)$", re.M)
 # single-threaded BLAS, as perfbench/run.py sets for its own process
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -60,11 +64,16 @@ def cli_walls(root: Path) -> dict:
 
 
 def tier1(root: Path) -> dict:
-    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    # -rP reports the passed tests' output, the criteria's timed lines among it
+    argv = [sys.executable, "-m", "pytest", "-q", "-rP", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=root, env=dict(ENV, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True)
-    return {"wall_s": time.perf_counter() - t0, "summary": proc.stdout.strip().splitlines()[-1]}
+    wall = time.perf_counter() - t0
+    criteria = {}
+    for number, seconds in CRITERION.findall(proc.stdout):
+        criteria.setdefault(number, []).append(float(seconds))
+    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1], "criterion_s": criteria}
 
 
 def checkout(root: Path) -> dict:

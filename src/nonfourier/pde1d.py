@@ -900,16 +900,14 @@ class ModalComparison:
 
 def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     """Step a local kind's temperature equation from single-sine initial
-    data (zero theta_dot, theta_ddot and wall values) and compare its theta
-    snapshots against the separated ODE solution built on the discrete
-    Laplacian eigenvalue.
+    data and compare its theta snapshots against the separated ODE solution
+    built on the discrete Laplacian eigenvalue.
 
-    The run is `simulate`'s set-up and time loop with an observer that keeps
-    theta alone: the same theta snapshots, bit for bit, and the same
-    positivity and divergence checks, but no flux ODE and no entropy audit.
-    A gk kind, which has no temperature equation, is refused before any
-    step. With the matching eigenvalue the two solutions differ only
-    through the time discretization, so agreement is limited by O(dt^2).
+    The run is `simulate`'s set-up and time loop with an observer that
+    keeps theta alone (no flux ODE, no entropy audit): the same theta bits
+    and the same aborts. A gk kind is refused before any step. With the
+    matching eigenvalue the two solutions differ only through the time
+    discretization, so agreement is limited by O(dt^2).
     """
     if cfg.bc_kind != "dirichlet":
         raise ConfigurationError("modal comparison is Dirichlet-only")
