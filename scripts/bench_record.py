@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Record one before/after point of the benchmark in BENCH_<label>.json.
+"""Record a before/after pair of the benchmark, the parent checkout in
+BENCH_<label>_parent.json and the change (--root, this checkout by
+default) in BENCH_<label>.json, from one sitting.
 
-For the checkout at --root (this one by default) it records:
+For each checkout it records:
 - the last two output lines (environment and summary, then the result
   object) of perfbench/run.py for every workload, with --trace 0 and
   --trace 1, --seed 1 and --seconds 36;
@@ -10,13 +12,18 @@ For the checkout at --root (this one by default) it records:
 - the wall time and summary line of the tier-1 test suite, and the time
   each acceptance criterion reports (one entry per parametrized case).
 
-It only calls perfbench/run.py, so the benchmark itself stays as it is.
-Two labels compare only when measured on the same host in one sitting.
+Each part runs on both checkouts before the next starts, and the side that
+runs first alternates from one run to the next (each perfbench run, each
+repeat of each CLI wall, tier-1), so drift of the host's speed during the
+sitting falls on both records alike. It only calls perfbench/run.py, so
+the benchmark itself stays as it is. Records from different sittings do
+not compare.
 
 Usage:
-    python3 scripts/bench_record.py <label> [--root CHECKOUT] [--out FILE]
+    python3 scripts/bench_record.py <label> PARENT [--root CHECKOUT]
 """
 import argparse
+import itertools
 import json
 import os
 import re
@@ -48,18 +55,23 @@ def perfbench(root: Path, workload: str, trace: int) -> dict:
     return {"summary": json.loads(summary), "result": json.loads(result)}
 
 
-def cli_walls(root: Path) -> dict:
-    walls = {}
+def cli_walls(roots: dict, turns) -> dict:
+    walls = {side: {} for side in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in cli_bytes.configs(root):
+        for cfg in cli_bytes.configs(roots["change"]):
             for command in cli_bytes.COMMANDS:
-                times, codes = [], set()
+                times, codes = {side: [] for side in roots}, {side: set() for side in roots}
                 for _ in range(CLI_REPEATS):
-                    t0 = time.perf_counter()
-                    proc = cli_bytes.run(root, cfg, command, Path(tmp) / cfg.stem / command, ENV)
-                    times.append(time.perf_counter() - t0)
-                    codes.add(proc.returncode)
-                walls[f"{cfg.stem}/{command}"] = {"median_s": median(times), "exit_codes": sorted(codes)}
+                    for side in next(turns):
+                        root = roots[side]
+                        t0 = time.perf_counter()
+                        proc = cli_bytes.run(root, root / "configs" / cfg.name, command,
+                                             Path(tmp) / side / cfg.stem / command, ENV)
+                        times[side].append(time.perf_counter() - t0)
+                        codes[side].add(proc.returncode)
+                for side in roots:
+                    walls[side][f"{cfg.stem}/{command}"] = {"median_s": median(times[side]),
+                                                            "exit_codes": sorted(codes[side])}
     return walls
 
 
@@ -88,31 +100,36 @@ def checkout(root: Path) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("label")
-    ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
-    ap.add_argument("--out", type=Path, help="output file (default BENCH_<label>.json here)")
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--root", type=Path, default=ROOT, help="checkout of the change")
     args = ap.parse_args()
-    root = args.root.resolve()
+    roots = {"parent": args.parent.resolve(), "change": args.root.resolve()}
+    # both sides, the parent first on every other draw
+    turns = itertools.cycle((("parent", "change"), ("change", "parent")))
 
-    runs = {}
+    runs, tests = {side: {} for side in roots}, {}
     for workload in WORKLOADS:
         for trace in (0, 1):
-            print(f"perfbench {workload} --trace {trace}", flush=True)
-            runs[f"{workload}/trace{trace}"] = perfbench(root, workload, trace)
+            for side in next(turns):
+                print(f"{side}: perfbench {workload} --trace {trace}", flush=True)
+                runs[side][f"{workload}/trace{trace}"] = perfbench(roots[side], workload, trace)
     print("cli walls", flush=True)
-    walls = cli_walls(root)
-    print("tier-1", flush=True)
-    tests = tier1(root)
-    record = {
-        "label": args.label,
-        "checkout": checkout(root),
-        "environment": runs[f"{WORKLOADS[0]}/trace0"]["summary"]["environment"],
-        "perfbench": {"seed": SEED, "seconds": SECONDS, "runs": runs},
-        "cli_wall": {"repeats": CLI_REPEATS, "blas_threads": 1, "runs": walls},
-        "tier1": tests,
-    }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}")
+    walls = cli_walls(roots, turns)
+    for side in next(turns):
+        print(f"{side}: tier-1", flush=True)
+        tests[side] = tier1(roots[side])
+    for side, label in (("parent", f"{args.label}_parent"), ("change", args.label)):
+        record = {
+            "label": label,
+            "checkout": checkout(roots[side]),
+            "environment": runs[side][f"{WORKLOADS[0]}/trace0"]["summary"]["environment"],
+            "perfbench": {"seed": SEED, "seconds": SECONDS, "runs": runs[side]},
+            "cli_wall": {"repeats": CLI_REPEATS, "blas_threads": 1, "runs": walls[side]},
+            "tier1": tests[side],
+        }
+        out = ROOT / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -263,14 +263,16 @@ _MAX_BAND_ENTRIES = 2**24
 
 def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
     """LAPACK band LU of the block rows S, each nonzero diagonal written
-    straight into band storage; returns b -> S^-1 b, solved in place. With
-    no row swapped it is two `dtbsv` calls, the unit-lower band (kl), then
-    the upper (kl + ku): `dgbtrs` makes one `dger` per column, on one
-    right-hand side the AXPY with alpha = -b[j] that `dtbsv` makes, and its
-    U-solve is that `dtbsv` call, so the bits agree. After a swap it is
-    `dgbtrs`, which interleaves the swaps with the L-solve."""
-    from scipy.linalg.blas import dtbsv
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    straight into band storage; returns b -> S^-1 b, solved in place with
+    `dgbtrs`'s bits but not its per-column `dger` call. The L-solve runs a
+    unit-lower `dtbsv` over each window of columns between two row swaps:
+    a window ends at the swapped column c, whose own AXPY (alpha = -b[c])
+    waits for the swap and opens the next window; when kl >= 2 the window's
+    last columns reach rows past c, and each gets that part by `daxpy`, in
+    column order. With no swap it is one window, then the U-solve, the
+    `dtbsv` call `dgbtrs` makes: two `dtbsv` calls on the whole arrays."""
+    from scipy.linalg.blas import daxpy, dtbsv
+    from scipy.linalg.lapack import dgbtrf
 
     diags = {(i, j, k): (j - i) * nb + k for i, row in enumerate(S) for (j, k), v in row.items() if v.any()}
     kl, ku = max([-d for d in diags.values()] + [0]), max([*diags.values(), 0])
@@ -284,22 +286,30 @@ def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
     if info > 0:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
 
-    if not np.array_equal(piv, np.arange(piv.size)):
-
-        def pivoted(b: np.ndarray) -> np.ndarray:
-            return dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
-
-        return pivoted
-
     # the multipliers below U's diagonal, copied once into a Fortran-ordered
-    # band so that dtbsv reads it in place; U is lu's first kl + ku + 1 rows
-    lower = np.asfortranarray(lu[kl + ku :])
+    # band so that dtbsv reads it in place (L[i, j] is flat[j * kl + i]);
+    # U is lu's first kl + ku + 1 rows
+    n, lower = len(piv), np.asfortranarray(lu[kl + ku :])
+    flat, swaps, start = lower.ravel(order="F"), [], 0
+    for c in np.flatnonzero(piv != np.arange(n)).tolist():
+        spill = [(j, min(j + kl, n - 1) - c, j * kl + c + 1) for j in range(max(start, c - kl + 1), c)]
+        swaps.append((start, lower[:, start : c + 1], spill, c, int(piv[c])))
+        start = c
+    last = lower[:, start:]
 
-    def triangular(b: np.ndarray) -> np.ndarray:
-        dtbsv(kl, lower, b, lower=1, diag=1, overwrite_x=1)
+    def solve(b: np.ndarray) -> np.ndarray:
+        for lo, window, spill, c, p in swaps:
+            dtbsv(kl, window, b, offx=lo, lower=1, diag=1, overwrite_x=1)
+            for j, m, off in spill:
+                if b[j]:
+                    daxpy(flat, b, n=m, a=-b[j], offx=off, offy=c + 1)
+                else:  # daxpy skips alpha = 0, dger does not; a zero's product is exact
+                    b[c + 1 : c + 1 + m] += flat[off : off + m] * -b[j]
+            b[c], b[p] = b[p], b[c]
+        dtbsv(kl, last, b, offx=start, lower=1, diag=1, overwrite_x=1)
         return dtbsv(kl + ku, lu, b, overwrite_x=1)
 
-    return triangular
+    return solve
 
 
 def trapezoid_stepper(
@@ -316,8 +326,8 @@ def trapezoid_stepper(
     interleaved, from the +1 neighbour down), and the CSR kernel sums each
     row in that order, so steps have the sparse set-up's bits. A step is two
     kernel calls (the reduced right-hand side, the back-substitution) and a
-    band solve: two `dtbsv` calls unless `dgbtrf` swapped a row (a Neumann
-    wall row is not column diagonally dominant), then `dgbtrs`."""
+    band solve: two `dtbsv` calls, and one more per row that `dgbtrf`
+    swapped (a Neumann wall row is not column diagonally dominant)."""
     from scipy.sparse._sparsetools import csr_matvec
 
     p, n = len(M), len(f)

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg.blas as blas
+import scipy.linalg.lapack as lapack
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from nonfourier import pde1d
@@ -363,19 +366,67 @@ def _dispatch_stepper(M, f, dt, keep=None):
     return step
 
 
-def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, path, steps=500):
+def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     """trapezoid_stepper and the dispatch oracle stay bitwise equal (dtype,
     shape and bytes, so a flipped sign of zero counts) from one random state
-    for `steps` steps, and the band solve took `path`: "triangular" (two
-    dtbsv calls, no row swapped) or "pivoted" (dgbtrs)."""
-    paths, factor = [], pde1d._band_lu
-    monkeypatch.setattr(pde1d, "_band_lu", lambda *a: paths.append(factor(*a)) or paths[-1])
+    for `steps` steps, and a step's band solve replays every row swap that
+    its `dgbtrf` made, one `dtbsv` window each on top of the two calls of a
+    solve without one: at least one swap if `swapped`, none otherwise."""
+    pivots, calls = [], []
+
+    def factor(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        pivots.append(int(np.count_nonzero(out[1] != np.arange(out[1].size))))
+        return out
+
+    monkeypatch.setattr(lapack, "dgbtrf", factor)
+    monkeypatch.setattr(blas, "dtbsv", lambda *a, **k: calls.append(1) or dtbsv(*a, **k))
     kernel, oracle = trapezoid_stepper(M, f, dt, keep=keep), _dispatch_stepper(M, f, dt, keep=keep)
-    assert [solve.__name__ for solve in paths] == [path]
+    assert len(pivots) == 1 and (pivots[0] > 0) == swapped
     u = v = np.random.default_rng(len(f)).standard_normal(len(f))
     for _ in range(steps):
         u, v = kernel(u), oracle(v)
         assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+    assert len(calls) == steps * (2 + pivots[0])
+
+
+def _swapping_band(rng, n, kl, ku, swap_at):
+    """A random band matrix (dense, and as _band_lu's one block row) with
+    kl sub- and ku superdiagonals, whose diagonal dominates its column but
+    at the columns `swap_at`, where it is small against the subdiagonal. A
+    swapped row's superdiagonal is large unless the next column swaps too,
+    so that it dominates the next column once it has moved down."""
+    d = {k: rng.standard_normal(n) for k in range(-kl, ku + 1)}
+    d[0] += np.where(rng.random(n) < 0.5, 10.0, -10.0)
+    d[0][swap_at] *= 1e-3
+    d[-1][np.add(swap_at, 1)] += 10.0
+    d[1][[c for c in swap_at if c + 1 not in swap_at]] += 10.0
+    A = sum(np.diag(v[max(0, -k) : n - max(0, k)], k) for k, v in d.items())
+    return A, [{(0, k): v for k, v in d.items()}]
+
+
+@pytest.mark.parametrize("kl", [1, 2, 3])
+@pytest.mark.parametrize("ku", [1, 2, 3])
+def test_band_solve_is_bitwise_dgbtrs(kl, ku):
+    """_band_lu's solve, which replays dgbtrf's row swaps between unit-lower
+    dtbsv windows, has dgbtrs's bits on random bands that swap at column 0,
+    at n - 2, on adjacent columns and on many columns, for random right-hand
+    sides and for ones of signed zeros and ones (where daxpy would skip the
+    zero multiples that dgbtrs's dger adds). With kl >= 2 a window's last
+    columns reach past its swap, which no simulated system does."""
+    rng, n = np.random.default_rng(100 * kl + ku), 12
+    for swap_at in ([0], [n - 2], [4, 5], [2, 3, 4], [1, 4, 7, 9], list(range(0, n - 1, 2)), [0, 1, 5, n - 2]):
+        for _ in range(5):
+            A, S = _swapping_band(rng, n, kl, ku, swap_at)
+            ab = np.zeros((2 * kl + ku + 1, n))
+            rows, cols = np.nonzero(A)
+            ab[kl + ku + rows - cols, cols] = A[rows, cols]
+            lu, piv, info = dgbtrf(ab, kl, ku)
+            assert info == 0 and set(swap_at) <= set(np.flatnonzero(piv != np.arange(n)))
+            solve = pde1d._band_lu(S, n)
+            for b in (rng.standard_normal(n), rng.choice([0.0, -0.0, 1.0], n), rng.choice([0.0, -0.0], n)):
+                expected = dgbtrs(lu, kl, ku, b, piv)[0]
+                assert solve(b.copy()).tobytes() == expected.tobytes()
 
 
 QUINTANILLA = Quintanilla(tau=0.5, xi=1.0, kappa=2.0)
@@ -384,31 +435,31 @@ PIVOTED = {("neumann", 200, "Jeffreys"), ("neumann", 200, "GN3")}
 
 
 @pytest.mark.parametrize(
-    "model, bc_kind, N, steps, path",
+    "model, bc_kind, N, steps, swapped",
     [
-        pytest.param(MCV(tau=0.7, kappa=2.0), "dirichlet", 200, 500, "triangular", id="MCV"),
-        pytest.param(QUINTANILLA, "dirichlet", 200, 500, "triangular", id="Quintanilla"),
-        pytest.param(QUINTANILLA, "dirichlet", 20000, 3, "triangular", id="Quintanilla-N20000"),
+        pytest.param(MCV(tau=0.7, kappa=2.0), "dirichlet", 200, 500, False, id="MCV"),
+        pytest.param(QUINTANILLA, "dirichlet", 200, 500, False, id="Quintanilla"),
+        pytest.param(QUINTANILLA, "dirichlet", 20000, 3, False, id="Quintanilla-N20000"),
         # the Neumann wall rows make dgbtrf swap a row near the far wall
-        pytest.param(Fourier(kappa=2.0), "neumann", 200, 500, "pivoted", id="Fourier-neumann"),
-        pytest.param(QUINTANILLA, "neumann", 20000, 3, "pivoted", id="Quintanilla-neumann-N20000"),
+        pytest.param(Fourier(kappa=2.0), "neumann", 200, 500, True, id="Fourier-neumann"),
+        pytest.param(QUINTANILLA, "neumann", 20000, 3, True, id="Quintanilla-neumann-N20000"),
     ] + [
         # the other local kinds with a first and a second flux rate, both
         # walls, at a coarse and the shipped size
-        pytest.param(model, bc_kind, N, 500, "pivoted" if (bc_kind, N, name) in PIVOTED else "triangular",
+        pytest.param(model, bc_kind, N, 500, (bc_kind, N, name) in PIVOTED,
                      id=f"{name}-{bc_kind}-N{N}")
         for name, model in (("Jeffreys", Jeffreys(tau=0.8, xi=2.0, kappa=0.5)), ("GN3", GN3(xi=1.5, kappa=2.0)),
                             ("Burgers", Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0)))
         for bc_kind in ("dirichlet", "neumann") for N in (10, 200)
     ],
 )
-def test_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_kind, N, steps, path):
+def test_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_kind, N, steps, swapped):
     """Kept on the top derivative, with back-substitution for order 2 and
-    3, as simulate keeps them; each band solve path at the shipped and the
-    fine-grid size."""
+    3, as simulate keeps them; band solves with and without a row swap at
+    the shipped and the fine-grid size."""
     ops = space_operators(Grid1D(L=1.0, N=N), bc_kind, (0.3, -0.2))
     M, f, order = assemble_rhs(model, MAT, ops)
-    _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, path, steps)
+    _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, swapped, steps)
 
 
 @pytest.mark.parametrize(
@@ -432,7 +483,7 @@ def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, k
     simulate(_gk(grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=1e-3, **setup))
     (M, f, dt), kwargs = calls[0]
     assert kwargs.get("keep") == keep
-    _assert_bitwise_steps(monkeypatch, M, f, dt, keep, "triangular")
+    _assert_bitwise_steps(monkeypatch, M, f, dt, keep, False)
 
 
 def test_simulate_builds_no_scipy_sparse_object(monkeypatch):
@@ -443,7 +494,7 @@ def test_simulate_builds_no_scipy_sparse_object(monkeypatch):
     tree = ast.parse(Path(pde1d.__file__).read_text())
     imported = sorted(alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                       for alias in node.names if (getattr(node, "module", None) or alias.name).startswith("scipy"))
-    assert imported == ["csr_matvec", "dgbtrf", "dgbtrs", "dtbsv"]
+    assert imported == ["csr_matvec", "daxpy", "dgbtrf", "dtbsv"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy.sparse object was built")
