@@ -30,8 +30,8 @@ def main() -> None:
         for kappa in kappas:
             model = Quintanilla(tau=tau, xi=args.xi, kappa=float(kappa))
             verdict = check_quintanilla(model)
-            reports = mode_reports(problem, model)
-            bad = [r.n for r in reports if not r.rh_pass]
+            s = mode_reports(problem, model)
+            bad = s.n[~s.rh_pass].tolist()
             rank = {
                 "decaying": 0,
                 "oscillatory_decaying": 1,
@@ -39,7 +39,7 @@ def main() -> None:
                 "mixed": 3,
                 "unstable": 4,
             }
-            worst = max(reports, key=lambda r: rank[r.classification]).classification
+            worst = max(s.classification, key=rank.__getitem__)
             print(
                 f"{tau:6.2f} {kappa:7.3f} {str(verdict.passed):>10} "
                 f"{(bad[0] if bad else '-'):>16} {worst:>22}"

@@ -119,21 +119,20 @@ def cmd_modal(args) -> int:
     cfg = parse_config(args.config)
     model = build_model(cfg)
     problem = build_spectral(cfg)
-    reports = mode_reports(problem, model)
+    s = mode_reports(problem, model)
     lines = _header(args) + [
         "n,Lambda,Lambda_tilde,root1_re,root1_im,root2_re,root2_im,root3_re,root3_im,"
         "rh_pass,discriminant,class"
     ]
     # one %-format per row; cells as _fmt writes them, absent roots as nan
-    degree = reports[0].poly.degree
+    degree = s.roots.shape[1]
     row = ("%d,%.12g,%.12g" + ",%.12g,%.12g" * degree + ",nan,nan" * (3 - degree)
-           + ",%s" + (",%.12g" if degree == 3 else ",") + ",%s")
-    for r in reports:
-        roots = [x for w in r.roots.roots for x in (w.real, w.imag)]
-        disc = [r.discriminant] if degree == 3 else []
-        lines.append(row % (r.n, r.Lambda, r.Lambda_tilde, *roots, _fmt(r.rh_pass), *disc, r.classification))
+           + ",%s," + ("%.12g" if degree == 3 else "%s") + ",%s")
+    table = np.column_stack((s.n, s.Lambda, s.Lambda_tilde, s.roots.view(float))).tolist()
+    for r, rh, disc, cls in zip(table, s.rh_pass.tolist(), s.discriminant or [""] * len(s), s.classification):
+        lines.append(row % (*r, _fmt(rh), disc, cls))
     _write(Path(args.out) / "modes.csv", lines)
-    print(f"wrote {len(reports)} mode reports to {args.out}/modes.csv")
+    print(f"wrote {len(s)} mode reports to {args.out}/modes.csv")
     return 0
 
 
@@ -185,10 +184,13 @@ def cmd_sweep(args) -> int:
         model = build_model(local)
         record = run_check(model)
         problem = build_spectral(local)
-        reports = mode_reports(problem, model)
-        max_re = max(r.roots.max_real() for r in reports)
+        s = mode_reports(problem, model)
+        # argmax takes the first largest real part, with its sign of zero,
+        # as a max over the modes in order does
+        re = s.roots.real.ravel()
+        max_re = re[re.argmax()]
         rank = {"unstable": 4, "mixed": 3, "neutral_oscillation": 2, "oscillatory_decaying": 1, "decaying": 0}
-        worst = max(reports, key=lambda r: rank[r.classification]).classification
+        worst = max(s.classification, key=rank.__getitem__)
         lines.append(
             ",".join(
                 [value, record["pass"], record["case"], record["margin"], _fmt(max_re), worst]

@@ -83,9 +83,12 @@ def _get(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> str:
 def _float(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> float:
     raw = _get(cfg, key, default)
     try:
-        return float(raw)
-    except ValueError as e:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from e
+        value = float(raw)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    return value
 
 
 def _int(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> int:

@@ -27,10 +27,14 @@ class RepeatedRootError(ValueError):
     """Modal reconstruction needs distinct roots."""
 
 
+# the most modes a spectrum may hold; it bounds every array a spectrum sizes
+MAX_MODES = 100_000
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Interval spectrum setup; rho_c scales Laplacian eigenvalues to
-    Lambda_tilde = Lambda / rho_c."""
+    Lambda_tilde = Lambda / rho_c, the largest of which must be finite."""
 
     bc: str  # "dirichlet" | "neumann"
     L: float
@@ -40,20 +44,31 @@ class SpectralProblem:
     def __post_init__(self):
         if self.bc not in ("dirichlet", "neumann"):
             raise InvalidInputError(f"unsupported bc {self.bc!r}")
-        if self.L <= 0 or self.n_max < 1 or self.rho_c <= 0:
-            raise InvalidInputError("need L > 0, n_max >= 1, rho_c > 0")
+        if not (0 < self.L < np.inf and 1 <= self.n_max <= MAX_MODES and 0 < self.rho_c < np.inf):
+            raise InvalidInputError(f"need finite L > 0 and rho_c > 0, and 1 <= n_max <= {MAX_MODES}")
+        top = (self.n_max - (self.bc == "neumann")) * np.pi / self.L
+        if not top * top / self.rho_c < np.inf:
+            raise InvalidInputError(f"(n pi / L)^2 / rho_c overflows at L = {self.L:g}, rho_c = {self.rho_c:g}")
 
 
 @dataclass(frozen=True)
-class ModeReport:
-    n: int
-    Lambda: float
-    Lambda_tilde: float
-    poly: Poly
-    roots: RootSet
-    rh_pass: bool
-    discriminant: Optional[float]
-    classification: str
+class Spectrum:
+    """One model's modes as columns, row i for mode n[i]: its characteristic
+    polynomial coeffs[i] (highest degree first), that polynomial's roots[i]
+    as solve_polys gives them, and its verdicts; the discriminant is a list
+    of Python floats for a cubic, else None."""
+
+    n: np.ndarray
+    Lambda: np.ndarray
+    Lambda_tilde: np.ndarray
+    coeffs: np.ndarray
+    roots: np.ndarray
+    rh_pass: np.ndarray
+    discriminant: Optional[List[float]]
+    classification: List[str]
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 def laplacian_eigenvalues(p: SpectralProblem) -> List[float]:
@@ -138,10 +153,6 @@ def classify_modes(roots: np.ndarray, tol: Optional[float] = None) -> List[str]:
     ).tolist()
 
 
-def classify_mode(roots: RootSet, tol: Optional[float] = None) -> str:
-    return classify_modes(np.array([roots.roots], dtype=complex).reshape(1, -1), tol)[0]
-
-
 def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], float]:
     """Scalar solution T(t) = sum_i C_i exp(w_i t) with C from the initial
     value and derivatives; rejects (near-)repeated roots."""
@@ -164,36 +175,15 @@ def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], f
     return T
 
 
-def _reports(m: ModelParams, ns: Sequence[int], lams: Sequence[float], rho_c: float) -> List[ModeReport]:
-    """Mode reports of one model over a list of eigenvalues, each stage one
-    array pass; only the discriminant is evaluated row by row, in Python
-    floats, so that it rounds as the scalar formula does."""
-    lts = np.asarray(lams, dtype=float) / rho_c
+def mode_reports(p: SpectralProblem, m: ModelParams) -> Spectrum:
+    """The model's modes over the spectrum, each stage one array pass; only
+    the discriminant is evaluated row by row, in Python floats, so that it
+    rounds as the scalar formula does."""
+    start = 1 if p.bc == "dirichlet" else 0
+    lams = np.array(laplacian_eigenvalues(p))
+    lts = lams / p.rho_c
     coeffs = _char_coeffs(m, lts)
     roots = solve_polys(coeffs)
-    cubic = coeffs.shape[1] == 4
-    return [
-        ModeReport(
-            n=n,
-            Lambda=lam,
-            Lambda_tilde=lt,
-            poly=Poly(tuple(c)),
-            roots=RootSet(tuple(r)),
-            rh_pass=rh,
-            discriminant=cubic_discriminant(*c) if cubic else None,
-            classification=cls,
-        )
-        for n, lam, lt, c, r, rh, cls in zip(
-            ns, lams, lts.tolist(), coeffs.tolist(), roots.tolist(),
-            routh_hurwitz_rows(coeffs).tolist(), classify_modes(roots),
-        )
-    ]
-
-
-def mode_report(m: ModelParams, n: int, Lambda: float, rho_c: float) -> ModeReport:
-    return _reports(m, [n], [Lambda], rho_c)[0]
-
-
-def mode_reports(p: SpectralProblem, m: ModelParams) -> List[ModeReport]:
-    start = 1 if p.bc == "dirichlet" else 0
-    return _reports(m, range(start, start + p.n_max), laplacian_eigenvalues(p), p.rho_c)
+    disc = [cubic_discriminant(*c) for c in coeffs.tolist()] if coeffs.shape[1] == 4 else None
+    return Spectrum(np.arange(start, start + p.n_max), lams, lts, coeffs, roots, routh_hurwitz_rows(coeffs), disc,
+                    classify_modes(roots))

@@ -445,13 +445,16 @@ def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]
     the entries, squares keep the sign of a semidefinite form and do not
     square a cancellation in l.x (as in tau q_dot + kappa theta_x -> 0).
     What elimination leaves within 16 ulps of the largest entry is rounding
-    and is cleared, so a form of rank r gives r squares."""
+    and is cleared, so a form of rank r gives r squares. A form that is or
+    becomes non-finite is refused, since nan would never clear."""
     if form is None:
         return []
     f = form.amplitudes()
     tol = 16 * np.finfo(float).eps * np.abs(f).max()
     squares = []
     while np.any(f):
+        if not np.isfinite(f).all():
+            raise ConfigurationError("no entropy audit: the energy form's coefficients overflow")
         k = int(np.argmax(np.abs(np.diag(f))))
         if f[k, k] != 0:
             pivots = [(f[k, k], f[k] / f[k, k])]
@@ -475,7 +478,8 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     drive, each (steps, nodes), and the flux state (steps, nodes, law order)."""
     row = m.energy["plus"]
     try:
-        P, S = _squares(row.P), _squares(row.S)
+        with np.errstate(over="ignore", invalid="ignore"):  # _squares refuses the result
+            P, S = _squares(row.P), _squares(row.S)
     except SingularParameterError as e:
         raise ConfigurationError(f"no entropy audit: {e}") from e
     lower = [(-c / law.a[-1], j) for j, c in enumerate(law.a[:-1]) if c != 0]

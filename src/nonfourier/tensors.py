@@ -194,12 +194,6 @@ class RootSet:
 
     roots: tuple[complex, ...]
 
-    def max_real(self) -> float:
-        return max(r.real for r in self.roots)
-
-    def real_roots(self, tol: float = 0.0) -> list[float]:
-        return [r.real for r in self.roots if abs(r.imag) <= tol]
-
 
 def _companions(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """numpy.roots' companion matrix of each row with its trailing zeros

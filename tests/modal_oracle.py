@@ -5,7 +5,7 @@ classification per mode; and the factored discriminant of the
 Moore-Gibson-Thompson cubic."""
 import numpy as np
 
-from nonfourier.modal import InvalidKindError, ModeReport, cubic_discriminant
+from nonfourier.modal import InvalidKindError, cubic_discriminant
 from nonfourier.models import temperature_law
 from nonfourier.tensors import InvalidInputError, Poly, RootSet
 
@@ -90,19 +90,13 @@ def classify_mode(roots, tol=None):
 
 
 def mode_report(m, n, Lambda, rho_c):
+    """One mode's row of modal.Spectrum, field by field: n, Lambda,
+    Lambda_tilde, coefficients, roots, rh_pass, discriminant, class."""
     lt = Lambda / rho_c
     p = characteristic_poly(m, lt)
     roots = solve_poly(p)
-    return ModeReport(
-        n=n,
-        Lambda=Lambda,
-        Lambda_tilde=lt,
-        poly=p,
-        roots=roots,
-        rh_pass=routh_hurwitz(p),
-        discriminant=cubic_discriminant(*p.coeffs) if p.degree == 3 else None,
-        classification=classify_mode(roots),
-    )
+    return (n, Lambda, lt, p.coeffs, roots.roots, routh_hurwitz(p),
+            cubic_discriminant(*p.coeffs) if p.degree == 3 else None, classify_mode(roots))
 
 
 def mgt_discriminant(tau: float, kappa: float, xi: float, lam_tilde: float) -> float:

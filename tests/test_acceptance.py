@@ -242,8 +242,8 @@ def test_criterion_6_mgt_stability_dichotomy():
     stable = Quintanilla(tau=1.0, xi=1.0, kappa=2.0)
     unstable = Quintanilla(tau=1.0, xi=1.0, kappa=0.5)
     problem = SpectralProblem(bc="dirichlet", L=np.pi, n_max=200)
-    stable_ok = all(r.rh_pass for r in mode_reports(problem, stable))
-    unstable_found = any(not r.rh_pass for r in mode_reports(problem, unstable))
+    stable_ok = mode_reports(problem, stable).rh_pass.all()
+    unstable_found = not mode_reports(problem, unstable).rh_pass.all()
 
     def run(model):
         return simulate(

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end via main(argv)."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -473,6 +474,55 @@ def test_overflowing_coefficient_scale_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error: " in capsys.readouterr().err
     assert not (out / "modes.csv").exists()
+
+
+def _edited(config, key, value):
+    """configs/<config> with the key's line set to value, or the line added."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+    edited = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    return edited if edited != text else text + f"{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("spectral.n_max", "100000000000"), ("spectral.L", "1e-300"), ("spectral.L", "inf"), ("material.rho", "1e-320")],
+    ids=["n_max_huge", "L_tiny", "L_inf", "rho_subnormal"],
+)
+def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, key, value):
+    """An n_max beyond the mode budget (a MemoryError), an L whose spectrum
+    overflows (an OverflowError), an infinite L (an all-zero spectrum, exit
+    0) and a rho_c that overflows Lambda_tilde (a RuntimeWarning) are each
+    refused before any spectrum is built."""
+    code, out = run(tmp_path, "modal", "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", key, value)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, key, value, named",
+    [
+        ("check", "burgers_sweep.cfg", "model.nu", "nan", "model.nu"),
+        ("check", "burgers_sweep.cfg", "model.tau", "-inf", "model.tau"),
+        ("sweep", "burgers_sweep.cfg", "sweep.values", "nan, 1", "model.nu"),
+        ("sweep", "burgers_sweep.cfg", "sweep.values", "1, inf", "model.nu"),
+        ("simulate", "mgt_stable.cfg", "grid.L", "inf", "grid.L"),
+        ("simulate", "mgt_stable.cfg", "ic.amplitude", "nan", "ic.amplitude"),
+        ("simulate", "mgt_stable.cfg", "bc.value", "nan", "bc.value"),
+        ("audit", "gk_plug.cfg", "model.ell", "nan", "model.ell"),
+    ],
+    ids=["nu_nan", "tau_minus_inf", "sweep_nan", "sweep_inf", "grid_L_inf", "amplitude_nan", "bc_value_nan",
+         "ell_nan"],
+)
+def test_nonfinite_float_key_exits_2(tmp_path, capsys, command, config, key, value, named):
+    """A float key holding nan or +-inf is a config error naming the key: a
+    Burgers nu = nan ended in a LinAlgError traceback, and a non-finite L,
+    amplitude or wall value in a run aborted at step 1 (exit 1)."""
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, _edited(config, key, value)))
+    assert code == 2
+    assert f"config error: key {named!r}: not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

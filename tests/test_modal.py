@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonfourier import tensors
 from nonfourier.modal import (
+    MAX_MODES,
     InvalidKindError,
     RepeatedRootError,
     SpectralProblem,
     characteristic_poly,
-    classify_mode,
     classify_modes,
     cubic_discriminant,
     laplacian_eigenvalues,
     modal_solution,
-    mode_report,
     mode_reports,
     routh_hurwitz,
 )
@@ -46,6 +46,24 @@ def test_spectral_problem_validation():
         SpectralProblem(bc="periodic", L=1.0, n_max=3)
     with pytest.raises(InvalidInputError):
         SpectralProblem(bc="dirichlet", L=-1.0, n_max=3)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("setup", [
+    dict(n_max=MAX_MODES + 1), dict(n_max=10**11), dict(n_max=0), dict(L=np.inf), dict(L=np.nan),
+    dict(rho_c=np.inf), dict(L=1e-300), dict(L=1e-310), dict(rho_c=1e-320),
+], ids=["budget", "1e11", "zero", "L_inf", "L_nan", "rho_c_inf", "L_tiny", "L_subnormal", "rho_c_subnormal"])
+def test_spectral_problem_refuses_sizes_and_overflow_before_any_array(bc, setup):
+    """n_max beyond MAX_MODES, a non-finite L or rho_c, and a spectrum whose
+    largest Lambda_tilde overflows are refused at construction, with no
+    warning."""
+    with pytest.raises(InvalidInputError):
+        SpectralProblem(bc=bc, **{"L": np.pi, "n_max": 10, **setup})
+
+
+def test_largest_spectrum_within_the_budget_is_built():
+    s = mode_reports(SpectralProblem(bc="dirichlet", L=np.pi, n_max=MAX_MODES), Fourier(kappa=1.0))
+    assert len(s) == MAX_MODES and np.isfinite(s.roots).all()
 
 
 def test_characteristic_polynomials():
@@ -140,12 +158,12 @@ def test_mgt_unit_parameters_always_oscillate():
 
 
 def test_classify_mode_examples():
-    mk = lambda rs: RootSet(tuple(rs))
-    assert classify_mode(mk([-1.0 + 0j, -2.0 + 0j])) == "decaying"
-    assert classify_mode(mk([-1.0 + 2j, -1.0 - 2j])) == "oscillatory_decaying"
-    assert classify_mode(mk([2j, -2j])) == "neutral_oscillation"
-    assert classify_mode(mk([1.0 + 0j, -1.0 + 0j])) == "unstable"
-    assert classify_mode(mk([0j, -1.0 + 0j])) == "mixed"
+    mk = lambda rs: classify_modes(np.array([rs], dtype=complex))[0]
+    assert mk([-1.0 + 0j, -2.0 + 0j]) == "decaying"
+    assert mk([-1.0 + 2j, -1.0 - 2j]) == "oscillatory_decaying"
+    assert mk([2j, -2j]) == "neutral_oscillation"
+    assert mk([1.0 + 0j, -1.0 + 0j]) == "unstable"
+    assert mk([0j, -1.0 + 0j]) == "mixed"
 
 
 def test_modal_solution_pure_decay():
@@ -169,21 +187,23 @@ def test_modal_solution_rejects_repeated_roots():
 
 
 def test_mode_report_mgt_first_mode():
-    r = mode_report(Quintanilla(tau=1.0, xi=1.0, kappa=2.0), 1, 1.0, 1.0)
-    assert r.poly.coeffs == (1.0, 1.0, 2.0, 1.0)
-    assert r.rh_pass
-    assert r.classification == "oscillatory_decaying"
-    assert r.discriminant == pytest.approx(-23.0)
-    reals = r.roots.real_roots(1e-9)
+    s = mode_reports(SpectralProblem(bc="dirichlet", L=np.pi, n_max=1), Quintanilla(tau=1.0, xi=1.0, kappa=2.0))
+    assert s.Lambda.tolist() == [1.0]
+    assert s.coeffs.tolist() == [[1.0, 1.0, 2.0, 1.0]]
+    assert s.rh_pass.tolist() == [True]
+    assert s.classification == ["oscillatory_decaying"]
+    assert s.discriminant == [pytest.approx(-23.0)]
+    reals = s.roots[0][np.abs(s.roots[0].imag) <= 1e-9].real
     assert len(reals) == 1 and reals[0] == pytest.approx(-0.56984, abs=1e-4)
 
 
 def test_mode_reports_cover_whole_spectrum():
     p = SpectralProblem(bc="dirichlet", L=np.pi, n_max=5, rho_c=2.0)
-    reports = mode_reports(p, MCV(tau=1.0, kappa=1.0))
-    assert [r.n for r in reports] == [1, 2, 3, 4, 5]
-    assert reports[2].Lambda_tilde == pytest.approx(9.0 / 2.0)
-    assert all(r.rh_pass for r in reports)
+    s = mode_reports(p, MCV(tau=1.0, kappa=1.0))
+    assert len(s) == 5 and s.n.tolist() == [1, 2, 3, 4, 5]
+    assert s.Lambda_tilde[2] == pytest.approx(9.0 / 2.0)
+    assert s.coeffs.shape == (5, 3) and s.roots.shape == (5, 2) and s.discriminant is None
+    assert s.rh_pass.all()
 
 
 def test_rh_dichotomy_for_mgt_family():
@@ -192,8 +212,8 @@ def test_rh_dichotomy_for_mgt_family():
     stable = Quintanilla(tau=1.0, xi=1.0, kappa=2.0)
     unstable = Quintanilla(tau=1.0, xi=1.0, kappa=0.5)
     p = SpectralProblem(bc="dirichlet", L=np.pi, n_max=20)
-    assert all(r.rh_pass for r in mode_reports(p, stable))
-    assert not any(r.rh_pass for r in mode_reports(p, unstable))
+    assert mode_reports(p, stable).rh_pass.all()
+    assert not mode_reports(p, unstable).rh_pass.any()
 
 
 def test_full_burgers_admissibility_implies_modal_stability():
@@ -210,7 +230,7 @@ def test_full_burgers_admissibility_implies_modal_stability():
         if not check_burgers_full(m).passed:
             continue
         found += 1
-        assert all(r.rh_pass for r in mode_reports(p, m))
+        assert mode_reports(p, m).rh_pass.all()
 
 
 def _bits(x):
@@ -225,9 +245,18 @@ def _bits(x):
     return float(x).hex()
 
 
-def _report_bits(r):
-    return (r.n, _bits(r.Lambda), _bits(r.Lambda_tilde), _bits(r.poly.coeffs), _bits(r.roots.roots),
-            r.rh_pass, _bits(r.discriminant), r.classification)
+def _row_bits(row):
+    """A mode's row, in modal_oracle.mode_report's field order, with every
+    float by its hex form."""
+    n, lam, lt, coeffs, roots, rh_pass, disc, cls = row
+    return (n, _bits(lam), _bits(lt), _bits(coeffs), _bits(roots), rh_pass, _bits(disc), cls)
+
+
+def _spectrum_rows(s):
+    """The rows of a Spectrum's columns, each cell a Python scalar or tuple."""
+    return zip(s.n.tolist(), s.Lambda.tolist(), s.Lambda_tilde.tolist(), map(tuple, s.coeffs.tolist()),
+               map(tuple, s.roots.tolist()), s.rh_pass.tolist(), s.discriminant or [None] * len(s),
+               s.classification)
 
 
 # magnitudes below 1e-6 are left out: a root beyond ~1e154 made the per-mode
@@ -276,15 +305,15 @@ def _spectral_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_spectral_cases())
 def test_mode_reports_match_per_mode_oracle(case):
-    """The batched spectral pass gives, field for field and bit for bit, the
-    reports of the per-mode numpy.roots path it replaced."""
+    """Each row of the spectrum's columns is, field for field and bit for
+    bit, the report of the per-mode numpy.roots path it replaced."""
     p, m = case
     start = 1 if p.bc == "dirichlet" else 0
     pairs = list(zip(range(start, start + p.n_max), laplacian_eigenvalues(p)))
     want = [oracle.mode_report(m, n, lam, p.rho_c) for n, lam in pairs]
     got = mode_reports(p, m)
-    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in want]
-    assert _report_bits(mode_report(m, *pairs[-1], p.rho_c)) == _report_bits(want[-1])
+    assert len(got) == len(want)
+    assert [_row_bits(r) for r in _spectrum_rows(got)] == [_row_bits(r) for r in want]
 
 
 @st.composite
@@ -361,14 +390,30 @@ def test_mode_reports_solve_the_spectrum_with_one_eigvals_call(monkeypatch, mode
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    reports = mode_reports(SpectralProblem(bc=bc, L=np.pi, n_max=50, rho_c=1.5), model)
-    assert len(reports) == 50
+    s = mode_reports(SpectralProblem(bc=bc, L=np.pi, n_max=50, rho_c=1.5), model)
+    assert len(s) == 50
     assert len(calls) == 1 and calls[0][0] == 50
+
+
+def test_mode_reports_build_no_object_per_mode(monkeypatch):
+    """A 2500-mode spectrum builds a Poly only for each row that solve_polys
+    polishes, and no RootSet: every column is one array or list."""
+    made, polished = [], []
+    for cls in (Poly, RootSet):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init: made.append(type(self)) or _init(self, *a))
+    polish = tensors._polish
+    monkeypatch.setattr(tensors, "_polish", lambda p, roots: polished.append(p) or polish(p, roots))
+    s = mode_reports(SpectralProblem(bc="dirichlet", L=np.pi, n_max=2500), Quintanilla(tau=1.0, xi=1.0, kappa=2.0))
+    assert len(s) == 2500 and s.roots.shape == (2500, 3)
+    assert made.count(Poly) == len(polished) and RootSet not in made
+    for column in vars(s).values():
+        assert isinstance(column, (np.ndarray, list)) and len(column) == 2500
 
 
 def test_classify_modes_rows_match_classify_mode():
     roots = np.array([[-1.0, -2.0], [-1 + 2j, -1 - 2j], [2j, -2j], [1.0, -1.0], [0.0, -1.0], [1e-12 + 1j, 1e-12 - 1j]])
     want = ["decaying", "oscillatory_decaying", "neutral_oscillation", "unstable", "mixed", "neutral_oscillation"]
     assert classify_modes(roots) == want
-    assert [classify_mode(RootSet(tuple(r))) for r in roots.tolist()] == want
+    assert [oracle.classify_mode(RootSet(tuple(r))) for r in roots.tolist()] == want
     assert classify_modes(roots, tol=0.0)[-1] == "unstable"

@@ -1,4 +1,5 @@
 import ast
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,14 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from nonfourier import pde1d
-from nonfourier.energetics import SingularParameterError, dissipation_terms, entropy_production, extra_entropy_flux
+from nonfourier.energetics import (
+    Form,
+    SingularParameterError,
+    _iso,
+    dissipation_terms,
+    entropy_production,
+    extra_entropy_flux,
+)
 from nonfourier.models import (
     MCV,
     GN3,
@@ -1267,3 +1275,23 @@ def test_gk_node_audit_matches_pointwise_energetics(monkeypatch, setup):
         assert min_zeta == pytest.approx(min(zetas), rel=1e-12)
         assert k_inf == pytest.approx(max(ks), rel=1e-12)
         assert abs(max_residual - max(residuals)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kappa", [1e160, 1e300])
+def test_overflowing_energy_form_is_refused_promptly(kappa):
+    """Quintanilla's energy form overflows at kappa = 1e160: elimination
+    turned its inf into nan, which never cleared, and simulate hung. It is
+    refused before any step, with no warning."""
+    cfg = SimConfig(model=Quintanilla(tau=1.0, xi=1.0, kappa=kappa), material=MAT, grid=Grid1D(L=np.pi, N=20),
+                    dt=1e-3, t_end=1e-2, theta0=lambda x: np.sin(x))
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="energy form's coefficients overflow"):
+        simulate(cfg)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_squares_refuses_a_form_that_overflows_in_elimination():
+    """Finite amplitudes whose elimination overflows end the loop too."""
+    form = Form(("q", "grad_theta"), _iso([[1.0, 1e300], [1e300, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigurationError, match="overflow"):
+        pde1d._squares(form)

@@ -148,7 +148,7 @@ def test_solve_poly_pure_imaginary_pair():
 
 def test_solve_poly_known_cubic():
     rs = solve_poly(Poly((1.0, 1.0, 2.0, 1.0)))
-    reals = rs.real_roots(1e-12)
+    reals = [r.real for r in rs.roots if abs(r.imag) <= 1e-12]
     assert len(reals) == 1
     assert reals[0] == pytest.approx(-0.56984, abs=1e-4)
     pair = [r for r in rs.roots if r.imag != 0]
@@ -160,7 +160,7 @@ def test_solve_poly_known_cubic():
 def test_solve_poly_undamped_mode():
     # w^2 + 4 = 0, the dissipation-free limit of the second-order mode
     rs = solve_poly(Poly((1.0, 0.0, 4.0)))
-    assert rs.max_real() == pytest.approx(0.0, abs=1e-12)
+    assert max(r.real for r in rs.roots) == pytest.approx(0.0, abs=1e-12)
     assert sorted(abs(r.imag) for r in rs.roots) == pytest.approx([2.0, 2.0])
 
 
