@@ -85,10 +85,11 @@ def _char_coeffs(m: ModelParams, lam_tilde: np.ndarray) -> np.ndarray:
     law = temperature_law(m, InvalidKindError)
     c = np.empty((lam_tilde.size, len(law.a) + 1))
     c[:, :-1] = law.a[::-1]
-    c[:, -1] = lam_tilde * law.b0
-    if law.b1 is not None:
-        lt_b1 = lam_tilde * law.b1
-        c[:, -2] = lt_b1 if c[0, -2] == 0 else c[:, -2] + lt_b1
+    with np.errstate(over="ignore"):  # solve_polys and Poly refuse an inf
+        c[:, -1] = lam_tilde * law.b0
+        if law.b1 is not None:
+            lt_b1 = lam_tilde * law.b1
+            c[:, -2] = lt_b1 if c[0, -2] == 0 else c[:, -2] + lt_b1
     return c
 
 

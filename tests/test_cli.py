@@ -485,14 +485,16 @@ def _edited(config, key, value):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("spectral.n_max", "100000000000"), ("spectral.L", "1e-300"), ("spectral.L", "inf"), ("material.rho", "1e-320")],
-    ids=["n_max_huge", "L_tiny", "L_inf", "rho_subnormal"],
+    [("spectral.n_max", "100000000000"), ("spectral.L", "1e-300"), ("spectral.L", "inf"), ("material.rho", "1e-320"),
+     ("model.kappa", "1e307")],
+    ids=["n_max_huge", "L_tiny", "L_inf", "rho_subnormal", "coefficient_overflow"],
 )
 def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, key, value):
     """An n_max beyond the mode budget (a MemoryError), an L whose spectrum
     overflows (an OverflowError), an infinite L (an all-zero spectrum, exit
     0) and a rho_c that overflows Lambda_tilde (a RuntimeWarning) are each
-    refused before any spectrum is built."""
+    refused before any spectrum is built; a coefficient Lambda_tilde * kappa
+    that overflows is refused without the RuntimeWarning it printed."""
     code, out = run(tmp_path, "modal", "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", key, value)))
     assert code == 2
     err = capsys.readouterr().err
