@@ -8,9 +8,10 @@ pairs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -51,23 +52,79 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _float_rows(*columns: np.ndarray) -> List[str]:
-    """CSV lines of equal-length float columns, each cell as _fmt writes a
-    float; one %-format per row instead of one call per cell. Rows become
-    Python floats a block at a time, which bounds the transient memory."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.12g"] * len(columns))
-    return [row % tuple(r) for i in range(0, len(table), 4096) for r in table[i : i + 4096].tolist()]
+@functools.lru_cache(maxsize=None)
+def _cell_tables():
+    """_cells' lookup tables: 10^0..10^299 (exact to 10^22); the trailing
+    zeros of each 3-digit group g; the word of g's first `kept` digits with
+    a '.' after digit `dot` (0: none) at g*16 + kept*4 + dot; the (kept,
+    dot) of the four groups of K kept digits with a '.' after digit p, row
+    K*13 + p; the sign-and-'0.000' words and the exponent-and-comma words."""
+    i = np.arange(1000, dtype=np.uint64)
+    digits = [48 + i // 100, 48 + i // 10 % 10, 48 + i % 10]
+    words = np.zeros((1000, 4, 4), np.uint32)
+    for kept in range(1, 4):
+        for dot in range(kept + 1):
+            chars = digits[:dot] + [46] + digits[dot:kept] if dot else digits[:kept]
+            words[:, kept, dot] = sum(c << 8 * n for n, c in enumerate(chars))
+    K, p = np.divmod(np.arange(169), 13)
+    j = 3 * np.arange(4)[:, None]
+    variant = (np.clip(K - j, 0, 3) * 4 + np.where((p > j) & (p <= j + 3), p - j, 0)).T.astype(np.int32)
+    lead = [b"", b"0.", b"0.0", b"0.00", b"0.000", b""]
+    lead = b"".join(s.ljust(8, b"\0") for s in lead + [b"-" + s for s in lead])
+    suffix = b"".join(s.ljust(7, b"\0") + b"," for s in [b""] + [b"e%+03d" % x for x in range(-330, 331)])
+    return (np.array([float(f"1e{m}") for m in range(300)]),
+            sum((i % m == 0).astype(np.uint8) for m in (10, 100, 1000)),
+            words.ravel(), variant, np.frombuffer(lead, np.uint64), np.frombuffer(suffix, np.uint64))
 
 
-def _snapshot_rows(traj) -> List[str]:
-    """The t,x,theta,q lines of each snapshot as one string, cells as _fmt
-    writes a float. The x cells are formatted once into a template of the
-    snapshot's lines; per snapshot its t goes in for a sentinel that %.12g
-    output cannot contain, then one %-format fills every theta and q."""
-    template = "\n".join(f"@{v:.12g},%.12g,%.12g" for v in traj.x.tolist())
-    return [template.replace("@", "%.12g," % t) % tuple(np.column_stack((theta, q)).ravel().tolist())
-            for t, theta, q in zip(traj.times.tolist(), traj.thetas, traj.fluxes)]
+def _cells(v: np.ndarray) -> np.ndarray:
+    """(len(v), 32) uint8, row i the bytes of "%.12g," % v[i] with NULs
+    inside: a word of the sign and any '0.000', four of 3-digit groups and
+    the point, one of any exponent and the comma. N = rint(|v| 10^(11 - X)),
+    X = floor(log10|v|), is off by a few ulp of N at most, so it holds the
+    12 correctly rounded digits unless it is within 1e-3 of a tie; those
+    values and the non-finite and subnormal ones are formatted by Python,
+    in one call."""
+    pow10, zeros, words, variant, lead, suffix = _cell_tables()
+    a = np.abs(v)
+    zero = a == 0
+    normal = (a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)
+    a = np.where(normal, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int32)
+    e = 11 - X
+    s = a * pow10.take(np.clip(e, 0, 22))
+    for far, op in ((e > 22, np.multiply), (e < 0, np.divide)):
+        if far.any():
+            m = np.abs(e[far])
+            s[far] = op(op(a[far], pow10.take(np.minimum(m, 22))), pow10.take(np.maximum(m - 22, 0)))
+    N = np.rint(s)
+    # a log10 that rounds across a power of ten still leaves N at 1e11 or
+    # 1e12 (the right digits); any other N outside them goes to Python
+    fallback = ~(normal | zero) | (np.abs(s - N) >= 0.499) | (N < 1e11) | (N > 1e12)
+    X += N == 1e12  # rounding carried into a 13th digit
+    N[N == 1e12] = 1e11
+    N[zero] = 0
+    hi = np.floor(N / 1e6)
+    g = np.empty((4, len(v)), np.int32)
+    np.divmod(hi.astype(np.int32), 1000, out=(g[0], g[1]))
+    np.divmod((N - hi * 1e6).astype(np.int32), 1000, out=(g[2], g[3]))
+    z = zeros.take(g)
+    for zj in z[1:]:
+        z[0] *= zj == 3
+        z[0] += zj
+    k = 12 - z[0].astype(np.int32)  # significant digits
+    exp = (X < -4) | (X >= 12)
+    p = np.where(exp, 1, np.maximum(X + 1, 0))  # digits before the point
+    groups = variant.take(np.maximum(k, p) * 13 + np.where(k > p, p, 0), axis=0) + g.T * 16
+    out = np.empty((len(v), 4), np.uint64)
+    out[:, 0] = lead.take(np.signbit(v) * 6 + np.clip(-X, 0, 5))
+    out[:, 1:3] = words.take(groups).view(np.uint64)
+    out[:, 3] = suffix.take(np.where(exp, X + 331, 0))
+    out = out.view(np.uint8)
+    if fallback.any():
+        text = np.frombuffer(("%-31.12g," * int(fallback.sum()) % tuple(v[fallback].tolist())).encode(), np.uint8)
+        out[fallback] = np.where(text == 32, np.uint8(0), text).reshape(-1, 32)
+    return out
 
 
 def _header(args) -> List[str]:
@@ -78,9 +135,24 @@ def _header(args) -> List[str]:
     ]
 
 
-def _write(path: Path, lines: List[str]) -> None:
+def _write(path: Path, head: List[str], columns: Sequence[np.ndarray] = ()) -> None:
+    """head's lines, then one CSV row per index of the columns: a float
+    column's cells as _cells writes them, a bytes column's as they are.
+    A block of rows, up to 4096 and up to 8192 float cells, is one uint8
+    matrix of NUL-padded cells, written with the NULs dropped."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    step = min(4096, 8192 // max(1, sum(c.dtype.kind == "f" for c in columns)))
+    with path.open("wb") as f:
+        f.write(("\n".join(head) + "\n").encode())
+        for i in range(0, len(columns[0]) if columns else 0, step):
+            chunk = [c[i : i + step] for c in columns]
+            rows, floats = len(chunk[0]), [c for c in chunk if c.dtype.kind == "f"]
+            cells = iter(_cells(np.column_stack(floats).ravel()).reshape(rows, -1, 32).transpose(1, 0, 2) if floats else [])
+            comma = np.full((rows, 1), ord(","), np.uint8)
+            block = np.concatenate([part for c in chunk for part in (
+                [next(cells)] if c.dtype.kind == "f" else [c.view(np.uint8).reshape(rows, -1), comma])], axis=1)
+            block[:, -1] = ord("\n")
+            f.write(block.tobytes().translate(None, b"\0"))
 
 
 def run_check(model: ModelParams) -> Dict[str, str]:
@@ -124,14 +196,12 @@ def cmd_modal(args) -> int:
         "n,Lambda,Lambda_tilde,root1_re,root1_im,root2_re,root2_im,root3_re,root3_im,"
         "rh_pass,discriminant,class"
     ]
-    # one %-format per row; cells as _fmt writes them, absent roots as nan
-    degree = s.roots.shape[1]
-    row = ("%d,%.12g,%.12g" + ",%.12g,%.12g" * degree + ",nan,nan" * (3 - degree)
-           + ",%s," + ("%.12g" if degree == 3 else "%s") + ",%s")
-    table = np.column_stack((s.n, s.Lambda, s.Lambda_tilde, s.roots.view(float))).tolist()
-    for r, rh, disc, cls in zip(table, s.rh_pass.tolist(), s.discriminant or [""] * len(s), s.classification):
-        lines.append(row % (*r, _fmt(rh), disc, cls))
-    _write(Path(args.out) / "modes.csv", lines)
+    # absent roots as nan, no discriminant below degree 3
+    degree, absent = s.roots.shape[1], np.full(len(s), b"nan")
+    _write(Path(args.out) / "modes.csv", lines, [
+        s.n.astype("S"), s.Lambda, s.Lambda_tilde, *s.roots.view(float).T, *[absent] * (6 - 2 * degree),
+        np.where(s.rh_pass, b"true", b"false"),
+        np.array(s.discriminant) if degree == 3 else np.full(len(s), b""), np.array(s.classification, dtype="S")])
     print(f"wrote {len(s)} mode reports to {args.out}/modes.csv")
     return 0
 
@@ -149,6 +219,13 @@ def _warn_if_inconsistent(model: ModelParams) -> None:
         )
 
 
+def _snapshot_columns(traj) -> List[np.ndarray]:
+    """The t, x, theta, q columns of the snapshots; the t and x cells are
+    formatted once, into bytes columns."""
+    t, x = (np.array(_cells(v).tobytes().translate(None, b"\0").split(b",")[:-1]) for v in (traj.times, traj.x))
+    return [np.repeat(t, len(traj.x)), np.tile(x, len(traj.times)), np.ravel(traj.thetas), np.ravel(traj.fluxes)]
+
+
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     _warn_if_inconsistent(build_model(cfg))
@@ -159,10 +236,9 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    _write(out / "snapshots.csv", _header(args) + ["t,x,theta,q"] + _snapshot_rows(traj))
-    audit = _float_rows(*traj.audit.values())
-    _write(out / "audit.csv", _header(args) + [",".join(traj.audit)] + audit)
-    print(f"wrote {len(traj.times)} snapshots and {len(audit)} audit rows to {args.out}")
+    _write(out / "snapshots.csv", _header(args) + ["t,x,theta,q"], _snapshot_columns(traj))
+    _write(out / "audit.csv", _header(args) + [",".join(traj.audit)], list(traj.audit.values()))
+    print(f"wrote {len(traj.times)} snapshots and {len(traj.audit['t'])} audit rows to {args.out}")
     return 0
 
 
@@ -212,10 +288,8 @@ def cmd_audit(args) -> int:
     res = np.sum(terms, axis=-1)
     rel = np.abs(res) / np.fmax(np.abs(terms).max(axis=-1), 1e-300)
     sig = entropy_production(model, s)
-    table = np.column_stack((s.theta, free_energy(model, s), sig, res, rel)).tolist()
-    lines = _header(args) + ["sample,theta,psi,sigma,residual,rel_residual"]
-    lines += ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (i, *r) for i, r in enumerate(table)]
-    _write(Path(args.out) / "residuals.csv", lines)
+    _write(Path(args.out) / "residuals.csv", _header(args) + ["sample,theta,psi,sigma,residual,rel_residual"],
+           [np.arange(samples).astype("S"), s.theta, free_energy(model, s), sig, res, rel])
     # fmax/fmin skip a nan as the running max/min of the rows would
     print(
         f"audited {samples} random states: max relative residual {np.fmax.reduce(rel, initial=0.0):.3e}, "

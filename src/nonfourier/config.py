@@ -91,12 +91,15 @@ def _float(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> floa
     return value
 
 
-def _int(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> int:
+def _int(cfg: Dict[str, str], key: str, default: Optional[str] = None, positive: bool = False) -> int:
     raw = _get(cfg, key, default)
     try:
-        return int(raw)
+        n = int(raw)
     except ValueError as e:
         raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from e
+    if positive and n <= 0:
+        raise ConfigError(f"key {key!r}: need a positive integer, got {n}")
+    return n
 
 
 def parse_tensor(raw: str, key: str = "") -> SymTensor3:
@@ -181,27 +184,29 @@ def build_spectral(cfg: Dict[str, str]) -> SpectralProblem:
 
 def build_audit_samples(cfg: Dict[str, str]) -> int:
     """audit.samples, a positive integer (default 1000)."""
-    n = _int(cfg, "audit.samples", "1000")
-    if n <= 0:
-        raise ConfigError(f"key 'audit.samples': need a positive integer, got {n}")
-    return n
+    return _int(cfg, "audit.samples", "1000", positive=True)
+
+
+# the ic.* keys each initial condition reads, besides ic.kind
+IC_KEYS = {"zero": (), "constant": ("ic.amplitude",), "sine": ("ic.mode", "ic.amplitude"),
+           "cosine": ("ic.mode", "ic.amplitude")}
 
 
 def _initial_field(cfg: Dict[str, str], grid: Grid1D):
     kind = _get(cfg, "ic.kind", "zero").lower()
+    if kind not in IC_KEYS:
+        raise ConfigError(f"key 'ic.kind': unknown initial condition {kind!r}")
+    unread = [key for key in cfg if key.startswith("ic.") and key not in ("ic.kind", *IC_KEYS[kind])]
+    if unread:
+        raise ConfigError(f"key {unread[0]!r}: ic.kind {kind!r} does not read it")
     if kind == "zero":
         return None
     if kind == "constant":
         return _float(cfg, "ic.amplitude", "0.0")
-    if kind == "sine":
-        mode = _int(cfg, "ic.mode", "1")
-        amp = _float(cfg, "ic.amplitude", "1.0")
-        return lambda x: amp * np.sin(mode * np.pi * x / grid.L)
-    if kind == "cosine":
-        mode = _int(cfg, "ic.mode", "1")
-        amp = _float(cfg, "ic.amplitude", "1.0")
-        return lambda x: amp * np.cos(mode * np.pi * x / grid.L)
-    raise ConfigError(f"key 'ic.kind': unknown initial condition {kind!r}")
+    mode = _int(cfg, "ic.mode", "1")
+    amp = _float(cfg, "ic.amplitude", "1.0")
+    wave = np.sin if kind == "sine" else np.cos
+    return lambda x: amp * wave(mode * np.pi * x / grid.L)
 
 
 def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
@@ -216,6 +221,6 @@ def build_sim_config(cfg: Dict[str, str]) -> SimConfig:
         bc_value=_float(cfg, "bc.value", "0.0"),
         theta0=_initial_field(cfg, grid),
         theta_ref=_float(cfg, "sim.theta_ref") if "sim.theta_ref" in cfg else None,
-        snapshot_every=_int(cfg, "time.snapshot_every") if "time.snapshot_every" in cfg else None,
+        snapshot_every=_int(cfg, "time.snapshot_every", positive=True) if "time.snapshot_every" in cfg else None,
         imposed_gradient=_float(cfg, "gk.imposed_gradient") if "gk.imposed_gradient" in cfg else None,
     )

@@ -90,7 +90,15 @@ class SymTensor3:
         return float(np.linalg.det(self.as_matrix()))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.as_matrix()))
+        """Frobenius norm; one that overflows is recomputed scaled by the
+        largest entry, so it is inf only if the norm itself is."""
+        m = self.as_matrix()
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(m))
+        if np.isfinite(n):
+            return n
+        big = np.abs(m).max()
+        return float(big) * float(np.linalg.norm(m / big))
 
     def inv(self) -> "SymTensor3":
         return SymTensor3.from_matrix(np.linalg.inv(self.as_matrix()))

@@ -11,7 +11,10 @@ import pytest
 
 import energetics_oracle as oracle
 import nonfourier
-from nonfourier.cli import _float_rows, _fmt, _snapshot_rows, main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonfourier.cli import _cells, _fmt, _snapshot_columns, _write, main
 from nonfourier.config import build_model, parse_config
 
 QUINTANILLA_CFG = """
@@ -279,25 +282,60 @@ def test_outputs_are_deterministic(tmp_path, capsys, command):
     assert runs[0] == runs[1]
 
 
-def test_float_rows_format_cells_as_fmt():
+def test_float_rows_format_cells_as_fmt(tmp_path):
     tiny = np.nextafter(0.0, 1.0)
     cells = [-0.0, 0.0, 1e-300, tiny, -5e-320, 1e16, 2.0, -3.0, 1e15 + 0.5, 1.0 / 3.0, np.pi * 1e-7, np.inf, np.nan]
-    # long enough to cross the formatter's row blocks
+    # long enough to cross the writer's row blocks
     cols = [np.tile(cells, 700), np.tile(cells[::-1], 700) * np.repeat([1.0, -1.0], 350 * len(cells))]
     want = [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(*cols)]
-    assert _float_rows(*cols) == want
+    _write(tmp_path / "t.csv", ["# head"], cols)
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# head"] + want) + "\n"
 
 
-def test_snapshot_rows_format_cells_as_fmt():
+def test_snapshot_rows_format_cells_as_fmt(tmp_path):
     cells = np.array([-0.0, 0.0, 1e-300, -5e-320, 1e16, 1e15 + 0.5, 1.0 / 3.0, np.inf, -np.inf, np.nan])
-    traj = SimpleNamespace(x=cells[::-1].copy(), times=cells[:4].copy(),
-                           thetas=[np.roll(cells, k) for k in range(4)], fluxes=[-np.roll(cells, -k) for k in range(4)])
+    # 500 snapshots of 10 nodes cross the writer's row blocks
+    times = np.tile(cells[:4], 125)
+    traj = SimpleNamespace(x=cells[::-1].copy(), times=times,
+                           thetas=[np.roll(cells, k) for k in range(500)], fluxes=[-np.roll(cells, -k) for k in range(500)])
     want = [",".join(map(_fmt, (t, x, theta, q)))
             for t, thetas, qs in zip(traj.times, traj.thetas, traj.fluxes)
             for x, theta, q in zip(traj.x, thetas, qs)]
-    # one string per snapshot, joined into lines as _write joins them
-    assert len(_snapshot_rows(traj)) == len(traj.times)
-    assert "\n".join(_snapshot_rows(traj)) == "\n".join(want)
+    _write(tmp_path / "s.csv", ["t,x,theta,q"], _snapshot_columns(traj))
+    assert (tmp_path / "s.csv").read_text() == "\n".join(["t,x,theta,q"] + want) + "\n"
+
+
+def _cell_text(values):
+    """The cells _cells makes of values, NULs dropped."""
+    return _cells(np.asarray(values, dtype=float)).tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_cells_match_percent_g(values):
+    """Every float, nan, infinities and subnormals included, as %.12g."""
+    assert _cell_text(values) == ["%.12g" % v for v in values]
+
+
+@pytest.mark.parametrize("v", [
+    0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0), 9.99999999999995e-5, 999999999999.5, 1e12, 1e16, 1e22, 1e23,
+    1.7976931348623157e308, 123456789012.5, 123456789013.5, 1e-5, 99999.99999995, 2.2250738585072014e-308])
+def test_cells_pinned_values(v):
+    """Zeros, the fixed/exponent boundary on both sides, carries into a 13th
+    digit, exact ties (round half to even) and the ends of the range."""
+    assert _cell_text([v, -v]) == ["%.12g" % v, "%.12g" % -v]
+
+
+def test_cells_near_ties_and_powers_of_ten():
+    """Decimal 12th-digit halves (the band Python formats), 12-digit values
+    and their neighbours around each power of ten."""
+    rng = np.random.default_rng(5)
+    digits, exps = rng.integers(10**11, 10**12, 3000), rng.integers(-320, 300, 3000)
+    halves = [float(f"{d}5e{e}") for d, e in zip(digits, exps)]
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    values = np.array(halves + powers + [float(f"{d}e{e}") for d, e in zip(digits, exps)])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf), -values])
+    assert _cell_text(values) == ["%.12g" % v for v in values.tolist()]
 
 
 def test_cli_import_loads_no_scipy():
@@ -309,7 +347,7 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk"])
+@pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk", "small_amplitude"])
 def test_simulate_matches_golden_output(tmp_path, kind):
     """Output bodies, after the 3-line header, against stored files written
     by an earlier version. max_residual is rounding noise of a sum that
@@ -565,6 +603,49 @@ def test_key_no_subcommand_reads_exits_2(tmp_path, capsys, config, extra, comman
     assert code == 2
     assert f"config error: key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_nonpositive_snapshot_every_exits_2(tmp_path, capsys, value):
+    """time.snapshot_every = -5 was an IndexError traceback and 0 was taken
+    as the default spacing; both are config errors naming the key."""
+    code, out = run(tmp_path, "simulate", "--config",
+                    write_cfg(tmp_path, _edited("mgt_stable.cfg", "time.snapshot_every", value)))
+    assert code == 2
+    assert f"config error: key 'time.snapshot_every': need a positive integer, got {int(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, extra, key",
+    [("zero", "ic.amplitude = 5\n", "ic.amplitude"), ("zero", "ic.mode = 2\n", "ic.mode"),
+     ("constant", "ic.mode = 2\n", "ic.mode")],
+    ids=["zero_amplitude", "zero_mode", "constant_mode"],
+)
+def test_ic_key_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, extra, key):
+    """An ic.* key that the initial condition does not read is a config
+    error naming it: ic.kind = zero with ic.amplitude = 5 ran a zero field."""
+    text = _edited("mgt_stable.cfg", "ic.kind", kind)
+    text = re.sub(r"^ic\.(mode|amplitude) = .*\n", "", text, flags=re.M) + extra
+    code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, text))
+    assert code == 2
+    assert f"config error: key {key!r}: ic.kind {kind!r} does not read it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("check", 0), ("simulate", 2)])
+def test_huge_coefficient_prints_no_warning(tmp_path, command, code):
+    """Quintanilla kappa = 1e160 overflows the plain Frobenius norm of the
+    checkers' tolerance scale; under -W error neither check (a verdict) nor
+    simulate (a config error) prints a warning or a traceback."""
+    cfg = write_cfg(tmp_path, _edited("mgt_stable.cfg", "model.kappa", "1e160"))
+    env = dict(os.environ, PYTHONPATH=str(Path(nonfourier.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "nonfourier.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if command == "check":
+        assert "pass=true" in proc.stdout
 
 
 @pytest.mark.parametrize("config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
