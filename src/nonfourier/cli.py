@@ -72,9 +72,12 @@ def _cell_tables():
     lead = [b"", b"0.", b"0.0", b"0.00", b"0.000", b""]
     lead = b"".join(s.ljust(8, b"\0") for s in lead + [b"-" + s for s in lead])
     suffix = b"".join(s.ljust(7, b"\0") + b"," for s in [b""] + [b"e%+03d" % x for x in range(-330, 331)])
-    return (np.array([float(f"1e{m}") for m in range(300)]),
-            sum((i % m == 0).astype(np.uint8) for m in (10, 100, 1000)),
-            words.ravel(), variant, np.frombuffer(lead, np.uint64), np.frombuffer(suffix, np.uint64))
+    tables = (np.array([float(f"1e{m}") for m in range(300)]),
+              sum((i % m == 0).astype(np.uint8) for m in (10, 100, 1000)),
+              words.ravel(), variant, np.frombuffer(lead, np.uint64), np.frombuffer(suffix, np.uint64))
+    for t in tables:
+        t.flags.writeable = False  # shared by every call
+    return tables
 
 
 def _cells(v: np.ndarray) -> np.ndarray:
