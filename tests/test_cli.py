@@ -8,12 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-
-import energetics_oracle as oracle
-import nonfourier
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import energetics_oracle as oracle
+import nonfourier
 from nonfourier.cli import _cells, _fmt, _snapshot_columns, _write, main
 from nonfourier.config import build_model, parse_config
 
