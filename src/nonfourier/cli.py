@@ -141,10 +141,10 @@ def _header(args) -> List[str]:
 def _write(path: Path, head: List[str], columns: Sequence[np.ndarray] = ()) -> None:
     """head's lines, then one CSV row per index of the columns: a float
     column's cells as _cells writes them, a bytes column's as they are.
-    A block of rows, up to 4096 and up to 8192 float cells, is one uint8
-    matrix of NUL-padded cells, written with the NULs dropped."""
+    A block of rows, up to 8192 float cells, is one uint8 matrix of
+    NUL-padded cells, written with the NULs dropped."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    step = min(4096, 8192 // max(1, sum(c.dtype.kind == "f" for c in columns)))
+    step = 8192 // max(1, sum(c.dtype.kind == "f" for c in columns))
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(columns[0]) if columns else 0, step):

@@ -87,7 +87,9 @@ class SymTensor3:
         return np.linalg.eigvalsh(self.as_matrix())
 
     def det(self) -> float:
-        return float(np.linalg.det(self.as_matrix()))
+        """Determinant; one that overflows is inf, without a warning."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.det(self.as_matrix()))
 
     def norm(self) -> float:
         """Frobenius norm; one that overflows is recomputed scaled by the
@@ -160,11 +162,11 @@ def is_pd(s: SymTensor3, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_nonsingular(s: SymTensor3, tol: float = DEFAULT_TOL) -> bool:
-    """|det| larger than tol at the tensor's own cubed scale."""
+    """|det| larger than tol at the tensor's own cubed scale: the determinant
+    of the tensor divided by max(1, norm), which cannot overflow."""
     if tol < 0:
         raise InvalidInputError("tol must be nonnegative")
-    scale = max(1.0, s.norm()) ** 3
-    return abs(s.det()) > tol * scale
+    return abs(float(np.linalg.det(s.as_matrix() / max(1.0, s.norm())))) > tol
 
 
 # --- polynomials and roots ---------------------------------------------------

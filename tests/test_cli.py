@@ -350,9 +350,9 @@ def test_cli_import_loads_no_scipy():
 def test_simulate_matches_golden_output(tmp_path, kind):
     """Output bodies, after the 3-line header, against stored files written
     by an earlier version. max_residual is rounding noise of a sum that
-    cancels, so it is bounded instead of compared: by 1e-12 of the row's
-    max_sigma where the audit has one (so that small_amplitude's residuals,
-    about 1e-211, are bounded too), else by 1e-12."""
+    cancels, so it is bounded instead of compared: by 1e-12, and by 1e-12 of
+    the row's max_sigma where the audit has one and it is below 1 (so that
+    small_amplitude's residuals, about 1e-211, are bounded too)."""
     code, out = run(tmp_path, "simulate", "--config", str(GOLDEN / f"{kind}.cfg"))
     assert code == 0
     snap = (out / "snapshots.csv").read_bytes().split(b"\n", 3)[3]
@@ -364,7 +364,7 @@ def test_simulate_matches_golden_output(tmp_path, kind):
     scale = want[0].index("max_sigma") if "max_sigma" in want[0] else None
     for g, w in zip(got[1:], want[1:]):
         assert g[:col] + g[col + 1 :] == w[:col] + w[col + 1 :]
-        assert float(g[col]) <= 1e-12 * (float(g[scale]) if scale is not None else 1.0)
+        assert float(g[col]) <= 1e-12 * (min(1.0, float(g[scale])) if scale is not None else 1.0)
 
 
 @pytest.mark.parametrize("kind", sorted(p.stem for p in MODAL_GOLDEN.glob("*.cfg")))
@@ -635,12 +635,24 @@ def test_ic_key_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, extra, ke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, code", [("check", 0), ("simulate", 2)])
-def test_huge_coefficient_prints_no_warning(tmp_path, command, code):
-    """Quintanilla kappa = 1e160 overflows the plain Frobenius norm of the
-    checkers' tolerance scale; under -W error neither check (a verdict) nor
-    simulate (a config error) prints a warning or a traceback."""
-    cfg = write_cfg(tmp_path, _edited("mgt_stable.cfg", "model.kappa", "1e160"))
+def _huge(kind):
+    """A config with one coefficient of 1e160, whose tensor's plain Frobenius
+    norm and determinant overflow."""
+    gn3 = (GOLDEN / "gn3.cfg").read_text()
+    return {"quintanilla": _edited("mgt_stable.cfg", "model.kappa", "1e160"),
+            "gn3": gn3.replace("model.xi = 1.5", "model.xi = 1e160"),
+            "gn2": gn3.replace("model.kind = gn3\nmodel.xi = 1.5\nmodel.kappa = 2.0", "model.kind = gn2\nmodel.K = 1e160")}[kind]
+
+
+@pytest.mark.parametrize("kind, command, code", [
+    ("quintanilla", "check", 0), ("quintanilla", "simulate", 2), ("gn3", "check", 0), ("gn3", "simulate", 0),
+    ("gn2", "check", 0), ("gn2", "simulate", 2)])
+def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
+    """Quintanilla kappa, GN III xi or GN II K = 1e160 overflows the plain
+    Frobenius norm of the checkers' tolerance scale, and xi's and K's
+    determinant; under -W error neither check (a verdict) nor simulate (a
+    run or a config error) prints a warning or a traceback."""
+    cfg = write_cfg(tmp_path, _huge(kind))
     env = dict(os.environ, PYTHONPATH=str(Path(nonfourier.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "nonfourier.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
