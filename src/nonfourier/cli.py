@@ -301,7 +301,9 @@ def cmd_audit(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nonfourier",
         description="Consistency checking, modal stability analysis and 1-D "

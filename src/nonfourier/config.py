@@ -182,9 +182,17 @@ def build_spectral(cfg: Dict[str, str]) -> SpectralProblem:
     )
 
 
+# the most states one audit draws (README: Config format)
+MAX_AUDIT_SAMPLES = 1_000_000
+
+
 def build_audit_samples(cfg: Dict[str, str]) -> int:
-    """audit.samples, a positive integer (default 1000)."""
-    return _int(cfg, "audit.samples", "1000", positive=True)
+    """audit.samples, a positive integer (default 1000) of at most
+    MAX_AUDIT_SAMPLES, refused before any state is drawn."""
+    n = _int(cfg, "audit.samples", "1000", positive=True)
+    if n > MAX_AUDIT_SAMPLES:
+        raise ConfigError(f"key 'audit.samples': at most {MAX_AUDIT_SAMPLES} states, got {n}")
+    return n
 
 
 # the ic.* keys each initial condition reads, besides ic.kind
@@ -203,7 +211,8 @@ def _initial_field(cfg: Dict[str, str], grid: Grid1D):
         return None
     if kind == "constant":
         return _float(cfg, "ic.amplitude", "0.0")
-    mode = _int(cfg, "ic.mode", "1")
+    # sin(0 x) is zero whatever the amplitude, and a negative mode only flips its sign
+    mode = _int(cfg, "ic.mode", "1", positive=kind == "sine")
     amp = _float(cfg, "ic.amplitude", "1.0")
     wave = np.sin if kind == "sine" else np.cos
     return lambda x: amp * wave(mode * np.pi * x / grid.L)

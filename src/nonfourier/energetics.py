@@ -504,9 +504,8 @@ def sample_state(
 ) -> ThermalState:
     """Random state whose rate fields come from the model's own rate law,
     so the dissipation identity should close on it to rounding error;
-    size=n gives a stack of n, the states of n calls with size=None.
-
-    Per state: theta, then one standard_normal of grad_theta, q and its
+    size=n gives a stack of n, the states of n calls with size=None. Per
+    state: theta, then one standard_normal fill of grad_theta, q and its
     derivatives below the law's top one, then grad(theta_dot) if the law
     reads it (nonlocal kinds: q, grad_q, nonlocal_q). Seeded audit output
     depends on this order. The top derivative comes from the law.
@@ -521,9 +520,10 @@ def sample_state(
         raise InvalidInputError(f"no state sampler for {type(m).__name__}")
     shape, widths = () if size is None else (size,), [9 if name == "grad_q" else 3 for name in drawn]
     theta, z = np.empty(shape), np.empty(shape + (sum(widths),))
-    for i in np.ndindex(shape):
-        theta[i] = rng.uniform(theta_low, theta_high)
-        rng.standard_normal(out=z[i])
+    uniform, fill, span = rng.random, rng.standard_normal, theta_high - theta_low
+    for i, row in enumerate(z.reshape(-1, z.shape[-1])):
+        theta.flat[i] = theta_low + span * uniform()  # rng.uniform(theta_low, theta_high), bit for bit
+        fill(out=row)
     parts = np.split(amplitude * z, np.cumsum(widths)[:-1], axis=-1)
     fields = {name: p.reshape(shape + (3, 3)) if name == "grad_q" else p for name, p in zip(drawn, parts)}
     fields[rate] = flux_rate(m, ThermalState(theta=theta, **fields))

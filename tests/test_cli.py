@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import energetics_oracle as oracle
 import nonfourier
-from nonfourier.cli import _cells, _fmt, _snapshot_columns, _write, main
-from nonfourier.config import build_model, parse_config
+from nonfourier.cli import _cells, _fmt, _snapshot_columns, _write, build_parser, main
+from nonfourier.config import MAX_AUDIT_SAMPLES, build_audit_samples, build_model, parse_config
 
 QUINTANILLA_CFG = """
 model.kind = quintanilla
@@ -424,13 +424,22 @@ def test_audit_writes_the_bytes_of_the_per_state_loop(tmp_path, capsys, kind):
     assert f"audited 300 random states: max relative residual {worst:.3e}, min sigma {least:.3e}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "-5", "0"])
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5", "0", str(MAX_AUDIT_SAMPLES + 1), "10000000000000"])
 def test_audit_samples_must_be_a_positive_integer(tmp_path, capsys, value):
+    """10000000000000 samples was a 72.8 TiB allocation (a MemoryError
+    traceback); a count above the budget is refused before any draw."""
     cfg = write_cfg(tmp_path, QUINTANILLA_CFG.replace("audit.samples = 50", f"audit.samples = {value}"))
     code, out = run(tmp_path, "audit", "--config", cfg)
     assert code == 2
     assert "config error: key 'audit.samples'" in capsys.readouterr().err
     assert not (out / "residuals.csv").exists()
+
+
+def test_audit_budget_takes_the_shipped_sizes():
+    """The default and the benchmark's largest audit (8000 states) sit far
+    inside the budget, which is itself accepted."""
+    assert build_audit_samples({}) == 1000 and 8000 * 100 <= MAX_AUDIT_SAMPLES
+    assert build_audit_samples({"audit.samples": str(MAX_AUDIT_SAMPLES)}) == MAX_AUDIT_SAMPLES
 
 
 @pytest.mark.parametrize("samples", [10, 1000])
@@ -633,6 +642,48 @@ def test_ic_key_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, extra, ke
     assert code == 2
     assert f"config error: key {key!r}: ic.kind {kind!r} does not read it" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["0", "-1"])
+def test_sine_mode_below_one_exits_2(tmp_path, capsys, mode):
+    """ic.mode = 0 with ic.kind = sine ran an all-zero field (sin 0 at every
+    node), the amplitude silently ignored; a sine mode below 1 is a config
+    error naming the key."""
+    text = (GOLDEN / "burgers.cfg").read_text()
+    assert "ic.kind = sine\nic.mode = 3\n" in text
+    cfg = write_cfg(tmp_path, text.replace("ic.mode = 3", f"ic.mode = {mode}"))
+    code, out = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 2
+    assert f"config error: key 'ic.mode': need a positive integer, got {mode}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main builds its parser once per process: calls after the first, with
+    other subcommands, write what the same calls on a fresh parser write,
+    and --version and an unknown subcommand exit as they did."""
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    calls = [["check", "--config", cfg], ["audit", "--config", cfg, "--seed", "7"], ["--version"],
+             ["sweep", "--config", cfg], ["frobnicate"], ["check", "--config", cfg]]
+    runs = {}
+    for fresh in (False, True):
+        runs[fresh] = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}{i}"
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as e:
+                code = e.code
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            printed = capsys.readouterr()
+            runs[fresh].append((code, files, printed.out.replace(str(out), "OUT"), printed.err))
+    assert build_parser() is build_parser()
+    assert runs[False] == runs[True]
+    assert [r[0] for r in runs[False]] == [0, 0, 0, 0, 2, 0]
+    assert runs[False][2][2] == f"{nonfourier.__version__}\n"
+    assert "invalid choice: 'frobnicate'" in runs[False][4][3]
 
 
 def _huge(kind):

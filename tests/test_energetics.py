@@ -416,6 +416,25 @@ def test_stacked_states_match_the_per_state_oracle_bit_for_bit(model, variant, s
         assert (_hex(np.array([row[j] for row in want])) == _hex(values)).all(), ("theta", "psi", "sigma", "terms")[j]
 
 
+@pytest.mark.parametrize("size", [None, 0, 1, 400])
+@pytest.mark.parametrize("model", NINE_KINDS, ids=_id)
+def test_a_stack_leaves_the_generator_where_single_draws_do(model, size):
+    """After size=n the generator is where n oracle draws leave it (one for
+    size=None), so the draws that follow agree too; size=0 draws nothing."""
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    start = rng.bit_generator.state
+    s = sample_state(model, rng, size=size)
+    for _ in range(1 if size is None else size):
+        oracle.sample_state(model, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert (rng.bit_generator.state == start) == (size == 0)
+    assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+    if size is None:
+        assert type(s.theta) is float
+    else:
+        assert s.theta.shape == (size,) and s.q.shape == (size, 3)
+
+
 @pytest.mark.parametrize("model", NINE_KINDS, ids=_id)
 def test_one_state_gives_floats_equal_to_its_row_of_a_stack(model):
     one = sample_state(model, np.random.default_rng(4))
