@@ -3,18 +3,20 @@
 
 The parent checkout's and this checkout's ``nonfourier`` are loaded side by
 side, as the packages ``nf_parent`` and ``nf_change`` (each from its own
-``src/``). The ops come from perfbench/workloads.py, built once per side from
-the same seed, so both sides run the same inputs. Each round runs every op
-on both sides back to back, the side that goes first alternating from one
-round to the next; freed heap goes back to the OS between ops (perfbench's
-``release_heap``) and BLAS runs single-threaded, as in perfbench. Each op's
-outputs are checked after its timing, as perfbench checks them.
+``src/``). The ops come from perfbench/workloads.py, built once per side
+from the same seed, so both sides run the same inputs. After one untimed
+round, each round runs every op on both sides back to back, the side that
+goes first alternating from one round to the next. Freed heap goes back to
+the OS between ops (perfbench's ``release_heap``) and BLAS runs
+single-threaded, as in perfbench. Each op's outputs are checked after its
+timing, as perfbench checks them.
 
 For each op it prints the median time of each side and the median change /
-parent ratio of the rounds with its quartiles. Host drift between two
-processes does not enter a ratio, since both sides of a round run within
-milliseconds of each other. A record pair from scripts/bench_record.py stays
-the claim of record; this is evidence beside it.
+parent ratio of the rounds with its quartiles. The two runs of an op in a
+round are back to back, so drift of the host's speed, which misleads a
+comparison of two processes, mostly cancels in their ratio. A record pair
+from scripts/bench_record.py stays the claim of record; this is evidence
+beside it.
 
 Usage:
     python3 scripts/ab.py PARENT --workload scan [--ops audit:] [--rounds 8]
@@ -91,12 +93,16 @@ def main() -> int:
             ap.error(f"no {args.workload} op label contains {args.ops!r}")
         if [op.label for op in ops["parent"]] != [op.label for op in ops["change"]]:
             ap.error("the two checkouts' workloads build different ops")
-        for r in range(args.rounds):
+        # round -1 is untimed: it fills what each side builds on first use
+        # (the scipy kernels, the CSV tables), which the first side to run
+        # an op would otherwise pay alone
+        for r in range(-1, args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for i in range(len(ops["change"])):
                 for side in order:
                     seconds, error = timed(ops[side][i])
-                    times[side][i].append(seconds)
+                    if r >= 0:
+                        times[side][i].append(seconds)
                     if error:
                         errors.append(f"round {r} {side} {ops[side][i].label}: {error}")
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: parent {roots['parent']}, change {roots['change']}")
