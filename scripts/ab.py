@@ -19,7 +19,7 @@ from scripts/bench_record.py stays the claim of record; this is evidence
 beside it.
 
 Usage:
-    python3 scripts/ab.py PARENT --workload scan [--ops audit:] [--rounds 8]
+    python3 scripts/ab.py PARENT --workload scan [--ops audit:] [--rounds 30]
 """
 import argparse
 import importlib
@@ -76,7 +76,7 @@ def main() -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--ops", default="", help="time only the ops whose label contains this")
-    ap.add_argument("--rounds", type=int, default=8)
+    ap.add_argument("--rounds", type=int, default=30)
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds: need at least 2 for quartiles")
