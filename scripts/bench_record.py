@@ -10,7 +10,8 @@ For each checkout it records:
 - the median wall time over fresh interpreters of each subcommand on each
   configs/*.cfg (the runs scripts/cli_bytes.py makes);
 - the wall time and summary line of the tier-1 test suite, and the time
-  each acceptance criterion reports (one entry per parametrized case).
+  each acceptance criterion reports (one entry per parametrized case);
+- the commit it is at and the tracked paths that differ from it.
 
 Each part runs on both checkouts before the next starts, and the side that
 runs first alternates from one run to the next (each perfbench run, each
@@ -89,12 +90,15 @@ def tier1(root: Path) -> dict:
 
 
 def checkout(root: Path) -> dict:
-    """The commit the checkout is at, and whether its files differ from it."""
+    """The commit the checkout is at, whether its tracked files differ from
+    it, and which do (git status's paths, "old -> new" for a rename), so a
+    record tells a doc edit from a change to src/ or perfbench/."""
     git = ["git", "-C", str(root)]
     head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip()
     status = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
                             capture_output=True, text=True).stdout
-    return {"head": head or None, "modified": bool(status.strip())}
+    paths = [line[3:] for line in status.splitlines() if line.strip()]
+    return {"head": head or None, "modified": bool(paths), "modified_paths": paths}
 
 
 def main() -> None:

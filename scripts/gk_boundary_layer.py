@@ -34,7 +34,7 @@ def main() -> None:
             imposed_gradient=args.gradient,
         )
         traj = simulate(cfg)
-        exact = steady_gk_profile(args.kappa, lambda2, args.gradient, 1.0, traj.x).values
+        exact = steady_gk_profile(args.kappa, lambda2, args.gradient, 1.0, traj.x)
         linf = float(np.abs(traj.fluxes[-1] - exact).max())
         mid = float(np.interp(0.5, traj.x, traj.fluxes[-1]))
         print(

@@ -26,20 +26,16 @@ from .config import (
     parse_config,
 )
 from .consistency import CHECKS, check_burgers_full
-from .energetics import SingularParameterError, dissipation_terms, entropy_production, free_energy, sample_state
-from .modal import InvalidKindError, mode_reports
-from .models import Burgers, DegenerateModelError, ModelParams
-from .pde1d import ConfigurationError, DivergenceError, PositivityError, simulate
+from .energetics import dissipation_terms, entropy_production, free_energy, sample_state
+from .modal import mode_reports
+from .models import Burgers, ModelParams
+from .pde1d import DivergenceError, PositivityError, simulate
 from .tensors import InvalidInputError
 
 # perfbench's traced run still wraps these two names; gk runs go through
 # build_sim_config and simulate, and the names go with the next change to
 # the benchmark
 build_gk_sim_config, simulate_coupled_gk = build_sim_config, simulate
-
-# what a malformed config raises; main maps these to exit code 2
-INPUT_ERRORS = (ConfigError, ConfigurationError, InvalidInputError, InvalidKindError,
-                DegenerateModelError, SingularParameterError)
 
 
 def _fmt(v) -> str:
@@ -159,11 +155,9 @@ def _write(path: Path, head: List[str], columns: Sequence[np.ndarray] = ()) -> N
 
 
 def run_check(model: ModelParams) -> Dict[str, str]:
-    """The record of the model's consistency proposition (consistency.CHECKS)."""
-    check = CHECKS.get(type(model))
-    if check is None:
-        raise ConfigError(f"no consistency check for {type(model).__name__}")
-    v = check(model)
+    """The record of the model's consistency proposition (consistency.CHECKS
+    has one for every kind)."""
+    v = CHECKS[type(model)](model)
     record = {
         "pass": _fmt(v.passed),
         "case": v.case_tag,
@@ -204,22 +198,9 @@ def cmd_modal(args) -> int:
     _write(Path(args.out) / "modes.csv", lines, [
         s.n.astype("S"), s.Lambda, s.Lambda_tilde, *s.roots.view(float).T, *[absent] * (6 - 2 * degree),
         np.where(s.rh_pass, b"true", b"false"),
-        np.array(s.discriminant) if degree == 3 else np.full(len(s), b""), np.array(s.classification, dtype="S")])
+        s.discriminant if degree == 3 else np.full(len(s), b""), np.array(s.classification, dtype="S")])
     print(f"wrote {len(s)} mode reports to {args.out}/modes.csv")
     return 0
-
-
-def _warn_if_inconsistent(model: ModelParams) -> None:
-    try:
-        record = run_check(model)
-    except ConfigError:
-        return
-    if record["pass"] == "false":
-        print(
-            "warning: consistency check fails "
-            f"({record['failed_condition']}); simulating anyway",
-            file=sys.stderr,
-        )
 
 
 def _snapshot_columns(traj) -> List[np.ndarray]:
@@ -231,7 +212,9 @@ def _snapshot_columns(traj) -> List[np.ndarray]:
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    _warn_if_inconsistent(build_model(cfg))
+    record = run_check(build_model(cfg))
+    if record["pass"] == "false":
+        print(f"warning: consistency check fails ({record['failed_condition']}); simulating anyway", file=sys.stderr)
     out = Path(args.out)
     try:
         traj = simulate(build_sim_config(cfg))
@@ -330,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except INPUT_ERRORS as e:
+    except InvalidInputError as e:  # a malformed config, or a model or run it cannot take
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -41,10 +41,10 @@ from .models import (
     Quintanilla,
 )
 from .pde1d import Grid1D, SimConfig
-from .tensors import SymTensor3
+from .tensors import InvalidInputError, SymTensor3
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidInputError):
     """Malformed configuration; the message names the offending key."""
 
 
@@ -107,7 +107,7 @@ def parse_tensor(raw: str, key: str = "") -> SymTensor3:
     try:
         if raw.startswith("diag:"):
             a, b, c = (float(v) for v in raw[5:].split(","))
-            return SymTensor3.diag(a, b, c)
+            return SymTensor3(a, b, c)
         if raw.startswith("full:"):
             comps = [float(v) for v in raw[5:].split(",")]
             if len(comps) != 6:
@@ -122,11 +122,11 @@ def parse_coefficient(raw: str, key: str = "") -> CoefficientFn:
     raw = raw.strip()
     try:
         if raw.startswith("constant:"):
-            return CoefficientFn.constant(float(raw[9:]))
+            return CoefficientFn(float(raw[9:]))
         if raw.startswith("power:"):
             c, p = (float(v) for v in raw[6:].split(","))
-            return CoefficientFn.power(c, p)
-        return CoefficientFn.constant(float(raw))
+            return CoefficientFn(c, p)
+        return CoefficientFn(float(raw))
     except ValueError as e:
         raise ConfigError(f"key {key!r}: bad coefficient {raw!r} ({e})") from e
 

@@ -44,7 +44,7 @@ def _witness(m: LocalModel) -> Optional[np.ndarray]:
     parameter combination, or an anisotropic Quintanilla)."""
     try:
         a = m.energy["plus"].S.amplitudes()
-    except (SingularParameterError, InvalidInputError):
+    except InvalidInputError:
         return None
     vals, vecs = np.linalg.eigh(a)
     if vals[0] < 0:

@@ -37,7 +37,7 @@ from .models import (
 from .tensors import InvalidInputError, SymTensor3, is_nonsingular, matvec
 
 
-class SingularParameterError(ValueError):
+class SingularParameterError(InvalidInputError):
     """A tensor combination required by a formula is singular."""
 
 
@@ -94,14 +94,13 @@ def burgers_case(m: Burgers) -> str:
     return "ii" if abs(m.mu) <= ZERO_BAND * s else "iii"
 
 
-def burgers_psi_coefficients(
-    m: Burgers, theta: float, case: str | None = None
-) -> BurgersPsiCoefficients:
-    """Free-energy coefficients for the requested (or auto-detected) regime."""
+def burgers_psi_coefficients(m: Burgers, theta: float) -> BurgersPsiCoefficients:
+    """Free-energy coefficients of the model's regime (burgers_case); tau*nu
+    is nonzero outside regime i."""
     if m.lambda_b == 0:
         raise SingularParameterError("lambda_b = 0 has no second-order free energy")
     lam, tau, mu, nu = m.lambda_b, m.tau, m.mu, m.nu
-    tag = case if case is not None else burgers_case(m)
+    tag = burgers_case(m)
     if tag == "i":
         if mu == 0:
             raise SingularParameterError("regime i needs mu != 0")
@@ -110,17 +109,15 @@ def burgers_psi_coefficients(
         a1 = tau / (mu * theta)
         g2 = g3 = a3 = 0.0
     elif tag == "ii":
-        if nu * tau == 0:
-            raise SingularParameterError("regime ii needs nu*tau != 0")
         a2 = lam**2 / (nu * tau * theta)
         g1 = (tau / lam) * a2
         a1 = ((tau**2 + lam) / lam**2) * a2
         g3 = (tau * nu / lam) * a2
         g2 = (tau * nu / lam) * g1
         a3 = (tau * nu / lam) * g3
-    elif tag == "iii":
+    else:
         d = nu**2 * tau**2 + mu * (nu * tau**2 - mu * lam)
-        if d == 0 or nu * tau == 0:
+        if d == 0:
             raise SingularParameterError("regime iii denominator vanishes")
         a2 = nu * tau * lam**2 / (theta * d)
         g1 = ((nu * tau**2 - mu * lam) / (nu * tau * lam)) * a2
@@ -128,8 +125,6 @@ def burgers_psi_coefficients(
         g3 = (tau * nu / lam) * a2
         g2 = (tau * nu / lam) * g1
         a3 = (tau * nu / lam) * g3
-    else:
-        raise SingularParameterError(f"no free-energy regime {tag!r} for these parameters")
     return BurgersPsiCoefficients(tag, a1, a2, a3, g1, g2, g3)
 
 
@@ -494,21 +489,14 @@ def dissipation_residual(m: ModelParams, s: ThermalState, variant: str = "plus")
     return _out(np.sum(dissipation_terms(m, s, variant), axis=-1, keepdims=True))
 
 
-def sample_state(
-    m: ModelParams,
-    rng: np.random.Generator,
-    theta_low: float = 0.5,
-    theta_high: float = 2.0,
-    amplitude: float = 1.0,
-    size: Optional[int] = None,
-) -> ThermalState:
+def sample_state(m: ModelParams, rng: np.random.Generator, size: Optional[int] = None) -> ThermalState:
     """Random state whose rate fields come from the model's own rate law,
     so the dissipation identity should close on it to rounding error;
     size=n gives a stack of n, the states of n calls with size=None. Per
-    state: theta, then one standard_normal fill of grad_theta, q and its
-    derivatives below the law's top one, then grad(theta_dot) if the law
-    reads it (nonlocal kinds: q, grad_q, nonlocal_q). Seeded audit output
-    depends on this order. The top derivative comes from the law.
+    state: theta in [0.5, 2), then one standard_normal fill of grad_theta,
+    q and its derivatives below the law's top one, then grad(theta_dot) if
+    the law reads it (nonlocal kinds: q, grad_q, nonlocal_q). Seeded audit
+    output depends on this order. The top derivative comes from the law.
     """
     if isinstance(m, LocalModel):
         law, names = m.law, ("q", "qdot", "qddot")
@@ -520,11 +508,11 @@ def sample_state(
         raise InvalidInputError(f"no state sampler for {type(m).__name__}")
     shape, widths = () if size is None else (size,), [9 if name == "grad_q" else 3 for name in drawn]
     theta, z = np.empty(shape), np.empty(shape + (sum(widths),))
-    uniform, fill, span = rng.random, rng.standard_normal, theta_high - theta_low
+    uniform, fill = rng.random, rng.standard_normal
     for i, row in enumerate(z.reshape(-1, z.shape[-1])):
-        theta.flat[i] = theta_low + span * uniform()  # rng.uniform(theta_low, theta_high), bit for bit
+        theta.flat[i] = 0.5 + 1.5 * uniform()  # rng.uniform(0.5, 2.0), bit for bit
         fill(out=row)
-    parts = np.split(amplitude * z, np.cumsum(widths)[:-1], axis=-1)
+    parts = np.split(z, np.cumsum(widths)[:-1], axis=-1)
     fields = {name: p.reshape(shape + (3, 3)) if name == "grad_q" else p for name, p in zip(drawn, parts)}
     fields[rate] = flux_rate(m, ThermalState(theta=theta, **fields))
     return ThermalState(theta=theta, **fields)

@@ -16,14 +16,14 @@ import numpy as np
 from .models import ModelParams, temperature_law
 # solve_poly is not called here but stays a modal attribute: perfbench's
 # traced run wraps modal.solve_poly
-from .tensors import InvalidInputError, Poly, RootSet, solve_poly, solve_polys  # noqa: F401
+from .tensors import InvalidInputError, Poly, solve_poly, solve_polys  # noqa: F401
 
 
-class InvalidKindError(ValueError):
+class InvalidKindError(InvalidInputError):
     """No separated temperature equation implemented for this model kind."""
 
 
-class RepeatedRootError(ValueError):
+class RepeatedRootError(InvalidInputError):
     """Modal reconstruction needs distinct roots."""
 
 
@@ -55,8 +55,8 @@ class SpectralProblem:
 class Spectrum:
     """One model's modes as columns, row i for mode n[i]: its characteristic
     polynomial coeffs[i] (highest degree first), that polynomial's roots[i]
-    as solve_polys gives them, and its verdicts; the discriminant is a list
-    of Python floats for a cubic, else None."""
+    as solve_polys gives them, and its verdicts; the discriminant is an
+    array for a cubic, else None."""
 
     n: np.ndarray
     Lambda: np.ndarray
@@ -64,18 +64,19 @@ class Spectrum:
     coeffs: np.ndarray
     roots: np.ndarray
     rh_pass: np.ndarray
-    discriminant: Optional[List[float]]
+    discriminant: Optional[np.ndarray]
     classification: List[str]
 
     def __len__(self) -> int:
         return len(self.n)
 
 
-def laplacian_eigenvalues(p: SpectralProblem) -> List[float]:
+def laplacian_eigenvalues(p: SpectralProblem) -> np.ndarray:
     """Ascending interval spectrum: (n*pi/L)^2 with n starting at 1 for
-    Dirichlet and at 0 for Neumann."""
+    Dirichlet and at 0 for Neumann. np.float_power is libm pow, as a Python
+    float's ** is, so each value has the bits of the scalar formula."""
     start = 1 if p.bc == "dirichlet" else 0
-    return [(n * np.pi / p.L) ** 2 for n in range(start, start + p.n_max)]
+    return np.float_power(np.arange(start, start + p.n_max) * np.pi / p.L, 2)
 
 
 def _char_coeffs(m: ModelParams, lam_tilde: np.ndarray) -> np.ndarray:
@@ -121,26 +122,30 @@ def routh_hurwitz(p: Poly) -> bool:
     return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
 
 
-def cubic_discriminant(a3: float, a2: float, a1: float, a0: float) -> float:
-    """Standard discriminant, equal to a3^4 * prod_{i<j} (w_i - w_j)^2."""
-    return (
-        18.0 * a3 * a2 * a1 * a0
-        - 4.0 * a2**3 * a0
-        + a2**2 * a1**2
-        - 4.0 * a3 * a1**3
-        - 27.0 * a3**2 * a0**2
-    )
+def cubic_discriminant(a3, a2, a1, a0):
+    """Standard discriminant, equal to a3^4 * prod_{i<j} (w_i - w_j)^2, of
+    one cubic or of arrays of coefficients, with the bits of the scalar
+    formula in Python floats (np.float_power is libm pow, as ** is there).
+    A discriminant that overflows is refused."""
+    pw = np.float_power
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = (18.0 * a3 * a2 * a1 * a0 - 4.0 * pw(a2, 3) * a0 + pw(a2, 2) * pw(a1, 2)
+             - 4.0 * a3 * pw(a1, 3) - 27.0 * pw(a3, 2) * pw(a0, 2))
+    if not np.isfinite(d).all():
+        scale = np.max(np.abs([a3, a2, a1, a0]))
+        raise InvalidInputError(f"coefficient scale out of range: the cubic discriminant overflows "
+                                f"(largest coefficient {scale:g})")
+    return d
 
 
 _CLASSES = ["unstable", "neutral_oscillation", "decaying", "oscillatory_decaying"]
 
 
-def classify_modes(roots: np.ndarray, tol: Optional[float] = None) -> List[str]:
+def classify_modes(roots: np.ndarray) -> List[str]:
     """Stability class of each row of an (n, d) root array, with a tolerance
-    band of 1e-9 of the row's largest root magnitude unless tol is given."""
+    band of 1e-9 of the row's largest root magnitude."""
     re, im = roots.real, roots.imag
-    if tol is None:
-        tol = 1e-9 * np.hypot(re, im).max(axis=1, initial=0.0)[:, None]
+    tol = 1e-9 * np.hypot(re, im).max(axis=1, initial=0.0)[:, None]
     left = np.all(re < -tol, axis=1)
     return np.select(
         [
@@ -154,10 +159,10 @@ def classify_modes(roots: np.ndarray, tol: Optional[float] = None) -> List[str]:
     ).tolist()
 
 
-def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], float]:
+def modal_solution(roots: Sequence[complex], init: Sequence[float]) -> Callable[[float], float]:
     """Scalar solution T(t) = sum_i C_i exp(w_i t) with C from the initial
     value and derivatives; rejects (near-)repeated roots."""
-    ws = np.array(roots.roots, dtype=complex)
+    ws = np.array(roots, dtype=complex)
     d = len(ws)
     if len(init) != d:
         raise InvalidInputError("need one initial value per polynomial degree")
@@ -177,14 +182,12 @@ def modal_solution(roots: RootSet, init: Sequence[float]) -> Callable[[float], f
 
 
 def mode_reports(p: SpectralProblem, m: ModelParams) -> Spectrum:
-    """The model's modes over the spectrum, each stage one array pass; only
-    the discriminant is evaluated row by row, in Python floats, so that it
-    rounds as the scalar formula does."""
+    """The model's modes over the spectrum, each stage one array pass."""
     start = 1 if p.bc == "dirichlet" else 0
-    lams = np.array(laplacian_eigenvalues(p))
+    lams = laplacian_eigenvalues(p)
     lts = lams / p.rho_c
     coeffs = _char_coeffs(m, lts)
     roots = solve_polys(coeffs)
-    disc = [cubic_discriminant(*c) for c in coeffs.tolist()] if coeffs.shape[1] == 4 else None
+    disc = cubic_discriminant(*coeffs.T) if coeffs.shape[1] == 4 else None
     return Spectrum(np.arange(start, start + p.n_max), lams, lts, coeffs, roots, routh_hurwitz_rows(coeffs), disc,
                     classify_modes(roots))

@@ -18,15 +18,15 @@ import numpy as np
 from .tensors import InvalidInputError, SymTensor3, coerce_tensor
 
 
-class ContractError(ValueError):
+class ContractError(InvalidInputError):
     """A required state field is missing for the requested operation."""
 
 
-class DegenerateModelError(ValueError):
+class DegenerateModelError(InvalidInputError):
     """The rate law divides by a vanishing parameter; use reduce_limit."""
 
 
-class InvalidLimitError(ValueError):
+class InvalidLimitError(InvalidInputError):
     """The requested reduction is not defined for this model kind."""
 
 
@@ -43,14 +43,6 @@ class CoefficientFn:
 
     def __call__(self, theta):
         return self.c * np.float_power(theta, self.p)
-
-    @classmethod
-    def constant(cls, c: float) -> "CoefficientFn":
-        return cls(c, 0.0)
-
-    @classmethod
-    def power(cls, c: float, p: float) -> "CoefficientFn":
-        return cls(c, p)
 
 
 # --- parameter sets ----------------------------------------------------------

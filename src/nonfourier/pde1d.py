@@ -26,7 +26,7 @@ from .models import CoefficientFn, GKLinear, MaterialConstants, ModelParams, Rat
 from .tensors import InvalidInputError, solve_poly
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(InvalidInputError):
     """The simulation setup is inconsistent or unsupported."""
 
 
@@ -66,12 +66,6 @@ class Grid1D:
 
     def interior_x(self) -> np.ndarray:
         return self.dx * np.arange(1, self.N + 1)
-
-
-@dataclass(frozen=True)
-class Field1D:
-    x: np.ndarray
-    values: np.ndarray
 
 
 # a stencil or block as its diagonals, offset k -> d[i] = A[i, i + k] (0
@@ -257,8 +251,11 @@ def _csr(A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return indptr, indices, data
 
 
-# band storage above this many entries (128 MB) is refused, not allocated
-_MAX_BAND_ENTRIES = 2**24
+# a run's size budget in floats (128 MB; README: Config format): the band
+# storage, the audit (6 floats a step), the snapshots (2 a cell) and the
+# per-node arrays (128 a node; a third-order kind takes about 110) each stay
+# within it, or are refused before they are allocated
+MAX_RUN_FLOATS = _MAX_BAND_ENTRIES = 2**24
 
 
 def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -552,11 +549,23 @@ class SimConfig:
             self.theta_ref = 1.0 if isinstance(self.model, GKLinear) else 300.0
         if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):
             raise ConfigurationError(f"key 'sim.theta_ref': need a finite theta_ref > 0, got {self.theta_ref:g}")
+        nodes = self.grid.N + 2 * (self.bc_kind == "neumann")
+        cells = (-(-self.steps // self.every) + 1) * nodes  # snapshots at t = 0, every `every` steps and the end
+        for key, count, what, size in (("grid.N", nodes, "nodes", 128), ("time.t_end", self.steps, "steps", 6),
+                                       ("time.snapshot_every", cells, "snapshot cells", 2)):
+            if count * size > MAX_RUN_FLOATS:
+                raise ConfigurationError(f"key {key!r}: {count:.6g} {what} at {size} floats each exceed a run's "
+                                         f"budget of {MAX_RUN_FLOATS} floats")
 
     @property
     def steps(self) -> int:
         """The number of fixed steps from 0 to t_end."""
         return max(1, int(round(self.t_end / self.dt)))
+
+    @property
+    def every(self) -> int:
+        """The steps between snapshots: snapshot_every, else about steps / 200."""
+        return self.snapshot_every or max(1, self.steps // 200)
 
 
 @dataclass
@@ -627,7 +636,7 @@ def _march(
     snapshot times, one (snapshots, ...) array per field and the audit
     columns, keyed from t."""
     nsteps = cfg.steps
-    every = cfg.snapshot_every or max(1, nsteps // 200)
+    every = cfg.every
     block = _block_steps(cfg, u.size)
     audit = {key: np.empty(nsteps) for key in ("t",) + columns}
     audit["t"][:] = np.arange(1, nsteps + 1) * cfg.dt
@@ -953,23 +962,19 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
 
 # --- analytic steady plug profile ------------------------------------------
 
-def steady_gk_profile(
-    kappa: float, lambda2: float, G: float, L: float, x: np.ndarray
-) -> Field1D:
-    """Steady flux of 3*lambda2*q'' - q = kappa*G with q(0) = q(L) = 0: a
-    boundary-layer (plug) profile approaching -kappa*G in the bulk."""
+def steady_gk_profile(kappa: float, lambda2: float, G: float, L: float, x: np.ndarray) -> np.ndarray:
+    """Steady flux q(x) of 3*lambda2*q'' - q = kappa*G with q(0) = q(L) = 0:
+    a boundary-layer (plug) profile approaching -kappa*G in the bulk."""
     if lambda2 <= 0:
         raise InvalidInputError("lambda2 must be positive")
     s = np.sqrt(3.0 * lambda2)
-    x = np.asarray(x, dtype=float)
-    q = -kappa * G * (1.0 - np.cosh((x - L / 2.0) / s) / np.cosh(L / (2.0 * s)))
-    return Field1D(x=x, values=q)
+    return -kappa * G * (1.0 - np.cosh((np.asarray(x, dtype=float) - L / 2.0) / s) / np.cosh(L / (2.0 * s)))
 
 
 # perfbench's fine-grid gk op still builds its run through these two names;
 # they go with the next change to the benchmark
 def GKSimConfig(tau, kappa, lambda2, grid, dt, t_end, theta0=None) -> SimConfig:
-    gk = GKLinear(tau, np.sqrt(lambda2 / kappa), CoefficientFn.constant(kappa))
+    gk = GKLinear(tau, np.sqrt(lambda2 / kappa), CoefficientFn(kappa))
     return SimConfig(gk, MaterialConstants(1.0, 1.0), grid, dt, t_end, theta0=theta0)
 
 

@@ -6,7 +6,7 @@ safe to call from parallel parameter sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,10 +60,6 @@ class SymTensor3:
     def isotropic(cls, c: float) -> "SymTensor3":
         return cls(c, c, c)
 
-    @classmethod
-    def diag(cls, a: float, b: float, c: float) -> "SymTensor3":
-        return cls(a, b, c)
-
     def as_matrix(self) -> np.ndarray:
         return np.array(
             [
@@ -101,9 +97,6 @@ class SymTensor3:
             return n
         big = np.abs(m).max()
         return float(big) * float(np.linalg.norm(m / big))
-
-    def inv(self) -> "SymTensor3":
-        return SymTensor3.from_matrix(np.linalg.inv(self.as_matrix()))
 
     def apply(self, v) -> np.ndarray:
         """The tensor times a 3-vector, or times each of a stack (..., 3)."""
@@ -198,13 +191,6 @@ class Poly:
         return out
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a real polynomial; complex roots appear in conjugate pairs."""
-
-    roots: tuple[complex, ...]
-
-
 def _companions(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """numpy.roots' companion matrix of each row with its trailing zeros
     stripped, in the top-left corner of a zero matrix of the full degree.
@@ -293,6 +279,7 @@ def solve_polys(coeffs) -> np.ndarray:
     return roots
 
 
-def solve_poly(p: Poly) -> RootSet:
-    """All complex roots of one polynomial: the one-row case of solve_polys."""
-    return RootSet(tuple(solve_polys([p.coeffs])[0].tolist()))
+def solve_poly(p: Poly) -> tuple[complex, ...]:
+    """All complex roots of one polynomial, complex ones in conjugate pairs:
+    the one-row case of solve_polys."""
+    return tuple(solve_polys([p.coeffs])[0].tolist())

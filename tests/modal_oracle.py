@@ -1,13 +1,13 @@
 """The per-mode spectral path that the batched one replaced, kept as a test
 oracle: numpy.roots on one polynomial at a time, conjugate pairing and
 Newton polish in Python complex arithmetic, and one Routh-Hurwitz test and
-classification per mode; and the factored discriminant of the
-Moore-Gibson-Thompson cubic."""
+classification per mode; the standard cubic discriminant in Python
+floats; and the factored discriminant of the Moore-Gibson-Thompson cubic."""
 import numpy as np
 
-from nonfourier.modal import InvalidKindError, cubic_discriminant
+from nonfourier.modal import InvalidKindError
 from nonfourier.models import temperature_law
-from nonfourier.tensors import InvalidInputError, Poly, RootSet
+from nonfourier.tensors import InvalidInputError, Poly
 
 
 def pair_conjugates(roots):
@@ -48,7 +48,7 @@ def solve_poly(p):
             dp = np.polyder(p.coeffs)
             r2 = r - p(r) / np.polyval(dp, r)
             paired = tuple(r2 if x == r else x for x in paired)
-    return RootSet(paired)
+    return paired
 
 
 def characteristic_poly(m, lam_tilde):
@@ -74,12 +74,14 @@ def routh_hurwitz(p):
     return bool(c[1] * c[2] > c[3] * c[0])
 
 
-def classify_mode(roots, tol=None):
-    rs = roots.roots
-    if tol is None:
-        tol = 1e-9 * max(abs(r) for r in rs) if rs else 0.0
-    re = np.array([r.real for r in rs])
-    im = np.array([r.imag for r in rs])
+def cubic_discriminant(a3, a2, a1, a0):
+    return 18.0 * a3 * a2 * a1 * a0 - 4.0 * a2**3 * a0 + a2**2 * a1**2 - 4.0 * a3 * a1**3 - 27.0 * a3**2 * a0**2
+
+
+def classify_mode(roots):
+    tol = 1e-9 * max(abs(r) for r in roots) if roots else 0.0
+    re = np.array([r.real for r in roots])
+    im = np.array([r.imag for r in roots])
     if np.any(re > tol):
         return "unstable"
     if np.any((np.abs(re) <= tol) & (im != 0)):
@@ -95,7 +97,7 @@ def mode_report(m, n, Lambda, rho_c):
     lt = Lambda / rho_c
     p = characteristic_poly(m, lt)
     roots = solve_poly(p)
-    return (n, Lambda, lt, p.coeffs, roots.roots, routh_hurwitz(p),
+    return (n, Lambda, lt, p.coeffs, roots, routh_hurwitz(p),
             cubic_discriminant(*p.coeffs) if p.degree == 3 else None, classify_mode(roots))
 
 

@@ -290,7 +290,7 @@ def test_criterion_7_dissipation_identity_on_random_states():
         ("mcv", MCV(tau=0.7, kappa=2.0)),
         ("gn3", GN3(xi=1.5, kappa=2.0)),
         ("quintanilla", Quintanilla(tau=0.5, xi=1.0, kappa=2.0)),
-        ("gk", GKLinear(tau=0.5, ell=0.3, varkappa=CoefficientFn.power(2.0, 1.0))),
+        ("gk", GKLinear(tau=0.5, ell=0.3, varkappa=CoefficientFn(2.0, 1.0))),
     ):
         worst[label] = rel(dissipation_terms(model, sample_state(model, rng, size=n)))
 
@@ -342,7 +342,7 @@ def test_criterion_9_gk_plug_profile_and_no_flow():
         imposed_gradient=1.0,
     )
     traj = simulate(cfg)
-    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
+    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x)
     linf = float(np.abs(traj.fluxes[-1] - oracle).max())
     mid = float(np.interp(0.5, traj.x, traj.fluxes[-1]))
     k_wall = float(traj.audit["k_boundary"].max())

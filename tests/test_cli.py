@@ -1,8 +1,11 @@
 """End-to-end exercises of the command-line front end via main(argv)."""
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 import energetics_oracle as oracle
 import nonfourier
 from nonfourier.cli import _cells, _fmt, _snapshot_columns, _write, build_parser, main
-from nonfourier.config import MAX_AUDIT_SAMPLES, build_audit_samples, build_model, parse_config
+from nonfourier.config import MAX_AUDIT_SAMPLES, MODEL_KINDS, build_audit_samples, build_model, parse_config
+from nonfourier.consistency import CHECKS
+from nonfourier.tensors import InvalidInputError
 
 QUINTANILLA_CFG = """
 model.kind = quintanilla
@@ -718,6 +723,44 @@ def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
 def test_every_shipped_config_key_is_read(config):
     """Every key of configs/*.cfg passes the unknown-key check."""
     assert parse_config(config)
+
+
+def test_every_package_error_but_the_run_aborts_exits_2():
+    """main turns an InvalidInputError into exit 2, so every exception class
+    of the package is one, except the two aborts of a run (exit 1)."""
+    errors = set()
+    for info in pkgutil.iter_modules(nonfourier.__path__):
+        mod = importlib.import_module(f"nonfourier.{info.name}")
+        errors |= {cls for cls in vars(mod).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == mod.__name__}
+    assert len(errors) > 2
+    assert {cls.__name__ for cls in errors if not issubclass(cls, InvalidInputError)} == {"PositivityError",
+                                                                                        "DivergenceError"}
+
+
+def test_every_model_kind_has_a_consistency_check():
+    assert set(CHECKS) == set(MODEL_KINDS.values())
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("modal", _edited("mgt_stable.cfg", "model.kappa", "1e102"), "coefficient scale out of range: the cubic"),
+    ("sweep", _edited("mgt_stable.cfg", "model.kappa", "1e102") + "sweep.param = model.kappa\nsweep.values = 2, 1e102\n",
+     "coefficient scale out of range: the cubic"),
+    ("simulate", _edited("mgt_stable.cfg", "time.t_end", "1e9"), "key 'time.t_end': 1e+12 steps"),
+    ("simulate", _edited("mgt_stable.cfg", "time.dt", "1e-300"), "key 'time.t_end': 2e+300 steps"),
+    ("simulate", _edited("mgt_stable.cfg", "grid.N", "1000000000"), "key 'grid.N': 1e+09 nodes"),
+], ids=["modal_kappa_1e102", "sweep_kappa_1e102", "t_end_1e9", "dt_1e-300", "N_1e9"])
+def test_oversized_inputs_exit_2_without_warning(tmp_path, capsys, command, text, message):
+    """Each of these ended in a traceback (exit 1): an OverflowError from the
+    cubic discriminant, and a MemoryError or "maximum allowed dimension
+    exceeded" from sizing the run's arrays. Each is now a config error,
+    raised before anything is written or allocated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_missing_required_key_exits_2(tmp_path):

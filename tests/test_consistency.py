@@ -300,7 +300,7 @@ def test_burgers_sign_failure_with_singular_form_has_no_witness():
 # --- weakly nonlocal ----------------------------------------------------------
 
 def test_gk_derived_coefficients_pass():
-    m = GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(2.0, 1.0))
+    m = GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(2.0, 1.0))
     assert check_gk(m).passed
 
 
@@ -312,7 +312,7 @@ def test_gk_nonpositive_varkappa_fails():
 
 def test_gk_nonlinear_passes_for_either_sign_of_delta():
     for delta in (-0.4, 0.4):
-        m = GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=delta)
+        m = GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(2.0), delta=delta)
         v = CHECKS[GKNonlinear](m)
         assert v.passed and v.margin == 2.0
 
@@ -320,7 +320,7 @@ def test_gk_nonlinear_passes_for_either_sign_of_delta():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.1, 3.0), st.floats(0.01, 2.0), st.floats(0.1, 5.0))
 def test_gk_coupling_identity_holds_for_any_power_law(p, ell, c):
-    m = GKLinear(tau=1.0, ell=ell, varkappa=CoefficientFn.power(c, p))
+    m = GKLinear(tau=1.0, ell=ell, varkappa=CoefficientFn(c, p))
     assert check_gk(m).passed
 
 
@@ -370,8 +370,8 @@ def test_no_checker_raises_near_its_boundary(p, e):
         Burgers(lambda_b=a, tau=b, mu=c, nu=a * c / b**2 + e0),
         Burgers(lambda_b=a, tau=b, mu=e0, nu=c),
         Burgers(lambda_b=-a, tau=e0, mu=c, nu=d),
-        GKLinear(tau=a, ell=b, varkappa=CoefficientFn.power(e0, c)),
-        GKNonlinear(tau=a, ell=b, varkappa=CoefficientFn.power(e0, c), delta=d),
+        GKLinear(tau=a, ell=b, varkappa=CoefficientFn(e0, c)),
+        GKNonlinear(tau=a, ell=b, varkappa=CoefficientFn(e0, c), delta=d),
     ]
     for m in models:
         assert run_check(m)["pass"] in ("true", "false")
@@ -472,18 +472,18 @@ _PINNED_RECORDS = {
          "false", "-1", "nu*tau^2 >= lambda_b*mu"),
     ),
     "gk-pass": (
-        GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(2.0, 1.0)), ("true", "", "2", "", "", "false"),
+        GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(2.0, 1.0)), ("true", "", "2", "", "", "false"),
     ),
     "gk-fail": (
-        GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(-1.0)),
+        GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(-1.0)),
         ("false", "", "-1", "varkappa not positive", "sign", "false"),
     ),
     "gk_nonlinear-pass": (
-        GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.constant(2.0), delta=-0.4),
+        GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(2.0), delta=-0.4),
         ("true", "", "2", "", "", "false"),
     ),
     "gk_nonlinear-fail": (
-        GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(-2.0, 0.5), delta=0.4),
+        GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(-2.0, 0.5), delta=0.4),
         ("false", "", "-6.32455532034", "varkappa not positive", "sign", "false"),
     ),
 }
@@ -502,9 +502,9 @@ def test_run_check_records_are_pinned(case):
     [
         (Quintanilla(tau=0.0, xi=1.0, kappa=2.0), "tau = 0: use the GN III checker"),
         (Burgers(lambda_b=0.0, tau=1.0, mu=1.0, nu=1.0), "lambda_b = 0: use the Jeffreys checker"),
-        (GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(1.0, 1000.0)), r"varkappa\(theta\) must be finite"),
+        (GKLinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(1.0, 1000.0)), r"varkappa\(theta\) must be finite"),
         (
-            GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn.power(1.0, 1000.0), delta=0.1),
+            GKNonlinear(tau=1.0, ell=0.3, varkappa=CoefficientFn(1.0, 1000.0), delta=0.1),
             r"varkappa\(theta\) must be finite",
         ),
     ],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from nonfourier.models import (
     Jeffreys,
     Quintanilla,
 )
-from nonfourier.tensors import InvalidInputError, Poly, RootSet, solve_poly, solve_polys
+from nonfourier.tensors import InvalidInputError, Poly, solve_poly, solve_polys
 
 import modal_oracle as oracle
 
@@ -112,7 +114,7 @@ def test_routh_hurwitz_agrees_with_roots(seed, degree):
     if abs(coeffs[0]) < 1e-3:
         coeffs[0] = 1.0
     p = Poly(tuple(coeffs))
-    roots = solve_poly(p).roots
+    roots = solve_poly(p)
     max_re = max(w.real for w in roots)
     if abs(max_re) < 1e-6:
         return  # too close to the imaginary axis to call either way
@@ -143,6 +145,36 @@ def test_cubic_discriminant_equals_root_product(seed):
     assert disc == pytest.approx(float(np.real(prod)), rel=1e-6, abs=1e-9)
 
 
+def test_cubic_discriminant_rows_have_the_scalar_bits():
+    """One array pass gives each row the bits of the scalar formula in
+    Python floats, over coefficients spanning e^-30 to e^30 in both signs."""
+    rng = np.random.default_rng(24)
+    c = rng.choice([-1.0, 1.0], (20000, 4)) * np.exp(rng.uniform(-30.0, 30.0, (20000, 4)))
+    got = cubic_discriminant(*c.T)
+    want = [oracle.cubic_discriminant(*row) for row in c.tolist()]
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+@pytest.mark.parametrize("row", [[1.0, 1.0, 1e103, 1.0], [1e200, 1e200, 1.0, 1.0], [1e300, -1e300, 1e300, -1e300]])
+def test_overflowing_cubic_discriminant_is_refused(row):
+    """A discriminant that overflows (where the scalar formula raised
+    OverflowError from a power) is refused, naming the coefficient scale,
+    with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="coefficient scale out of range: the cubic discriminant"):
+            cubic_discriminant(*np.array([[1.0] * 4, row]).T)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("L", [np.pi, 1.0, 0.37, 3e-5, 1e7])
+def test_laplacian_eigenvalues_have_the_scalar_bits(bc, L):
+    p = SpectralProblem(bc=bc, L=L, n_max=2000)
+    start = 1 if bc == "dirichlet" else 0
+    want = [(n * np.pi / L) ** 2 for n in range(start, start + p.n_max)]
+    assert [x.hex() for x in laplacian_eigenvalues(p).tolist()] == [x.hex() for x in want]
+
+
 def test_mgt_discriminant_matches_standard_form():
     for tau, kappa, xi, lt in [(1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 0.7, 3.0), (2.0, 0.3, 1.5, 9.0)]:
         std = cubic_discriminant(tau, 1.0, lt * kappa, lt * xi)
@@ -167,23 +199,23 @@ def test_classify_mode_examples():
 
 
 def test_modal_solution_pure_decay():
-    T = modal_solution(RootSet((-1.0 + 0j,)), [2.0])
+    T = modal_solution((-1.0 + 0j,), [2.0])
     t = np.linspace(0.0, 3.0, 7)
     np.testing.assert_allclose(T(t), 2.0 * np.exp(-t), rtol=1e-12)
 
 
 def test_modal_solution_cosine():
     # w = +-i with T(0) = 1, T'(0) = 0 gives cos t
-    T = modal_solution(RootSet((1j, -1j)), [1.0, 0.0])
+    T = modal_solution((1j, -1j), [1.0, 0.0])
     t = np.linspace(0.0, 6.0, 13)
     np.testing.assert_allclose(T(t), np.cos(t), atol=1e-12)
 
 
 def test_modal_solution_rejects_repeated_roots():
     with pytest.raises(RepeatedRootError):
-        modal_solution(RootSet((-1.0 + 0j, -1.0 + 1e-12j)), [1.0, 0.0])
+        modal_solution((-1.0 + 0j, -1.0 + 1e-12j), [1.0, 0.0])
     with pytest.raises(InvalidInputError):
-        modal_solution(RootSet((-1.0 + 0j, -2.0 + 0j)), [1.0])
+        modal_solution((-1.0 + 0j, -2.0 + 0j), [1.0])
 
 
 def test_mode_report_mgt_first_mode():
@@ -192,7 +224,7 @@ def test_mode_report_mgt_first_mode():
     assert s.coeffs.tolist() == [[1.0, 1.0, 2.0, 1.0]]
     assert s.rh_pass.tolist() == [True]
     assert s.classification == ["oscillatory_decaying"]
-    assert s.discriminant == [pytest.approx(-23.0)]
+    assert s.discriminant.tolist() == [pytest.approx(-23.0)]
     reals = s.roots[0][np.abs(s.roots[0].imag) <= 1e-9].real
     assert len(reals) == 1 and reals[0] == pytest.approx(-0.56984, abs=1e-4)
 
@@ -255,7 +287,7 @@ def _row_bits(row):
 def _spectrum_rows(s):
     """The rows of a Spectrum's columns, each cell a Python scalar or tuple."""
     return zip(s.n.tolist(), s.Lambda.tolist(), s.Lambda_tilde.tolist(), map(tuple, s.coeffs.tolist()),
-               map(tuple, s.roots.tolist()), s.rh_pass.tolist(), s.discriminant or [None] * len(s),
+               map(tuple, s.roots.tolist()), s.rh_pass.tolist(), [None] * len(s) if s.discriminant is None else s.discriminant.tolist(),
                s.classification)
 
 
@@ -344,9 +376,9 @@ def test_solve_polys_match_numpy_roots_oracle(c):
     including exact zero roots for trailing zero coefficients."""
     got = solve_polys(c)
     for row, roots in zip(c, got):
-        want = oracle.solve_poly(Poly(tuple(row))).roots
+        want = oracle.solve_poly(Poly(tuple(row)))
         assert _bits(tuple(roots)) == _bits(want)
-        assert _bits(solve_poly(Poly(tuple(row))).roots) == _bits(want)
+        assert _bits(solve_poly(Poly(tuple(row)))) == _bits(want)
 
 
 @pytest.mark.parametrize("row", [[1.0, 0.0, 4.0], [2.0, 0.0, 8.0, 0.0]])
@@ -355,7 +387,7 @@ def test_solve_polys_pure_imaginary_pair_matches_oracle(row):
     eigvals returns with opposite signs; both come back as +0.0, as the
     oracle's mean makes them."""
     got = solve_polys([row])[0]
-    want = oracle.solve_poly(Poly(tuple(row))).roots
+    want = oracle.solve_poly(Poly(tuple(row)))
     assert _bits(tuple(got)) == _bits(want)
     lo, hi = [r for r in got if r.imag != 0]
     assert _bits([lo.real, hi.real]) == _bits([0.0, 0.0])
@@ -370,7 +402,7 @@ def test_solve_polys_polish_matches_oracle():
     got = solve_polys(c)
     polished = 0
     for row, roots in zip(c, got):
-        want = oracle.solve_poly(Poly(tuple(row))).roots
+        want = oracle.solve_poly(Poly(tuple(row)))
         assert _bits(tuple(roots)) == _bits(want)
         polished += _bits(want) != _bits(oracle.pair_conjugates(np.roots(row)))
     assert polished > 0
@@ -397,16 +429,15 @@ def test_mode_reports_solve_the_spectrum_with_one_eigvals_call(monkeypatch, mode
 
 def test_mode_reports_build_no_object_per_mode(monkeypatch):
     """A 2500-mode spectrum builds a Poly only for each row that solve_polys
-    polishes, and no RootSet: every column is one array or list."""
+    polishes: every column is one array or list."""
     made, polished = [], []
-    for cls in (Poly, RootSet):
-        init = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init: made.append(type(self)) or _init(self, *a))
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a: made.append(type(self)) or init(self, *a))
     polish = tensors._polish
     monkeypatch.setattr(tensors, "_polish", lambda p, roots: polished.append(p) or polish(p, roots))
     s = mode_reports(SpectralProblem(bc="dirichlet", L=np.pi, n_max=2500), Quintanilla(tau=1.0, xi=1.0, kappa=2.0))
     assert len(s) == 2500 and s.roots.shape == (2500, 3)
-    assert made.count(Poly) == len(polished) and RootSet not in made
+    assert made.count(Poly) == len(polished)
     for column in vars(s).values():
         assert isinstance(column, (np.ndarray, list)) and len(column) == 2500
 
@@ -415,5 +446,4 @@ def test_classify_modes_rows_match_classify_mode():
     roots = np.array([[-1.0, -2.0], [-1 + 2j, -1 - 2j], [2j, -2j], [1.0, -1.0], [0.0, -1.0], [1e-12 + 1j, 1e-12 - 1j]])
     want = ["decaying", "oscillatory_decaying", "neutral_oscillation", "unstable", "mixed", "neutral_oscillation"]
     assert classify_modes(roots) == want
-    assert [oracle.classify_mode(RootSet(tuple(r))) for r in roots.tolist()] == want
-    assert classify_modes(roots, tol=0.0)[-1] == "unstable"
+    assert [oracle.classify_mode(tuple(r)) for r in roots.tolist()] == want

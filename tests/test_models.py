@@ -74,15 +74,15 @@ def test_burgers_rate_example():
 
 
 def test_gk_linear_rate_example():
-    m = GKLinear(tau=2.0, ell=1.0, varkappa=CoefficientFn.constant(4.0))
+    m = GKLinear(tau=2.0, ell=1.0, varkappa=CoefficientFn(4.0))
     s = state(q=EX, grad_theta=EX, nonlocal_q=EX)
     # kappa(1) = 4, lambda2(1) = 4 -> (-1 - 4 + 4)/2
     np.testing.assert_allclose(flux_rate(m, s), [-0.5, 0.0, 0.0])
 
 
 def test_gk_nonlinear_adds_gradient_coupling():
-    lin = GKLinear(tau=1.0, ell=1.0, varkappa=CoefficientFn.constant(1.0))
-    non = GKNonlinear(tau=1.0, ell=1.0, varkappa=CoefficientFn.constant(1.0), delta=0.5)
+    lin = GKLinear(tau=1.0, ell=1.0, varkappa=CoefficientFn(1.0))
+    non = GKNonlinear(tau=1.0, ell=1.0, varkappa=CoefficientFn(1.0), delta=0.5)
     grad_q = np.diag([2.0, 0.0, 0.0])
     s = state(q=EX, grad_theta=np.zeros(3), grad_q=grad_q, nonlocal_q=np.zeros(3))
     base = flux_rate(lin, s)
@@ -112,7 +112,7 @@ def test_gk_rate_and_limit_refuse_a_nonpositive_or_nonfinite_varkappa(build, var
 def test_gk_nonlinear_at_delta_zero_is_the_linear_law():
     """delta = 0 skips the nonlinear terms, so grad_q is not required and
     the rate has the bits of GKLinear's."""
-    vk = CoefficientFn.power(1.3, 0.5)
+    vk = CoefficientFn(1.3, 0.5)
     s = state(theta=np.array([0.7, 2.0]), q=[[1.0, -2.0, 0.5], [0.0, 0.3, -1.0]], grad_theta=EX, nonlocal_q=EX)
     lin, non = flux_rate(GKLinear(0.4, 0.2, vk), s), flux_rate(GKNonlinear(0.4, 0.2, vk, 0.0), s)
     assert lin.tobytes() == non.tobytes()
@@ -128,7 +128,7 @@ def test_degenerate_parameters_raise():
         )
     with pytest.raises(DegenerateModelError):
         flux_rate(
-            GKLinear(tau=0.0, ell=1.0, varkappa=CoefficientFn.constant(1.0)),
+            GKLinear(tau=0.0, ell=1.0, varkappa=CoefficientFn(1.0)),
             state(q=EX, grad_theta=EX, nonlocal_q=EX),
         )
 
@@ -201,7 +201,7 @@ def test_reduce_limit_chain():
     assert isinstance(f, Fourier) and f.kappa.xx == mcv.kappa.xx
     g = reduce_limit(Quintanilla(tau=1.0, xi=1.0, kappa=2.0), "gn3")
     assert isinstance(g, GN3)
-    gk = GKLinear(tau=0.5, ell=0.2, varkappa=CoefficientFn.constant(9.0))
+    gk = GKLinear(tau=0.5, ell=0.2, varkappa=CoefficientFn(9.0))
     m = reduce_limit(gk, "mcv", theta_ref=3.0)
     assert isinstance(m, MCV) and m.tau == 0.5 and m.kappa.xx == pytest.approx(1.0)
 
@@ -246,5 +246,5 @@ def test_mixture_satisfies_dynamic_admissibility(tau1, tau2, k1, k2):
 
 
 def test_coefficient_fn_forms():
-    assert CoefficientFn.constant(3.0)(7.0) == 3.0
-    assert CoefficientFn.power(2.0, 2.0)(3.0) == 18.0
+    assert CoefficientFn(3.0)(7.0) == 3.0
+    assert CoefficientFn(2.0, 2.0)(3.0) == 18.0

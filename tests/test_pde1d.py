@@ -550,6 +550,33 @@ def test_band_storage_cap_raises(monkeypatch):
     trapezoid_stepper(M, np.zeros(6), 0.1)
 
 
+@pytest.mark.parametrize("N, steps, every, key", [
+    (pde1d.MAX_RUN_FLOATS // 128, 1, 1, None), (pde1d.MAX_RUN_FLOATS // 128 + 1, 1, 1, "grid.N"),
+    (8, pde1d.MAX_RUN_FLOATS // 6, 10**6, None), (8, pde1d.MAX_RUN_FLOATS // 6 + 1, 10**6, "time.t_end"),
+    (8, pde1d.MAX_RUN_FLOATS // 16 - 1, 1, None), (8, pde1d.MAX_RUN_FLOATS // 16, 1, "time.snapshot_every"),
+])
+def test_run_budget_boundaries(N, steps, every, key):
+    """The nodes (128 floats each), the steps (6 each, the audit) and the
+    snapshot cells (2 each) may each take up to the budget and no more; a
+    run past it is refused when it is configured, before any allocation."""
+    make = lambda: SimConfig(model=Fourier(kappa=1.0), material=MAT, grid=Grid1D(L=1.0, N=N), dt=1.0,
+                             t_end=float(steps), snapshot_every=every)
+    if key is None:
+        assert make().steps == steps
+    else:
+        with pytest.raises(ConfigurationError, match=f"key '{key}': .* exceed a run's budget"):
+            make()
+
+
+def test_run_budget_takes_the_benchmark_sizes(monkeypatch):
+    """The benchmark's fine grid (N = 20000, 50 steps, Neumann too) and its
+    simulate runs (N = 200, 1000 steps) fit in a quarter of the budget."""
+    monkeypatch.setattr(pde1d, "MAX_RUN_FLOATS", pde1d.MAX_RUN_FLOATS // 4)
+    for N, t_end, bc in ((20000, 0.05, "dirichlet"), (20000, 0.05, "neumann"), (200, 1.0, "dirichlet")):
+        SimConfig(model=Quintanilla(tau=0.5, xi=1.0, kappa=2.0), material=MAT, grid=Grid1D(L=np.pi, N=N), dt=1e-3,
+                  t_end=t_end, bc_kind=bc)
+
+
 def test_degenerate_model_kinds_rejected_in_assembly():
     ops = space_operators(Grid1D(L=1.0, N=9), "dirichlet", 0.0)
     with pytest.raises(ConfigurationError):
@@ -830,7 +857,10 @@ TEMPERATURE_MODELS = [
 @pytest.mark.parametrize(
     "model",
     # near nu tau^2 = lambda_b mu, Burgers' sigma form has a pivot 1e-6 of its largest
-    TEMPERATURE_MODELS + [pytest.param(Burgers(1.0, 1.0, 1.0, 1.0 + 1e-6), id="burgers_near_boundary")],
+    # regime i (tau = 0): Burgers' P form holds only the q.q_dot cross term, so
+    # its squares come from the zero-diagonal pivot, two of +-0.5
+    TEMPERATURE_MODELS + [pytest.param(Burgers(1.0, 1.0, 1.0, 1.0 + 1e-6), id="burgers_near_boundary"),
+                          pytest.param(Burgers(lambda_b=-1.0, tau=0.0, mu=1.0, nu=7.0), id="burgers_regime_i")],
     ids=lambda m: type(m).__name__.lower(),
 )
 def test_node_audit_matches_pointwise_energetics(monkeypatch, model):
@@ -1165,9 +1195,9 @@ def test_sim_config_defaults_theta_ref_by_kind(model, theta_ref):
 def test_steady_gk_profile_shape():
     x = np.linspace(0.0, 1.0, 101)
     prof = steady_gk_profile(kappa=1.0, lambda2=1.0 / 300.0, G=1.0, L=1.0, x=x)
-    assert prof.values[0] == pytest.approx(0.0, abs=1e-12)
-    assert prof.values[-1] == pytest.approx(0.0, abs=1e-12)
-    assert prof.values[50] == pytest.approx(-0.98653, abs=1e-4)
+    assert prof[0] == pytest.approx(0.0, abs=1e-12)
+    assert prof[-1] == pytest.approx(0.0, abs=1e-12)
+    assert prof[50] == pytest.approx(-0.98653, abs=1e-4)
     with pytest.raises(InvalidInputError):
         steady_gk_profile(1.0, 0.0, 1.0, 1.0, x)
 
@@ -1175,7 +1205,7 @@ def test_steady_gk_profile_shape():
 def test_gk_imposed_gradient_reaches_plug_profile():
     cfg = _gk(0.0, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=200), dt=1e-2, t_end=0.1, imposed_gradient=1.0)
     traj = simulate(cfg)
-    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
+    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x)
     assert np.abs(traj.fluxes[-1] - oracle).max() <= 2e-4
     assert traj.audit["min_zeta"].min() >= 0.0
     assert traj.audit["k_boundary"].max() <= 1e-12
@@ -1184,7 +1214,7 @@ def test_gk_imposed_gradient_reaches_plug_profile():
 def test_gk_relaxing_flux_converges_to_steady_state():
     cfg = _gk(0.05, ell2=1.0 / 300.0, grid=Grid1D(L=1.0, N=100), dt=1e-3, t_end=1.0, imposed_gradient=1.0)
     traj = simulate(cfg)
-    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x).values
+    oracle = steady_gk_profile(1.0, 1.0 / 300.0, 1.0, 1.0, traj.x)
     assert np.abs(traj.fluxes[-1] - oracle).max() <= 1e-3
     assert traj.audit["max_residual"].max() <= 1e-10
 
