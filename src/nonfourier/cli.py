@@ -41,11 +41,7 @@ build_gk_sim_config, simulate_coupled_gk = build_sim_config, simulate
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
-    return str(v)
+    return f"{float(v):.12g}"
 
 
 @functools.lru_cache(maxsize=None)

@@ -102,7 +102,7 @@ def _int(cfg: Dict[str, str], key: str, default: Optional[str] = None, positive:
     return n
 
 
-def parse_tensor(raw: str, key: str = "") -> SymTensor3:
+def parse_tensor(raw: str, key: str) -> SymTensor3:
     raw = raw.strip()
     try:
         if raw.startswith("diag:"):
@@ -118,7 +118,7 @@ def parse_tensor(raw: str, key: str = "") -> SymTensor3:
         raise ConfigError(f"key {key!r}: bad tensor value {raw!r} ({e})") from e
 
 
-def parse_coefficient(raw: str, key: str = "") -> CoefficientFn:
+def parse_coefficient(raw: str, key: str) -> CoefficientFn:
     raw = raw.strip()
     try:
         if raw.startswith("constant:"):

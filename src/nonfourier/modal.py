@@ -118,10 +118,6 @@ def routh_hurwitz_rows(coeffs: np.ndarray) -> np.ndarray:
     return ok
 
 
-def routh_hurwitz(p: Poly) -> bool:
-    return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
-
-
 def cubic_discriminant(a3, a2, a1, a0):
     """Standard discriminant, equal to a3^4 * prod_{i<j} (w_i - w_j)^2, of
     one cubic or of arrays of coefficients, with the bits of the scalar

@@ -199,15 +199,13 @@ class RateLaw:
     the law contains, so ``order`` is 0 for an algebraic law. b0 and b1 are
     tensors, or floats in a ``scalar()`` row; b1 is None where the law has
     no grad(theta_dot) term. ``limit`` names the reduction
-    to use when the top coefficient vanishes; ``closed`` is False for a kind
-    whose temperature equation the modal and 1-D layers do not solve.
+    to use when the top coefficient vanishes.
     """
 
     a: Tuple[float, ...]
     b0: Union[SymTensor3, float]
     b1: Union[SymTensor3, float, None] = None
     limit: str = ""
-    closed: bool = True
 
     @property
     def order(self) -> int:
@@ -248,7 +246,7 @@ _TAU_FOURIER = "tau = 0: reduce to the Fourier model"
 
 RATE_LAWS: Dict[type, Callable[..., RateLaw]] = {
     Fourier: lambda m: RateLaw((1.0,), m.kappa),
-    GN2: lambda m: RateLaw((0.0, 1.0), m.K, closed=False),
+    GN2: lambda m: RateLaw((0.0, 1.0), m.K),
     MCV: lambda m: RateLaw((1.0, m.tau), m.kappa, limit=_TAU_FOURIER),
     Jeffreys: lambda m: RateLaw((1.0, m.tau), m.xi, m.tau * m.kappa, limit=_TAU_FOURIER),
     GN3: lambda m: RateLaw((0.0, 1.0), m.xi, m.kappa),
@@ -263,9 +261,9 @@ RATE_LAWS: Dict[type, Callable[..., RateLaw]] = {
 
 
 def temperature_law(m: ModelParams, error: type) -> RateLaw:
-    """Scalar row of a kind whose temperature equation the modal and 1-D
-    layers solve; other kinds and anisotropic tensors raise ``error``."""
-    if not isinstance(m, LocalModel) or not m.law.closed:
+    """Scalar row of a local kind, whose temperature equation the modal and
+    1-D layers solve; other kinds and anisotropic tensors raise ``error``."""
+    if not isinstance(m, LocalModel):
         raise error(f"no closed temperature equation for {type(m).__name__}")
     law = m.law.scalar()
     if law is None:

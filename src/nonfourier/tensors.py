@@ -138,28 +138,20 @@ def psd_margin(s: SymTensor3) -> float:
     return float(s.eigenvalues()[0])
 
 
-def is_psd(s: SymTensor3, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefinite up to a relative eigenvalue tolerance."""
-    if tol < 0:
-        raise InvalidInputError("tol must be nonnegative")
-    scale = max(1.0, s.norm())
-    return psd_margin(s) >= -tol * scale
+def is_psd(s: SymTensor3) -> bool:
+    """Positive semidefinite up to DEFAULT_TOL relative to max(1, norm)."""
+    return psd_margin(s) >= -DEFAULT_TOL * max(1.0, s.norm())
 
 
-def is_pd(s: SymTensor3, tol: float = DEFAULT_TOL) -> bool:
+def is_pd(s: SymTensor3) -> bool:
     """Strictly positive definite up to the same relative tolerance."""
-    if tol < 0:
-        raise InvalidInputError("tol must be nonnegative")
-    scale = max(1.0, s.norm())
-    return psd_margin(s) > tol * scale
+    return psd_margin(s) > DEFAULT_TOL * max(1.0, s.norm())
 
 
-def is_nonsingular(s: SymTensor3, tol: float = DEFAULT_TOL) -> bool:
-    """|det| larger than tol at the tensor's own cubed scale: the determinant
-    of the tensor divided by max(1, norm), which cannot overflow."""
-    if tol < 0:
-        raise InvalidInputError("tol must be nonnegative")
-    return abs(float(np.linalg.det(s.as_matrix() / max(1.0, s.norm())))) > tol
+def is_nonsingular(s: SymTensor3) -> bool:
+    """|det| larger than DEFAULT_TOL at the tensor's own cubed scale: the
+    determinant of the tensor divided by max(1, norm), which cannot overflow."""
+    return abs(float(np.linalg.det(s.as_matrix() / max(1.0, s.norm())))) > DEFAULT_TOL
 
 
 # --- polynomials and roots ---------------------------------------------------

@@ -62,7 +62,7 @@ def characteristic_poly(m, lam_tilde):
     return Poly(tuple(coeffs))
 
 
-def routh_hurwitz(p):
+def hurwitz_stable(p):
     c = p.coeffs
     s = np.sign(c[0])
     if p.degree == 1:
@@ -97,7 +97,7 @@ def mode_report(m, n, Lambda, rho_c):
     lt = Lambda / rho_c
     p = characteristic_poly(m, lt)
     roots = solve_poly(p)
-    return (n, Lambda, lt, p.coeffs, roots, routh_hurwitz(p),
+    return (n, Lambda, lt, p.coeffs, roots, hurwitz_stable(p),
             cubic_discriminant(*p.coeffs) if p.degree == 3 else None, classify_mode(roots))
 
 

@@ -372,6 +372,23 @@ def test_simulate_matches_golden_output(tmp_path, kind):
         assert float(g[col]) <= 1e-12 * (min(1.0, float(g[scale])) if scale is not None else 1.0)
 
 
+def test_simulate_gn2_matches_golden_output(tmp_path):
+    """GN II produces no entropy: both sigma columns are 0 in every row, so
+    max_residual, the rounding noise of (1/K)(K theta_x) q against q theta_x,
+    is bounded by 1e-12 absolute; every other cell byte for byte."""
+    code, out = run(tmp_path, "simulate", "--config", str(GOLDEN / "gn2.cfg"))
+    assert code == 0
+    snap = (out / "snapshots.csv").read_bytes().split(b"\n", 3)[3]
+    assert snap == (GOLDEN / "gn2.snapshots.csv").read_bytes()
+    got = [line.split(",") for line in (out / "audit.csv").read_text().splitlines()[3:]]
+    want = [line.split(",") for line in (GOLDEN / "gn2.audit.csv").read_text().splitlines()]
+    assert len(got) == len(want) == 31 and got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g[1:3] == w[1:3] == ["0", "0"]
+        assert g[:3] + g[4:] == w[:3] + w[4:]
+        assert float(g[3]) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", sorted(p.stem for p in MODAL_GOLDEN.glob("*.cfg")))
 @pytest.mark.parametrize("command, name", [("modal", "modes.csv"), ("sweep", "sweep.csv")])
 def test_spectral_output_matches_golden(tmp_path, kind, command, name):
@@ -702,7 +719,7 @@ def _huge(kind):
 
 @pytest.mark.parametrize("kind, command, code", [
     ("quintanilla", "check", 0), ("quintanilla", "simulate", 2), ("gn3", "check", 0), ("gn3", "simulate", 0),
-    ("gn2", "check", 0), ("gn2", "simulate", 2)])
+    ("gn2", "check", 0), ("gn2", "simulate", 0)])
 def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
     """Quintanilla kappa, GN III xi or GN II K = 1e160 overflows the plain
     Frobenius norm of the checkers' tolerance scale, and xi's and K's
@@ -716,6 +733,68 @@ def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     if command == "check":
         assert "pass=true" in proc.stdout
+
+
+@pytest.mark.parametrize("config, old, new, command, named", [
+    ("mgt_stable.cfg", "grid.N = 200", "grid.N 200", "simulate", "line 11: expected key = value"),
+    ("mgt_stable.cfg", "model.kappa = 2.0", "model.kappa = full:2,2,2,0,0", "check", "need 6 components"),
+    ("gk_plug.cfg", "model.varkappa = constant:1.0", "model.varkappa = power:1.0", "simulate", "bad coefficient"),
+    ("mgt_stable.cfg", "ic.kind = sine", "ic.kind = gaussian", "simulate", "unknown initial condition 'gaussian'"),
+    ("burgers_sweep.cfg", "sweep.values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0", "", "sweep", "sweep needs sweep.param and"),
+], ids=["no_equals", "full_of_5", "power_without_p", "unknown_ic_kind", "sweep_without_values"])
+def test_malformed_config_line_exits_2(tmp_path, capsys, config, old, new, command, named):
+    """A line without '=', a full: tensor of 5 components, a power:
+    coefficient without its exponent, an unknown ic.kind and a sweep
+    without sweep.values are config errors."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+    assert old in text
+    code, _ = run(tmp_path, command, "--config", write_cfg(tmp_path, text.replace(old, new)))
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_constant_initial_condition_fills_the_grid(tmp_path):
+    text = _edited("mgt_stable.cfg", "time.t_end", "0.01").replace(
+        "ic.kind = sine\nic.mode = 1\nic.amplitude = 1.0", "ic.kind = constant\nic.amplitude = 0.25")
+    code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, text))
+    assert code == 0
+    first = [row.split(",") for row in (out / "snapshots.csv").read_text().splitlines()[4:] if row.startswith("0,")]
+    assert len(first) == 200 and {row[2] for row in first} == {"0.25"}
+
+
+def test_bare_number_varkappa_is_a_constant(tmp_path):
+    """model.varkappa = c reads as constant:c: the run's files are the same."""
+    bodies = []
+    for name, value in (("constant", "constant:1.0"), ("bare", "1.0")):
+        cfg = write_cfg(tmp_path, _edited("gk_plug.cfg", "model.varkappa", value), name=f"{name}.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        bodies.append([(tmp_path / name / f).read_bytes().split(b"\n", 3)[3] for f in ("snapshots.csv", "audit.csv")])
+    assert bodies[0] == bodies[1]
+
+
+_BURGERS_MU = ("burgers_sweep.cfg", "model.mu", "1e300")
+
+
+@pytest.mark.parametrize("config, key, value, command, named", [
+    ("mgt_stable.cfg", "grid.L", "1e-300", "simulate", "key 'grid.L'"),  # dx^2 underflows to 0
+    ("mgt_stable.cfg", "grid.L", "1e300", "simulate", "key 'grid.L'"),  # dx^2 overflows
+    ("mgt_stable.cfg", "time.dt", "1e300", "simulate", "key 'time.dt'"),  # dt/2 times the matrix overflows
+    ("gk_plug.cfg", "model.ell", "1e300", "simulate", "key 'model.ell'"),
+    ("gk_plug.cfg", "model.ell", "1e300", "audit", "key 'model.ell'"),
+    *[(*_BURGERS_MU, command, "s^2 overflows") for command in ("check", "sweep", "simulate", "audit")],
+], ids=["tiny_L", "huge_L", "huge_dt", "huge_ell-simulate", "huge_ell-audit",
+        *[f"huge_mu-{c}" for c in ("check", "sweep", "simulate", "audit")]])
+def test_overflowing_square_exits_2(tmp_path, capsys, config, key, value, command, named):
+    """A grid spacing, time step, ell or Burgers scale whose square (or
+    product with the system matrix) leaves the float range is a config
+    error naming the key or the quantity, with warnings as errors, where
+    each was a traceback or a RuntimeWarning and exit 1."""
+    cfg = write_cfg(tmp_path, _edited(config, key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, command, "--config", cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),

@@ -178,6 +178,19 @@ def test_burgers_degenerate_inputs_raise():
         burgers_psi_coefficients(Burgers(0.0, 1.0, 1.0, 1.0), 1.0)
 
 
+def test_burgers_regime_i_needs_a_nonzero_mu():
+    """tau = 0 puts Burgers in regime i, whose coefficients divide by mu."""
+    m = Burgers(lambda_b=-1.0, tau=0.0, mu=0.0, nu=1.0)
+    assert burgers_case(m) == "i"
+    with pytest.raises(SingularParameterError, match="regime i needs mu != 0"):
+        burgers_psi_coefficients(m, 1.0)
+
+
+def test_extra_entropy_flux_refuses_a_local_kind():
+    with pytest.raises(InvalidInputError, match="only exists for the nonlocal model"):
+        extra_entropy_flux(Fourier(kappa=1.0), ThermalState(theta=1.0))
+
+
 # --- analytic gradients vs finite differences ---------------------------------
 
 def _perturb(s: ThermalState, name: str, delta: np.ndarray) -> ThermalState:

@@ -17,14 +17,16 @@ from nonfourier.modal import (
     laplacian_eigenvalues,
     modal_solution,
     mode_reports,
-    routh_hurwitz,
+    routh_hurwitz_rows,
 )
 from nonfourier.models import (
     MCV,
     GN2,
     GN3,
     Burgers,
+    CoefficientFn,
     Fourier,
+    GKLinear,
     Jeffreys,
     Quintanilla,
 )
@@ -84,26 +86,32 @@ def test_characteristic_polynomials():
 
 
 def test_characteristic_poly_rejects_unknown_and_negative():
+    # GN2's law q_dot = -K grad(theta) gives s^2 + Lambda_tilde K
+    assert characteristic_poly(GN2(K=1.5), 2.0).coeffs == (1.0, 0.0, 3.0)
     with pytest.raises(InvalidKindError):
-        characteristic_poly(GN2(K=1.0), 1.0)
+        characteristic_poly(GKLinear(1.0, 0.1, CoefficientFn(1.0)), 1.0)
     with pytest.raises(InvalidInputError):
         characteristic_poly(Fourier(kappa=1.0), -1.0)
 
 
+def _rh(p: Poly) -> bool:
+    return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
+
+
 def test_routh_hurwitz_examples():
-    assert routh_hurwitz(Poly((1.0, 2.0, 3.0)))
-    assert not routh_hurwitz(Poly((1.0, -2.0, 3.0)))
-    assert routh_hurwitz(Poly((-1.0, -2.0, -3.0)))
-    assert routh_hurwitz(Poly((1.0, 2.0, 3.0, 4.0)))  # 2*3 > 4*1
-    assert not routh_hurwitz(Poly((1.0, 1.0, 1.0, 2.0)))  # bridge fails
-    assert not routh_hurwitz(Poly((1.0, 0.0, 1.0, 1.0)))
+    assert _rh(Poly((1.0, 2.0, 3.0)))
+    assert not _rh(Poly((1.0, -2.0, 3.0)))
+    assert _rh(Poly((-1.0, -2.0, -3.0)))
+    assert _rh(Poly((1.0, 2.0, 3.0, 4.0)))  # 2*3 > 4*1
+    assert not _rh(Poly((1.0, 1.0, 1.0, 2.0)))  # bridge fails
+    assert not _rh(Poly((1.0, 0.0, 1.0, 1.0)))
     with pytest.raises(InvalidInputError):
-        routh_hurwitz(Poly((0.0, 1.0, 1.0)))
+        _rh(Poly((0.0, 1.0, 1.0)))
 
 
 def test_routh_hurwitz_degree_one():
-    assert routh_hurwitz(Poly((1.0, 2.0)))
-    assert not routh_hurwitz(Poly((1.0, -2.0)))
+    assert _rh(Poly((1.0, 2.0)))
+    assert not _rh(Poly((1.0, -2.0)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -118,7 +126,7 @@ def test_routh_hurwitz_agrees_with_roots(seed, degree):
     max_re = max(w.real for w in roots)
     if abs(max_re) < 1e-6:
         return  # too close to the imaginary axis to call either way
-    assert routh_hurwitz(p) == (max_re < 0)
+    assert _rh(p) == (max_re < 0)
 
 
 def test_cubic_discriminant_sign_examples():

@@ -24,6 +24,7 @@ from nonfourier.energetics import (
 )
 from nonfourier.models import (
     MCV,
+    GN2,
     GN3,
     Burgers,
     CoefficientFn,
@@ -124,7 +125,6 @@ def test_dirichlet_laplacian_stencil():
     dx2 = 0.1**2
     np.testing.assert_allclose(row[3:6], [1.0 / dx2, -2.0 / dx2, 1.0 / dx2])
     assert ops.n == 9
-    np.testing.assert_allclose(ops.weights, np.full(9, 0.1))
 
 
 def test_dirichlet_boundary_forcing():
@@ -138,9 +138,6 @@ def test_dirichlet_boundary_forcing():
 def test_neumann_operators_include_boundaries():
     ops = space_operators(Grid1D(L=1.0, N=9), "neumann", 0.0)
     assert ops.n == 11
-    # trapezoid weights: half weight at the two wall nodes
-    assert ops.weights[0] == pytest.approx(0.05)
-    assert ops.weights[5] == pytest.approx(0.1)
     # mirrored ghost: lap row 0 is (-2, 2)/dx^2
     row = _csr_of(ops.lap).toarray()[0]
     np.testing.assert_allclose(row[:2], [-200.0, 200.0])
@@ -152,8 +149,11 @@ def test_unknown_bc_kind_rejected():
 
 
 def test_spatial_mean_weighting():
+    """The Neumann nodes run from wall to wall at spacing dx, the nodes of
+    the trapezoid-weighted mean (dx, halved at the two walls) that flux-free
+    walls conserve."""
     ops = space_operators(Grid1D(L=1.0, N=9), "neumann", 0.0)
-    assert ops.weights @ np.ones(ops.n) / ops.weights.sum() == pytest.approx(1.0)
+    np.testing.assert_allclose(ops.x, np.linspace(0.0, 1.0, 11), rtol=0, atol=1e-15)
 
 
 def _lil_operators(grid):
@@ -285,6 +285,7 @@ def _assert_close(got, want, blocks=1, rtol=1e-12):
 
 TEMPERATURE_MODELS = [
     Fourier(kappa=2.0),
+    GN2(K=1.5),
     MCV(tau=0.7, kappa=2.0),
     Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
     GN3(xi=1.5, kappa=2.0),
@@ -520,6 +521,24 @@ def test_simulate_builds_no_scipy_sparse_object(monkeypatch):
         simulate(_gk(0.1, bc_kind="neumann", **common))
 
 
+def test_stepper_keeps_whole_blocks_only():
+    M = [[None, {0: np.ones(5)}], [{0: -np.ones(5)}, None]]
+    with pytest.raises(ConfigurationError, match="cannot keep 3 of 10 unknowns"):
+        trapezoid_stepper(M, np.zeros(10), 0.1, keep=3)
+
+
+def test_sim_config_refuses_a_nan_step():
+    with pytest.raises(ConfigurationError, match="key 'time.dt'"):
+        SimConfig(model=Fourier(kappa=1.0), material=MAT, grid=Grid1D(L=1.0, N=10), dt=np.nan, t_end=1.0)
+
+
+def test_initial_field_of_the_wrong_shape_is_refused():
+    cfg = SimConfig(model=Fourier(kappa=1.0), material=MAT, grid=Grid1D(L=1.0, N=10), dt=0.1, t_end=1.0,
+                    theta0=np.zeros(9))
+    with pytest.raises(ConfigurationError, match=r"initial field shape \(9,\) != grid shape \(10,\)"):
+        simulate(cfg)
+
+
 def test_singular_implicit_matrix_raises():
     dt = 0.1
     with pytest.raises(ConfigurationError, match="singular"):
@@ -631,8 +650,10 @@ def test_neumann_mean_is_conserved():
         theta0=lambda x: np.cos(np.pi * x),
     )
     traj = simulate(cfg)
-    m0 = ops.weights @ traj.thetas[0] / ops.weights.sum()
-    m1 = ops.weights @ traj.thetas[-1] / ops.weights.sum()
+    weights = np.full(ops.n, grid.dx)
+    weights[0] = weights[-1] = grid.dx / 2  # trapezoid weights: half at the walls
+    m0 = weights @ traj.thetas[0] / weights.sum()
+    m1 = weights @ traj.thetas[-1] / weights.sum()
     assert abs(m1 - m0) <= 1e-10
     # and the profile flattens toward that mean
     assert np.abs(traj.thetas[-1] - m1).max() < 1e-2
@@ -846,6 +867,7 @@ def test_audit_tracks_nonnegative_sigma_for_mcv():
 
 TEMPERATURE_MODELS = [
     Fourier(kappa=1.5),
+    GN2(K=1.5),
     MCV(tau=0.5, kappa=1.5),
     Jeffreys(tau=0.8, xi=2.0, kappa=0.5),
     GN3(xi=1.5, kappa=2.0),
@@ -1010,11 +1032,25 @@ def test_pde_matches_modal_solution_at_nonunit_rho_c(model):
     assert compare_modal_vs_pde(cfg, 2).linf_rel <= dt**2
 
 
+def test_gn2_modal_comparison_is_second_order_in_dt():
+    """GN II's modes oscillate undamped, so its error against the modal
+    solution is the trapezoid rule's phase error alone: within criterion
+    5's gate (1e-3) and down by a factor of 4 per halving of dt."""
+    errors = [
+        compare_modal_vs_pde(SimConfig(model=GN2(K=1.0), material=MAT, grid=Grid1D(L=np.pi, N=50), dt=dt,
+                                       t_end=1.0), 2).linf_rel
+        for dt in (2e-3, 1e-3, 5e-4)
+    ]
+    assert max(errors) <= 1e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 < coarse / fine < 4.1
+
+
 def _modal_run(cfg, n_mode):
     """The run compare_modal_vs_pde makes of cfg: a single-sine theta0,
-    zero wall values, no theta_dot0, theta_ddot0 or q0."""
+    zero wall values, no theta_dot0 or q0."""
     shape = np.sin(n_mode * np.pi * cfg.grid.interior_x() / cfg.grid.L)
-    return replace(cfg, bc_value=0.0, theta0=shape, theta_dot0=None, theta_ddot0=None, q0=None)
+    return replace(cfg, bc_value=0.0, theta0=shape, theta_dot0=None, q0=None)
 
 
 @pytest.mark.parametrize("model", TEMPERATURE_MODELS, ids=lambda m: type(m).__name__.lower())

@@ -21,19 +21,19 @@ from tensors_oracle import cardano_cubic, is_psd_minors, principal_minors, repre
 
 def test_identity_is_psd_and_pd():
     eye = SymTensor3.isotropic(1.0)
-    assert is_psd(eye, 1e-10)
+    assert is_psd(eye)
     assert is_pd(eye)
     assert is_nonsingular(eye)
 
 
 def test_negative_eigenvalue_rejected():
-    assert not is_psd(SymTensor3(1.0, -1e-3, 0.0), 1e-10)
+    assert not is_psd(SymTensor3(1.0, -1e-3, 0.0))
 
 
 def test_quintanilla_proof_matrix_is_psd():
     # tau=1, xi=1, kappa=2, theta=1 gives the rank-one block matrix below
     a = SymTensor3(0.0, 1.0, 4.0, yz=2.0)
-    assert is_psd(a, 1e-10)
+    assert is_psd(a)
     assert not is_pd(a)
 
 
@@ -54,6 +54,22 @@ def test_nonfinite_entries_rejected():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError):
             SymTensor3.from_matrix(np.full((3, 3), np.inf))
+
+
+def test_from_matrix_and_apply_refuse_wrong_shapes():
+    with pytest.raises(InvalidInputError, match="expected 3x3 matrix"):
+        SymTensor3.from_matrix(np.eye(2))
+    with pytest.raises(InvalidInputError, match="expected 3-vectors"):
+        SymTensor3.isotropic(1.0).apply([1.0, 2.0])
+
+
+def test_norm_rescales_a_frobenius_norm_that_overflows():
+    """Five entries of 1e160 square past the float range; the norm is
+    recomputed scaled, with no warning, and is inf only if it is itself."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SymTensor3(1e160, 1e160, 1e160, yz=1e160).norm() == pytest.approx(np.sqrt(5.0) * 1e160, rel=1e-15)
+        assert SymTensor3.isotropic(1.5e308).norm() == np.inf
 
 
 def test_from_matrix_requires_symmetry():
@@ -89,7 +105,7 @@ def test_psd_agrees_with_minors_oracle(seed):
     # skip draws whose smallest eigenvalue sits inside the tolerance band
     if abs(psd_margin(s)) < 10 * tol:
         return
-    assert is_psd(s, tol) == is_psd_minors(s, tol)
+    assert is_psd(s) == is_psd_minors(s, tol)
 
 
 @settings(max_examples=300, deadline=None)
