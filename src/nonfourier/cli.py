@@ -265,13 +265,16 @@ def cmd_audit(args) -> int:
     samples = build_audit_samples(cfg)
     # one stack of states, drawn in the per-state order; each row has the
     # bits of auditing its state alone
-    s = sample_state(model, np.random.default_rng(args.seed), size=samples)
-    terms = dissipation_terms(model, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an audit that overflows is refused below
+        s = sample_state(model, np.random.default_rng(args.seed), size=samples)
+        terms, psi, sig = dissipation_terms(model, s), free_energy(model, s), entropy_production(model, s)
+    if not all(np.isfinite(a).all() for a in (terms, psi, sig)):
+        raise InvalidInputError("keys model.*: the audited states' rates, energies and entropy production leave "
+                                "the float range")
     res = np.sum(terms, axis=-1)
     rel = np.abs(res) / np.fmax(np.abs(terms).max(axis=-1), 1e-300)
-    sig = entropy_production(model, s)
     _write(Path(args.out) / "residuals.csv", _header(args) + ["sample,theta,psi,sigma,residual,rel_residual"],
-           [np.arange(samples).astype("S"), s.theta, free_energy(model, s), sig, res, rel])
+           [np.arange(samples).astype("S"), s.theta, psi, sig, res, rel])
     # fmax/fmin skip a nan as the running max/min of the rows would
     print(
         f"audited {samples} random states: max relative residual {np.fmax.reduce(rel, initial=0.0):.3e}, "

@@ -80,55 +80,55 @@ def _get(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> str:
     raise ConfigError(f"missing required key {key!r}")
 
 
-def _float(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> float:
-    raw = _get(cfg, key, default)
+# the magnitude envelope: every number a config holds is 0 or has
+# 1 / MAGNITUDE <= |v| <= MAGNITUDE, so that the products the layers form of
+# a few of them stay in the float range (README: Config format)
+MAGNITUDE = 1e100
+
+
+def _number(raw: str, key: str, kind: type = float):
+    """raw as a float (or an int), refused unless it is 0 or within the
+    magnitude envelope."""
     try:
-        value = float(raw)
+        v = kind(raw)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
-    return value
+        v = None
+    if v is None or (v and not 1 / MAGNITUDE <= abs(v) <= MAGNITUDE):
+        what = (f"outside the magnitude envelope (0, or {1 / MAGNITUDE:g} <= |v| <= {MAGNITUDE:g})"
+                if v is not None and abs(v) < np.inf else "not an integer" if kind is int else "not a finite number")
+        raise ConfigError(f"key {key!r}: {what}: {raw!r}")
+    return v
+
+
+def _float(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> float:
+    return _number(_get(cfg, key, default), key)
 
 
 def _int(cfg: Dict[str, str], key: str, default: Optional[str] = None, positive: bool = False) -> int:
-    raw = _get(cfg, key, default)
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from e
+    n = _number(_get(cfg, key, default), key, int)
     if positive and n <= 0:
         raise ConfigError(f"key {key!r}: need a positive integer, got {n}")
     return n
 
 
-def parse_tensor(raw: str, key: str) -> SymTensor3:
+def _components(raw: str, key: str, what: str, counts: Dict[str, int]):
+    """raw's form (the prefix of counts it starts with, or "" for a bare
+    number) and its comma-separated numbers, as many as the form takes."""
     raw = raw.strip()
-    try:
-        if raw.startswith("diag:"):
-            a, b, c = (float(v) for v in raw[5:].split(","))
-            return SymTensor3(a, b, c)
-        if raw.startswith("full:"):
-            comps = [float(v) for v in raw[5:].split(",")]
-            if len(comps) != 6:
-                raise ValueError("need 6 components xx,yy,zz,yz,xz,xy")
-            return SymTensor3(*comps)
-        return SymTensor3.isotropic(float(raw))
-    except ValueError as e:
-        raise ConfigError(f"key {key!r}: bad tensor value {raw!r} ({e})") from e
+    form = next((f for f in counts if f and raw.startswith(f)), "")
+    parts = raw[len(form) :].split(",")
+    if len(parts) != counts[form]:
+        raise ConfigError(f"key {key!r}: bad {what} {raw!r} (need {counts[form]} components)")
+    return form, [_number(v, key) for v in parts]
+
+
+def parse_tensor(raw: str, key: str) -> SymTensor3:
+    form, v = _components(raw, key, "tensor value", {"diag:": 3, "full:": 6, "": 1})
+    return SymTensor3(*v) if form else SymTensor3.isotropic(*v)
 
 
 def parse_coefficient(raw: str, key: str) -> CoefficientFn:
-    raw = raw.strip()
-    try:
-        if raw.startswith("constant:"):
-            return CoefficientFn(float(raw[9:]))
-        if raw.startswith("power:"):
-            c, p = (float(v) for v in raw[6:].split(","))
-            return CoefficientFn(c, p)
-        return CoefficientFn(float(raw))
-    except ValueError as e:
-        raise ConfigError(f"key {key!r}: bad coefficient {raw!r} ({e})") from e
+    return CoefficientFn(*_components(raw, key, "coefficient", {"constant:": 1, "power:": 2, "": 1})[1])
 
 
 def _parsed(parse: Callable[[str, str], object]) -> Callable[..., object]:

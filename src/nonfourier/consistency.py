@@ -41,10 +41,13 @@ def _witness(m: LocalModel) -> Optional[np.ndarray]:
     """Unit amplitude vector over (q, qdot, grad_theta) along which the
     x-directed entropy production of the kind's energy row is most negative;
     None if it is nowhere negative or the row cannot be built (a singular
-    parameter combination, or an anisotropic Quintanilla)."""
+    parameter combination, an anisotropic Quintanilla, or coefficients past
+    the float range, as Burgers lambda_b = 1e-100 with tau = 1e100 gives)."""
     try:
         a = m.energy["plus"].S.amplitudes()
     except InvalidInputError:
+        return None
+    if not np.isfinite(a).all():
         return None
     vals, vecs = np.linalg.eigh(a)
     if vals[0] < 0:

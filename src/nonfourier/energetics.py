@@ -81,12 +81,8 @@ ZERO_BAND = 1e-12
 
 def burgers_scale(m: Burgers) -> float:
     """The scale s = max(1, |tau|, |nu|, |mu|) of the regime decision: tau*nu
-    counts as zero within ZERO_BAND * s**2 and mu within ZERO_BAND * s; an
-    s whose square overflows is refused."""
-    s = max(1.0, abs(m.tau), abs(m.nu), abs(m.mu))
-    if not s * s < np.inf:
-        raise InvalidInputError(f"Burgers scale s = max(1, |tau|, |nu|, |mu|) = {s:g}: s^2 overflows")
-    return s
+    counts as zero within ZERO_BAND * s**2 and mu within ZERO_BAND * s."""
+    return max(1.0, abs(m.tau), abs(m.nu), abs(m.mu))
 
 
 def burgers_case(m: Burgers) -> str:
@@ -356,8 +352,6 @@ def nonlocal_coefficients(m: ModelParams, theta, variant: str = "plus") -> Optio
         vk = m.varkappa(theta)
     if not np.all(np.isfinite(vk) & (vk > 0)):
         raise SingularParameterError("varkappa(theta) must be finite and positive")
-    if not m.ell * m.ell < np.inf:
-        raise InvalidInputError(f"key 'model.ell': ell^2 overflows at ell = {m.ell:g}")
     return Nonlocal(m.tau, vk, m.ell**2, getattr(m, "delta", 0.0))
 
 

@@ -59,8 +59,6 @@ class Grid1D:
             raise InvalidInputError("domain length must be positive")
         if self.N < 8:
             raise InvalidInputError("need at least 8 interior points")
-        if not np.finfo(float).tiny <= self.dx * self.dx < np.inf:  # the stencils divide by dx^2
-            raise InvalidInputError(f"key 'grid.L': dx = L / (N + 1) = {self.dx:g} squares out of the float range")
 
     @property
     def dx(self) -> float:
@@ -309,7 +307,6 @@ def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a set-up that overflows is refused
 def trapezoid_stepper(
     M: List[List[Optional[Band]]], f: np.ndarray, dt: float, keep: Optional[int] = None
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -353,8 +350,8 @@ def trapezoid_stepper(
     rhs_f = _matvec(reduce, dt * np.asarray(f, dtype=float))
     bp, bi, bd = _csr(E, hM12, nb)
     if not all(np.isfinite(d).all() for d in (rd, rhs_f, bd, *(d for row in S for d in row.values()))):
-        raise ConfigurationError(f"key 'time.dt': the trapezoid set-up (dt/2 times the system matrix) overflows "
-                                 f"at dt = {dt:g}")
+        raise ConfigurationError("keys grid.*, material.*, model.* and time.dt: the 1-D system they set up, "
+                                 f"times dt/2 = {h:g}, leaves the float range")
     solve = _band_lu(S, nb)
 
     # each product sums into zeros, as `rhs_mat @ u + rhs_f` and
@@ -480,8 +477,7 @@ def _entropy_audit(m: ModelParams, law: RateLaw) -> Callable:
     drive, each (steps, nodes), and the flux state (steps, nodes, law order)."""
     row = m.energy["plus"]
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # _squares refuses the result
-            P, S = _squares(row.P), _squares(row.S)
+        P, S = _squares(row.P), _squares(row.S)
     except SingularParameterError as e:
         raise ConfigurationError(f"no entropy audit: {e}") from e
     lower = [(-c / law.a[-1], j) for j, c in enumerate(law.a[:-1]) if c != 0]
@@ -544,15 +540,11 @@ class SimConfig:
     imposed_gradient: Optional[float] = None
 
     def __post_init__(self):
-        for key, v in (("time.dt", self.dt), ("time.t_end", self.t_end)):
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigurationError(f"key {key!r}: need a finite value > 0, got {v:g}")
-        if not np.isfinite(self.t_end / self.dt):
-            raise ConfigurationError(f"key 'time.t_end': t_end / dt = {self.t_end:g} / {self.dt:g} is not finite")
         if self.theta_ref is None:
             self.theta_ref = 1.0 if isinstance(self.model, GKLinear) else 300.0
-        if not (np.isfinite(self.theta_ref) and self.theta_ref > 0):
-            raise ConfigurationError(f"key 'sim.theta_ref': need a finite theta_ref > 0, got {self.theta_ref:g}")
+        for key, v in (("time.dt", self.dt), ("time.t_end", self.t_end), ("sim.theta_ref", self.theta_ref)):
+            if not (np.isfinite(v) and v > 0):
+                raise ConfigurationError(f"key {key!r}: need a finite value > 0, got {v:g}")
         nodes = self.grid.N + 2 * (self.bc_kind == "neumann")
         cells = (-(-self.steps // self.every) + 1) * nodes  # snapshots at t = 0, every `every` steps and the end
         for key, count, what, size in (("grid.N", nodes, "nodes", 128), ("time.t_end", self.steps, "steps", 6),
@@ -630,10 +622,10 @@ def _march(
     returns the block's audit columns after t (arrays over its steps, or
     one value for all of them; none for the modal comparison, which audits
     nothing) and its rows of each snapshot field. A block's states before
-    its first non-finite or non-positive one are observed, with overflow
-    silenced, before anything is raised, so the error names the earliest
-    bad step whatever B is: a non-finite audit value (a state past about
-    1e154 squares to inf), then 0 K, then a non-finite state. `first` holds
+    its first non-finite or non-positive one are observed (the entry points
+    silence overflow) before anything is raised, so the error names the
+    earliest bad step whatever B is: a non-finite audit value (a state past
+    about 1e154 squares to inf), then 0 K, then a non-finite state. `first` holds
     the fields at t = 0 ((theta, flux) for a run, theta alone for the
     comparison); the other snapshots are taken every cfg.snapshot_every
     steps (about 200 by default) and at the last step. Returns the
@@ -671,8 +663,7 @@ def _march(
                     b = int(bad[0])
                     error, U = PositivityError(i0 + b + 1, (i0 + b + 1) * cfg.dt), U[:b]
         if b:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values, fields = observe(U)
+            values, fields = observe(U)
             finite = np.ones(b, dtype=bool)
             for value in values:
                 finite &= np.isfinite(value)
@@ -755,7 +746,11 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         y = np.zeros((n, k))
         y[:, 0] = _init_field(cfg.q0, x)
         forc, yr = np.zeros((n, k)), np.empty((n, k))
-        lhs_inv_t = np.ascontiguousarray(np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A).T)
+        try:  # singular where dt/2 is the inverse of one of A's eigenvalues
+            lhs_inv_t = np.ascontiguousarray(np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A).T)
+        except np.linalg.LinAlgError as e:
+            raise ConfigurationError(f"key 'time.dt': the flux law's trapezoid step I - dt/2 A is singular at "
+                                     f"dt = {cfg.dt:g}") from e
         rhs_a_t = np.ascontiguousarray((np.eye(k) + cfg.dt / 2.0 * A).T)
     else:
         y = drive[:, None]
@@ -899,6 +894,7 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     return Trajectory(x, times, list(thetas), list(fluxes), audit, cfg.theta_ref)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, or aborts the run
 def simulate(cfg: SimConfig) -> Trajectory:
     """Integrate the kind's 1-D system, auditing entropy every step. The
     kind's system builder checks the setup (ConfigurationError); the time
@@ -922,6 +918,7 @@ class ModalComparison:
     l2_rel: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in simulate
 def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     """Step a local kind's temperature equation from single-sine initial
     data and compare its theta snapshots against the separated ODE solution

@@ -83,9 +83,7 @@ class SymTensor3:
         return np.linalg.eigvalsh(self.as_matrix())
 
     def det(self) -> float:
-        """Determinant; one that overflows is inf, without a warning."""
-        with np.errstate(over="ignore"):
-            return float(np.linalg.det(self.as_matrix()))
+        return float(np.linalg.det(self.as_matrix()))
 
     def norm(self) -> float:
         """Frobenius norm; one that overflows is recomputed scaled by the
@@ -248,26 +246,28 @@ def solve_polys(coeffs) -> np.ndarray:
         raise InvalidInputError("leading coefficient must be nonzero" if lead[bad[0]] else "non-finite coefficient")
     d = c.shape[1] - 1
     degree = d - np.argmax(c[:, ::-1] != 0.0, axis=1)
-    w = np.asarray(np.linalg.eigvals(_companions(c, degree)), dtype=complex)
-    re, im = w.real.copy(), w.imag.copy()
-    stripped = np.arange(d) >= degree[:, None]
-    re[stripped] = im[stripped] = 0.0
-    roots = _pair_conjugates(re, im)
-    # |p(r)| by Horner in the real arithmetic of Python complex numbers; the
-    # factor 1/2 leaves the exact test below to decide near its threshold.
-    # Roots too large for the screen's bound cannot be tested at all.
-    re, im = roots.real, roots.imag
-    pr, pi = np.zeros((len(c), d)), np.zeros((len(c), d))
-    scale = np.abs(c).max(axis=1, keepdims=True)
+    # rows whose coefficients span too wide a range fail anywhere here, as
+    # in a Newton step on a zero derivative (1e-100 s^3 + s^2 + 1: 0, 0 for +-i)
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w = np.asarray(np.linalg.eigvals(_companions(c, degree)), dtype=complex)
+            re, im = w.real.copy(), w.imag.copy()
+            stripped = np.arange(d) >= degree[:, None]
+            re[stripped] = im[stripped] = 0.0
+            roots = _pair_conjugates(re, im)
+            # |p(r)| by Horner in the real arithmetic of Python complex
+            # numbers; the factor 1/2 leaves the exact test below to decide
+            # near its threshold
+            re, im = roots.real, roots.imag
+            pr, pi = np.zeros((len(c), d)), np.zeros((len(c), d))
+            scale = np.abs(c).max(axis=1, keepdims=True)
             for ck in c.T:
                 pr, pi = pr * re - pi * im + ck[:, None], pr * im + pi * re
             limit = 1e-8 * scale * np.maximum(1.0, np.hypot(re, im)) ** d
+            for i in np.flatnonzero((np.hypot(pr, pi) > 0.5 * limit).any(axis=1)):
+                roots[i] = _polish(Poly(tuple(c[i])), tuple(roots[i].tolist()))
     except FloatingPointError as e:
-        raise InvalidInputError(f"coefficient scale out of range: the roots overflow the residual screen ({e})") from e
-    for i in np.flatnonzero((np.hypot(pr, pi) > 0.5 * limit).any(axis=1)):
-        roots[i] = _polish(Poly(tuple(c[i])), tuple(roots[i].tolist()))
+        raise InvalidInputError(f"coefficient scale out of range: the roots leave the float range ({e})") from e
     return roots
 
 

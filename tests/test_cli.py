@@ -351,13 +351,17 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("kind", ["fourier", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk", "small_amplitude"])
+@pytest.mark.parametrize("kind", ["fourier", "gn2", "mcv", "jeffreys", "gn3", "quintanilla", "burgers", "gk",
+                                  "small_amplitude"])
 def test_simulate_matches_golden_output(tmp_path, kind):
     """Output bodies, after the 3-line header, against stored files written
     by an earlier version. max_residual is rounding noise of a sum that
     cancels, so it is bounded instead of compared: by 1e-12, and by 1e-12 of
-    the row's max_sigma where the audit has one and it is below 1 (so that
-    small_amplitude's residuals, about 1e-211, are bounded too)."""
+    the row's max_sigma where the audit has one and it is in (0, 1) (so that
+    small_amplitude's residuals, about 1e-211, are bounded too). GN II
+    produces no entropy, so its max_sigma is 0 in every row, and its
+    residual, the rounding of (1/K)(K theta_x) q against q theta_x, has
+    the absolute bound."""
     code, out = run(tmp_path, "simulate", "--config", str(GOLDEN / f"{kind}.cfg"))
     assert code == 0
     snap = (out / "snapshots.csv").read_bytes().split(b"\n", 3)[3]
@@ -369,24 +373,8 @@ def test_simulate_matches_golden_output(tmp_path, kind):
     scale = want[0].index("max_sigma") if "max_sigma" in want[0] else None
     for g, w in zip(got[1:], want[1:]):
         assert g[:col] + g[col + 1 :] == w[:col] + w[col + 1 :]
-        assert float(g[col]) <= 1e-12 * (min(1.0, float(g[scale])) if scale is not None else 1.0)
-
-
-def test_simulate_gn2_matches_golden_output(tmp_path):
-    """GN II produces no entropy: both sigma columns are 0 in every row, so
-    max_residual, the rounding noise of (1/K)(K theta_x) q against q theta_x,
-    is bounded by 1e-12 absolute; every other cell byte for byte."""
-    code, out = run(tmp_path, "simulate", "--config", str(GOLDEN / "gn2.cfg"))
-    assert code == 0
-    snap = (out / "snapshots.csv").read_bytes().split(b"\n", 3)[3]
-    assert snap == (GOLDEN / "gn2.snapshots.csv").read_bytes()
-    got = [line.split(",") for line in (out / "audit.csv").read_text().splitlines()[3:]]
-    want = [line.split(",") for line in (GOLDEN / "gn2.audit.csv").read_text().splitlines()]
-    assert len(got) == len(want) == 31 and got[0] == want[0]
-    for g, w in zip(got[1:], want[1:]):
-        assert g[1:3] == w[1:3] == ["0", "0"]
-        assert g[:3] + g[4:] == w[:3] + w[4:]
-        assert float(g[3]) <= 1e-12
+        sigma = float(g[scale]) if scale is not None else 0.0
+        assert float(g[col]) <= 1e-12 * (min(1.0, sigma) if sigma > 0 else 1.0)
 
 
 @pytest.mark.parametrize("kind", sorted(p.stem for p in MODAL_GOLDEN.glob("*.cfg")))
@@ -495,13 +483,14 @@ def test_check_nonfinite_varkappa_exits_2(tmp_path, capsys):
         ("time.dt = inf", "time.dt"),
         ("time.t_end = inf", "time.t_end"),
         ("time.t_end = nan", "time.t_end"),
-        ("time.dt = 1e-300\ntime.t_end = 1e300", "time.t_end"),
+        ("time.dt = 1e-300\ntime.t_end = 1e300", "time.dt"),
     ],
     ids=["dt_nan", "dt_inf", "t_end_inf", "t_end_nan", "ratio_inf"],
 )
 def test_simulate_nonfinite_time_settings_exit_2(tmp_path, capsys, setting, key):
-    """A non-finite dt, t_end or step count t_end / dt is a config error,
-    not a traceback from the time loop."""
+    """A non-finite dt or t_end is a config error, not a traceback from the
+    time loop; so is a dt that would make t_end / dt overflow, which the
+    magnitude envelope refuses."""
     code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, QUINTANILLA_CFG + setting + "\n"))
     assert code == 2
     assert f"config error: key '{key}'" in capsys.readouterr().err
@@ -547,26 +536,32 @@ def test_overflowing_coefficient_scale_exits_2(tmp_path, capsys):
     assert not (out / "modes.csv").exists()
 
 
-def _edited(config, key, value):
-    """configs/<config> with the key's line set to value, or the line added."""
+def _edited(config, *pairs):
+    """configs/<config> with each key's line set to its value, or the line
+    added; pairs is key, value, key, value, ..."""
     text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
-    edited = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-    return edited if edited != text else text + f"{key} = {value}\n"
+    for key, value in zip(pairs[::2], pairs[1::2]):
+        edited = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        text = edited if edited != text else text + f"{key} = {value}\n"
+    return text
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("spectral.n_max", "100000000000"), ("spectral.L", "1e-300"), ("spectral.L", "inf"), ("material.rho", "1e-320"),
-     ("model.kappa", "1e307")],
+    "edits",
+    [("spectral.n_max", "100000000000"), ("spectral.L", "1e-100", "material.rho", "1e-100", "material.cv", "1e-100"),
+     ("spectral.L", "inf"), ("spectral.L", "1e-60", "material.rho", "1e-100", "material.cv", "1e-100"),
+     ("spectral.L", "1e-100", "material.rho", "1e-100", "model.kappa", "1e100")],
     ids=["n_max_huge", "L_tiny", "L_inf", "rho_subnormal", "coefficient_overflow"],
 )
-def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, key, value):
+def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, edits):
     """An n_max beyond the mode budget (a MemoryError), an L whose spectrum
     overflows (an OverflowError), an infinite L (an all-zero spectrum, exit
     0) and a rho_c that overflows Lambda_tilde (a RuntimeWarning) are each
     refused before any spectrum is built; a coefficient Lambda_tilde * kappa
-    that overflows is refused without the RuntimeWarning it printed."""
-    code, out = run(tmp_path, "modal", "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", key, value)))
+    that overflows is refused without the RuntimeWarning it printed. The
+    overflows are reached with every number inside the magnitude envelope
+    (the ids name the inputs first pinned, outside it)."""
+    code, out = run(tmp_path, "modal", "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", *edits)))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Warning" not in err
@@ -708,24 +703,31 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert "invalid choice: 'frobnicate'" in runs[False][4][3]
 
 
-def _huge(kind):
-    """A config with one coefficient of 1e160, whose tensor's plain Frobenius
-    norm and determinant overflow."""
+def _huge(kind, command):
+    """A config with coefficients at the magnitude envelope's edge, 1e100.
+    Quintanilla's check reads tau = -1e100 and xi = 1e100: the plain
+    Frobenius norm of kappa - tau xi, its tolerance scale, overflows. Its
+    run reads tau = 1e100, xi = 1e-100 and kappa = 1 + 1e-9, whose energy
+    form overflows. GN III xi and GN II K of 1e100 have a determinant of
+    1e300."""
     gn3 = (GOLDEN / "gn3.cfg").read_text()
-    return {"quintanilla": _edited("mgt_stable.cfg", "model.kappa", "1e160"),
-            "gn3": gn3.replace("model.xi = 1.5", "model.xi = 1e160"),
-            "gn2": gn3.replace("model.kind = gn3\nmodel.xi = 1.5\nmodel.kappa = 2.0", "model.kind = gn2\nmodel.K = 1e160")}[kind]
+    quintanilla = ("model.tau", "-1e100", "model.xi", "1e100") if command == "check" else (
+        "model.tau", "1e100", "model.xi", "1e-100", "model.kappa", "1.000000001", "time.t_end", "1e-2")
+    return {"quintanilla": _edited("mgt_stable.cfg", *quintanilla),
+            "gn3": gn3.replace("model.xi = 1.5", "model.xi = 1e100"),
+            "gn2": gn3.replace("model.kind = gn3\nmodel.xi = 1.5\nmodel.kappa = 2.0", "model.kind = gn2\nmodel.K = 1e100")}[kind]
 
 
 @pytest.mark.parametrize("kind, command, code", [
     ("quintanilla", "check", 0), ("quintanilla", "simulate", 2), ("gn3", "check", 0), ("gn3", "simulate", 0),
     ("gn2", "check", 0), ("gn2", "simulate", 0)])
 def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
-    """Quintanilla kappa, GN III xi or GN II K = 1e160 overflows the plain
-    Frobenius norm of the checkers' tolerance scale, and xi's and K's
-    determinant; under -W error neither check (a verdict) nor simulate (a
-    run or a config error) prints a warning or a traceback."""
-    cfg = write_cfg(tmp_path, _huge(kind))
+    """At the envelope's edge, under -W error, neither check (a verdict)
+    nor simulate (a run, or a config error for an energy form that
+    overflows) prints a warning or a traceback. (These cases read 1e160
+    before the envelope, which now refuses it:
+    test_oversized_inputs_exit_2_without_warning.)"""
+    cfg = write_cfg(tmp_path, _huge(kind, command))
     env = dict(os.environ, PYTHONPATH=str(Path(nonfourier.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "nonfourier.cli", command, "--config", cfg,
                            "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
@@ -772,24 +774,28 @@ def test_bare_number_varkappa_is_a_constant(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-_BURGERS_MU = ("burgers_sweep.cfg", "model.mu", "1e300")
+# the 1-D set-up overflows with every number inside the envelope
+_HUGE_SYSTEM = ("grid.L", "1e-100", "grid.N", "8", "time.dt", "1e100", "time.t_end", "1e100", "model.kappa", "1e100")
 
 
-@pytest.mark.parametrize("config, key, value, command, named", [
-    ("mgt_stable.cfg", "grid.L", "1e-300", "simulate", "key 'grid.L'"),  # dx^2 underflows to 0
-    ("mgt_stable.cfg", "grid.L", "1e300", "simulate", "key 'grid.L'"),  # dx^2 overflows
-    ("mgt_stable.cfg", "time.dt", "1e300", "simulate", "key 'time.dt'"),  # dt/2 times the matrix overflows
-    ("gk_plug.cfg", "model.ell", "1e300", "simulate", "key 'model.ell'"),
-    ("gk_plug.cfg", "model.ell", "1e300", "audit", "key 'model.ell'"),
-    *[(*_BURGERS_MU, command, "s^2 overflows") for command in ("check", "sweep", "simulate", "audit")],
+@pytest.mark.parametrize("config, edits, command, named", [
+    ("mgt_stable.cfg", ("grid.L", "1e-300"), "simulate", "key 'grid.L': outside the magnitude envelope"),
+    ("mgt_stable.cfg", ("grid.L", "1e300"), "simulate", "key 'grid.L': outside the magnitude envelope"),
+    ("mgt_stable.cfg", _HUGE_SYSTEM, "simulate", "keys grid.*, material.*, model.* and time.dt: the 1-D system"),
+    ("gk_plug.cfg", ("model.ell", "1e300"), "simulate", "key 'model.ell': outside the magnitude envelope"),
+    ("gk_plug.cfg", ("model.ell", "1e300"), "audit", "key 'model.ell': outside the magnitude envelope"),
+    *[("burgers_sweep.cfg", ("model.mu", "1e300"), command, "key 'model.mu': outside the magnitude envelope")
+      for command in ("check", "sweep", "simulate", "audit")],
 ], ids=["tiny_L", "huge_L", "huge_dt", "huge_ell-simulate", "huge_ell-audit",
         *[f"huge_mu-{c}" for c in ("check", "sweep", "simulate", "audit")]])
-def test_overflowing_square_exits_2(tmp_path, capsys, config, key, value, command, named):
-    """A grid spacing, time step, ell or Burgers scale whose square (or
-    product with the system matrix) leaves the float range is a config
-    error naming the key or the quantity, with warnings as errors, where
+def test_overflowing_square_exits_2(tmp_path, capsys, config, edits, command, named):
+    """A grid spacing, ell or Burgers scale whose square would leave the
+    float range comes from a number outside the magnitude envelope, which
+    is refused naming its key. A set-up whose system, times dt/2, leaves the
+    float range with every number inside it is refused naming the keys that
+    set the system. Each is a config error with warnings as errors, where
     each was a traceback or a RuntimeWarning and exit 1."""
-    cfg = write_cfg(tmp_path, _edited(config, key, value))
+    cfg = write_cfg(tmp_path, _edited(config, *edits))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = run(tmp_path, command, "--config", cfg)
@@ -821,19 +827,49 @@ def test_every_model_kind_has_a_consistency_check():
     assert set(CHECKS) == set(MODEL_KINDS.values())
 
 
+_ENVELOPE = "outside the magnitude envelope (0, or 1e-100 <= |v| <= 1e+100)"
+_GN2 = (GOLDEN / "gn3.cfg").read_text().replace("model.kind = gn3\nmodel.xi = 1.5\nmodel.kappa = 2.0",
+                                                 "model.kind = gn2\nmodel.K = 1e160")
+
+
+# the ids of the first five name the inputs first pinned; the magnitude
+# envelope now refuses 1e102 and 1e-300, and the cases read 1e100 and 1e-100
 @pytest.mark.parametrize("command, text, message", [
-    ("modal", _edited("mgt_stable.cfg", "model.kappa", "1e102"), "coefficient scale out of range: the cubic"),
-    ("sweep", _edited("mgt_stable.cfg", "model.kappa", "1e102") + "sweep.param = model.kappa\nsweep.values = 2, 1e102\n",
+    ("modal", _edited("mgt_stable.cfg", "model.kappa", "1e100"), "coefficient scale out of range: the cubic"),
+    ("sweep", _edited("mgt_stable.cfg", "model.kappa", "1e100") + "sweep.param = model.kappa\nsweep.values = 2, 1e100\n",
      "coefficient scale out of range: the cubic"),
     ("simulate", _edited("mgt_stable.cfg", "time.t_end", "1e9"), "key 'time.t_end': 1e+12 steps"),
-    ("simulate", _edited("mgt_stable.cfg", "time.dt", "1e-300"), "key 'time.t_end': 2e+300 steps"),
+    ("simulate", _edited("mgt_stable.cfg", "time.dt", "1e-100"), "key 'time.t_end': 2e+100 steps"),
     ("simulate", _edited("mgt_stable.cfg", "grid.N", "1000000000"), "key 'grid.N': 1e+09 nodes"),
-], ids=["modal_kappa_1e102", "sweep_kappa_1e102", "t_end_1e9", "dt_1e-300", "N_1e9"])
+    ("simulate", _edited("mgt_stable.cfg", "grid.N", "1" + "0" * 400), f"key 'grid.N': {_ENVELOPE}"),
+    ("simulate", _edited("mgt_stable.cfg", "ic.mode", "1" + "0" * 400), f"key 'ic.mode': {_ENVELOPE}"),
+    ("check", _edited("mgt_stable.cfg", "model.kappa", "1e160"), f"key 'model.kappa': {_ENVELOPE}"),
+    ("simulate", (GOLDEN / "gn3.cfg").read_text().replace("model.xi = 1.5", "model.xi = 1e160"),
+     f"key 'model.xi': {_ENVELOPE}"),
+    ("simulate", _GN2, f"key 'model.K': {_ENVELOPE}"),
+    ("audit", _edited("mgt_stable.cfg", "model.tau", "1e100", "model.xi", "1e-100", "model.kappa", "1.000000001"),
+     "keys model.*: the audited states' rates, energies and entropy production leave the float range"),
+    ("audit", "model.kind = gk\nmodel.tau = 1e-100\nmodel.ell = 1e100\nmodel.varkappa = 1e100\n",
+     "keys model.*: the audited states' rates, energies and entropy production leave the float range"),
+    ("modal", _edited("mgt_stable.cfg", "model.tau", "1e-100", "model.kappa", "0"),
+     "coefficient scale out of range: the roots leave the float range (divide by zero"),
+    ("modal", "model.kind = mcv\nmodel.tau = -1e-100\nmodel.kappa = 1e100\nspectral.L = 1e-100\n",
+     "coefficient scale out of range: the roots leave the float range (overflow"),
+], ids=["modal_kappa_1e102", "sweep_kappa_1e102", "t_end_1e9", "dt_1e-300", "N_1e9", "N_1e400", "mode_1e400",
+        "kappa_1e160", "xi_1e160", "K_1e160", "energy_form", "gk_rate", "zero_derivative_root", "companion_overflow"])
 def test_oversized_inputs_exit_2_without_warning(tmp_path, capsys, command, text, message):
-    """Each of these ended in a traceback (exit 1): an OverflowError from the
-    cubic discriminant, and a MemoryError or "maximum allowed dimension
-    exceeded" from sizing the run's arrays. Each is now a config error,
-    raised before anything is written or allocated."""
+    """Each of these ended in a traceback (exit 1) or printed a warning: an
+    OverflowError from the cubic discriminant, a MemoryError or "maximum
+    allowed dimension exceeded" from sizing the run's arrays, an
+    OverflowError from an integer past the float range (grid.N in the grid
+    spacing, ic.mode in the initial field); a tensor of 1e160, whose norm
+    and determinant overflow, needed guards of its own. Inside the
+    envelope, a Quintanilla energy form of 1e309 and a gk rate of
+    ell^2 varkappa / tau = 1e400 (audit), a Newton step on
+    a root where the derivative is 0 (numpy.roots gives 0, 0 for the +-i of
+    1e-100 s^3 + s^2 + 1) and an MCV companion entry Lambda kappa / tau
+    past the float range printed RuntimeWarnings. Each is now a config error, raised before
+    anything is written or allocated."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text))
