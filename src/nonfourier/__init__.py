@@ -29,4 +29,4 @@ from .models import (  # noqa: F401
     flux_rate,
     reduce_limit,
 )
-from .tensors import Poly, SymTensor3, solve_poly  # noqa: F401
+from .tensors import SymTensor3, solve_poly  # noqa: F401

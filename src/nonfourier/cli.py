@@ -233,6 +233,9 @@ def cmd_sweep(args) -> int:
     if not param.startswith("model.") and param not in SPECTRAL_KEYS:
         raise ConfigError(f"key 'sweep.param': sweep varies model.* and {', '.join(SPECTRAL_KEYS)}, not {param!r}")
     values = [v.strip() for v in raw_values.split(",")]
+    multi = next((v for v in values if v.startswith(("diag:", "full:", "power:"))), None)
+    if multi:  # its components would be split into values of their own
+        raise ConfigError(f"key 'sweep.values': each value is one number, not a {multi.partition(':')[0]}: value")
     lines = _header(args) + [
         f"{param},pass,case,margin,max_re_root,worst_class"
     ]

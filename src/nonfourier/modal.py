@@ -16,7 +16,7 @@ import numpy as np
 from .models import ModelParams, temperature_law
 # solve_poly is not called here but stays a modal attribute: perfbench's
 # traced run wraps modal.solve_poly
-from .tensors import InvalidInputError, Poly, solve_poly, solve_polys  # noqa: F401
+from .tensors import InvalidInputError, solve_poly, solve_polys  # noqa: F401
 
 
 class InvalidKindError(InvalidInputError):
@@ -48,7 +48,8 @@ class SpectralProblem:
             raise InvalidInputError(f"need finite L > 0 and rho_c > 0, and 1 <= n_max <= {MAX_MODES}")
         top = (self.n_max - (self.bc == "neumann")) * np.pi / self.L
         if not top * top / self.rho_c < np.inf:
-            raise InvalidInputError(f"(n pi / L)^2 / rho_c overflows at L = {self.L:g}, rho_c = {self.rho_c:g}")
+            raise InvalidInputError(f"keys spectral.* and material.*: (n pi / L)^2 / rho_c overflows at "
+                                    f"L = {self.L:g}, rho_c = {self.rho_c:g}")
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,9 @@ def laplacian_eigenvalues(p: SpectralProblem) -> np.ndarray:
     return np.float_power(np.arange(start, start + p.n_max) * np.pi / p.L, 2)
 
 
-def _char_coeffs(m: ModelParams, lam_tilde: np.ndarray) -> np.ndarray:
-    """Coefficient rows of characteristic_poly, one per Lambda_tilde."""
-    if np.any(lam_tilde < 0):
-        raise InvalidInputError("Lambda_tilde must be nonnegative")
-    law = temperature_law(m, InvalidKindError)
-    c = np.empty((lam_tilde.size, len(law.a) + 1))
-    c[:, :-1] = law.a[::-1]
-    with np.errstate(over="ignore"):  # solve_polys and Poly refuse an inf
-        c[:, -1] = lam_tilde * law.b0
-        if law.b1 is not None:
-            lt_b1 = lam_tilde * law.b1
-            c[:, -2] = lt_b1 if c[0, -2] == 0 else c[:, -2] + lt_b1
-    return c
-
-
-def characteristic_poly(m: ModelParams, lam_tilde: float) -> Poly:
-    """Characteristic polynomial of the separated temperature equation.
+def characteristic_polys(m: ModelParams, lam_tilde) -> np.ndarray:
+    """Characteristic polynomial of the separated temperature equation at
+    each Lambda_tilde, one coefficient row each, highest degree first.
 
     With rho_c theta_dot = -div q, the rate-law row gives
     a2 s^3 + a1 s^2 + a0 s + Lambda_tilde (b1 s + b0), truncated at the
@@ -103,7 +90,18 @@ def characteristic_poly(m: ModelParams, lam_tilde: float) -> Poly:
     cubics (Moore-Gibson-Thompson type and its two-relaxation
     generalization) for the second-flux-rate ones.
     """
-    return Poly(tuple(_char_coeffs(m, np.array([lam_tilde], dtype=float))[0].tolist()))
+    lam_tilde = np.asarray(lam_tilde, dtype=float)
+    if np.any(lam_tilde < 0):
+        raise InvalidInputError("Lambda_tilde must be nonnegative")
+    law = temperature_law(m, InvalidKindError)
+    c = np.empty((lam_tilde.size, len(law.a) + 1))
+    c[:, :-1] = law.a[::-1]
+    with np.errstate(over="ignore"):  # solve_polys refuses an inf
+        c[:, -1] = lam_tilde * law.b0
+        if law.b1 is not None:
+            lt_b1 = lam_tilde * law.b1
+            c[:, -2] = lt_b1 if c[0, -2] == 0 else c[:, -2] + lt_b1
+    return c
 
 
 def routh_hurwitz_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -182,8 +180,12 @@ def mode_reports(p: SpectralProblem, m: ModelParams) -> Spectrum:
     start = 1 if p.bc == "dirichlet" else 0
     lams = laplacian_eigenvalues(p)
     lts = lams / p.rho_c
-    coeffs = _char_coeffs(m, lts)
-    roots = solve_polys(coeffs)
-    disc = cubic_discriminant(*coeffs.T) if coeffs.shape[1] == 4 else None
+    coeffs = characteristic_polys(m, lts)
+    try:
+        roots = solve_polys(coeffs)
+        disc = cubic_discriminant(*coeffs.T) if coeffs.shape[1] == 4 else None
+    except InvalidInputError as e:  # a coefficient, root or discriminant past the float range
+        raise InvalidInputError(f"keys model.*, spectral.* and material.*: the characteristic polynomials they "
+                                f"set: {e}") from e
     return Spectrum(np.arange(start, start + p.n_max), lams, lts, coeffs, roots, routh_hurwitz_rows(coeffs), disc,
                     classify_modes(roots))

@@ -262,12 +262,15 @@ RATE_LAWS: Dict[type, Callable[..., RateLaw]] = {
 
 def temperature_law(m: ModelParams, error: type) -> RateLaw:
     """Scalar row of a local kind, whose temperature equation the modal and
-    1-D layers solve; other kinds and anisotropic tensors raise ``error``."""
+    1-D layers solve; other kinds, anisotropic tensors and a vanishing top
+    coefficient (with the law's ``limit``) raise ``error``."""
     if not isinstance(m, LocalModel):
         raise error(f"no closed temperature equation for {type(m).__name__}")
     law = m.law.scalar()
     if law is None:
         raise error(f"{type(m).__name__}: the temperature equation is isotropic-only")
+    if law.a[-1] == 0:
+        raise error(law.limit)
     return law
 
 

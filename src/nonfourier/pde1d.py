@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .energetics import Form, SingularParameterError, nonlocal_coefficients
-from .modal import InvalidKindError, characteristic_poly, modal_solution
+from .modal import InvalidKindError, characteristic_polys, modal_solution
 from .models import CoefficientFn, GKLinear, MaterialConstants, ModelParams, RateLaw, temperature_law
 from .tensors import InvalidInputError, solve_poly
 
@@ -155,8 +155,6 @@ def assemble_rhs(
     n = ops.n
     rc = material.rho_cv
     *lower, top = law.a
-    if top == 0:
-        raise ConfigurationError(law.limit)
     blocks = [[{0: np.ones(n)} if j == k + 1 else None for j in range(order)] for k in range(order)]
     last = blocks[-1]
     last[0] = _scaled(ops.lap, law.b0 / rc / top)
@@ -941,10 +939,8 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     n = ops.n
     times, (diff,), _ = _march(run, u, step, lambda U: ((), (U[:, :n],)), (u[:n],), nodes=n)
     lt = discrete_eigenvalue(grid, n_mode) / cfg.material.rho_cv
-    poly = characteristic_poly(cfg.model, lt)
-    roots = solve_poly(poly)
-    init = [1.0] + [0.0] * (poly.degree - 1)
-    T = modal_solution(roots, init)
+    poly = characteristic_polys(cfg.model, [lt])[0]
+    T = modal_solution(solve_poly(poly), [1.0] + [0.0] * (len(poly) - 2))
     amps = T(times)
     oracle = np.asarray(amps)[:, None] * shape[None, :]
     # one array besides the oracle: the snapshots, minus the oracle in place

@@ -1,4 +1,5 @@
-"""Small dense linear algebra kernel: symmetric 3x3 tensors and low-degree polynomials.
+"""Small dense linear algebra kernel: symmetric 3x3 tensors and the roots of
+low-degree polynomials, each a row of coefficients, highest degree first.
 
 Everything here is pure and operates on plain floats / numpy arrays, so it is
 safe to call from parallel parameter sweeps.
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -154,33 +155,6 @@ def is_nonsingular(s: SymTensor3) -> bool:
 
 # --- polynomials and roots ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Poly:
-    """Real polynomial, coefficients highest degree first, degree <= 3."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.coeffs)
-        if len(c) < 2 or len(c) > 4:
-            raise InvalidInputError("degree must be between 1 and 3")
-        if c[0] == 0.0:
-            raise InvalidInputError("leading coefficient must be nonzero")
-        if not all(map(math.isfinite, c)):
-            raise InvalidInputError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, w):
-        out = 0.0
-        for c in self.coeffs:
-            out = out * w + c
-        return out
-
-
 def _companions(c: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """numpy.roots' companion matrix of each row with its trailing zeros
     stripped, in the top-left corner of a zero matrix of the full degree.
@@ -215,14 +189,22 @@ def _pair_conjugates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(p: Poly, roots: tuple[complex, ...]) -> tuple[complex, ...]:
+def _polish(coeffs: tuple[float, ...], roots: tuple[complex, ...]) -> tuple[complex, ...]:
     """One Newton step on each root whose residual exceeds 1e-8 of the
-    polynomial's scale; companion roots are rarely this bad."""
-    scale = max(abs(c) for c in p.coeffs)
+    polynomial's scale; companion roots are rarely this bad. p(r) is
+    Horner's sum in Python floats and complex numbers, from 0.0."""
+
+    def p(w):
+        out = 0.0
+        for c in coeffs:
+            out = out * w + c
+        return out
+
+    scale = max(abs(c) for c in coeffs)
     out = roots
     for r in roots:
-        if abs(p(r)) > 1e-8 * scale * max(1.0, abs(r)) ** p.degree:
-            r2 = r - p(r) / np.polyval(np.polyder(p.coeffs), r)
+        if abs(p(r)) > 1e-8 * scale * max(1.0, abs(r)) ** (len(coeffs) - 1):
+            r2 = r - p(r) / np.polyval(np.polyder(coeffs), r)
             out = tuple(r2 if x == r else x for x in out)
     return out
 
@@ -239,7 +221,10 @@ def solve_polys(coeffs) -> np.ndarray:
     the rows it flags are tested exactly and polished, one root at a time.
     """
     c = np.asarray(coeffs, dtype=float)
-    # Poly's checks, failing as Poly would on the first row that breaks one
+    # the one check of a coefficient row: degree 1 to 3, then the first row
+    # with a zero leading or a non-finite coefficient
+    if c.ndim != 2 or not 2 <= c.shape[1] <= 4:
+        raise InvalidInputError("degree must be between 1 and 3")
     lead = c[:, 0] == 0.0
     bad = np.flatnonzero(lead | ~np.isfinite(c).all(axis=1))
     if bad.size:
@@ -265,13 +250,13 @@ def solve_polys(coeffs) -> np.ndarray:
                 pr, pi = pr * re - pi * im + ck[:, None], pr * im + pi * re
             limit = 1e-8 * scale * np.maximum(1.0, np.hypot(re, im)) ** d
             for i in np.flatnonzero((np.hypot(pr, pi) > 0.5 * limit).any(axis=1)):
-                roots[i] = _polish(Poly(tuple(c[i])), tuple(roots[i].tolist()))
+                roots[i] = _polish(tuple(c[i].tolist()), tuple(roots[i].tolist()))
     except FloatingPointError as e:
         raise InvalidInputError(f"coefficient scale out of range: the roots leave the float range ({e})") from e
     return roots
 
 
-def solve_poly(p: Poly) -> tuple[complex, ...]:
-    """All complex roots of one polynomial, complex ones in conjugate pairs:
-    the one-row case of solve_polys."""
-    return tuple(solve_polys([p.coeffs])[0].tolist())
+def solve_poly(coeffs: Sequence[float]) -> tuple[complex, ...]:
+    """All complex roots of one coefficient row (highest degree first),
+    complex ones in conjugate pairs: the one-row case of solve_polys."""
+    return tuple(solve_polys([coeffs])[0].tolist())

@@ -7,7 +7,9 @@ import numpy as np
 
 from nonfourier.modal import InvalidKindError
 from nonfourier.models import temperature_law
-from nonfourier.tensors import InvalidInputError, Poly
+from nonfourier.tensors import InvalidInputError
+
+from tensors_oracle import horner
 
 
 def pair_conjugates(roots):
@@ -39,14 +41,15 @@ def pair_conjugates(roots):
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def solve_poly(p):
-    roots = np.roots(p.coeffs)
+def solve_poly(coeffs):
+    coeffs = tuple(float(c) for c in coeffs)
+    roots = np.roots(coeffs)
     paired = pair_conjugates(roots)
-    scale = max(abs(c) for c in p.coeffs)
+    scale = max(abs(c) for c in coeffs)
     for r in paired:
-        if abs(p(r)) > 1e-8 * scale * max(1.0, abs(r)) ** p.degree:
-            dp = np.polyder(p.coeffs)
-            r2 = r - p(r) / np.polyval(dp, r)
+        if abs(horner(coeffs, r)) > 1e-8 * scale * max(1.0, abs(r)) ** (len(coeffs) - 1):
+            dp = np.polyder(coeffs)
+            r2 = r - horner(coeffs, r) / np.polyval(dp, r)
             paired = tuple(r2 if x == r else x for x in paired)
     return paired
 
@@ -59,15 +62,14 @@ def characteristic_poly(m, lam_tilde):
     if law.b1 is not None:
         lt_b1 = lam_tilde * law.b1
         coeffs[-2] = coeffs[-2] + lt_b1 if coeffs[-2] != 0 else lt_b1
-    return Poly(tuple(coeffs))
+    return tuple(float(c) for c in coeffs)
 
 
-def hurwitz_stable(p):
-    c = p.coeffs
+def hurwitz_stable(c):
     s = np.sign(c[0])
-    if p.degree == 1:
+    if len(c) == 2:
         return bool(s * c[1] > 0)
-    if p.degree == 2:
+    if len(c) == 3:
         return bool(s * c[1] > 0 and s * c[2] > 0)
     if not (s * c[1] > 0 and s * c[2] > 0 and s * c[3] > 0):
         return False
@@ -95,10 +97,10 @@ def mode_report(m, n, Lambda, rho_c):
     """One mode's row of modal.Spectrum, field by field: n, Lambda,
     Lambda_tilde, coefficients, roots, rh_pass, discriminant, class."""
     lt = Lambda / rho_c
-    p = characteristic_poly(m, lt)
-    roots = solve_poly(p)
-    return (n, Lambda, lt, p.coeffs, roots, hurwitz_stable(p),
-            cubic_discriminant(*p.coeffs) if p.degree == 3 else None, classify_mode(roots))
+    c = characteristic_poly(m, lt)
+    roots = solve_poly(c)
+    return (n, Lambda, lt, c, roots, hurwitz_stable(c), cubic_discriminant(*c) if len(c) == 4 else None,
+            classify_mode(roots))
 
 
 def mgt_discriminant(tau: float, kappa: float, xi: float, lam_tilde: float) -> float:

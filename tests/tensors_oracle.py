@@ -1,6 +1,7 @@
 """Closed forms that check the tensors module from outside: a
-principal-minors test for positive semidefiniteness, Cardano's cubic roots
-and the representation completion of a vector from one projection."""
+principal-minors test for positive semidefiniteness, Horner's value of a
+coefficient row, Cardano's cubic roots and the representation completion of
+a vector from one projection."""
 import numpy as np
 
 from nonfourier.tensors import DEFAULT_TOL, InvalidInputError, SymTensor3
@@ -46,6 +47,15 @@ def representation_completion(n_source, g: float, big_g) -> np.ndarray:
     n = a / norm
     gv = _as_vec3(big_g)
     return g * n + (gv - n * (n @ gv))
+
+
+def horner(coeffs, w):
+    """The polynomial of a coefficient row (highest degree first) at w, by
+    Horner's sum from 0.0."""
+    out = 0.0
+    for c in coeffs:
+        out = out * w + c
+    return out
 
 
 def cardano_cubic(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, complex, complex]:

@@ -743,16 +743,38 @@ def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
     ("gk_plug.cfg", "model.varkappa = constant:1.0", "model.varkappa = power:1.0", "simulate", "bad coefficient"),
     ("mgt_stable.cfg", "ic.kind = sine", "ic.kind = gaussian", "simulate", "unknown initial condition 'gaussian'"),
     ("burgers_sweep.cfg", "sweep.values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0", "", "sweep", "sweep needs sweep.param and"),
-], ids=["no_equals", "full_of_5", "power_without_p", "unknown_ic_kind", "sweep_without_values"])
+    *[("burgers_sweep.cfg", "sweep.values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0", f"sweep.values = {values}", "sweep",
+       f"config error: key 'sweep.values': each value is one number, not a {form}: value\n")
+      for values, form in (("diag:2,2,2, 3", "diag"), ("3, full:2,2,2,0,0,0", "full"), ("power:1,2", "power"))],
+], ids=["no_equals", "full_of_5", "power_without_p", "unknown_ic_kind", "sweep_without_values", "sweep_diag",
+        "sweep_full", "sweep_power"])
 def test_malformed_config_line_exits_2(tmp_path, capsys, config, old, new, command, named):
     """A line without '=', a full: tensor of 5 components, a power:
-    coefficient without its exponent, an unknown ic.kind and a sweep
-    without sweep.values are config errors."""
+    coefficient without its exponent, an unknown ic.kind, a sweep without
+    sweep.values and a sweep value of several components (split on its
+    commas, diag:2,2,2 was refused as "bad tensor value 'diag:2'") are
+    config errors."""
     text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
     assert old in text
     code, _ = run(tmp_path, command, "--config", write_cfg(tmp_path, text.replace(old, new)))
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "modal", "sweep"])
+@pytest.mark.parametrize("kind", ["mcv", "jeffreys"])
+def test_vanishing_tau_prints_the_laws_limit(tmp_path, capsys, kind, command):
+    """tau = 0 leaves MCV and Jeffreys without their rate term: every
+    subcommand that solves the temperature equation prints the law's limit
+    (modal and sweep printed the root solver's "leading coefficient must be
+    nonzero")."""
+    text = (GOLDEN / f"{kind}.cfg").read_text()
+    text = re.sub(r"^model.tau = .*$", "model.tau = 0", text, flags=re.M)
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text + "sweep.param = model.kappa\n"
+                                                                             "sweep.values = 1.0, 2.0\n"))
+    assert code == 2
+    assert capsys.readouterr().err == "config error: tau = 0: reduce to the Fourier model\n"
+    assert not out.exists()
 
 
 def test_constant_initial_condition_fills_the_grid(tmp_path):
@@ -828,6 +850,9 @@ def test_every_model_kind_has_a_consistency_check():
 
 
 _ENVELOPE = "outside the magnitude envelope (0, or 1e-100 <= |v| <= 1e+100)"
+_POLYS = "keys model.*, spectral.* and material.*: the characteristic polynomials they set: "
+_SWEEP_XI = "sweep.param = model.xi\nsweep.values = 1.0, 2.0\n"
+_TINY_SPECTRUM = ("spectral.L", "1e-100", "material.rho", "1e-100")
 _GN2 = (GOLDEN / "gn3.cfg").read_text().replace("model.kind = gn3\nmodel.xi = 1.5\nmodel.kappa = 2.0",
                                                  "model.kind = gn2\nmodel.K = 1e160")
 
@@ -835,9 +860,9 @@ _GN2 = (GOLDEN / "gn3.cfg").read_text().replace("model.kind = gn3\nmodel.xi = 1.
 # the ids of the first five name the inputs first pinned; the magnitude
 # envelope now refuses 1e102 and 1e-300, and the cases read 1e100 and 1e-100
 @pytest.mark.parametrize("command, text, message", [
-    ("modal", _edited("mgt_stable.cfg", "model.kappa", "1e100"), "coefficient scale out of range: the cubic"),
+    ("modal", _edited("mgt_stable.cfg", "model.kappa", "1e100"), f"{_POLYS}coefficient scale out of range: the cubic"),
     ("sweep", _edited("mgt_stable.cfg", "model.kappa", "1e100") + "sweep.param = model.kappa\nsweep.values = 2, 1e100\n",
-     "coefficient scale out of range: the cubic"),
+     f"{_POLYS}coefficient scale out of range: the cubic"),
     ("simulate", _edited("mgt_stable.cfg", "time.t_end", "1e9"), "key 'time.t_end': 1e+12 steps"),
     ("simulate", _edited("mgt_stable.cfg", "time.dt", "1e-100"), "key 'time.t_end': 2e+100 steps"),
     ("simulate", _edited("mgt_stable.cfg", "grid.N", "1000000000"), "key 'grid.N': 1e+09 nodes"),
@@ -852,11 +877,19 @@ _GN2 = (GOLDEN / "gn3.cfg").read_text().replace("model.kind = gn3\nmodel.xi = 1.
     ("audit", "model.kind = gk\nmodel.tau = 1e-100\nmodel.ell = 1e100\nmodel.varkappa = 1e100\n",
      "keys model.*: the audited states' rates, energies and entropy production leave the float range"),
     ("modal", _edited("mgt_stable.cfg", "model.tau", "1e-100", "model.kappa", "0"),
-     "coefficient scale out of range: the roots leave the float range (divide by zero"),
+     f"{_POLYS}coefficient scale out of range: the roots leave the float range (divide by zero"),
     ("modal", "model.kind = mcv\nmodel.tau = -1e-100\nmodel.kappa = 1e100\nspectral.L = 1e-100\n",
-     "coefficient scale out of range: the roots leave the float range (overflow"),
+     f"{_POLYS}coefficient scale out of range: the roots leave the float range (overflow"),
+    *[(command, _edited("mgt_stable.cfg", *edits) + _SWEEP_XI, message) for command in ("modal", "sweep")
+      for edits, message in [
+          ((*_TINY_SPECTRUM, "model.kappa", "1e100"), f"{_POLYS}non-finite coefficient"),
+          (_TINY_SPECTRUM, f"{_POLYS}coefficient scale out of range: the roots leave the float range (overflow"),
+          ((*_TINY_SPECTRUM, "material.cv", "1e-100"),
+           "keys spectral.* and material.*: (n pi / L)^2 / rho_c overflows at L = 1e-100, rho_c = 1e-200")]],
 ], ids=["modal_kappa_1e102", "sweep_kappa_1e102", "t_end_1e9", "dt_1e-300", "N_1e9", "N_1e400", "mode_1e400",
-        "kappa_1e160", "xi_1e160", "K_1e160", "energy_form", "gk_rate", "zero_derivative_root", "companion_overflow"])
+        "kappa_1e160", "xi_1e160", "K_1e160", "energy_form", "gk_rate", "zero_derivative_root", "companion_overflow",
+        *[f"{case}-{command}" for command in ("modal", "sweep")
+          for case in ("nonfinite_coefficient", "tiny_spectrum_roots", "spectrum_overflow")]])
 def test_oversized_inputs_exit_2_without_warning(tmp_path, capsys, command, text, message):
     """Each of these ended in a traceback (exit 1) or printed a warning: an
     OverflowError from the cubic discriminant, a MemoryError or "maximum
@@ -869,7 +902,10 @@ def test_oversized_inputs_exit_2_without_warning(tmp_path, capsys, command, text
     a root where the derivative is 0 (numpy.roots gives 0, 0 for the +-i of
     1e-100 s^3 + s^2 + 1) and an MCV companion entry Lambda kappa / tau
     past the float range printed RuntimeWarnings. Each is now a config error, raised before
-    anything is written or allocated."""
+    anything is written or allocated. A refusal of the spectrum or of its
+    polynomials names the model.*, spectral.* and material.* keys that set
+    it (a non-finite coefficient, a cubic discriminant or roots past the
+    float range, and an overflowing spectrum named none)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text))

@@ -11,7 +11,7 @@ from nonfourier.modal import (
     InvalidKindError,
     RepeatedRootError,
     SpectralProblem,
-    characteristic_poly,
+    characteristic_polys,
     classify_modes,
     cubic_discriminant,
     laplacian_eigenvalues,
@@ -30,7 +30,7 @@ from nonfourier.models import (
     Jeffreys,
     Quintanilla,
 )
-from nonfourier.tensors import InvalidInputError, Poly, solve_poly, solve_polys
+from nonfourier.tensors import InvalidInputError, solve_poly, solve_polys
 
 import modal_oracle as oracle
 
@@ -70,48 +70,68 @@ def test_largest_spectrum_within_the_budget_is_built():
     assert len(s) == MAX_MODES and np.isfinite(s.roots).all()
 
 
+def _char_row(m, lam_tilde: float) -> tuple:
+    """The one coefficient row of characteristic_polys at lam_tilde."""
+    return tuple(characteristic_polys(m, [lam_tilde])[0].tolist())
+
+
 def test_characteristic_polynomials():
-    assert characteristic_poly(Fourier(kappa=2.0), 3.0).coeffs == (1.0, 6.0)
-    assert characteristic_poly(MCV(tau=2.0, kappa=3.0), 1.0).coeffs == (2.0, 1.0, 3.0)
-    assert characteristic_poly(
+    assert _char_row(Fourier(kappa=2.0), 3.0) == (1.0, 6.0)
+    assert _char_row(MCV(tau=2.0, kappa=3.0), 1.0) == (2.0, 1.0, 3.0)
+    assert _char_row(
         Jeffreys(tau=2.0, xi=3.0, kappa=1.0), 1.0
-    ).coeffs == (2.0, 3.0, 3.0)
-    assert characteristic_poly(GN3(xi=2.0, kappa=3.0), 1.0).coeffs == (1.0, 3.0, 2.0)
-    assert characteristic_poly(
+    ) == (2.0, 3.0, 3.0)
+    assert _char_row(GN3(xi=2.0, kappa=3.0), 1.0) == (1.0, 3.0, 2.0)
+    assert _char_row(
         Quintanilla(tau=1.0, xi=1.0, kappa=2.0), 1.0
-    ).coeffs == (1.0, 1.0, 2.0, 1.0)
-    assert characteristic_poly(
+    ) == (1.0, 1.0, 2.0, 1.0)
+    assert _char_row(
         Burgers(lambda_b=1.0, tau=2.0, mu=7.0, nu=3.0), 1.0
-    ).coeffs == (1.0, 2.0, 7.0, 7.0)
+    ) == (1.0, 2.0, 7.0, 7.0)
 
 
 def test_characteristic_poly_rejects_unknown_and_negative():
     # GN2's law q_dot = -K grad(theta) gives s^2 + Lambda_tilde K
-    assert characteristic_poly(GN2(K=1.5), 2.0).coeffs == (1.0, 0.0, 3.0)
+    assert _char_row(GN2(K=1.5), 2.0) == (1.0, 0.0, 3.0)
     with pytest.raises(InvalidKindError):
-        characteristic_poly(GKLinear(1.0, 0.1, CoefficientFn(1.0)), 1.0)
+        _char_row(GKLinear(1.0, 0.1, CoefficientFn(1.0)), 1.0)
     with pytest.raises(InvalidInputError):
-        characteristic_poly(Fourier(kappa=1.0), -1.0)
+        _char_row(Fourier(kappa=1.0), -1.0)
 
 
-def _rh(p: Poly) -> bool:
-    return bool(routh_hurwitz_rows(np.array([p.coeffs]))[0])
+@pytest.mark.parametrize("model, limit", [
+    (MCV(tau=0.0, kappa=1.0), "tau = 0: reduce to the Fourier model"),
+    (Jeffreys(tau=0.0, xi=1.0, kappa=1.0), "tau = 0: reduce to the Fourier model"),
+    (Quintanilla(tau=0.0, xi=1.0, kappa=2.0), "tau = 0: reduce to the GN III model"),
+    (Burgers(lambda_b=0.0, tau=1.0, mu=1.0, nu=1.0), "lambda_b = 0: reduce to the Jeffreys model"),
+], ids=["MCV", "Jeffreys", "Quintanilla", "Burgers"])
+def test_vanishing_top_coefficient_names_the_limit(model, limit):
+    """A rate law whose top coefficient is 0 has no polynomial of its
+    order; the refusal is the law's limit, as in the 1-D layer, not the
+    root solver's "leading coefficient must be nonzero"."""
+    with pytest.raises(InvalidKindError, match=f"^{limit}$"):
+        characteristic_polys(model, [1.0])
+
+
+def _rh(c) -> bool:
+    return bool(routh_hurwitz_rows(np.array([c]))[0])
 
 
 def test_routh_hurwitz_examples():
-    assert _rh(Poly((1.0, 2.0, 3.0)))
-    assert not _rh(Poly((1.0, -2.0, 3.0)))
-    assert _rh(Poly((-1.0, -2.0, -3.0)))
-    assert _rh(Poly((1.0, 2.0, 3.0, 4.0)))  # 2*3 > 4*1
-    assert not _rh(Poly((1.0, 1.0, 1.0, 2.0)))  # bridge fails
-    assert not _rh(Poly((1.0, 0.0, 1.0, 1.0)))
+    assert _rh((1.0, 2.0, 3.0))
+    assert not _rh((1.0, -2.0, 3.0))
+    assert _rh((-1.0, -2.0, -3.0))
+    assert _rh((1.0, 2.0, 3.0, 4.0))  # 2*3 > 4*1
+    assert not _rh((1.0, 1.0, 1.0, 2.0))  # bridge fails
+    assert not _rh((1.0, 0.0, 1.0, 1.0))
+    # a zero leading coefficient is no polynomial of the row's degree
     with pytest.raises(InvalidInputError):
-        _rh(Poly((0.0, 1.0, 1.0)))
+        solve_polys([(0.0, 1.0, 1.0)])
 
 
 def test_routh_hurwitz_degree_one():
-    assert _rh(Poly((1.0, 2.0)))
-    assert not _rh(Poly((1.0, -2.0)))
+    assert _rh((1.0, 2.0))
+    assert not _rh((1.0, -2.0))
 
 
 @settings(max_examples=500, deadline=None)
@@ -121,12 +141,11 @@ def test_routh_hurwitz_agrees_with_roots(seed, degree):
     coeffs = rng.uniform(-2.0, 2.0, degree + 1)
     if abs(coeffs[0]) < 1e-3:
         coeffs[0] = 1.0
-    p = Poly(tuple(coeffs))
-    roots = solve_poly(p)
+    roots = solve_poly(coeffs)
     max_re = max(w.real for w in roots)
     if abs(max_re) < 1e-6:
         return  # too close to the imaginary axis to call either way
-    assert _rh(p) == (max_re < 0)
+    assert _rh(coeffs) == (max_re < 0)
 
 
 def test_cubic_discriminant_sign_examples():
@@ -384,9 +403,9 @@ def test_solve_polys_match_numpy_roots_oracle(c):
     including exact zero roots for trailing zero coefficients."""
     got = solve_polys(c)
     for row, roots in zip(c, got):
-        want = oracle.solve_poly(Poly(tuple(row)))
+        want = oracle.solve_poly(row)
         assert _bits(tuple(roots)) == _bits(want)
-        assert _bits(solve_poly(Poly(tuple(row)))) == _bits(want)
+        assert _bits(solve_poly(row)) == _bits(want)
 
 
 @pytest.mark.parametrize("row", [[1.0, 0.0, 4.0], [2.0, 0.0, 8.0, 0.0]])
@@ -395,7 +414,7 @@ def test_solve_polys_pure_imaginary_pair_matches_oracle(row):
     eigvals returns with opposite signs; both come back as +0.0, as the
     oracle's mean makes them."""
     got = solve_polys([row])[0]
-    want = oracle.solve_poly(Poly(tuple(row)))
+    want = oracle.solve_poly(row)
     assert _bits(tuple(got)) == _bits(want)
     lo, hi = [r for r in got if r.imag != 0]
     assert _bits([lo.real, hi.real]) == _bits([0.0, 0.0])
@@ -410,7 +429,7 @@ def test_solve_polys_polish_matches_oracle():
     got = solve_polys(c)
     polished = 0
     for row, roots in zip(c, got):
-        want = oracle.solve_poly(Poly(tuple(row)))
+        want = oracle.solve_poly(row)
         assert _bits(tuple(roots)) == _bits(want)
         polished += _bits(want) != _bits(oracle.pair_conjugates(np.roots(row)))
     assert polished > 0
@@ -436,16 +455,15 @@ def test_mode_reports_solve_the_spectrum_with_one_eigvals_call(monkeypatch, mode
 
 
 def test_mode_reports_build_no_object_per_mode(monkeypatch):
-    """A 2500-mode spectrum builds a Poly only for each row that solve_polys
-    polishes: every column is one array or list."""
-    made, polished = [], []
-    init = Poly.__init__
-    monkeypatch.setattr(Poly, "__init__", lambda self, *a: made.append(type(self)) or init(self, *a))
+    """A 2500-mode spectrum goes to one Python-level call per row only for
+    the rows that solve_polys polishes, and this one needs none: every
+    column is one array or list."""
+    polished = []
     polish = tensors._polish
-    monkeypatch.setattr(tensors, "_polish", lambda p, roots: polished.append(p) or polish(p, roots))
+    monkeypatch.setattr(tensors, "_polish", lambda c, roots: polished.append(c) or polish(c, roots))
     s = mode_reports(SpectralProblem(bc="dirichlet", L=np.pi, n_max=2500), Quintanilla(tau=1.0, xi=1.0, kappa=2.0))
     assert len(s) == 2500 and s.roots.shape == (2500, 3)
-    assert made.count(Poly) == len(polished)
+    assert polished == []
     for column in vars(s).values():
         assert isinstance(column, (np.ndarray, list)) and len(column) == 2500
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nonfourier.tensors import (
     InvalidInputError,
-    Poly,
     SymTensor3,
     coerce_tensor,
     is_nonsingular,
@@ -15,8 +14,9 @@ from nonfourier.tensors import (
     is_psd,
     psd_margin,
     solve_poly,
+    solve_polys,
 )
-from tensors_oracle import cardano_cubic, is_psd_minors, principal_minors, representation_completion
+from tensors_oracle import cardano_cubic, horner, is_psd_minors, principal_minors, representation_completion
 
 
 def test_identity_is_psd_and_pd():
@@ -155,14 +155,14 @@ def test_representation_completion_projection_contract(seed):
 
 
 def test_solve_poly_pure_imaginary_pair():
-    rs = solve_poly(Poly((1.0, 0.0, 1.0)))
+    rs = solve_poly((1.0, 0.0, 1.0))
     got = sorted(rs, key=lambda z: z.imag)
     assert got[0] == pytest.approx(-1j)
     assert got[1] == pytest.approx(1j)
 
 
 def test_solve_poly_known_cubic():
-    rs = solve_poly(Poly((1.0, 1.0, 2.0, 1.0)))
+    rs = solve_poly((1.0, 1.0, 2.0, 1.0))
     reals = [r.real for r in rs if abs(r.imag) <= 1e-12]
     assert len(reals) == 1
     assert reals[0] == pytest.approx(-0.56984, abs=1e-4)
@@ -174,7 +174,7 @@ def test_solve_poly_known_cubic():
 
 def test_solve_poly_undamped_mode():
     # w^2 + 4 = 0, the dissipation-free limit of the second-order mode
-    rs = solve_poly(Poly((1.0, 0.0, 4.0)))
+    rs = solve_poly((1.0, 0.0, 4.0))
     assert max(r.real for r in rs) == pytest.approx(0.0, abs=1e-12)
     assert sorted(abs(r.imag) for r in rs) == pytest.approx([2.0, 2.0])
 
@@ -184,16 +184,22 @@ def test_solve_poly_rejects_roots_beyond_the_residual_screen():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="coefficient scale"):
-            solve_poly(Poly((1e-300, 1.0, 1.0)))
+            solve_poly((1e-300, 1.0, 1.0))
 
 
 def test_poly_rejects_degenerate_input():
-    with pytest.raises(InvalidInputError):
-        Poly((0.0, 1.0, 1.0))
-    with pytest.raises(InvalidInputError):
-        Poly((1.0,))
-    with pytest.raises(InvalidInputError):
-        Poly((1.0, np.nan))
+    """A coefficient row is checked in solve_polys alone, which solve_poly
+    calls: its degree, its leading coefficient and its finiteness, with no
+    traceback of another kind (degree 0 was an IndexError)."""
+    cases = [((1.0,), "degree must be between 1 and 3"), ((1.0, 2.0, 3.0, 4.0, 5.0), "degree must be between 1 and 3"),
+             ((0.0, 1.0, 1.0), "leading coefficient must be nonzero"), ((1.0, np.nan), "non-finite coefficient"),
+             ((np.inf, 1.0), "non-finite coefficient")]
+    for row, message in cases:
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            solve_poly(row)
+        # the first bad row decides, after the good ones
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            solve_polys([(1.0,) * len(row), row, (0.0,) * len(row)])
 
 
 @settings(max_examples=400, deadline=None)
@@ -203,12 +209,11 @@ def test_solve_poly_residual_and_conjugate_symmetry(seed, degree):
     coeffs = rng.uniform(-2.0, 2.0, degree + 1)
     if abs(coeffs[0]) < 1e-3:
         coeffs[0] = 1.0
-    p = Poly(tuple(coeffs))
-    rs = solve_poly(p)
+    rs = solve_poly(coeffs)
     assert len(rs) == degree
-    scale = max(abs(c) for c in p.coeffs)
+    scale = max(abs(c) for c in coeffs)
     for w in rs:
-        assert abs(p(w)) <= 1e-10 * scale * max(1.0, abs(w)) ** degree
+        assert abs(horner(coeffs.tolist(), w)) <= 1e-10 * scale * max(1.0, abs(w)) ** degree
     # complex roots must appear as exact conjugate pairs
     complex_roots = [w for w in rs if w.imag != 0]
     assert len(complex_roots) % 2 == 0
@@ -223,7 +228,7 @@ def test_cubic_roots_match_cardano_oracle(seed):
     a3, a2, a1, a0 = rng.uniform(-2.0, 2.0, 4)
     if abs(a3) < 1e-2:
         a3 = 1.0
-    numeric = list(solve_poly(Poly((a3, a2, a1, a0))))
+    numeric = list(solve_poly((a3, a2, a1, a0)))
     closed = list(cardano_cubic(a3, a2, a1, a0))
     scale = max(1.0, max(abs(w) for w in closed))
     # pair each numeric root with its nearest closed-form root
