@@ -44,8 +44,12 @@ class SpectralProblem:
     def __post_init__(self):
         if self.bc not in ("dirichlet", "neumann"):
             raise InvalidInputError(f"unsupported bc {self.bc!r}")
-        if not (0 < self.L < np.inf and 1 <= self.n_max <= MAX_MODES and 0 < self.rho_c < np.inf):
-            raise InvalidInputError(f"need finite L > 0 and rho_c > 0, and 1 <= n_max <= {MAX_MODES}")
+        if not 0 < self.L < np.inf:
+            raise InvalidInputError(f"key 'spectral.L': need a finite length > 0, got {self.L:g}")
+        if not 1 <= self.n_max <= MAX_MODES:
+            raise InvalidInputError(f"key 'spectral.n_max': need 1 <= n_max <= {MAX_MODES}, got {self.n_max}")
+        if not 0 < self.rho_c < np.inf:
+            raise InvalidInputError(f"keys material.rho and material.cv: need a finite rho_c > 0, got {self.rho_c:g}")
         top = (self.n_max - (self.bc == "neumann")) * np.pi / self.L
         if not top * top / self.rho_c < np.inf:
             raise InvalidInputError(f"keys spectral.* and material.*: (n pi / L)^2 / rho_c overflows at "

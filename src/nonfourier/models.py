@@ -144,8 +144,9 @@ class MaterialConstants:
     cv: float
 
     def __post_init__(self):
-        if self.rho <= 0 or self.cv <= 0:
-            raise InvalidInputError("density and specific heat must be positive")
+        for key, what, v in (("material.rho", "density", self.rho), ("material.cv", "specific heat", self.cv)):
+            if not v > 0:
+                raise InvalidInputError(f"key {key!r}: need a {what} > 0, got {v:g}")
 
     @property
     def rho_cv(self) -> float:

@@ -55,10 +55,10 @@ class Grid1D:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise InvalidInputError("domain length must be positive")
+        if not self.L > 0:
+            raise InvalidInputError(f"key 'grid.L': need a domain length > 0, got {self.L:g}")
         if self.N < 8:
-            raise InvalidInputError("need at least 8 interior points")
+            raise InvalidInputError(f"key 'grid.N': need at least 8 interior points, got {self.N}")
 
     @property
     def dx(self) -> float:
@@ -96,9 +96,7 @@ class SpaceOperators:
 
 
 def _pair(value: Union[float, Tuple[float, float]]) -> Tuple[float, float]:
-    if np.isscalar(value):
-        return float(value), float(value)
-    left, right = value
+    left, right = (value, value) if np.isscalar(value) else value
     return float(left), float(right)
 
 
@@ -307,20 +305,22 @@ def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def trapezoid_stepper(
     M: List[List[Optional[Band]]], f: np.ndarray, dt: float, keep: Optional[int] = None
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """One fixed-step trapezoidal update u -> u' of u_dot = M u + f (M a
-    square grid of n x n blocks, each a band or None), that is (I - hM) u' =
-    (I + hM) u + dt f with h = dt/2, Schur-reduced onto the last `keep`
-    unknowns (all by default; whole blocks). The eliminated block must be
-    strictly block upper triangular (companion shifts, or zero), so
-    (I - hM11)^-1 is a finite sum. The set-up is numpy with scipy's sparse
-    arithmetic: `rhs_mat` and `back` are stored unsorted as scipy's products
-    store them (a kept third-order row: theta_ddot, then theta_dot and theta
-    interleaved, from the +1 neighbour down), and the CSR kernel sums each
-    row in that order, so steps have the sparse set-up's bits. A step is two
-    kernel calls (the reduced right-hand side, the back-substitution) and a
-    band solve: two `dtbsv` calls, and one more per row that `dgbtrf`
-    swapped (a Neumann wall row is not column diagonally dominant)."""
+    square grid of n x n blocks, each a band or None) as step(u, out), which
+    writes u' into out, a zeroed contiguous array apart from u (by default a
+    new one), and returns it. That is (I - hM) u' = (I + hM) u + dt f with h
+    = dt/2, Schur-reduced onto the last `keep` unknowns (all by default;
+    whole blocks). The eliminated block must be strictly block upper
+    triangular (companion shifts, or zero), so (I - hM11)^-1 is a finite
+    sum. The set-up is numpy with scipy's sparse arithmetic: `rhs_mat` and
+    `back` are stored unsorted as scipy's products store them (a kept
+    third-order row: theta_ddot, then theta_dot and theta interleaved, from
+    the +1 neighbour down), and the CSR kernel sums each row in that order,
+    so steps have the sparse set-up's bits. A step is two kernel calls (the
+    reduced right-hand side, the back-substitution) and a band solve in
+    place: two `dtbsv` calls, and one more per row that `dgbtrf` swapped (a
+    Neumann wall row is not column diagonally dominant)."""
     from scipy.sparse._sparsetools import csr_matvec
 
     p, n = len(M), len(f)
@@ -352,21 +352,21 @@ def trapezoid_stepper(
                                  f"times dt/2 = {h:g}, leaves the float range")
     solve = _band_lu(S, nb)
 
-    # each product sums into zeros, as `rhs_mat @ u + rhs_f` and
-    # `r[:n1] += back @ r[n1:]` do, so the rounding is theirs; the
-    # back-substitution's product reuses one buffer, the new state is fresh
+    # each product sums into zeros (the caller's row, then the stepper's one
+    # buffer), as `rhs_mat @ u + rhs_f` and `r[:n1] += back @ r[n1:]` do, so
+    # the rounding is theirs
     t = np.empty(n1)
 
-    def step(u: np.ndarray) -> np.ndarray:
-        r = np.zeros(n)
-        csr_matvec(n, n, rp, ri, rd, u, r)
-        r += rhs_f
-        r[n1:] = solve(r[n1:])
+    def step(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.zeros(n) if out is None else out
+        csr_matvec(n, n, rp, ri, rd, u, out)
+        out += rhs_f
+        solve(out[n1:])
         if n1:
             t.fill(0.0)
-            csr_matvec(n1, n - n1, bp, bi, bd, r[n1:], t)
-            r[:n1] += t
-        return r
+            csr_matvec(n1, n - n1, bp, bi, bd, out[n1:], t)
+            out[:n1] += t
+        return out
 
     return step
 
@@ -597,44 +597,46 @@ _BLOCK_FLOATS = 2**15
 
 
 def _block_steps(cfg: SimConfig, size: int) -> int:
-    """B, the steps of one block of the time loop for a state of `size`
-    unknowns."""
+    """B, the steps of one block of the time loop for a state of `size` unknowns."""
     return max(1, min(cfg.steps, _BLOCK_FLOATS // size))
+
+
+def _into(step: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """step as step(u, out) -> out: perfbench's traced run wraps a stepper as
+    u -> u', copied into out here (until the next change to the benchmark)."""
+    return step if step.__code__.co_argcount > 1 else lambda u, out: np.copyto(out, step(u)) or out
 
 
 def _march(
     cfg: SimConfig,
     u: np.ndarray,
-    step: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     observe: Callable[[np.ndarray], Tuple[Tuple, Tuple[np.ndarray, ...]]],
     first: Tuple[np.ndarray, ...],
     columns: Tuple[str, ...] = (),
     nodes: Optional[int] = None,
 ) -> Tuple[np.ndarray, List[np.ndarray], Dict[str, np.ndarray]]:
     """The fixed-step loop of every 1-D run and of the modal comparison.
-    Only u = step(u) and its divergence check run per step; the rest runs
-    once per block of B steps on the block's states, the rows of U (steps,
-    u.size), with B * u.size about _BLOCK_FLOATS (B = 1 on fine grids).
-    When u starts with the `nodes` values of the theta deviation, the
-    absolute temperature theta_ref + theta must stay positive. observe(U)
-    returns the block's audit columns after t (arrays over its steps, or
-    one value for all of them; none for the modal comparison, which audits
-    nothing) and its rows of each snapshot field. A block's states before
-    its first non-finite or non-positive one are observed (the entry points
-    silence overflow) before anything is raised, so the error names the
+    Only step(u, row) runs per step, writing each state into the next row
+    of its block's U (steps, u.size), B * u.size about _BLOCK_FLOATS (B = 1
+    on fine grids); the rest runs once per block. U is one of two buffers
+    that take turns, zeroed once a block, so a block's first step reads the
+    other's last row. When u starts with the `nodes` values of the theta
+    deviation, theta_ref + theta must stay positive. observe(U) returns the
+    block's audit columns after t (arrays over its steps, or one value for
+    all; none for the modal comparison) and its rows of each snapshot
+    field. A block's states before its first non-finite or non-positive one
+    are observed (the entry points silence overflow; the later ones, still
+    stepped, are not) before anything is raised, so the error names the
     earliest bad step whatever B is: a non-finite audit value (a state past
-    about 1e154 squares to inf), then 0 K, then a non-finite state. `first` holds
-    the fields at t = 0 ((theta, flux) for a run, theta alone for the
-    comparison); the other snapshots are taken every cfg.snapshot_every
-    steps (about 200 by default) and at the last step. Returns the
-    snapshot times, one (snapshots, ...) array per field and the audit
-    columns, keyed from t."""
-    nsteps = cfg.steps
-    every = cfg.every
-    block = _block_steps(cfg, u.size)
-    audit = {key: np.empty(nsteps) for key in ("t",) + columns}
-    audit["t"][:] = np.arange(1, nsteps + 1) * cfg.dt
-    kept = list(range(0, nsteps + 1, every))
+    about 1e154 squares to inf), then 0 K, then a non-finite state. `first`
+    holds the fields at t = 0 ((theta, flux) for a run, theta alone for the
+    comparison); the other snapshots are taken every cfg.every steps and at
+    the last step. Returns the snapshot times, one (snapshots, ...) array
+    per field and the audit columns, keyed from t."""
+    nsteps, block, step = cfg.steps, _block_steps(cfg, u.size), _into(step)
+    audit = {"t": np.arange(1, nsteps + 1) * cfg.dt, **{key: np.empty(nsteps) for key in columns}}
+    kept = list(range(0, nsteps + 1, cfg.every))
     if kept[-1] != nsteps:
         kept.append(nsteps)
     # the run's snapshots of each field in one array, filled block by block
@@ -642,32 +644,25 @@ def _march(
     for snap, f in zip(snaps, first):
         snap[0] = f
     filled = 1
+    bufs = [np.empty((block, u.size)), np.empty((block, u.size))]
     for i0 in range(0, nsteps, block):
-        end = min(i0 + block, nsteps)
-        rows = []
-        for _ in range(i0, end):
-            u = step(u)
-            if not np.isfinite(u).all():
-                break
-            rows.append(u)
-        b = len(rows)
-        error = None if i0 + b == end else DivergenceError(i0 + b + 1, (i0 + b + 1) * cfg.dt)
+        U = bufs[i0 // block % 2][: min(block, nsteps - i0)]
+        U.fill(0.0)
+        for row in U:
+            u = step(u, row)
+        # the first non-finite state, or the first at or below 0 K before it
+        finite = np.isfinite(U).all(1)
+        sane = finite & (U[:, :nodes].min(1) > -cfg.theta_ref) if nodes else finite
+        b = len(U) if sane.all() else int(sane.argmin())
+        i = i0 + b + 1
+        error = None if b == len(U) else (PositivityError if finite[b] else DivergenceError)(i, i * cfg.dt)
         if b:
-            U = np.stack(rows) if b > 1 else rows[0][None]  # no copy for one step
-            if nodes:
-                # theta_ref + theta <= 0 somewhere, in one pass
-                bad = np.flatnonzero(U[:, :nodes].min(1) <= -cfg.theta_ref)
-                if bad.size:
-                    b = int(bad[0])
-                    error, U = PositivityError(i0 + b + 1, (i0 + b + 1) * cfg.dt), U[:b]
-        if b:
-            values, fields = observe(U)
+            values, fields = observe(U[:b])
             finite = np.ones(b, dtype=bool)
             for value in values:
                 finite &= np.isfinite(value)
-            bad = np.flatnonzero(~finite)
-            if bad.size:
-                i = i0 + int(bad[0]) + 1
+            if not finite.all():
+                i = i0 + int(finite.argmin()) + 1
                 raise DivergenceError(i, i * cfg.dt, "audit")
         if error is not None:
             raise error
@@ -681,7 +676,7 @@ def _march(
     return np.array(kept) * cfg.dt, snaps, audit
 
 
-def _local_setup(cfg: SimConfig) -> Tuple[SpaceOperators, int, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+def _local_setup(cfg: SimConfig) -> Tuple[SpaceOperators, int, Callable[..., np.ndarray], np.ndarray]:
     """The temperature equation of a local kind over u = (theta, theta_dot[,
     theta_ddot]): its operators, its order, its trapezoid stepper and the
     initial u, whose theta_ddot starts at 0."""
@@ -733,9 +728,9 @@ def _local_system(cfg: SimConfig) -> Trajectory:
     # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
     # an algebraic law's flux is its drive, y = (drive,). The recurrence's
-    # state, forcing and k x k factors are contiguous: matmul on them has the
-    # bits of matmul on transposed views, at a third of the time; `_times`
-    # takes a 1 x 1 factor as a scalar multiply
+    # state and k x k factors are contiguous: matmul on them has the bits of
+    # matmul on transposed views, at a third of the time; `_times` takes a
+    # 1 x 1 factor as a scalar multiply
     k = law.order
     drive = grads(u[None])[2][0].copy()
     if k:
@@ -743,13 +738,14 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         A[-1] -= np.divide(law.a[:-1], law.a[-1])
         y = np.zeros((n, k))
         y[:, 0] = _init_field(cfg.q0, x)
-        forc, yr = np.zeros((n, k)), np.empty((n, k))
+        yr = np.empty((n, k))
         try:  # singular where dt/2 is the inverse of one of A's eigenvalues
             lhs_inv_t = np.ascontiguousarray(np.linalg.inv(np.eye(k) - cfg.dt / 2.0 * A).T)
         except np.linalg.LinAlgError as e:
             raise ConfigurationError(f"key 'time.dt': the flux law's trapezoid step I - dt/2 A is singular at "
                                      f"dt = {cfg.dt:g}") from e
         rhs_a_t = np.ascontiguousarray((np.eye(k) + cfg.dt / 2.0 * A).T)
+        rhs = rhs_a_t[0, 0] if k == 1 else rhs_a_t  # a scalar multiplies faster
     else:
         y = drive[:, None]
 
@@ -757,7 +753,10 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         b = len(U)
         tx, tdx, drives = grads(U)
         if k:
-            # the trapezoid forcing of each step, then the sequential recurrence
+            # each step's trapezoid forcing, added in y' = (y R + (0, ...,
+            # half)) L to the last column alone: matmul sums into +0, so no
+            # other holds a -0.0 that adding 0 would clear; for k = 1, y R
+            # skips `_times`'s + 0.0, which L's product adds
             half = ws("tmp", (b, n))
             np.add(drive, drives[0], out=half[0])
             np.add(drives[:-1], drives[1:], out=half[1:])
@@ -765,8 +764,8 @@ def _local_system(cfg: SimConfig) -> Trajectory:
             ys = ws("ys", (b, n, k))
             prev = y
             for j in range(b):
-                forc[:, -1] = half[j]
-                np.add(_times(prev, rhs_a_t, yr), forc, out=yr)
+                (np.multiply if k == 1 else np.matmul)(prev, rhs, out=yr)
+                yr[:, -1] += half[j]
                 prev = _times(yr, lhs_inv_t, ys[j])
             np.copyto(y, prev)
             np.copyto(drive, drives[-1])
@@ -866,8 +865,8 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
             # -kappa G, one trapezoid step of size 2 (h = 1) from q = 0; every
             # step returns that state, so its audit row is computed once a block
             solve = trapezoid_stepper([[nl_lap]], np.full(n, -kappa * G / 2.0), 2.0)
-            steady = solve(np.zeros(n))
-            step = lambda q: steady
+            steady = _into(solve)(np.zeros(n), np.zeros(n))
+            step = lambda q, out: np.copyto(out, steady) or out
             observe = lambda Q: (audit(Q[:1], theta_x), (np.broadcast_to(theta, Q.shape), Q))
         else:
             step = trapezoid_stepper([[gk_rhs]], np.full(n, -kappa * G / tau), cfg.dt)

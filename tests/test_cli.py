@@ -569,6 +569,30 @@ def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, edits):
 
 
 @pytest.mark.parametrize(
+    "command, edits, message",
+    [
+        ("modal", ("spectral.n_max", "200000"), "key 'spectral.n_max': need 1 <= n_max <= 100000, got 200000"),
+        ("modal", ("spectral.n_max", "0"), "key 'spectral.n_max': need 1 <= n_max <= 100000, got 0"),
+        ("modal", ("spectral.L", "-2"), "key 'spectral.L': need a finite length > 0, got -2"),
+        ("modal", ("material.rho", "-1"), "key 'material.rho': need a density > 0, got -1"),
+        ("simulate", ("material.cv", "0"), "key 'material.cv': need a specific heat > 0, got 0"),
+        ("simulate", ("grid.L", "-2"), "key 'grid.L': need a domain length > 0, got -2"),
+        ("simulate", ("grid.N", "5"), "key 'grid.N': need at least 8 interior points, got 5"),
+    ],
+    ids=["n_max_huge", "n_max_zero", "spectral_L_negative", "rho_negative", "cv_zero", "grid_L_negative",
+         "grid_N_small"],
+)
+def test_range_refusals_name_the_key_and_the_condition(tmp_path, capsys, command, edits, message):
+    """The range checks of the grid, the material and the spectrum name the
+    config key and the one condition that failed (each printed the same
+    message for every key of its class)."""
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", *edits)))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, config, key, value, named",
     [
         ("check", "burgers_sweep.cfg", "model.nu", "nan", "model.nu"),

@@ -239,7 +239,7 @@ def test_first_flux_rate_product_is_bitwise_the_matmul(factor):
 def test_trapezoid_scalar_decay_example():
     """One step of u' = -u with dt = 0.1 gives u (1 - 0.05)/(1 + 0.05)."""
     step = trapezoid_stepper([[{0: np.array([-1.0])}]], np.zeros(1), 0.1)
-    u = step(np.array([2.0]))
+    u = step(np.array([2.0]), np.zeros(1))
     assert u[0] == pytest.approx(2.0 * 0.95 / 1.05)
 
 
@@ -247,7 +247,7 @@ def test_trapezoid_zero_matrix_is_identity_plus_forcing():
     M = [[None]]
     f = np.array([1.0, 2.0, 3.0])
     step = trapezoid_stepper(M, f, 0.5)
-    np.testing.assert_allclose(step(np.zeros(3)), 0.5 * f)
+    np.testing.assert_allclose(step(np.zeros(3), np.zeros(3)), 0.5 * f)
 
 
 def test_trapezoid_is_second_order_in_dt():
@@ -260,7 +260,7 @@ def test_trapezoid_is_second_order_in_dt():
         step = trapezoid_stepper(M, np.zeros(2), dt)
         u = np.array([1.0, 0.0])
         for _ in range(int(round(t_end / dt))):
-            u = step(u)
+            u = step(u, np.zeros(2))
         errs.append(abs(u[0] - np.cos(t_end)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -268,13 +268,19 @@ def test_trapezoid_is_second_order_in_dt():
 
 def _splu_stepper(M, f, dt, keep=None):
     """Oracle: the unreduced trapezoid step (I - dt/2 M) u' = (I + dt/2 M) u
-    + dt f through SuperLU on the whole system, M in scipy's form; `keep` is
+    + dt f through SuperLU on the whole system, M in scipy's form, as a
+    stepper: step(u, out) writes u' into out and returns it; `keep` is
     ignored."""
     M = _sparse(M)
     eye = sp.identity(M.shape[0], format="csc")
     lu = spla.splu((eye - dt / 2.0 * M).tocsc())
     rhs = (eye + dt / 2.0 * M).tocsr()
-    return lambda u: lu.solve(rhs @ u + dt * f)
+
+    def step(u, out):
+        out[:] = lu.solve(rhs @ u + dt * f)
+        return out
+
+    return step
 
 
 def _assert_close(got, want, blocks=1, rtol=1e-12):
@@ -305,7 +311,7 @@ def test_banded_step_matches_superlu_oracle(model, bc_kind, N):
     banded, oracle = trapezoid_stepper(M, f, 1e-3, keep=ops.n), _splu_stepper(M, f, 1e-3)
     u = v = np.random.default_rng(N).standard_normal(order * ops.n)
     for _ in range(20):
-        u, v = banded(u), oracle(v)
+        u, v = banded(u, np.zeros_like(u)), oracle(v, np.zeros_like(v))
         _assert_close(u, v, order)
 
 
@@ -378,9 +384,12 @@ def _dispatch_stepper(M, f, dt, keep=None):
 def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     """trapezoid_stepper and the dispatch oracle stay bitwise equal (dtype,
     shape and bytes, so a flipped sign of zero counts) from one random state
-    for `steps` steps, and a step's band solve replays every row swap that
-    its `dgbtrf` made, one `dtbsv` window each on top of the two calls of a
-    solve without one: at least one swap if `swapped`, none otherwise."""
+    for `steps` steps, each written into the zeroed row of a two-row buffer
+    that the state does not occupy, as the time loop writes them, and
+    returned as that row; and a step's band solve replays every row swap
+    that its `dgbtrf` made, one `dtbsv` window each on top of the two calls
+    of a solve without one: at least one swap if `swapped`, none
+    otherwise."""
     pivots, calls = [], []
 
     def factor(*args, **kwargs):
@@ -393,8 +402,12 @@ def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     kernel, oracle = trapezoid_stepper(M, f, dt, keep=keep), _dispatch_stepper(M, f, dt, keep=keep)
     assert len(pivots) == 1 and (pivots[0] > 0) == swapped
     u = v = np.random.default_rng(len(f)).standard_normal(len(f))
-    for _ in range(steps):
-        u, v = kernel(u), oracle(v)
+    rows = np.empty((2, len(f)))
+    for i in range(steps):
+        out = rows[i % 2]
+        out.fill(0.0)
+        u, v = kernel(u, out), oracle(v)
+        assert u is out
         assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
     assert len(calls) == steps * (2 + pivots[0])
 
@@ -557,7 +570,8 @@ def test_non_nilpotent_eliminated_block_raises():
         trapezoid_stepper(_blocks(M, 1), np.zeros(3), 0.1, keep=1)
     # the same system kept whole steps as the oracle does
     u = np.array([1.0, -1.0, 0.5])
-    _assert_close(trapezoid_stepper(_blocks(M), np.ones(3), 0.1)(u), _splu_stepper(_blocks(M), np.ones(3), 0.1)(u))
+    _assert_close(trapezoid_stepper(_blocks(M), np.ones(3), 0.1)(u, np.zeros(3)),
+                  _splu_stepper(_blocks(M), np.ones(3), 0.1)(u, np.zeros(3)))
 
 
 def test_band_storage_cap_raises(monkeypatch):
@@ -690,9 +704,9 @@ def _observed_states(monkeypatch):
 
 def _first_bad_step(step, u, bad):
     """Step number of the first state from u on that bad() flags, stepping
-    by hand."""
+    by hand, each state into a fresh zeroed array."""
     for i in range(1, 100_000):
-        u = step(u)
+        u = step(u, np.zeros_like(u))
         if bad(u):
             return i
     raise AssertionError("no bad state")
@@ -847,7 +861,7 @@ def test_slow_blow_up_aborts_at_first_non_finite_audit_without_warning(monkeypat
     # the state at that step is finite: its audit is what overflows
     u = 1e-3 * np.sin(grid.interior_x())
     for _ in range(first):
-        u = steppers[0](u)
+        u = steppers[0](u, np.zeros_like(u))
     assert np.isfinite(u).all() and np.abs(u).max() > 1e150
 
 
@@ -980,6 +994,44 @@ def test_observer_workspace_does_not_leak_into_results(monkeypatch, setup):
     assert runs[60] == runs[default] and runs[600] == runs[default]
 
 
+@pytest.mark.parametrize("block_floats, B", [(60, 1), (600, 10), (pde1d._BLOCK_FLOATS, 100)],
+                         ids=["B1", "B10", "default"])
+@pytest.mark.parametrize("kind", ["mcv", "gk-coupled"])
+def test_a_run_steps_into_the_rows_of_two_buffers(monkeypatch, kind, block_floats, B):
+    """The time loop hands each step a zeroed row, apart from the state it
+    steps from, of one of two (B, size) buffers, and the step returns that
+    row: the 100 states of a run take 2 B rows, in blocks of 1 and 10
+    steps, and 100 rows of one buffer in a block of all 100."""
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
+    common = dict(grid=Grid1D(L=1.0, N=30), dt=1e-3, t_end=0.1, theta0=lambda x: 0.2 * np.sin(np.pi * x))
+    if kind == "mcv":
+        cfg = SimConfig(model=MCV(tau=0.7, kappa=2.0), material=MAT, theta_ref=1.0, **common)
+    else:
+        cfg = _gk(0.05, **common)
+    build, rows = pde1d.trapezoid_stepper, []
+
+    def spy(*args, **kwargs):
+        step = build(*args, **kwargs)
+
+        def stepped(u, out):
+            assert not out.any() and not np.shares_memory(u, out)
+            rows.append(out)
+            assert step(u, out) is out
+            return out
+
+        return stepped
+
+    monkeypatch.setattr(pde1d, "trapezoid_stepper", spy)
+    simulate(cfg)
+    bases = []
+    for row in rows:
+        if not any(row.base is base for base in bases):
+            bases.append(row.base)
+    assert len(rows) == 100
+    assert len(bases) == min(2, 100 // B) and all(base.shape == (B, 60) for base in bases)
+    assert len({row.__array_interface__["data"][0] for row in rows}) == min(2 * B, 100)
+
+
 def test_gn3_undamped_mode_oscillates_at_dispersion_frequency():
     """With kappa = 0 the GN III mode is an undamped oscillator at frequency
     sqrt(Lambda_tilde * xi); check the period over a few cycles."""
@@ -1108,9 +1160,9 @@ def _nan_at_step(monkeypatch, bad):
     def spy(*args, **kwargs):
         step, calls = build(*args, **kwargs), []
 
-        def stepped(u):
+        def stepped(u, out):
             calls.append(None)
-            r = step(u)
+            r = step(u, out)
             if len(calls) == bad:
                 r[3] = np.nan
             return r
@@ -1143,6 +1195,27 @@ def test_modal_comparison_aborts_where_simulate_does(monkeypatch, case, block_fl
     assert want.value.step > 1
     if case == "divergence":
         assert want.value.step == 37
+
+
+@pytest.mark.parametrize("bad", [31, 40], ids=["first", "last"])
+def test_nan_at_a_block_edge_aborts_both_runs_at_its_step(monkeypatch, bad):
+    """In blocks of 10 steps, a state that turns NaN at the first (31) or
+    the last (40) step of the fourth block aborts simulate and the modal
+    comparison of the prepared config at that step, whatever steps of the
+    block ran after it; only the states before it are observed."""
+    cfg = SimConfig(model=GN3(xi=1.5, kappa=0.2), material=MAT, grid=Grid1D(L=np.pi, N=50), dt=1e-3, t_end=0.1)
+    size = _order(cfg.model) * 50
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", 10 * size)
+    assert pde1d._block_steps(cfg, size) == 10
+    _nan_at_step(monkeypatch, bad)
+    states = _observed_states(monkeypatch)
+    with pytest.raises(DivergenceError, match="non-finite field values") as want:
+        simulate(_modal_run(cfg, 1))
+    assert len(states) == bad - 1
+    with pytest.raises(DivergenceError, match="non-finite field values") as got:
+        compare_modal_vs_pde(cfg, 1)
+    assert len(states) == 2 * (bad - 1)
+    assert (got.value.step, got.value.t) == (want.value.step, want.value.t) == (bad, bad * cfg.dt)
 
 
 def test_modal_comparison_refuses_what_simulate_refuses():

@@ -8,6 +8,8 @@ test_benchmark_contract.py ensures for perfbench/.
 """
 import os
 import runpy
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,40 @@ def test_script_top_level_loads(monkeypatch, script):
                 del sys.modules[name]
     assert namespace["__name__"] == "script_under_test"
     assert callable(namespace["main"])
+
+
+# appended to a copy of pde1d.py: every run's max_residual column moves by 1
+_MOVED_RESIDUAL = """
+
+_simulate = simulate
+
+
+def simulate(cfg):
+    traj = _simulate(cfg)
+    traj.audit["max_residual"] += 1.0
+    return traj
+
+
+simulate_coupled_gk = simulate
+"""
+
+
+@pytest.mark.parametrize("workload, ops", [("simulate_cli", "gk:imposed"), ("fine_grid", "fine:gk")])
+def test_ab_compares_the_outputs_of_the_two_sides(tmp_path, workload, ops):
+    """scripts/ab.py against this checkout itself finds the outputs
+    identical, each side's written CSVs (whose headers hold that side's
+    config path) as the returned trajectories; against a copy whose runs
+    write another max_residual column, it names the op and exits 1."""
+    def ab(parent):
+        argv = [sys.executable, str(ROOT / "scripts" / "ab.py"), str(parent), "--workload", workload, "--ops", ops,
+                "--rounds", "2"]
+        return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+    same = ab(ROOT)
+    assert (same.returncode, same.stdout.splitlines()[-1]) == (0, "outputs identical"), same.stderr
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "nonfourier" / "pde1d.py", "a") as fh:
+        fh.write(_MOVED_RESIDUAL)
+    moved = ab(tmp_path)
+    label = "simulate:gk:imposed" if workload == "simulate_cli" else "fine:gk:coupled"
+    assert (moved.returncode, moved.stdout.splitlines()[-1]) == (1, f"outputs differ: {label}"), moved.stderr
