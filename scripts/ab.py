@@ -9,13 +9,8 @@ round, each round runs every op on both sides back to back, the side that
 goes first alternating from one round to the next. Freed heap goes back to
 the OS between ops (perfbench's ``release_heap``) and BLAS runs
 single-threaded, as in perfbench. Each op's outputs are checked after its
-timing, as perfbench checks them.
-
-The untimed round also compares what each op gave on the two sides, byte
-for byte: its result (arrays and floats by their bytes, so a flipped sign
-of zero counts) and the body of each file it wrote, after the '#' header
-lines, which hold the side's config path. It prints "outputs identical" or
-the ops whose outputs differ, and a difference makes the exit status 1.
+timing, as perfbench checks them. That the two sides' outputs are the same
+is scripts/same_outputs.py's question.
 
 For each op it prints the median time of each side and the median change /
 parent ratio of the rounds with its quartiles. The two runs of an op in a
@@ -28,8 +23,6 @@ Usage:
     python3 scripts/ab.py PARENT --workload scan [--ops audit:] [--rounds 30]
 """
 import argparse
-import dataclasses
-import hashlib
 import importlib
 import importlib.util
 import sys
@@ -44,7 +37,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run as perfbench  # noqa: E402  (sets single-threaded BLAS before numpy loads)
 import workloads  # noqa: E402
-import numpy as np  # noqa: E402
 
 SEED = 1
 MODULES = ("cli", "config", "consistency", "energetics", "modal", "models", "pde1d", "tensors")
@@ -61,42 +53,8 @@ def load(root: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
-def fingerprint(value):
-    """value as nested tuples of strings: arrays by dtype, shape and a hash
-    of their bytes, floats by float.hex, dataclasses field by field."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, hashlib.sha256(value.tobytes()).hexdigest()
-    if isinstance(value, float):
-        return value.hex()
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return tuple((key, fingerprint(v)) for key, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return tuple(fingerprint(v) for v in value)
-    return repr(value)
-
-
-def body_hash(path: Path) -> str:
-    """The hash of a written file's bytes after its first three lines
-    where they start with '#' (version, seed and config path)."""
-    data = path.read_bytes()
-    for _ in range(3):
-        if data.startswith(b"#"):
-            data = data.partition(b"\n")[2]
-    return hashlib.sha256(data).hexdigest()
-
-
-def files(work: Path) -> dict:
-    """Each file under work, with its modification time."""
-    return {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
-
-
-def timed(op, work=None) -> tuple:
-    """(seconds, error or None, outputs) of one op, its check outside the
-    timing. Given the side's work directory, outputs is the fingerprint of
-    the op's result and of the files it wrote or rewrote there, else None."""
-    before = files(work) if work else None
+def timed(op) -> tuple:
+    """(seconds, error or None) of one op, its check outside the timing."""
     out, error = None, None
     t0 = time.perf_counter()
     try:
@@ -109,13 +67,9 @@ def timed(op, work=None) -> tuple:
             op.check(out)
         except Exception as e:
             error = f"{type(e).__name__}: {e}"
-    outputs = None
-    if work:
-        written = sorted((str(p.relative_to(work)), body_hash(p)) for p, t in files(work).items() if before.get(p) != t)
-        outputs = fingerprint(out), tuple(written)
     out = None
     perfbench.release_heap()
-    return seconds, error, outputs
+    return seconds, error
 
 
 def main() -> int:
@@ -128,30 +82,28 @@ def main() -> int:
     if args.rounds < 2:
         ap.error("--rounds: need at least 2 for quartiles")
     roots = {"parent": args.parent.resolve(), "change": ROOT}
-    ops, times, outputs, errors, work = {}, {}, {}, [], {}
+    ops, times, errors = {}, {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for side, root in roots.items():
-            work[side] = Path(tmp) / side
-            work[side].mkdir()
-            built = workloads.WORKLOADS[args.workload](load(root, f"nf_{side}"), SEED, work[side])
+            work = Path(tmp) / side
+            work.mkdir()
+            built = workloads.WORKLOADS[args.workload](load(root, f"nf_{side}"), SEED, work)
             ops[side] = [op for op in built if args.ops in op.label]
-            times[side], outputs[side] = [[] for _ in ops[side]], []
+            times[side] = [[] for _ in ops[side]]
         if not ops["change"]:
             ap.error(f"no {args.workload} op label contains {args.ops!r}")
         if [op.label for op in ops["parent"]] != [op.label for op in ops["change"]]:
             ap.error("the two checkouts' workloads build different ops")
         # round -1 is untimed: it fills what each side builds on first use
         # (the scipy kernels, the CSV tables), which the first side to run
-        # an op would otherwise pay alone, and keeps each op's outputs
+        # an op would otherwise pay alone
         for r in range(-1, args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for i in range(len(ops["change"])):
                 for side in order:
-                    seconds, error, got = timed(ops[side][i], work[side] if r < 0 else None)
+                    seconds, error = timed(ops[side][i])
                     if r >= 0:
                         times[side][i].append(seconds)
-                    else:
-                        outputs[side].append(got)
                     if error:
                         errors.append(f"round {r} {side} {ops[side][i].label}: {error}")
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: parent {roots['parent']}, change {roots['change']}")
@@ -162,11 +114,9 @@ def main() -> int:
         q1, _, q3 = quantiles(ratios, n=4)
         print(f"{op.label:<28} {1e3 * median(a):>10.2f} {1e3 * median(b):>10.2f} "
               f"{median(ratios):>7.3f} {q1:>7.3f} {q3:>7.3f}")
-    differ = [op.label for op, a, b in zip(ops["change"], outputs["parent"], outputs["change"]) if a != b]
-    print(f"outputs differ: {', '.join(differ)}" if differ else "outputs identical")
     for line in errors:
         print(f"failed: {line}")
-    return 1 if errors or differ else 0
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

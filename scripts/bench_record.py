@@ -8,7 +8,8 @@ For each checkout it records:
   object) of perfbench/run.py for every workload, with --trace 0 and
   --trace 1, --seed 1 and --seconds 36;
 - the median wall time over fresh interpreters of each subcommand on each
-  configs/*.cfg (the runs scripts/cli_bytes.py makes);
+  configs/*.cfg, with --seed 5 (scripts/same_outputs.py's `run`, each side
+  from its own checkout on its own configs);
 - the wall time and summary line of the tier-1 test suite, and the time
   each acceptance criterion reports (one entry per parametrized case);
 - the commit it is at and the tracked paths that differ from it.
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 from statistics import median
 
-import cli_bytes
+from same_outputs import COMMANDS, configs, run
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("simulate_cli", "fine_grid", "scan")
@@ -59,15 +60,15 @@ def perfbench(root: Path, workload: str, trace: int) -> dict:
 def cli_walls(roots: dict, turns) -> dict:
     walls = {side: {} for side in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in cli_bytes.configs(roots["change"]):
-            for command in cli_bytes.COMMANDS:
+        for cfg in configs(roots["change"]):
+            for command in COMMANDS:
                 times, codes = {side: [] for side in roots}, {side: set() for side in roots}
                 for _ in range(CLI_REPEATS):
                     for side in next(turns):
                         root = roots[side]
                         t0 = time.perf_counter()
-                        proc = cli_bytes.run(root, root / "configs" / cfg.name, command,
-                                             Path(tmp) / side / cfg.stem / command, ENV)
+                        proc = run(root / "src", root / "configs" / cfg.name, command,
+                                   Path(tmp) / side / cfg.stem / command, ENV, cwd=root)
                         times[side].append(time.perf_counter() - t0)
                         codes[side].add(proc.returncode)
                 for side in roots:

@@ -286,6 +286,17 @@ def cmd_audit(args) -> int:
     return 0
 
 
+def _seed(raw: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators take."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {raw!r}")
+    return n
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.set_defaults(fn=fn)
     return parser
 

@@ -56,16 +56,20 @@ KEYS = {*SPECTRAL_KEYS, *"grid.L grid.N time.dt time.t_end time.snapshot_every b
 
 
 def parse_config(path: Union[str, Path]) -> Dict[str, str]:
-    """The file's key = value pairs; a key no subcommand reads is refused."""
+    """The file's key = value pairs; a key no subcommand reads, or one
+    given twice, is refused."""
     out: Dict[str, str] = {}
+    lines: Dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"key {key!r}: given twice, on lines {lines[key]} and {lineno}")
+        out[key], lines[key] = value, lineno
     unknown = [key for key in out if key not in KEYS and not key.startswith("model.")]
     if unknown:
         raise ConfigError(f"key {unknown[0]!r}: no subcommand reads it")

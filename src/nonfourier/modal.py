@@ -43,7 +43,7 @@ class SpectralProblem:
 
     def __post_init__(self):
         if self.bc not in ("dirichlet", "neumann"):
-            raise InvalidInputError(f"unsupported bc {self.bc!r}")
+            raise InvalidInputError(f"key 'spectral.bc': need dirichlet or neumann, got {self.bc!r}")
         if not 0 < self.L < np.inf:
             raise InvalidInputError(f"key 'spectral.L': need a finite length > 0, got {self.L:g}")
         if not 1 <= self.n_max <= MAX_MODES:

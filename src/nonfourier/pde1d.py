@@ -108,7 +108,7 @@ def space_operators(
     grid: Grid1D, bc_kind: str, bc_value: Union[float, Tuple[float, float]] = 0.0
 ) -> SpaceOperators:
     if bc_kind not in ("dirichlet", "neumann"):
-        raise ConfigurationError(f"unsupported boundary kind {bc_kind!r}")
+        raise ConfigurationError(f"key 'bc.kind': need dirichlet or neumann, got {bc_kind!r}")
     dx, (left, right), neumann = grid.dx, _pair(bc_value), bc_kind == "neumann"
     n = grid.N + 2 * neumann
     x = dx * np.arange(1 - neumann, n + 1 - neumann)

@@ -73,6 +73,17 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(p)
 
 
+def _set(text, *pairs):
+    """text with each key's line set to its value, or the line added (a
+    config that gives a key twice is refused); pairs is key, value, key,
+    value, ..."""
+    for key, value in zip(pairs[::2], pairs[1::2]):
+        text, found = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        if not found:
+            text += f"{key} = {value}\n"
+    return text
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main(list(argv) + ["--out", str(out)]), out
@@ -193,7 +204,7 @@ def test_simulate_gk_positivity_abort_exits_1(tmp_path, capsys):
 def test_simulate_nonpositive_or_nonfinite_theta_ref_exits_2(tmp_path, capsys, text, value):
     """sim.theta_ref is checked once, before any coefficient is evaluated
     at it, for every kind."""
-    cfg = write_cfg(tmp_path, text + f"sim.theta_ref = {value}\n")
+    cfg = write_cfg(tmp_path, _set(text, "sim.theta_ref", value))
     code, out = run(tmp_path, "simulate", "--config", cfg)
     assert code == 2
     assert "config error: key 'sim.theta_ref'" in capsys.readouterr().err
@@ -479,11 +490,11 @@ def test_check_nonfinite_varkappa_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting, key",
     [
-        ("time.dt = nan", "time.dt"),
-        ("time.dt = inf", "time.dt"),
-        ("time.t_end = inf", "time.t_end"),
-        ("time.t_end = nan", "time.t_end"),
-        ("time.dt = 1e-300\ntime.t_end = 1e300", "time.dt"),
+        (("time.dt", "nan"), "time.dt"),
+        (("time.dt", "inf"), "time.dt"),
+        (("time.t_end", "inf"), "time.t_end"),
+        (("time.t_end", "nan"), "time.t_end"),
+        (("time.dt", "1e-300", "time.t_end", "1e300"), "time.dt"),
     ],
     ids=["dt_nan", "dt_inf", "t_end_inf", "t_end_nan", "ratio_inf"],
 )
@@ -491,7 +502,7 @@ def test_simulate_nonfinite_time_settings_exit_2(tmp_path, capsys, setting, key)
     """A non-finite dt or t_end is a config error, not a traceback from the
     time loop; so is a dt that would make t_end / dt overflow, which the
     magnitude envelope refuses."""
-    code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, QUINTANILLA_CFG + setting + "\n"))
+    code, out = run(tmp_path, "simulate", "--config", write_cfg(tmp_path, _set(QUINTANILLA_CFG, *setting)))
     assert code == 2
     assert f"config error: key '{key}'" in capsys.readouterr().err
     assert not (out / "snapshots.csv").exists()
@@ -537,13 +548,8 @@ def test_overflowing_coefficient_scale_exits_2(tmp_path, capsys):
 
 
 def _edited(config, *pairs):
-    """configs/<config> with each key's line set to its value, or the line
-    added; pairs is key, value, key, value, ..."""
-    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
-    for key, value in zip(pairs[::2], pairs[1::2]):
-        edited = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-        text = edited if edited != text else text + f"{key} = {value}\n"
-    return text
+    """configs/<config> with _set's edits."""
+    return _set((Path(__file__).resolve().parents[1] / "configs" / config).read_text(), *pairs)
 
 
 @pytest.mark.parametrize(
@@ -578,14 +584,17 @@ def test_spectral_inputs_are_checked_up_front(tmp_path, capsys, edits):
         ("simulate", ("material.cv", "0"), "key 'material.cv': need a specific heat > 0, got 0"),
         ("simulate", ("grid.L", "-2"), "key 'grid.L': need a domain length > 0, got -2"),
         ("simulate", ("grid.N", "5"), "key 'grid.N': need at least 8 interior points, got 5"),
+        ("simulate", ("bc.kind", "bogus"), "key 'bc.kind': need dirichlet or neumann, got 'bogus'"),
+        ("modal", ("spectral.bc", "bogus"), "key 'spectral.bc': need dirichlet or neumann, got 'bogus'"),
     ],
     ids=["n_max_huge", "n_max_zero", "spectral_L_negative", "rho_negative", "cv_zero", "grid_L_negative",
-         "grid_N_small"],
+         "grid_N_small", "bc_kind_bogus", "spectral_bc_bogus"],
 )
 def test_range_refusals_name_the_key_and_the_condition(tmp_path, capsys, command, edits, message):
-    """The range checks of the grid, the material and the spectrum name the
-    config key and the one condition that failed (each printed the same
-    message for every key of its class)."""
+    """The range checks of the grid, the material and the spectrum, and the
+    boundary kinds, name the config key and the one condition that failed
+    (each printed the same message for every key of its class, and the
+    boundary kinds named no key)."""
     code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, _edited("mgt_stable.cfg", *edits)))
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -637,24 +646,44 @@ def test_unknown_model_key_exits_2(tmp_path, capsys, command, text, key):
 
 
 @pytest.mark.parametrize(
-    "config, extra, command, key",
+    "config, edits, command, key",
     [
-        ("burgers_sweep.cfg", "sweep.param = grid.N\n", "sweep", "sweep.param"),
-        ("burgers_sweep.cfg", "sweep.param = time.dt\n", "sweep", "sweep.param"),
-        ("mgt_stable.cfg", "audit.sample = 5\n", "audit", "audit.sample"),
-        ("mgt_stable.cfg", "grid.n = 50\n", "simulate", "grid.n"),
+        ("burgers_sweep.cfg", ("sweep.param", "grid.N"), "sweep", "sweep.param"),
+        ("burgers_sweep.cfg", ("sweep.param", "time.dt"), "sweep", "sweep.param"),
+        ("mgt_stable.cfg", ("audit.sample", "5"), "audit", "audit.sample"),
+        ("mgt_stable.cfg", ("grid.n", "50"), "simulate", "grid.n"),
     ],
     ids=["sweep_grid_N", "sweep_time_dt", "audit_sample", "simulate_grid_n"],
 )
-def test_key_no_subcommand_reads_exits_2(tmp_path, capsys, config, extra, command, key):
+def test_key_no_subcommand_reads_exits_2(tmp_path, capsys, config, edits, command, key):
     """A key that the subcommand would not read is a config error naming
     it, not a run that ignores it: a sweep over grid.N gave six identical
     rows, a misspelt audit.sample audited the default 1000 states."""
-    text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
-    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, text + extra))
+    code, out = run(tmp_path, command, "--config", write_cfg(tmp_path, _edited(config, *edits)))
     assert code == 2
     assert f"config error: key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repeated_key_exits_2(tmp_path, capsys):
+    """A key given twice is a config error naming it and both lines, not a
+    run that keeps the later value (check judged model.tau = 5 here)."""
+    code, out = run(tmp_path, "check", "--config", write_cfg(tmp_path, QUINTANILLA_CFG + "model.tau = 5.0\n"))
+    assert code == 2
+    assert capsys.readouterr().err == "config error: key 'model.tau': given twice, on lines 3 and 17\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_below_zero_or_not_an_integer_is_a_usage_error(tmp_path, capsys, seed):
+    """--seed -1 ended in numpy's ValueError traceback (exit 1); the parser
+    refuses it, as it refuses a seed that is not an integer."""
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "mgt_stable.cfg")
+    with pytest.raises(SystemExit) as exit_:
+        run(tmp_path, "audit", "--config", cfg, "--seed", seed)
+    assert exit_.value.code == 2
+    assert f"argument --seed: need an integer >= 0, got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])

@@ -58,22 +58,39 @@ simulate_coupled_gk = simulate
 """
 
 
+# per workload op, one case of each group of scripts/same_outputs.py as it
+# prints them (a library case, a CLI simulate run and the op), and the
+# number of arrays of the library case
+_CASES = {
+    "simulate_cli": (("library Fourier0/dirichlet/100", "cli tests/data/simulate/fourier.cfg simulate",
+                      "simulate_cli simulate:gk:imposed"), 9),
+    "fine_grid": (("library gk_coupled/100", "cli tests/data/simulate/gk.cfg simulate",
+                   "fine_grid fine:gk:coupled"), 8),
+}
+
+
 @pytest.mark.parametrize("workload, ops", [("simulate_cli", "gk:imposed"), ("fine_grid", "fine:gk")])
 def test_ab_compares_the_outputs_of_the_two_sides(tmp_path, workload, ops):
-    """scripts/ab.py against this checkout itself finds the outputs
-    identical, each side's written CSVs (whose headers hold that side's
-    config path) as the returned trajectories; against a copy whose runs
-    write another max_residual column, it names the op and exits 1."""
-    def ab(parent):
-        argv = [sys.executable, str(ROOT / "scripts" / "ab.py"), str(parent), "--workload", workload, "--ops", ops,
-                "--rounds", "2"]
-        return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    """An A/B of the outputs: scripts/same_outputs.py, narrowed through its
+    ONLY to a library case, a CLI run and the workload's op, finds this
+    checkout's outputs identical to its own (the op's written CSVs, whose
+    headers hold each side's config path, among them); against a copy whose
+    runs write another max_residual column, it names each of the three
+    cases and exits 1."""
+    cases, arrays = _CASES[workload]
 
-    same = ab(ROOT)
-    assert (same.returncode, same.stdout.splitlines()[-1]) == (0, "outputs identical"), same.stderr
+    def same_outputs(parent):
+        code = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import same_outputs; "
+                f"same_outputs.ONLY = {set(cases)!r}; sys.exit(same_outputs.main([{str(parent)!r}]))")
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+
+    same = same_outputs(ROOT)
+    assert (same.returncode, same.stdout.splitlines()[0], same.stdout.splitlines()[-1]) == (
+        0, f"library: 1 cases ({arrays} arrays)", "outputs identical"), same.stderr
+    assert f"{workload}: 1 ops" in same.stdout.splitlines(), same.stdout
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "nonfourier" / "pde1d.py", "a") as fh:
         fh.write(_MOVED_RESIDUAL)
-    moved = ab(tmp_path)
-    label = "simulate:gk:imposed" if workload == "simulate_cli" else "fine:gk:coupled"
-    assert (moved.returncode, moved.stdout.splitlines()[-1]) == (1, f"outputs differ: {label}"), moved.stderr
+    moved = same_outputs(tmp_path)
+    assert moved.returncode == 1, moved.stderr
+    assert moved.stdout.splitlines()[-4:] == ["outputs differ:", *(f"  {case}" for case in cases)]
