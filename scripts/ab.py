@@ -13,11 +13,14 @@ timing, as perfbench checks them. That the two sides' outputs are the same
 is scripts/same_outputs.py's question.
 
 For each op it prints the median time of each side and the median change /
-parent ratio of the rounds with its quartiles. The two runs of an op in a
-round are back to back, so drift of the host's speed, which misleads a
-comparison of two processes, mostly cancels in their ratio. A record pair
-from scripts/bench_record.py stays the claim of record; this is evidence
-beside it.
+parent ratio of the rounds with its quartiles and a 95% bootstrap interval
+(the 2.5th and 97.5th percentiles of the medians of BOOTSTRAP resamples of
+the rounds, drawn with the stdlib's `random` seeded with SEED and the op's
+label, so the same times give the same interval whichever ops run). The
+two runs of an op in a round are back to back, so drift of the host's
+speed, which misleads a comparison of two processes, mostly cancels in
+their ratio. A record pair from scripts/bench_record.py stays the claim
+of record; this is evidence beside it.
 
 Usage:
     python3 scripts/ab.py PARENT --workload scan [--ops audit:] [--rounds 30]
@@ -25,6 +28,7 @@ Usage:
 import argparse
 import importlib
 import importlib.util
+import random
 import sys
 import tempfile
 import time
@@ -39,6 +43,7 @@ import run as perfbench  # noqa: E402  (sets single-threaded BLAS before numpy l
 import workloads  # noqa: E402
 
 SEED = 1
+BOOTSTRAP = 2000
 MODULES = ("cli", "config", "consistency", "energetics", "modal", "models", "pde1d", "tensors")
 
 
@@ -51,6 +56,12 @@ def load(root: Path, name: str) -> SimpleNamespace:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def interval(ratios: list, rng: random.Random) -> tuple:
+    """The 95% percentile bootstrap interval of the median of `ratios`."""
+    medians = sorted(median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
+    return medians[round(0.025 * (BOOTSTRAP - 1))], medians[round(0.975 * (BOOTSTRAP - 1))]
 
 
 def timed(op) -> tuple:
@@ -107,13 +118,14 @@ def main() -> int:
                     if error:
                         errors.append(f"round {r} {side} {ops[side][i].label}: {error}")
     print(f"{args.workload}, {args.rounds} rounds, seed {SEED}: parent {roots['parent']}, change {roots['change']}")
-    print(f"{'op':<28} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'q1':>7} {'q3':>7}")
+    print(f"{'op':<28} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'q1':>7} {'q3':>7} {'lo95':>7} {'hi95':>7}")
     for i, op in enumerate(ops["change"]):
         a, b = times["parent"][i], times["change"][i]
         ratios = [y / x for x, y in zip(a, b)]
         q1, _, q3 = quantiles(ratios, n=4)
+        lo, hi = interval(ratios, random.Random(f"{SEED}:{op.label}"))
         print(f"{op.label:<28} {1e3 * median(a):>10.2f} {1e3 * median(b):>10.2f} "
-              f"{median(ratios):>7.3f} {q1:>7.3f} {q3:>7.3f}")
+              f"{median(ratios):>7.3f} {q1:>7.3f} {q3:>7.3f} {lo:>7.3f} {hi:>7.3f}")
     for line in errors:
         print(f"failed: {line}")
     return 1 if errors else 0

@@ -226,9 +226,10 @@ def _csr(A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     interior pattern as q_1, q_2, theta_1, q_0), replay theirs."""
     AB, at = _matmat(A, B), np.arange(nb, dtype=np.int32)[:, None]
     reach, sizes = 2 * max([abs(k) for r in A + B for _, k in r] + [0]), [len(row) or 1 for row in AB]
-    indptr = np.cumsum(np.repeat([0] + sizes, [1] + [nb] * len(AB)), dtype=np.int32)
+    starts = np.cumsum([0] + [nb * size for size in sizes])  # of each block row's entries
+    indptr = np.concatenate([*(lo + s * np.arange(nb) for lo, s in zip(starts, sizes)), starts[-1:]], dtype=np.int32)
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-    for row, arow, lo, size in zip(AB, A, indptr[::nb], sizes):
+    for row, arow, lo, size in zip(AB, A, starts, sizes):
         keys, block = list(row), slice(lo, lo + nb * size)
         D = np.stack([*row.values()] or [np.zeros(nb)], 1, out=data[block].reshape(nb, size))
         C = np.add(at, [j * nb + k for j, k in keys] or [0], out=indices[block].reshape(nb, size), dtype=np.int32)
@@ -354,18 +355,25 @@ def trapezoid_stepper(
 
     # each product sums into zeros (the caller's row, then the stepper's one
     # buffer), as `rhs_mat @ u + rhs_f` and `r[:n1] += back @ r[n1:]` do, so
-    # the rounding is theirs
-    t = np.empty(n1)
+    # the rounding is theirs. A row summed into +0 is never -0, so adding a
+    # zero forcing leaves it as it is, and r + p is r + (0 + p): with no
+    # forcing (zero boundary data) the add is skipped, and a back-substitution
+    # of at most one entry a row (every local kind) sums straight into r
+    forced = rhs_f.any()
+    t = np.empty(n1) if n1 and np.diff(bp).max() > 1 else None  # the coupled gk theta rows: two entries
 
     def step(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.zeros(n) if out is None else out
         csr_matvec(n, n, rp, ri, rd, u, out)
-        out += rhs_f
+        if forced:
+            out += rhs_f
         solve(out[n1:])
-        if n1:
+        if t is not None:
             t.fill(0.0)
             csr_matvec(n1, n - n1, bp, bi, bd, out[n1:], t)
             out[:n1] += t
+        elif n1:
+            csr_matvec(n1, n - n1, bp, bi, bd, out[n1:], out[:n1])
         return out
 
     return step
@@ -422,17 +430,6 @@ def _combine(terms, out: np.ndarray, tmp: np.ndarray) -> Optional[np.ndarray]:
         t = v if c == 1 else np.multiply(c, v, out=out if acc is None else tmp)
         acc = t if acc is None else np.add(acc, t, out=out)
     return acc
-
-
-def _times(v: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """v @ a for the (nodes, k) flux states and a k x k factor, written into
-    out. matmul sums each entry's products into +0; for k = 1 that is the
-    one product plus 0.0 (-0.0 becomes 0.0), which multiply and add give at
-    a tenth of matmul's cost for that shape."""
-    if a.shape == (1, 1):
-        np.multiply(v, a[0, 0], out=out)
-        return np.add(out, 0.0, out=out)
-    return np.matmul(v, a, out=out)
 
 
 def _squares(form: Optional[Form]) -> List[Tuple[float, List[Tuple[float, int]]]]:
@@ -703,7 +700,7 @@ def _local_system(cfg: SimConfig) -> Trajectory:
     law = temperature_law(cfg.model, ConfigurationError)
     audit_fn = _entropy_audit(cfg.model, law)
     ws = _Workspace(_block_steps(cfg, u.size))
-    d1 = _stencil_rows(ops.d1)
+    d1, wall = _stencil_rows(ops.d1), np.flatnonzero(ops.d1_b)
 
     def grads(U):
         """theta_x, theta_dot_x and the law's drive -(b0 theta_x + b1
@@ -712,7 +709,7 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         shape = (len(U), n)
         tmp = ws("tmp", shape)
         tx = d1(U[:, :n], ws("tx", shape), tmp)
-        tx += ops.d1_b
+        tx[:, wall] += ops.d1_b[wall]  # a stencil row is never -0.0, so adding 0 keeps it
         tdx = ws("tdx", shape)
         if order >= 2:
             d1(U[:, n : 2 * n], tdx, tmp)
@@ -721,16 +718,15 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         drive = np.multiply(law.b0, tx, out=ws("drive", shape))
         if law.b1 is not None:
             drive += np.multiply(law.b1, tdx, out=tmp)
-        drive = np.negative(drive, out=drive)
-        drive /= law.a[-1]
+        drive /= -law.a[-1]  # -(d / a): division rounds alike for either sign
         return tx, tdx, drive
 
     # pointwise flux ODE y_dot = A y + (0, ..., drive) over the per-node flux
     # state y = (q,) for the first-flux-rate laws, (q, q_dot) for the second;
     # an algebraic law's flux is its drive, y = (drive,). The recurrence's
     # state and k x k factors are contiguous: matmul on them has the bits of
-    # matmul on transposed views, at a third of the time; `_times` takes a
-    # 1 x 1 factor as a scalar multiply
+    # matmul on transposed views, at a third of the time; a 1 x 1 factor is
+    # taken as a scalar
     k = law.order
     drive = grads(u[None])[2][0].copy()
     if k:
@@ -745,7 +741,8 @@ def _local_system(cfg: SimConfig) -> Trajectory:
             raise ConfigurationError(f"key 'time.dt': the flux law's trapezoid step I - dt/2 A is singular at "
                                      f"dt = {cfg.dt:g}") from e
         rhs_a_t = np.ascontiguousarray((np.eye(k) + cfg.dt / 2.0 * A).T)
-        rhs = rhs_a_t[0, 0] if k == 1 else rhs_a_t  # a scalar multiplies faster
+        if k == 1:  # a scalar multiplies faster
+            lhs_inv_t, rhs_a_t = lhs_inv_t[0, 0], rhs_a_t[0, 0]
     else:
         y = drive[:, None]
 
@@ -755,19 +752,30 @@ def _local_system(cfg: SimConfig) -> Trajectory:
         if k:
             # each step's trapezoid forcing, added in y' = (y R + (0, ...,
             # half)) L to the last column alone: matmul sums into +0, so no
-            # other holds a -0.0 that adding 0 would clear; for k = 1, y R
-            # skips `_times`'s + 0.0, which L's product adds
+            # other holds a -0.0 that adding 0 would clear
             half = ws("tmp", (b, n))
             np.add(drive, drives[0], out=half[0])
             np.add(drives[:-1], drives[1:], out=half[1:])
             half *= cfg.dt / 2.0
             ys = ws("ys", (b, n, k))
-            prev = y
-            for j in range(b):
-                (np.multiply if k == 1 else np.matmul)(prev, rhs, out=yr)
-                yr[:, -1] += half[j]
-                prev = _times(yr, lhs_inv_t, ys[j])
-            np.copyto(y, prev)
+            if k == 1:
+                # the (nodes, 1) by (1, 1) matmuls as scalar products on 1-D
+                # views, matmul's + 0.0 (-0.0 becomes 0.0) added once a
+                # block: a product or sum of a zero is a zero or the other
+                # operand, so a zero's sign reaches no later nonzero value
+                prev, r, qs = y[:, 0], yr[:, 0], ys[..., 0]
+                for j in range(b):
+                    np.multiply(prev, rhs_a_t, out=r)
+                    r += half[j]
+                    prev = np.multiply(r, lhs_inv_t, out=qs[j])
+                qs += 0.0
+            else:
+                prev = y
+                for j in range(b):
+                    np.matmul(prev, rhs_a_t, out=yr)
+                    yr[:, -1] += half[j]
+                    prev = np.matmul(yr, lhs_inv_t, out=ys[j])
+            np.copyto(y, ys[-1])
             np.copyto(drive, drives[-1])
         else:
             ys = drives[..., None]
@@ -879,10 +887,12 @@ def _nonlocal_system(cfg: SimConfig) -> Trajectory:
     f = np.zeros(2 * n)
     f[n:] = -kappa / tau * ops.d1_b
 
+    wall = np.flatnonzero(ops.d1_b)
+
     def observe(U):
         theta, q = U[:, :n], U[:, n:]
         theta_x = d1(theta, ws("theta_x", theta.shape), ws("tmp", theta.shape))
-        theta_x += ops.d1_b
+        theta_x[:, wall] += ops.d1_b[wall]  # as in _local_system
         return audit(q, theta_x), (theta, q)
 
     u = np.concatenate([_init_field(cfg.theta0, x), q0])
@@ -940,12 +950,13 @@ def compare_modal_vs_pde(cfg: SimConfig, n_mode: int) -> ModalComparison:
     lt = discrete_eigenvalue(grid, n_mode) / cfg.material.rho_cv
     poly = characteristic_polys(cfg.model, [lt])[0]
     T = modal_solution(solve_poly(poly), [1.0] + [0.0] * (len(poly) - 2))
-    amps = T(times)
-    oracle = np.asarray(amps)[:, None] * shape[None, :]
+    amps = np.asarray(T(times))
+    oracle = amps[:, None] * shape[None, :]
     # one array besides the oracle: the snapshots, minus the oracle in place
     diff -= oracle
     l2_rel = float(np.linalg.norm(diff) / np.linalg.norm(oracle))
-    scale = np.abs(oracle, out=oracle).max()
+    # the oracle's largest |a_i s_j|: rounding is monotone, and shape has no 0
+    scale = np.abs(amps).max() * np.abs(shape).max()
     return ModalComparison(linf_rel=float(np.abs(diff, out=diff).max() / scale), l2_rel=l2_rel)
 
 

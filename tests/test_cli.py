@@ -799,14 +799,17 @@ def test_huge_coefficient_prints_no_warning(tmp_path, kind, command, code):
     *[("burgers_sweep.cfg", "sweep.values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0", f"sweep.values = {values}", "sweep",
        f"config error: key 'sweep.values': each value is one number, not a {form}: value\n")
       for values, form in (("diag:2,2,2, 3", "diag"), ("3, full:2,2,2,0,0,0", "full"), ("power:1,2", "power"))],
+    ("burgers_sweep.cfg", "sweep.values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0", "sweep.values = 1.0, 2.0,", "sweep",
+     "config error: key 'sweep.values': each value is one number, not an empty entry\n"),
 ], ids=["no_equals", "full_of_5", "power_without_p", "unknown_ic_kind", "sweep_without_values", "sweep_diag",
-        "sweep_full", "sweep_power"])
+        "sweep_full", "sweep_power", "sweep_empty"])
 def test_malformed_config_line_exits_2(tmp_path, capsys, config, old, new, command, named):
     """A line without '=', a full: tensor of 5 components, a power:
     coefficient without its exponent, an unknown ic.kind, a sweep without
-    sweep.values and a sweep value of several components (split on its
-    commas, diag:2,2,2 was refused as "bad tensor value 'diag:2'") are
-    config errors."""
+    sweep.values, a sweep value of several components (split on its
+    commas, diag:2,2,2 was refused as "bad tensor value 'diag:2'") and an
+    empty sweep value (a trailing comma was refused as the swept key's
+    "not a finite number: ''") are config errors."""
     text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
     assert old in text
     code, _ = run(tmp_path, command, "--config", write_cfg(tmp_path, text.replace(old, new)))

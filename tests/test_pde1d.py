@@ -221,18 +221,22 @@ def test_stencil_rows_are_bitwise_the_csr_product(bc_kind, b):
 SPECIAL = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300])
 
 
+def _flux_product(v, a):
+    """A first-flux-rate law's per-step product in the flux recurrence,
+    (nodes, 1) @ (1, 1) as matmul forms it: each product summed into +0."""
+    return np.multiply(v, a) + 0.0
+
+
 @pytest.mark.parametrize("factor", SPECIAL)
 def test_first_flux_rate_product_is_bitwise_the_matmul(factor):
     """The flux recurrence's (nodes, 1) @ (1, 1) product, taken as multiply
-    then + 0.0, has matmul's bytes: never -0.0, and the same inf, nan and
-    underflow, for every factor. The observer runs it with overflow and
-    invalid values silenced, as here."""
-    v = np.concatenate([SPECIAL, np.random.default_rng(3).standard_normal(20)])[:, None]
-    a = np.array([[factor]])
-    out = np.full(v.shape, np.nan)
+    then + 0.0 (the per-step reference of the recurrence test below), has
+    matmul's bytes: never -0.0, and the same inf, nan and underflow, for
+    every factor. The observer runs with overflow and invalid values
+    silenced, as here."""
+    v = np.concatenate([SPECIAL, np.random.default_rng(3).standard_normal(20)])
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = pde1d._times(v, a, out), np.matmul(v, a)
-    assert got is out
+        got, want = _flux_product(v, factor), np.matmul(v[:, None], np.array([[factor]]))[:, 0]
     assert got.tobytes() == want.tobytes()
 
 
@@ -383,13 +387,16 @@ def _dispatch_stepper(M, f, dt, keep=None):
 
 def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     """trapezoid_stepper and the dispatch oracle stay bitwise equal (dtype,
-    shape and bytes, so a flipped sign of zero counts) from one random state
-    for `steps` steps, each written into the zeroed row of a two-row buffer
-    that the state does not occupy, as the time loop writes them, and
-    returned as that row; and a step's band solve replays every row swap
-    that its `dgbtrf` made, one `dtbsv` window each on top of the two calls
-    of a solve without one: at least one swap if `swapped`, none
-    otherwise."""
+    shape and bytes, so a flipped sign of zero counts) for `steps` steps
+    from a random state, from one of signed zeros and ones and from -0.0
+    everywhere (a row whose products are all -0.0 sums to -0.0 unless it
+    starts at +0.0; where no row has a negative coefficient, the band
+    solve keeps that right-hand side of -0.0), each step written into the
+    zeroed row of a two-row buffer that the state does not occupy, as the
+    time loop writes them, and returned as that row; and a step's band
+    solve replays every row swap that its `dgbtrf` made, one `dtbsv`
+    window each on top of the two calls of a solve without one: at least
+    one swap if `swapped`, none otherwise."""
     pivots, calls = [], []
 
     def factor(*args, **kwargs):
@@ -401,15 +408,16 @@ def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     monkeypatch.setattr(blas, "dtbsv", lambda *a, **k: calls.append(1) or dtbsv(*a, **k))
     kernel, oracle = trapezoid_stepper(M, f, dt, keep=keep), _dispatch_stepper(M, f, dt, keep=keep)
     assert len(pivots) == 1 and (pivots[0] > 0) == swapped
-    u = v = np.random.default_rng(len(f)).standard_normal(len(f))
-    rows = np.empty((2, len(f)))
-    for i in range(steps):
-        out = rows[i % 2]
-        out.fill(0.0)
-        u, v = kernel(u, out), oracle(v)
-        assert u is out
-        assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
-    assert len(calls) == steps * (2 + pivots[0])
+    rng, rows = np.random.default_rng(len(f)), np.empty((2, len(f)))
+    for u in (rng.standard_normal(len(f)), rng.choice([0.0, -0.0, 1.0], len(f)), np.full(len(f), -0.0)):
+        v = u
+        for i in range(steps):
+            out = rows[i % 2]
+            out.fill(0.0)
+            u, v = kernel(u, out), oracle(v)
+            assert u is out
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+    assert len(calls) == 3 * steps * (2 + pivots[0])
 
 
 def _swapping_band(rng, n, kl, ku, swap_at):
@@ -485,20 +493,41 @@ def test_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_k
 
 
 @pytest.mark.parametrize(
+    "model, bc_kind, N, swapped",
+    [(Fourier(kappa=2.0), "dirichlet", 10, False), (Fourier(kappa=2.0), "neumann", 200, True),
+     (MCV(tau=0.7, kappa=2.0), "dirichlet", 200, False), (QUINTANILLA, "dirichlet", 200, False),
+     (Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0), "neumann", 200, False)],
+    ids=["Fourier-N10", "Fourier-neumann", "MCV", "Quintanilla", "Burgers-neumann"],
+)
+def test_unforced_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_kind, N, swapped):
+    """With zero boundary data the system has no forcing, so the step adds
+    none; kept whole (order 1) or on the top derivative with its
+    back-substitution of one entry a row (order 2 and 3). Fourier at N = 10
+    (h kappa / dx^2 < 1/2) has no negative coefficient in its right-hand
+    side's rows, so from -0.0 everywhere each row's products are -0.0."""
+    ops = space_operators(Grid1D(L=1.0, N=N), bc_kind, 0.0)
+    M, f, order = assemble_rhs(model, MAT, ops)
+    assert not f.any()
+    _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, swapped)
+
+
+@pytest.mark.parametrize(
     "setup, keep",
     [
         (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_value=(0.05, -0.02)), 60),
+        (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x)), 60),
         (dict(tau=0.05, imposed_gradient=1.0), None),
         (dict(tau=0.0, imposed_gradient=1.0), None),
     ],
-    ids=["coupled", "imposed_relaxing", "imposed_steady"],
+    ids=["coupled", "coupled_unforced", "imposed_relaxing", "imposed_steady"],
 )
 def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, keep):
     """The coupled GK matrix, kept on the flux with back-substitution (a
     pentadiagonal complement, whose wall rows store their entries in
-    another order than the interior ones), and the imposed-gradient flux
-    matrices, relaxing (tau > 0) and steady (tau = 0, one step of size 2),
-    kept whole (tridiagonal); none swaps a row."""
+    another order than the interior ones, and a back-substitution of two
+    entries a row), with and without boundary data, and the
+    imposed-gradient flux matrices, relaxing (tau > 0) and steady (tau = 0,
+    one step of size 2), kept whole (tridiagonal); none swaps a row."""
     calls = []
     build = pde1d.trapezoid_stepper
     monkeypatch.setattr(pde1d, "trapezoid_stepper", lambda *a, **k: calls.append((a, k)) or build(*a, **k))
@@ -941,6 +970,57 @@ def test_node_audit_matches_pointwise_energetics(monkeypatch, model):
             scale = np.abs(terms).max()
             assert abs(sig[i] - entropy_production(model, s)) <= 1e-12 * scale / ta[i]
             assert abs(res[i] - terms.sum()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("block_floats", [800, pde1d._BLOCK_FLOATS], ids=["B10", "default"])
+@pytest.mark.parametrize("zero", ["half", "all"])
+def test_first_flux_rate_recurrence_has_the_bits_of_its_per_step_product(monkeypatch, zero, block_floats):
+    """An MCV run's flux snapshots and its sigma and residual columns have
+    the bits of the per-step recurrence q' = (q R + (d + d') dt/2) L + 0.0
+    (multiply, add, multiply, + 0.0), written here from the drives d that
+    the audit receives, in blocks of 10 steps and in one block of all 100.
+    theta0 is 0 on the left half, where the drive is exactly -0.0 at t = 0,
+    or everywhere, so that theta stays 0 and the drive is -0.0 at every
+    step; q0 is signed zeros on the left half. The observer adds the + 0.0
+    once a block, so inside a block a flux of -0.0 stays -0.0."""
+    model, grid, dt = MCV(tau=0.5, kappa=1.5), Grid1D(L=1.0, N=40), 1e-3
+    x = grid.interior_x()
+    left = x < 0.5
+    theta0 = np.where(left, 0.0, 0.2 * np.sin(2 * np.pi * x)) if zero == "half" else np.zeros_like(x)
+    q0 = np.where(left, np.random.default_rng(7).choice([0.0, -0.0], x.size), 0.1 * np.cos(np.pi * x))
+    blocks, build = [], pde1d._entropy_audit
+
+    def spy(m, law):
+        audit = build(m, law)
+
+        def recorded(*columns):
+            blocks.append([a.copy() for a in columns[:4]])
+            return audit(*columns)
+
+        return recorded
+
+    monkeypatch.setattr(pde1d, "_entropy_audit", spy)
+    monkeypatch.setattr(pde1d, "_BLOCK_FLOATS", block_floats)
+    traj = simulate(SimConfig(model=model, material=MAT, grid=grid, dt=dt, t_end=0.1, theta0=theta0, q0=q0,
+                              theta_ref=1.0, snapshot_every=1))
+    assert len(blocks) == (10 if block_floats == 800 else 1)
+    ta, tx, tdx, drive = (np.concatenate(c) for c in zip(*blocks))
+
+    law = model.law.scalar()
+    tx0 = pde1d._stencil_rows(space_operators(grid, "dirichlet").d1)(theta0[None], np.empty((1, x.size)),
+                                                                       np.empty((1, x.size)))[0]
+    drive0 = -(law.b0 * tx0) / law.a[1]
+    quiet = drive0[left][:-1]  # the last left node sees a nonzero neighbour
+    assert not quiet.any() and np.signbit(quiet).all()
+    A = -law.a[0] / law.a[1]
+    R, L = 1.0 + dt / 2.0 * A, np.linalg.inv(np.eye(1) - dt / 2.0 * np.array([[A]]))[0, 0]
+    qs = [q0]
+    for d0, d1 in zip([drive0, *drive[:-1]], drive):
+        qs.append(_flux_product(qs[-1] * R + (d0 + d1) * (dt / 2.0), L))
+    assert [q.tobytes() for q in traj.fluxes] == [q.tobytes() for q in qs]
+    sig, res = build(model, law)(ta, tx, tdx, drive, np.array(qs[1:])[..., None])
+    for column, want in (("min_sigma", sig.min(1)), ("max_sigma", sig.max(1)), ("max_residual", np.abs(res).max(1))):
+        assert traj.audit[column].tobytes() == want.tobytes(), column
 
 
 def _run_bits(traj):

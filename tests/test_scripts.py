@@ -7,6 +7,7 @@ script's imports then fails here, in the tier-1 run, as
 test_benchmark_contract.py ensures for perfbench/.
 """
 import os
+import random
 import runpy
 import shutil
 import subprocess
@@ -23,23 +24,50 @@ def test_there_are_scripts():
     assert len(SCRIPTS) >= 7
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_script_top_level_loads(monkeypatch, script):
-    # sys.path is a copy, restored after; so are the environment (perfbench's
-    # run module, which scripts/ab.py imports, sets the BLAS thread count)
-    # and sys.modules as far as the modules loaded from scripts/ and perfbench/
+def _top_level(monkeypatch, script):
+    """The namespace of the script's top level, run as `script_under_test`.
+    sys.path is a copy, restored after; so are the environment (perfbench's
+    run module, which scripts/ab.py imports, sets the BLAS thread count)
+    and sys.modules as far as the modules loaded from scripts/ and
+    perfbench/."""
     monkeypatch.setattr(sys, "path", [str(script.parent), *sys.path])
     env, loaded = dict(os.environ), set(sys.modules)
     try:
-        namespace = runpy.run_path(str(script), run_name="script_under_test")
+        return runpy.run_path(str(script), run_name="script_under_test")
     finally:
         os.environ.clear()
         os.environ.update(env)
         for name in set(sys.modules) - loaded:
             if Path(getattr(sys.modules[name], "__file__", None) or ".").parent in (ROOT / "scripts", ROOT / "perfbench"):
                 del sys.modules[name]
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_script_top_level_loads(monkeypatch, script):
+    namespace = _top_level(monkeypatch, script)
     assert namespace["__name__"] == "script_under_test"
     assert callable(namespace["main"])
+
+
+def test_ab_prints_a_seeded_bootstrap_interval_of_each_median_ratio(monkeypatch):
+    """scripts/ab.py prints each op's 95% bootstrap interval of its median
+    ratio beside the quartiles. The interval is the same for the same
+    ratios and seed, lies within their range with their median (1.015)
+    inside, and is a point for equal ratios."""
+    interval = _top_level(monkeypatch, ROOT / "scripts" / "ab.py")["interval"]
+    ratios = [0.91, 0.95, 0.97, 1.0, 1.01, 1.02, 1.04, 1.3, 1.6, 2.0]
+    lo, hi = interval(ratios, random.Random(1))
+    assert (lo, hi) == interval(ratios, random.Random(1))
+    assert min(ratios) <= lo < 1.015 < hi <= max(ratios)
+    assert interval([1.1] * 7, random.Random(2)) == (1.1, 1.1)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), "--workload", "scan",
+                           "--ops", "check:fourier", "--rounds", "4"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()[1:]
+    assert head.split() == ["op", "parent", "ms", "change", "ms", "ratio", "q1", "q3", "lo95", "hi95"]
+    label, *cells = row.split()
+    lo, hi = map(float, cells[-2:])
+    assert label == "check:fourier" and len(cells) == 7 and 0 < lo <= hi
 
 
 # appended to a copy of pde1d.py: every run's max_residual column moves by 1
