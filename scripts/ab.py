@@ -13,13 +13,14 @@ timing, as perfbench checks them. That the two sides' outputs are the same
 is scripts/same_outputs.py's question.
 
 For each op it prints the median time of each side and the median change /
-parent ratio of the rounds with its quartiles and a 95% bootstrap interval
-(the 2.5th and 97.5th percentiles of the medians of BOOTSTRAP resamples of
-the rounds, drawn with the stdlib's `random` seeded with SEED and the op's
-label, so the same times give the same interval whichever ops run). The
-two runs of an op in a round are back to back, so drift of the host's
-speed, which misleads a comparison of two processes, mostly cancels in
-their ratio. A record pair from scripts/bench_record.py stays the claim
+parent ratio of the rounds with its quartiles and a 95% distribution-free
+interval of that median: (r_(k), r_(n+1-k)) of the n sorted ratios, k the
+largest rank whose binomial coverage is at least 95% (k = 6 at n = 20,
+k = 10 at n = 30), exact for independent rounds. The two runs of an op in
+a round are back to back, so drift of the host's speed, which misleads a
+comparison of two processes, mostly cancels in their ratio; rounds that
+share the host's noise are not independent, so read an interval beside a
+same-commit run. A record pair from scripts/bench_record.py stays the claim
 of record; this is evidence beside it.
 
 Usage:
@@ -28,7 +29,7 @@ Usage:
 import argparse
 import importlib
 import importlib.util
-import random
+import math
 import sys
 import tempfile
 import time
@@ -43,7 +44,6 @@ import run as perfbench  # noqa: E402  (sets single-threaded BLAS before numpy l
 import workloads  # noqa: E402
 
 SEED = 1
-BOOTSTRAP = 2000
 MODULES = ("cli", "config", "consistency", "energetics", "modal", "models", "pde1d", "tensors")
 
 
@@ -58,10 +58,21 @@ def load(root: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
-def interval(ratios: list, rng: random.Random) -> tuple:
-    """The 95% percentile bootstrap interval of the median of `ratios`."""
-    medians = sorted(median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP))
-    return medians[round(0.025 * (BOOTSTRAP - 1))], medians[round(0.975 * (BOOTSTRAP - 1))]
+def rank(n: int) -> int:
+    """k, the largest rank whose order statistics (r_(k), r_(n+1-k)) of n
+    independent values cover their median with probability at least 95%:
+    1 - 2 P(Binomial(n, 1/2) < k); 0 where no rank does (n < 6)."""
+    k, tail = 0, 0  # tail: of the 2^n equally likely sign patterns about the median, those with < k below it
+    while 40 * (tail + math.comb(n, k)) <= 2**n:  # 2 P(Binomial(n, 1/2) <= k) <= 5%
+        tail += math.comb(n, k)
+        k += 1
+    return k
+
+
+def interval(ratios: list) -> tuple:
+    """The 95% distribution-free interval of the median of `ratios`."""
+    r, k = sorted(ratios), rank(len(ratios))
+    return r[k - 1], r[-k]
 
 
 def timed(op) -> tuple:
@@ -90,8 +101,8 @@ def main() -> int:
     ap.add_argument("--ops", default="", help="time only the ops whose label contains this")
     ap.add_argument("--rounds", type=int, default=30)
     args = ap.parse_args()
-    if args.rounds < 2:
-        ap.error("--rounds: need at least 2 for quartiles")
+    if args.rounds < 1 or rank(args.rounds) < 1:
+        ap.error("--rounds: need at least 6 for a 95% interval of the median")
     roots = {"parent": args.parent.resolve(), "change": ROOT}
     ops, times, errors = {}, {}, []
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,7 +134,7 @@ def main() -> int:
         a, b = times["parent"][i], times["change"][i]
         ratios = [y / x for x, y in zip(a, b)]
         q1, _, q3 = quantiles(ratios, n=4)
-        lo, hi = interval(ratios, random.Random(f"{SEED}:{op.label}"))
+        lo, hi = interval(ratios)
         print(f"{op.label:<28} {1e3 * median(a):>10.2f} {1e3 * median(b):>10.2f} "
               f"{median(ratios):>7.3f} {q1:>7.3f} {q3:>7.3f} {lo:>7.3f} {hi:>7.3f}")
     for line in errors:

@@ -16,6 +16,7 @@ audited at every node and step from the model's energy row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -171,14 +172,38 @@ def assemble_rhs(
 
 # --- scipy's CSR arithmetic on block rows ------------------------------------
 # Each routine has the values and stored order of scipy's; an entry outside
-# its block or not stored is a 0, which a sum into +0 ignores.
+# its block or not stored is a 0, which a sum into +0 ignores. The set-up
+# runs them on a block's distinct rows (_distinct), a system of 2W + 1 rows
+# whose products have the long system's wall and interior rows.
+
+def _distinct(X: np.ndarray, w: int, wall: int) -> np.ndarray:
+    """The distinct rows of constant-coefficient diagonals (the rows of X,
+    each along a block's nb rows): the w rows next to each wall and row w
+    between them, once every row `wall` or more from a wall is checked to
+    equal row w. A block of at most 2w + 1 rows is its own reduction."""
+    nb = X.shape[1]
+    if nb <= 2 * w + 1:
+        return X
+    if (X[:, wall : nb - wall] != X[:, w, None]).any():
+        raise ConfigurationError("the 1-D system's coefficients vary along the grid: its set-up "
+                                 "needs constant coefficients on a uniform grid")
+    return np.concatenate((X[:, : w + 1], X[:, nb - w :]), 1)
+
+
+def _broadcast(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, a block's nb rows along axis 0, from its distinct rows (the
+    inverse of _distinct): the wall rows at each end, the middle row between."""
+    m, nb = len(rows), len(out)
+    w = m // 2
+    out[:w], out[w : nb + w + 1 - m], out[nb + w + 1 - m :] = rows[:w], rows[w], rows[w + 1 :]
+    return out
+
 
 def _shifted(c: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """c[i] v[i + k], 0 where i + k is outside v."""
     if k == 0:
         return c * v
-    w, lo, hi = np.empty_like(v), max(0, -k), min(len(v), len(v) - k)
-    w[:lo] = w[hi:] = 0.0
+    w, lo, hi = np.zeros(len(v)), max(0, -k), min(len(v), len(v) - k)
     np.multiply(c[lo:hi], v[lo + k : hi + k], out=w[lo:hi])
     return w
 
@@ -198,7 +223,7 @@ def _matmat(A: Rows, B: Rows) -> Rows:
             for (k, b), vb in B[j].items():
                 p = _shifted(va, vb, a)  # a fresh array, which takes the sum
                 sums[k, a + b] = np.add(sums.get((k, a + b), 0.0), p, out=p)
-        out.append({key: v for key, v in reversed(sums.items()) if v.any()})
+        out.append({key: v for key, v in reversed(sums.items()) if np.count_nonzero(v)})
     return out
 
 
@@ -206,7 +231,7 @@ def _add(A: Rows, B: Rows, op: Callable = np.add) -> Rows:
     """op(A, B) (np.add or np.subtract) as scipy's csr binop of sorted
     operands forms it: a missing entry read as 0, rows stored sorted, zeros
     dropped."""
-    return [{key: v for key in sorted({**ra, **rb}) if (v := op(ra.get(key, 0.0), rb.get(key, 0.0))).any()}
+    return [{key: v for key in sorted({**ra, **rb}) if np.count_nonzero(v := op(ra.get(key, 0.0), rb.get(key, 0.0)))}
             for ra, rb in zip(A, B)]
 
 
@@ -217,31 +242,39 @@ def _matvec(A: Rows, x: np.ndarray) -> np.ndarray:
     return np.concatenate([sum((_shifted(d, xs[j], k) for (j, k), d in row.items()), zero) for row in A])
 
 
-def _csr(A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triples (indptr, indices, data) of A @ B in csr_matmat's stored
-    order. Each row holds its block row's interior pattern, an absent entry
-    being an explicit 0 at a valid column (bit-neutral for a finite state).
-    Rows near a wall, where an absent contribution can move a first touch
-    (scipy stores the coupled gk q_0 row as q_1, q_2, q_0, theta_1, the
-    interior pattern as q_1, q_2, theta_1, q_0), replay theirs."""
-    AB, at = _matmat(A, B), np.arange(nb, dtype=np.int32)[:, None]
+def _csr(AB: Rows, A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triples (indptr, indices, data) of the product AB = A @ B, given
+    on the blocks' distinct rows, laid out on their nb rows in csr_matmat's
+    stored order. Each row holds its block row's interior pattern, an
+    absent entry being an explicit 0 at a valid column (bit-neutral for a
+    finite state). Rows near a wall, where an absent contribution can move
+    a first touch (scipy stores the coupled gk q_0 row as q_1, q_2, q_0,
+    theta_1, the interior pattern as q_1, q_2, theta_1, q_0), replay theirs."""
+    at = np.arange(nb, dtype=np.int32)[:, None]
     reach, sizes = 2 * max([abs(k) for r in A + B for _, k in r] + [0]), [len(row) or 1 for row in AB]
-    starts = np.cumsum([0] + [nb * size for size in sizes])  # of each block row's entries
-    indptr = np.concatenate([*(lo + s * np.arange(nb) for lo, s in zip(starts, sizes)), starts[-1:]], dtype=np.int32)
+    starts = [0, *accumulate(nb * size for size in sizes)]  # of each block row's entries
+    indptr = np.concatenate([*(np.arange(lo, hi, s) for lo, hi, s in zip(starts, starts[1:], sizes)), starts[-1:]],
+                            dtype=np.int32)
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    B = [[(k, b, vb.tolist()) for (k, b), vb in row.items()] for row in B]  # read entry by entry below
     for row, arow, lo, size in zip(AB, A, starts, sizes):
         keys, block = list(row), slice(lo, lo + nb * size)
-        D = np.stack([*row.values()] or [np.zeros(nb)], 1, out=data[block].reshape(nb, size))
+        rows = np.concatenate([*row.values()]).reshape(size, -1).T if keys else np.zeros((1, 1))
+        m, D = len(rows), _broadcast(rows, data[block].reshape(nb, size))
+        arow = [(key, va.tolist()) for key, va in arow.items()]
         C = np.add(at, [j * nb + k for j, k in keys] or [0], out=indices[block].reshape(nb, size), dtype=np.int32)
-        for i in {*range(min(reach, nb)), *range(max(nb - reach, 0), nb)} if keys else ():
+        # replayed on the distinct rows (the wall rows: reach <= m // 2 where m < nb)
+        for r in {*range(min(reach, m)), *range(max(m - reach, 0), m)} if keys else ():
             first = {}
-            for (j, a), va in arow.items():
-                for (k, b), vb in B[j].items() if 0 <= i + a < nb and va[i] != 0 else ():
-                    if 0 <= i + a + b < nb and vb[i + a] != 0:
+            for (j, a), va in arow:
+                for k, b, vb in B[j] if 0 <= r + a < m and va[r] != 0 else ():
+                    if 0 <= r + a + b < m and vb[r + a] != 0:
                         first.setdefault((k, a + b))
             order = [keys.index(key) for key in reversed(first) if key in row]
             order += [x for x in range(len(keys)) if x not in order]
-            D[i] = D[i, order]
+            i = r if 2 * r <= m else nb - m + r
+            if order != list(range(len(keys))):
+                D[i] = rows[r, order]
             C[i] = [j * nb + min(max(i + k, 0), nb - 1) for j, k in (keys[x] for x in order)]
     return indptr, indices, data
 
@@ -254,8 +287,9 @@ MAX_RUN_FLOATS = _MAX_BAND_ENTRIES = 2**24
 
 
 def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
-    """LAPACK band LU of the block rows S, each nonzero diagonal written
-    straight into band storage; returns b -> S^-1 b, solved in place with
+    """LAPACK band LU of the block rows S (nb rows a block, each diagonal
+    given on its distinct rows), each nonzero diagonal broadcast straight
+    into band storage; returns b -> S^-1 b, solved in place with
     `dgbtrs`'s bits but not its per-column `dger` call. The L-solve runs a
     unit-lower `dtbsv` over each window of columns between two row swaps:
     a window ends at the swapped column c, whose own AXPY (alpha = -b[c])
@@ -266,14 +300,14 @@ def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
     from scipy.linalg.blas import daxpy, dtbsv
     from scipy.linalg.lapack import dgbtrf
 
-    diags = {(i, j, k): (j - i) * nb + k for i, row in enumerate(S) for (j, k), v in row.items() if v.any()}
+    diags = {(i, j, k): (j - i) * nb + k for i, row in enumerate(S) for (j, k), v in row.items() if np.count_nonzero(v)}
     kl, ku = max([-d for d in diags.values()] + [0]), max([*diags.values(), 0])
     if (2 * kl + ku + 1) * len(S) * nb > _MAX_BAND_ENTRIES:
         raise ConfigurationError(f"implicit matrix too wide for band storage (bandwidths {kl}, {ku})")
-    ab = np.zeros((2 * kl + ku + 1, len(S) * nb), order="F")
+    ab, full = np.zeros((2 * kl + ku + 1, len(S) * nb), order="F"), np.empty(nb)
     for (i, j, k), d in diags.items():
         lo, hi = max(0, -k), min(nb, nb - k)
-        ab[kl + ku - d, i * nb + lo + d : i * nb + hi + d] = S[i][j, k][lo:hi]
+        ab[kl + ku - d, i * nb + lo + d : i * nb + hi + d] = _broadcast(S[i][j, k], full)[lo:hi]
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
@@ -318,10 +352,14 @@ def trapezoid_stepper(
     `back` are stored unsorted as scipy's products store them (a kept
     third-order row: theta_ddot, then theta_dot and theta interleaved, from
     the +1 neighbour down), and the CSR kernel sums each row in that order,
-    so steps have the sparse set-up's bits. A step is two kernel calls (the
-    reduced right-hand side, the back-substitution) and a band solve in
-    place: two `dtbsv` calls, and one more per row that `dgbtrf` swapped (a
-    Neumann wall row is not column diagonally dominant)."""
+    so steps have the sparse set-up's bits. Every block of M and f must have
+    constant coefficients (ConfigurationError otherwise): the algebra runs
+    on each block's 2W + 1 distinct rows, and its results are broadcast to
+    the nb rows of the CSR triples, the band storage and the forcing; a
+    block of at most 2W + 1 rows is its own reduction. A step is two kernel
+    calls (the reduced right-hand side, the back-substitution) and a band
+    solve in place: two `dtbsv` calls, and one more per row that `dgbtrf`
+    swapped (a Neumann wall row is not column diagonally dominant)."""
     from scipy.sparse._sparsetools import csr_matvec
 
     p, n = len(M), len(f)
@@ -330,27 +368,43 @@ def trapezoid_stepper(
     if not 0 <= n1 < n or n1 % nb:
         raise ConfigurationError(f"cannot keep {keep} of {n} unknowns")
     p1, h = n1 // nb, dt / 2.0
-    hM = [{(j, k): h * d for j, band in enumerate(row) if band for k, d in sorted(band.items())} for row in M]
+    # the set-up runs on each block's distinct rows. Every row of M and f that
+    # is K (M's largest offset) or more from a wall must be the interior row;
+    # the deepest product chains p1 + 1 factors of reach K, so its rows differ
+    # from the interior one up to (p1 + 1) K from a wall, and _csr replays the
+    # rows within twice its factors' reach (at most 2 p1 K) of a wall: with
+    # W = 2K (p1 + 1), the system of 2W + 1 rows has the long one's wall rows
+    # and its middle row is the interior one
+    wall = max([abs(k) for row in M for band in row if band for k in band] + [1])
+    w = 2 * wall * (p1 + 1)
+    keys = [(i, j, k) for i, row in enumerate(M) for j, band in enumerate(row) if band for k in sorted(band)]
+    X = _distinct(np.concatenate([*(M[i][j][k] for i, j, k in keys), f], dtype=float).reshape(-1, nb), w, wall)
+    m, hM = X.shape[1], [{} for _ in M]
+    for (i, j, k), d in zip(keys, X):
+        hM[i][j, k] = h * d
     part = lambda rows, lo, hi: [{(j - lo, k): d for (j, k), d in r.items() if lo <= j < hi} for r in rows]
-    N = [{key: d for key, d in r.items() if d.any()} for r in part(hM[:p1], 0, p1)]
+    N = [{key: d for key, d in r.items() if np.count_nonzero(d)} for r in part(hM[:p1], 0, p1)]
     if any(j <= i for i, r in enumerate(N) for j, _ in r):
         raise ConfigurationError("eliminated block of the implicit matrix is not strictly block upper "
                                  "triangular, so not nilpotent as the reduction needs")
-    E, power, hM12 = _eye(p1, nb), N, part(hM[:p1], p1, p)
+    E, power, hM12 = _eye(p1, m), N, part(hM[:p1], p1, p)
     while any(power):  # the series of the inverse, summed as scipy sums it
         E, power = _add(E, power), _matmat(power, N)
     A21E = _matmat([{key: -d for key, d in r.items()} for r in part(hM[p1:], 0, p1)], E)
-    S = _add(_add(_eye(p - p1, nb), part(hM[p1:], p1, p), np.subtract), _matmat(A21E, hM12))
+    S = _add(_add(_eye(p - p1, m), part(hM[p1:], p1, p), np.subtract), _matmat(A21E, hM12))
     # rows: E r1 for the eliminated unknowns, r2 - A21 E r1 for the kept
     # ones, each sorted by column as scipy's bmat stores it
-    reduce = E + [dict(sorted({**{key: -d for key, d in a.items()}, (p1 + i, 0): np.ones(nb)}.items()))
+    reduce = E + [dict(sorted({**{key: -d for key, d in a.items()}, (p1 + i, 0): np.ones(m)}.items()))
                   for i, a in enumerate(A21E)]
-    rp, ri, rd = _csr(reduce, _add(_eye(p, nb), hM), nb)
-    rhs_f = _matvec(reduce, dt * np.asarray(f, dtype=float))
-    bp, bi, bd = _csr(E, hM12, nb)
-    if not all(np.isfinite(d).all() for d in (rd, rhs_f, bd, *(d for row in S for d in row.values()))):
+    IhM = _add(_eye(p, m), hM)
+    RB, EB = _matmat(reduce, IhM), _matmat(E, hM12)
+    rhs_f = _matvec(reduce, dt * X[len(keys) :].ravel())
+    values = np.concatenate([rhs_f, *(d for rows in (RB, EB, S) for row in rows for d in row.values())])
+    if not np.isfinite(values).all():
         raise ConfigurationError("keys grid.*, material.*, model.* and time.dt: the 1-D system they set up, "
                                  f"times dt/2 = {h:g}, leaves the float range")
+    rp, ri, rd = _csr(RB, reduce, IhM, nb)
+    bp, bi, bd = _csr(EB, E, hM12, nb)
     solve = _band_lu(S, nb)
 
     # each product sums into zeros (the caller's row, then the stepper's one
@@ -359,8 +413,10 @@ def trapezoid_stepper(
     # zero forcing leaves it as it is, and r + p is r + (0 + p): with no
     # forcing (zero boundary data) the add is skipped, and a back-substitution
     # of at most one entry a row (every local kind) sums straight into r
-    forced = rhs_f.any()
-    t = np.empty(n1) if n1 and np.diff(bp).max() > 1 else None  # the coupled gk theta rows: two entries
+    forced = np.count_nonzero(rhs_f)
+    if forced:
+        rhs_f = _broadcast(rhs_f.reshape(p, m).T, np.empty((p, nb)).T).T.ravel()
+    t = np.empty(n1) if max(map(len, EB), default=0) > 1 else None  # the coupled gk theta rows: two entries
 
     def step(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.zeros(n) if out is None else out

@@ -3,6 +3,7 @@ import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -464,6 +465,31 @@ QUINTANILLA = Quintanilla(tau=0.5, xi=1.0, kappa=2.0)
 PIVOTED = {("neumann", 200, "Jeffreys"), ("neumann", 200, "GN3")}
 
 
+def _distinct_rows(order):
+    """W of a temperature equation's set-up, kept on its top derivative:
+    2 K (p1 + 1), with the stencils' largest offset K = 1 and p1 = order - 1
+    eliminated blocks; the algebra runs on 2W + 1 rows of each block."""
+    return 2 * order
+
+
+def _grid(N):
+    """Grid1D(L=1, N), or for N < 8, fewer interior points than a config
+    may ask for, a stand-in with its N and dx (all space_operators reads)."""
+    return Grid1D(L=1.0, N=N) if N >= 8 else SimpleNamespace(N=N, dx=1.0 / (N + 1))
+
+
+# a block of 2W, 2W + 1 and 2W + 2 rows: at the edge of the distinct-row
+# reduction (a block of at most 2W + 1 rows is its own), for a first-, a
+# second- and a third-order kind under both walls
+EDGE = [
+    pytest.param(model, bc_kind, 2 * _distinct_rows(order) + extra - 2 * (bc_kind == "neumann"), 500, False,
+                 id=f"{name}-{bc_kind}-rows{2 * _distinct_rows(order) + extra}")
+    for name, model, order in (("Fourier", Fourier(kappa=2.0), 1), ("MCV", MCV(tau=0.7, kappa=2.0), 2),
+                               ("Quintanilla", QUINTANILLA, 3))
+    for bc_kind in ("dirichlet", "neumann") for extra in (0, 1, 2)
+]
+
+
 @pytest.mark.parametrize(
     "model, bc_kind, N, steps, swapped",
     [
@@ -481,13 +507,14 @@ PIVOTED = {("neumann", 200, "Jeffreys"), ("neumann", 200, "GN3")}
         for name, model in (("Jeffreys", Jeffreys(tau=0.8, xi=2.0, kappa=0.5)), ("GN3", GN3(xi=1.5, kappa=2.0)),
                             ("Burgers", Burgers(lambda_b=1.0, tau=2.0, mu=1.0, nu=1.0)))
         for bc_kind in ("dirichlet", "neumann") for N in (10, 200)
-    ],
+    ] + EDGE,
 )
 def test_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, model, bc_kind, N, steps, swapped):
     """Kept on the top derivative, with back-substitution for order 2 and
     3, as simulate keeps them; band solves with and without a row swap at
-    the shipped and the fine-grid size."""
-    ops = space_operators(Grid1D(L=1.0, N=N), bc_kind, (0.3, -0.2))
+    the shipped and the fine-grid size, and blocks at the edge of the
+    distinct-row reduction."""
+    ops = space_operators(_grid(N), bc_kind, (0.3, -0.2))
     M, f, order = assemble_rhs(model, MAT, ops)
     _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, swapped, steps)
 
@@ -511,30 +538,73 @@ def test_unforced_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, mo
     _assert_bitwise_steps(monkeypatch, M, f, 1e-3, ops.n, swapped)
 
 
+GK_SETUPS = {
+    "coupled": (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_value=(0.05, -0.02)), True),
+    "coupled_unforced": (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x)), True),
+    "imposed_relaxing": (dict(tau=0.05, imposed_gradient=1.0), False),
+    "imposed_steady": (dict(tau=0.0, imposed_gradient=1.0), False),
+}
+
+
 @pytest.mark.parametrize(
-    "setup, keep",
-    [
-        (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x), bc_value=(0.05, -0.02)), 60),
-        (dict(tau=0.05, theta0=lambda x: 0.1 * np.sin(np.pi * x)), 60),
-        (dict(tau=0.05, imposed_gradient=1.0), None),
-        (dict(tau=0.0, imposed_gradient=1.0), None),
-    ],
-    ids=["coupled", "coupled_unforced", "imposed_relaxing", "imposed_steady"],
+    "setup, kept, N",
+    [pytest.param(*GK_SETUPS[name], 60, id=name) for name in GK_SETUPS]
+    + [pytest.param(*GK_SETUPS[name], 2000, id=f"{name}-N2000") for name in ("coupled", "imposed_relaxing",
+                                                                             "imposed_steady")]
+    # the coupled set-up's W = 4 (K = 1, one eliminated block): 2W, 2W + 1
+    # and 2W + 2 rows a block
+    + [pytest.param(*GK_SETUPS["coupled"], N, id=f"coupled-N{N}") for N in (8, 9, 10)],
 )
-def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, keep):
+def test_gk_kernel_step_is_bitwise_the_sparse_product_step(monkeypatch, setup, kept, N):
     """The coupled GK matrix, kept on the flux with back-substitution (a
     pentadiagonal complement, whose wall rows store their entries in
     another order than the interior ones, and a back-substitution of two
     entries a row), with and without boundary data, and the
     imposed-gradient flux matrices, relaxing (tau > 0) and steady (tau = 0,
-    one step of size 2), kept whole (tridiagonal); none swaps a row."""
+    one step of size 2), kept whole (tridiagonal); none swaps a row. At
+    N = 60, at N = 2000, where the interior rows outnumber the distinct
+    rows the set-up works on by far, and at the edge of the reduction."""
     calls = []
     build = pde1d.trapezoid_stepper
     monkeypatch.setattr(pde1d, "trapezoid_stepper", lambda *a, **k: calls.append((a, k)) or build(*a, **k))
-    simulate(_gk(grid=Grid1D(L=1.0, N=60), dt=1e-3, t_end=1e-3, **setup))
+    simulate(_gk(grid=Grid1D(L=1.0, N=N), dt=1e-3, t_end=1e-3, **setup))
     (M, f, dt), kwargs = calls[0]
+    keep = N if kept else None
     assert kwargs.get("keep") == keep
     _assert_bitwise_steps(monkeypatch, M, f, dt, keep, False)
+
+
+@pytest.mark.parametrize("where", ["band-first", "band-middle", "forcing"])
+def test_coefficients_that_vary_along_the_grid_are_refused(where):
+    """The set-up broadcasts one interior row to every row K (the largest
+    offset) or more from a wall, so a system whose rows there differ, here
+    by one ulp, is refused rather than stepped with the wrong rows: a
+    diagonal of the Laplacian block at the first such row or mid-grid, or
+    the forcing mid-grid. The same system unchanged sets up."""
+    ops = space_operators(Grid1D(L=1.0, N=200), "dirichlet", (0.3, -0.2))
+    M, f, order = assemble_rhs(QUINTANILLA, MAT, ops)
+    trapezoid_stepper(M, f, 1e-3, keep=ops.n)
+    if where == "forcing":
+        f = f + np.where(np.arange(f.size) == f.size - 100, 5e-324, 0.0)
+    else:
+        d = M[-1][0][0] = M[-1][0][0].copy()
+        i = 1 if where == "band-first" else 100
+        d[i] = np.nextafter(d[i], np.inf)
+    with pytest.raises(ConfigurationError, match="constant coefficients"):
+        trapezoid_stepper(M, f, 1e-3, keep=ops.n)
+
+
+@pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
+def test_set_up_algebra_runs_on_the_distinct_rows(monkeypatch, bc_kind):
+    """At N = 20000 no product the set-up forms (every one goes through
+    _shifted) is longer than the 2W + 1 distinct rows of a block, so the
+    N-long algebra cannot quietly come back."""
+    ops = space_operators(Grid1D(L=1.0, N=20000), bc_kind, (0.3, -0.2))
+    M, f, order = assemble_rhs(QUINTANILLA, MAT, ops)
+    lengths, shifted = [], pde1d._shifted
+    monkeypatch.setattr(pde1d, "_shifted", lambda c, v, k: lengths.append(len(v)) or shifted(c, v, k))
+    trapezoid_stepper(M, f, 1e-3, keep=ops.n)
+    assert lengths and max(lengths) <= 2 * _distinct_rows(order) + 1
 
 
 def test_simulate_builds_no_scipy_sparse_object(monkeypatch):

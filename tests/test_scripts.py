@@ -6,6 +6,7 @@ sys.path as `python scripts/<name>.py` has it. A src/ rename that breaks a
 script's imports then fails here, in the tier-1 run, as
 test_benchmark_contract.py ensures for perfbench/.
 """
+import math
 import os
 import random
 import runpy
@@ -49,25 +50,32 @@ def test_script_top_level_loads(monkeypatch, script):
     assert callable(namespace["main"])
 
 
-def test_ab_prints_a_seeded_bootstrap_interval_of_each_median_ratio(monkeypatch):
-    """scripts/ab.py prints each op's 95% bootstrap interval of its median
-    ratio beside the quartiles. The interval is the same for the same
-    ratios and seed, lies within their range with their median (1.015)
-    inside, and is a point for equal ratios."""
-    interval = _top_level(monkeypatch, ROOT / "scripts" / "ab.py")["interval"]
-    ratios = [0.91, 0.95, 0.97, 1.0, 1.01, 1.02, 1.04, 1.3, 1.6, 2.0]
-    lo, hi = interval(ratios, random.Random(1))
-    assert (lo, hi) == interval(ratios, random.Random(1))
-    assert min(ratios) <= lo < 1.015 < hi <= max(ratios)
-    assert interval([1.1] * 7, random.Random(2)) == (1.1, 1.1)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), "--workload", "scan",
-                           "--ops", "check:fourier", "--rounds", "4"], capture_output=True, text=True, timeout=300)
+def test_ab_prints_the_rank_interval_of_each_median_ratio(monkeypatch):
+    """scripts/ab.py prints each op's 95% distribution-free interval of its
+    median ratio beside the quartiles: the order statistics r_(k) and
+    r_(n+1-k) of the n rounds' ratios, k the largest rank whose binomial
+    coverage 1 - 2 P(Binomial(n, 1/2) < k) is at least 95% (6 at n = 20, 10
+    at n = 30). Below 6 rounds no rank has it, and ab.py refuses to run."""
+    namespace = _top_level(monkeypatch, ROOT / "scripts" / "ab.py")
+    rank, interval = namespace["rank"], namespace["interval"]
+    coverage = lambda n, k: 1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2**n
+    assert (rank(20), rank(30)) == (6, 10)
+    for n in range(1, 101):
+        k = rank(n)
+        assert (k == 0 or coverage(n, k) >= 0.95) and coverage(n, k + 1) < 0.95, n
+    assert [n for n in range(1, 101) if rank(n) == 0] == [1, 2, 3, 4, 5]
+    assert interval(random.Random(1).sample(range(1, 21), 20)) == (6, 15)
+    assert interval([1.1] * 7) == (1.1, 1.1)
+    argv = [sys.executable, str(ROOT / "scripts" / "ab.py"), str(ROOT), "--workload", "scan", "--ops", "check:fourier"]
+    refused = subprocess.run(argv + ["--rounds", "5"], capture_output=True, text=True, timeout=300)
+    assert refused.returncode == 2 and "need at least 6" in refused.stderr
+    proc = subprocess.run(argv + ["--rounds", "6"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     head, row = proc.stdout.splitlines()[1:]
     assert head.split() == ["op", "parent", "ms", "change", "ms", "ratio", "q1", "q3", "lo95", "hi95"]
     label, *cells = row.split()
-    lo, hi = map(float, cells[-2:])
-    assert label == "check:fourier" and len(cells) == 7 and 0 < lo <= hi
+    ratio, lo, hi = float(cells[2]), float(cells[-2]), float(cells[-1])
+    assert label == "check:fourier" and len(cells) == 7 and 0 < lo <= ratio <= hi
 
 
 # appended to a copy of pde1d.py: every run's max_residual column moves by 1
