@@ -15,6 +15,8 @@ audited at every node and step from the model's energy row.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -70,10 +72,10 @@ class Grid1D:
 
 
 # a stencil or block as its diagonals, offset k -> d[i] = A[i, i + k] (0
-# where i + k leaves the block); a system's block rows map (block column,
-# offset) -> diagonal, in the order scipy's CSR form stores a row
+# where i + k leaves the block); a sparse matrix as its rows, each a list of
+# (column, value) in the order scipy's CSR form stores the row, no zeros
 Band = Dict[int, np.ndarray]
-Rows = List[Dict[Tuple[int, int], np.ndarray]]
+Matrix = List[List[Tuple[int, float]]]
 
 
 @dataclass
@@ -170,11 +172,11 @@ def assemble_rhs(
     return blocks, f, order
 
 
-# --- scipy's CSR arithmetic on block rows ------------------------------------
-# Each routine has the values and stored order of scipy's; an entry outside
-# its block or not stored is a 0, which a sum into +0 ignores. The set-up
-# runs them on a block's distinct rows (_distinct), a system of 2W + 1 rows
-# whose products have the long system's wall and interior rows.
+# --- scipy's CSR algorithms, row by row -------------------------------------
+# Each routine forms its result as scipy's sparsetools kernel does, in
+# Python floats, so it has scipy's values and stored order. The set-up runs
+# them on a block's distinct rows (_distinct), a system of 2W + 1 rows a
+# block whose products have the long system's wall rows and interior row.
 
 def _distinct(X: np.ndarray, w: int, wall: int) -> np.ndarray:
     """The distinct rows of constant-coefficient diagonals (the rows of X,
@@ -190,92 +192,72 @@ def _distinct(X: np.ndarray, w: int, wall: int) -> np.ndarray:
     return np.concatenate((X[:, : w + 1], X[:, nb - w :]), 1)
 
 
-def _broadcast(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out, a block's nb rows along axis 0, from its distinct rows (the
-    inverse of _distinct): the wall rows at each end, the middle row between."""
-    m, nb = len(rows), len(out)
-    w = m // 2
-    out[:w], out[w : nb + w + 1 - m], out[nb + w + 1 - m :] = rows[:w], rows[w], rows[w + 1 :]
-    return out
-
-
-def _shifted(c: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
-    """c[i] v[i + k], 0 where i + k is outside v."""
-    if k == 0:
-        return c * v
-    w, lo, hi = np.zeros(len(v)), max(0, -k), min(len(v), len(v) - k)
-    np.multiply(c[lo:hi], v[lo + k : hi + k], out=w[lo:hi])
-    return w
-
-
-def _eye(blocks: int, nb: int) -> Rows:
-    return [{(i, 0): np.ones(nb)} for i in range(blocks)]
-
-
-def _matmat(A: Rows, B: Rows) -> Rows:
-    """A @ B as csr_matmat forms it: each entry summed into +0 over A's
-    row, each entry times B's row, in stored order; each row stored in
-    reverse order of first touch (as interior rows are), zero sums dropped."""
+def _matmat(A: Matrix, B: Matrix) -> Matrix:
+    """A @ B as csr_matmat forms it: each entry summed into +0 in A's
+    stored order, each row stored in reverse order of first touch, zero
+    sums dropped."""
     out = []
     for row in A:
         sums = {}
-        for (j, a), va in row.items():
-            for (k, b), vb in B[j].items():
-                p = _shifted(va, vb, a)  # a fresh array, which takes the sum
-                sums[k, a + b] = np.add(sums.get((k, a + b), 0.0), p, out=p)
-        out.append({key: v for key, v in reversed(sums.items()) if np.count_nonzero(v)})
+        for j, a in row:
+            for k, b in B[j]:
+                sums[k] = sums.get(k, 0.0) + a * b
+        out.append([(k, s) for k, s in reversed(sums.items()) if s])
     return out
 
 
-def _add(A: Rows, B: Rows, op: Callable = np.add) -> Rows:
-    """op(A, B) (np.add or np.subtract) as scipy's csr binop of sorted
-    operands forms it: a missing entry read as 0, rows stored sorted, zeros
-    dropped."""
-    return [{key: v for key in sorted({**ra, **rb}) if np.count_nonzero(v := op(ra.get(key, 0.0), rb.get(key, 0.0)))}
-            for ra, rb in zip(A, B)]
+def _add(A: Matrix, B: Matrix, op: Callable[[float, float], float] = operator.add) -> Matrix:
+    """op(A, B) (operator.add or operator.sub) as scipy's csr binop of
+    sorted operands forms it: a missing entry read as 0, each row sorted,
+    zeros dropped."""
+    return [[(k, v) for k in sorted(a | b) if (v := op(a.get(k, 0.0), b.get(k, 0.0)))]
+            for a, b in ((dict(x), dict(y)) for x, y in zip(A, B))]
 
 
-def _matvec(A: Rows, x: np.ndarray) -> np.ndarray:
-    """A @ x as csr_matvec sums it: each row into +0 in stored order."""
-    xs = x.reshape(len(A), -1)
-    zero = np.zeros(xs.shape[1])
-    return np.concatenate([sum((_shifted(d, xs[j], k) for (j, k), d in row.items()), zero) for row in A])
+def _matvec(A: Matrix, x: List[float]) -> List[float]:
+    """A @ x as csr_matvec sums it: each row into +0 in stored order (not
+    sum(), which compensates a float sum from Python 3.12 on)."""
+    return [functools.reduce(operator.add, (v * x[k] for k, v in row), 0.0) for row in A]
 
 
-def _csr(AB: Rows, A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triples (indptr, indices, data) of the product AB = A @ B, given
-    on the blocks' distinct rows, laid out on their nb rows in csr_matmat's
-    stored order. Each row holds its block row's interior pattern, an
-    absent entry being an explicit 0 at a valid column (bit-neutral for a
-    finite state). Rows near a wall, where an absent contribution can move
-    a first touch (scipy stores the coupled gk q_0 row as q_1, q_2, q_0,
-    theta_1, the interior pattern as q_1, q_2, theta_1, q_0), replay theirs."""
-    at = np.arange(nb, dtype=np.int32)[:, None]
-    reach, sizes = 2 * max([abs(k) for r in A + B for _, k in r] + [0]), [len(row) or 1 for row in AB]
-    starts = [0, *accumulate(nb * size for size in sizes)]  # of each block row's entries
-    indptr = np.concatenate([*(np.arange(lo, hi, s) for lo, hi, s in zip(starts, starts[1:], sizes)), starts[-1:]],
-                            dtype=np.int32)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-    B = [[(k, b, vb.tolist()) for (k, b), vb in row.items()] for row in B]  # read entry by entry below
-    for row, arow, lo, size in zip(AB, A, starts, sizes):
-        keys, block = list(row), slice(lo, lo + nb * size)
-        rows = np.concatenate([*row.values()]).reshape(size, -1).T if keys else np.zeros((1, 1))
-        m, D = len(rows), _broadcast(rows, data[block].reshape(nb, size))
-        arow = [(key, va.tolist()) for key, va in arow.items()]
-        C = np.add(at, [j * nb + k for j, k in keys] or [0], out=indices[block].reshape(nb, size), dtype=np.int32)
-        # replayed on the distinct rows (the wall rows: reach <= m // 2 where m < nb)
-        for r in {*range(min(reach, m)), *range(max(m - reach, 0), m)} if keys else ():
-            first = {}
-            for (j, a), va in arow:
-                for k, b, vb in B[j] if 0 <= r + a < m and va[r] != 0 else ():
-                    if 0 <= r + a + b < m and vb[r + a] != 0:
-                        first.setdefault((k, a + b))
-            order = [keys.index(key) for key in reversed(first) if key in row]
-            order += [x for x in range(len(keys)) if x not in order]
-            i = r if 2 * r <= m else nb - m + r
-            if order != list(range(len(keys))):
-                D[i] = rows[r, order]
-            C[i] = [j * nb + min(max(i + k, 0), nb - 1) for j, k in (keys[x] for x in order)]
+def _spread(A: Matrix, m: int, nb: int) -> List[Tuple[int, int, List[Tuple[int, float]]]]:
+    """The rows of the system of nb rows a block whose distinct rows (m a
+    block) are A, as (first row, rows, entries as (column - row, value)):
+    each wall row stands for itself, the interior row (m // 2 of a block)
+    for the nb - m + 1 rows between them."""
+    w, c = m // 2, nb - m + 1
+    out = []
+    for r, row in enumerate(A):
+        i, at = divmod(r, m)
+        out.append((i * nb + at + (at > w) * (c - 1), c if at == w else 1,
+                    [((k // m - i) * nb + k % m - at, v) for k, v in row]))
+    return out
+
+
+def _widen(A: Matrix, m: int, nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR triples (indptr, indices, data) of the system of nb rows a block
+    whose distinct rows (m a block) are A: the wall rows as they are, in
+    one write of each array, and each interior row shifted along every row
+    between, in one slice of each."""
+    rows = _spread(A, m, nb)
+    starts = [0, *accumulate(reps * len(e) for _, reps, e in rows)]
+    indptr = np.empty(len(A) // m * nb + 1, np.int32)
+    indices, data = np.empty(starts[-1], np.int32), np.empty(starts[-1])
+    walls = [(at, lo, e) for (at, reps, e), lo in zip(rows, starts) if reps == 1]
+    indptr[[at for at, _, _ in walls] + [-1]] = [lo for _, lo, _ in walls] + starts[-1:]
+    entries = [(lo + x, at + d, v) for at, lo, e in walls for x, (d, v) in enumerate(e)]
+    if entries:
+        pos, cols, vals = zip(*entries)
+        indices[list(pos)], data[list(pos)] = cols, vals
+    for (at, reps, e), lo, hi in zip(rows, starts, starts[1:]):
+        if reps == 1:
+            continue
+        indptr[at : at + reps] = np.arange(lo, hi, len(e)) if e else lo
+        if e:
+            d, v = zip(*e)
+            out = indices[lo:hi].reshape(reps, -1)
+            np.add(np.arange(at, at + reps, dtype=np.int32)[:, None], d, out=out, dtype=np.int32)
+            data[lo:hi].reshape(reps, -1)[:] = v
     return indptr, indices, data
 
 
@@ -286,28 +268,20 @@ def _csr(AB: Rows, A: Rows, B: Rows, nb: int) -> Tuple[np.ndarray, np.ndarray, n
 MAX_RUN_FLOATS = _MAX_BAND_ENTRIES = 2**24
 
 
-def _band_lu(S: Rows, nb: int) -> Callable[[np.ndarray], np.ndarray]:
-    """LAPACK band LU of the block rows S (nb rows a block, each diagonal
-    given on its distinct rows), each nonzero diagonal broadcast straight
-    into band storage; returns b -> S^-1 b, solved in place with
-    `dgbtrs`'s bits but not its per-column `dger` call. The L-solve runs a
-    unit-lower `dtbsv` over each window of columns between two row swaps:
-    a window ends at the swapped column c, whose own AXPY (alpha = -b[c])
-    waits for the swap and opens the next window; when kl >= 2 the window's
-    last columns reach rows past c, and each gets that part by `daxpy`, in
-    column order. With no swap it is one window, then the U-solve, the
-    `dtbsv` call `dgbtrs` makes: two `dtbsv` calls on the whole arrays."""
+def _band_lu(ab: np.ndarray, kl: int, ku: int) -> Callable[[np.ndarray], np.ndarray]:
+    """LAPACK band LU of the band storage ab (kl sub- and ku superdiagonals
+    below kl rows of room, as `dgbtrf` takes it, which it overwrites);
+    returns b -> A^-1 b, solved in place with `dgbtrs`'s bits but not its
+    per-column `dger` call. The L-solve runs a unit-lower `dtbsv` over each
+    window of columns between two row swaps: a window ends at the swapped
+    column c, whose own AXPY (alpha = -b[c]) waits for the swap and opens
+    the next window; when kl >= 2 the window's last columns reach rows past
+    c, and each gets that part by `daxpy`, in column order. With no swap it
+    is one window, then the U-solve, the `dtbsv` call `dgbtrs` makes: two
+    `dtbsv` calls on the whole arrays."""
     from scipy.linalg.blas import daxpy, dtbsv
     from scipy.linalg.lapack import dgbtrf
 
-    diags = {(i, j, k): (j - i) * nb + k for i, row in enumerate(S) for (j, k), v in row.items() if np.count_nonzero(v)}
-    kl, ku = max([-d for d in diags.values()] + [0]), max([*diags.values(), 0])
-    if (2 * kl + ku + 1) * len(S) * nb > _MAX_BAND_ENTRIES:
-        raise ConfigurationError(f"implicit matrix too wide for band storage (bandwidths {kl}, {ku})")
-    ab, full = np.zeros((2 * kl + ku + 1, len(S) * nb), order="F"), np.empty(nb)
-    for (i, j, k), d in diags.items():
-        lo, hi = max(0, -k), min(nb, nb - k)
-        ab[kl + ku - d, i * nb + lo + d : i * nb + hi + d] = _broadcast(S[i][j, k], full)[lo:hi]
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise ConfigurationError(f"singular implicit matrix: zero pivot {info}")
@@ -348,18 +322,21 @@ def trapezoid_stepper(
     = dt/2, Schur-reduced onto the last `keep` unknowns (all by default;
     whole blocks). The eliminated block must be strictly block upper
     triangular (companion shifts, or zero), so (I - hM11)^-1 is a finite
-    sum. The set-up is numpy with scipy's sparse arithmetic: `rhs_mat` and
-    `back` are stored unsorted as scipy's products store them (a kept
-    third-order row: theta_ddot, then theta_dot and theta interleaved, from
-    the +1 neighbour down), and the CSR kernel sums each row in that order,
-    so steps have the sparse set-up's bits. Every block of M and f must have
-    constant coefficients (ConfigurationError otherwise): the algebra runs
-    on each block's 2W + 1 distinct rows, and its results are broadcast to
-    the nb rows of the CSR triples, the band storage and the forcing; a
-    block of at most 2W + 1 rows is its own reduction. A step is two kernel
-    calls (the reduced right-hand side, the back-substitution) and a band
-    solve in place: two `dtbsv` calls, and one more per row that `dgbtrf`
-    swapped (a Neumann wall row is not column diagonally dominant)."""
+    sum. The set-up runs scipy's own CSR algorithms (csr_matmat, the binop
+    of sorted rows, csr_matvec) row by row in Python floats, so `rhs_mat`
+    and `back` have the values and the unsorted stored order of scipy's
+    products (a kept third-order row: theta_ddot, then theta_dot and theta
+    interleaved, from the +1 neighbour down), and the CSR kernel sums each
+    row in that order: steps have the sparse set-up's bits. Every block of
+    M and f must have constant coefficients (ConfigurationError otherwise):
+    the algebra runs on a small system of each block's 2W + 1 distinct
+    rows, whose wall rows are laid out as they are and whose interior row
+    is shifted along every row between, in the CSR triples, the band
+    storage and the forcing; a block of at most 2W + 1 rows is its own
+    reduction. A step is two kernel calls (the reduced right-hand side, the
+    back-substitution) and a band solve in place: two `dtbsv` calls, and
+    one more per row that `dgbtrf` swapped (a Neumann wall row is not
+    column diagonally dominant)."""
     from scipy.sparse._sparsetools import csr_matvec
 
     p, n = len(M), len(f)
@@ -371,41 +348,50 @@ def trapezoid_stepper(
     # the set-up runs on each block's distinct rows. Every row of M and f that
     # is K (M's largest offset) or more from a wall must be the interior row;
     # the deepest product chains p1 + 1 factors of reach K, so its rows differ
-    # from the interior one up to (p1 + 1) K from a wall, and _csr replays the
-    # rows within twice its factors' reach (at most 2 p1 K) of a wall: with
-    # W = 2K (p1 + 1), the system of 2W + 1 rows has the long one's wall rows
-    # and its middle row is the interior one
+    # from the interior one up to (p1 + 1) K from a wall: with W = 2K (p1 + 1),
+    # the system of 2W + 1 rows a block has the long one's wall rows, and its
+    # middle row is the interior one, in values and in stored order
     wall = max([abs(k) for row in M for band in row if band for k in band] + [1])
     w = 2 * wall * (p1 + 1)
     keys = [(i, j, k) for i, row in enumerate(M) for j, band in enumerate(row) if band for k in sorted(band)]
     X = _distinct(np.concatenate([*(M[i][j][k] for i, j, k in keys), f], dtype=float).reshape(-1, nb), w, wall)
-    m, hM = X.shape[1], [{} for _ in M]
+    m, X = X.shape[1], X.tolist()
+    hM, q = [[] for _ in range(p * m)], p1 * m  # the distinct system's rows, sorted; its eliminated ones
     for (i, j, k), d in zip(keys, X):
-        hM[i][j, k] = h * d
-    part = lambda rows, lo, hi: [{(j - lo, k): d for (j, k), d in r.items() if lo <= j < hi} for r in rows]
-    N = [{key: d for key, d in r.items() if np.count_nonzero(d)} for r in part(hM[:p1], 0, p1)]
-    if any(j <= i for i, r in enumerate(N) for j, _ in r):
+        for r, v in enumerate(d):
+            if v:
+                hM[i * m + r].append((j * m + r + k, h * v))
+    part = lambda rows, lo, hi: [[(k - lo, v) for k, v in r if lo <= k < hi] for r in rows]
+    eye = lambda size: [[(r, 1.0)] for r in range(size)]
+    N = part(hM[:q], 0, q)
+    if any(k // m <= r // m for r, row in enumerate(N) for k, _ in row):
         raise ConfigurationError("eliminated block of the implicit matrix is not strictly block upper "
                                  "triangular, so not nilpotent as the reduction needs")
-    E, power, hM12 = _eye(p1, m), N, part(hM[:p1], p1, p)
+    E, power, hM12 = eye(q), N, part(hM[:q], q, p * m)
     while any(power):  # the series of the inverse, summed as scipy sums it
         E, power = _add(E, power), _matmat(power, N)
-    A21E = _matmat([{key: -d for key, d in r.items()} for r in part(hM[p1:], 0, p1)], E)
-    S = _add(_add(_eye(p - p1, m), part(hM[p1:], p1, p), np.subtract), _matmat(A21E, hM12))
+    A21E = _matmat([[(k, -v) for k, v in r] for r in part(hM[q:], 0, q)], E)
+    S = _add(_add(eye(p * m - q), part(hM[q:], q, p * m), operator.sub), _matmat(A21E, hM12))
     # rows: E r1 for the eliminated unknowns, r2 - A21 E r1 for the kept
     # ones, each sorted by column as scipy's bmat stores it
-    reduce = E + [dict(sorted({**{key: -d for key, d in a.items()}, (p1 + i, 0): np.ones(m)}.items()))
-                  for i, a in enumerate(A21E)]
-    IhM = _add(_eye(p, m), hM)
-    RB, EB = _matmat(reduce, IhM), _matmat(E, hM12)
-    rhs_f = _matvec(reduce, dt * X[len(keys) :].ravel())
-    values = np.concatenate([rhs_f, *(d for rows in (RB, EB, S) for row in rows for d in row.values())])
-    if not np.isfinite(values).all():
+    reduce = E + [sorted([(k, -v) for k, v in a] + [(q + r, 1.0)]) for r, a in enumerate(A21E)]
+    RB, EB = _matmat(reduce, _add(eye(p * m), hM)), _matmat(E, hM12)
+    rhs_f = _matvec(reduce, [dt * v for d in X[len(keys) :] for v in d])
+    if not np.isfinite([*rhs_f, *(v for rows in (RB, EB, S) for row in rows for _, v in row)]).all():
         raise ConfigurationError("keys grid.*, material.*, model.* and time.dt: the 1-D system they set up, "
                                  f"times dt/2 = {h:g}, leaves the float range")
-    rp, ri, rd = _csr(RB, reduce, IhM, nb)
-    bp, bi, bd = _csr(EB, E, hM12, nb)
-    solve = _band_lu(S, nb)
+    rp, ri, rd = _widen(RB, m, nb)
+    bp, bi, bd = _widen(EB, m, nb)
+    band = _spread(S, m, nb)
+    offsets = [d for _, _, e in band for d, _ in e]
+    kl, ku = max([-d for d in offsets] + [0]), max(offsets + [0])
+    if (2 * kl + ku + 1) * (n - n1) > _MAX_BAND_ENTRIES:
+        raise ConfigurationError(f"implicit matrix too wide for band storage (bandwidths {kl}, {ku})")
+    ab = np.zeros((2 * kl + ku + 1, n - n1), order="F")
+    for at, reps, e in band:  # one slice a diagonal's rows, as LAPACK stores A[i, j] at ab[kl + ku + i - j, j]
+        for d, v in e:
+            ab[kl + ku - d, at + d : at + d + reps] = v
+    solve = _band_lu(ab, kl, ku)
 
     # each product sums into zeros (the caller's row, then the stepper's one
     # buffer), as `rhs_mat @ u + rhs_f` and `r[:n1] += back @ r[n1:]` do, so
@@ -415,7 +401,7 @@ def trapezoid_stepper(
     # of at most one entry a row (every local kind) sums straight into r
     forced = np.count_nonzero(rhs_f)
     if forced:
-        rhs_f = _broadcast(rhs_f.reshape(p, m).T, np.empty((p, nb)).T).T.ravel()
+        rhs_f = np.repeat(rhs_f, [reps for _, reps, _ in _spread(RB, m, nb)])  # RB's rows are the forcing's
     t = np.empty(n1) if max(map(len, EB), default=0) > 1 else None  # the coupled gk theta rows: two entries
 
     def step(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

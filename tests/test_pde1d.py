@@ -1,4 +1,5 @@
 import ast
+import operator
 import time
 import warnings
 from dataclasses import replace
@@ -421,9 +422,63 @@ def _assert_bitwise_steps(monkeypatch, M, f, dt, keep, swapped, steps=500):
     assert len(calls) == 3 * steps * (2 + pivots[0])
 
 
+def _random_csr(rng, rows, cols, like=None):
+    """A random CSR matrix with sorted rows, about a fifth of them empty,
+    whose values are mostly small powers of two (so products and sums
+    cancel to exactly 0) and otherwise normal draws (so their rounding
+    depends on the order of summation). With `like`, about half of the
+    entries copy like's entry at the same place, or its negative, so a sum
+    or difference with it cancels there."""
+    draw = rng.random((rows, cols))
+    dense = np.where(draw < 0.15, rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], (rows, cols)), 0.0)
+    dense = np.where(draw > 0.9, rng.standard_normal((rows, cols)), dense)
+    dense[rng.random(rows) < 0.2] = 0.0
+    if like is not None:
+        copy = (like != 0) & (rng.random((rows, cols)) < 0.5)
+        dense[copy] = (like * rng.choice([-1.0, 1.0], (rows, cols)))[copy]
+    return sp.csr_matrix(dense)
+
+
+def _rows_of(S):
+    """A CSR matrix as pde1d's row lists, in its stored order."""
+    return [list(zip(S.indices[lo:hi].tolist(), S.data[lo:hi].tolist())) for lo, hi in zip(S.indptr, S.indptr[1:])]
+
+
+def _stored(rows):
+    """Each row's stored columns and value bytes, to compare with a
+    scipy result's."""
+    return [([k for k, _ in r], np.array([v for _, v in r]).tobytes()) for r in rows]
+
+
+def test_row_algorithms_are_scipys_csr_algorithms():
+    """_matmat, _add (plus and minus) and _matvec against scipy's
+    `csr @ csr`, `+`, `-` and `@ vector` on 30 seeded random small
+    matrices with sorted rows, empty rows and entries that cancel to
+    exactly 0: the same stored columns in the same order, and the same
+    value bytes. The draws reach what the oracle is for: products and sums
+    that cancel, and product rows stored out of column order."""
+    rng, cancelled, unsorted = np.random.default_rng(33), set(), 0
+    for _ in range(30):
+        n, k = rng.integers(5, 40, 2)
+        A, B = _random_csr(rng, n, k), _random_csr(rng, k, n)
+        C = _random_csr(rng, n, k, like=A.toarray())
+        assert A.has_canonical_format and C.has_canonical_format
+        rows = {name: _rows_of(S) for name, S in (("A", A), ("B", B), ("C", C))}
+        x = rng.standard_normal(k)
+        for name, got, want in (("@", pde1d._matmat(rows["A"], rows["B"]), A @ B),
+                                ("+", pde1d._add(rows["A"], rows["C"]), A + C),
+                                ("-", pde1d._add(rows["A"], rows["C"], operator.sub), A - C)):
+            assert _stored(got) == _stored(_rows_of(want))
+            if want.nnz < (abs(A) @ abs(B) if name == "@" else abs(A) + abs(C)).nnz:
+                cancelled.add(name)
+        assert np.array(pde1d._matvec(rows["A"], x.tolist())).tobytes() == (A @ x).tobytes()
+        product = A @ B
+        unsorted += any(np.any(np.diff(product.indices[lo:hi]) < 0) for lo, hi in zip(product.indptr, product.indptr[1:]))
+    assert cancelled == {"@", "+", "-"} and unsorted > 20
+
+
 def _swapping_band(rng, n, kl, ku, swap_at):
-    """A random band matrix (dense, and as _band_lu's one block row) with
-    kl sub- and ku superdiagonals, whose diagonal dominates its column but
+    """A random dense band matrix with kl sub- and ku superdiagonals, whose diagonal dominates its column but
     at the columns `swap_at`, where it is small against the subdiagonal. A
     swapped row's superdiagonal is large unless the next column swaps too,
     so that it dominates the next column once it has moved down."""
@@ -433,7 +488,7 @@ def _swapping_band(rng, n, kl, ku, swap_at):
     d[-1][np.add(swap_at, 1)] += 10.0
     d[1][[c for c in swap_at if c + 1 not in swap_at]] += 10.0
     A = sum(np.diag(v[max(0, -k) : n - max(0, k)], k) for k, v in d.items())
-    return A, [{(0, k): v for k, v in d.items()}]
+    return A
 
 
 @pytest.mark.parametrize("kl", [1, 2, 3])
@@ -448,13 +503,13 @@ def test_band_solve_is_bitwise_dgbtrs(kl, ku):
     rng, n = np.random.default_rng(100 * kl + ku), 12
     for swap_at in ([0], [n - 2], [4, 5], [2, 3, 4], [1, 4, 7, 9], list(range(0, n - 1, 2)), [0, 1, 5, n - 2]):
         for _ in range(5):
-            A, S = _swapping_band(rng, n, kl, ku, swap_at)
+            A = _swapping_band(rng, n, kl, ku, swap_at)
             ab = np.zeros((2 * kl + ku + 1, n))
             rows, cols = np.nonzero(A)
             ab[kl + ku + rows - cols, cols] = A[rows, cols]
             lu, piv, info = dgbtrf(ab, kl, ku)
             assert info == 0 and set(swap_at) <= set(np.flatnonzero(piv != np.arange(n)))
-            solve = pde1d._band_lu(S, n)
+            solve = pde1d._band_lu(ab, kl, ku)
             for b in (rng.standard_normal(n), rng.choice([0.0, -0.0, 1.0], n), rng.choice([0.0, -0.0], n)):
                 expected = dgbtrs(lu, kl, ku, b, piv)[0]
                 assert solve(b.copy()).tobytes() == expected.tobytes()
@@ -596,15 +651,15 @@ def test_coefficients_that_vary_along_the_grid_are_refused(where):
 
 @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
 def test_set_up_algebra_runs_on_the_distinct_rows(monkeypatch, bc_kind):
-    """At N = 20000 no product the set-up forms (every one goes through
-    _shifted) is longer than the 2W + 1 distinct rows of a block, so the
-    N-long algebra cannot quietly come back."""
+    """At N = 20000 no product the set-up forms has an operand of more rows
+    than the p blocks of 2W + 1 distinct rows each, so the N-long algebra
+    cannot quietly come back."""
     ops = space_operators(Grid1D(L=1.0, N=20000), bc_kind, (0.3, -0.2))
     M, f, order = assemble_rhs(QUINTANILLA, MAT, ops)
-    lengths, shifted = [], pde1d._shifted
-    monkeypatch.setattr(pde1d, "_shifted", lambda c, v, k: lengths.append(len(v)) or shifted(c, v, k))
+    lengths, matmat = [], pde1d._matmat
+    monkeypatch.setattr(pde1d, "_matmat", lambda A, B: lengths.extend((len(A), len(B))) or matmat(A, B))
     trapezoid_stepper(M, f, 1e-3, keep=ops.n)
-    assert lengths and max(lengths) <= 2 * _distinct_rows(order) + 1
+    assert lengths and max(lengths) <= order * (2 * _distinct_rows(order) + 1)
 
 
 def test_simulate_builds_no_scipy_sparse_object(monkeypatch):

@@ -22,7 +22,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_there_are_scripts():
-    assert len(SCRIPTS) >= 7
+    assert len(SCRIPTS) >= 5
 
 
 def _top_level(monkeypatch, script):
