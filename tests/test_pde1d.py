@@ -473,7 +473,8 @@ def test_row_algorithms_are_scipys_csr_algorithms():
                 cancelled.add(name)
         assert np.array(pde1d._matvec(rows["A"], x.tolist())).tobytes() == (A @ x).tobytes()
         product = A @ B
-        unsorted += any(np.any(np.diff(product.indices[lo:hi]) < 0) for lo, hi in zip(product.indptr, product.indptr[1:]))
+        bounds = zip(product.indptr, product.indptr[1:])
+        unsorted += any(np.any(np.diff(product.indices[lo:hi]) < 0) for lo, hi in bounds)
     assert cancelled == {"@", "+", "-"} and unsorted > 20
 
 
